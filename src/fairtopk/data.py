@@ -4,12 +4,21 @@ Items within a query belong to one of two disjoint groups: group A (the
 protected / minority group, encoded 0 on disk) and group B (the majority
 group, encoded 1).  Queries keep a fixed ``query_index`` row so that the
 same scoring model can be shared by train / validation / test splits.
+
+Training works on a flat (CSR) view of a dataset, ``Dataset.flat``: every
+query's items concatenated in query order, so that a (query, item) pair is
+one flat position and query k owns positions ``offsets[k]:offsets[k+1]``.
+A ``BatchSample`` holds flat positions: the pair batch as one vector and
+each sampled query's sub-batches as one row of a padded matrix (-1 marks
+an empty slot).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +48,6 @@ class QueryGroup:
     def num_items(self) -> int:
         return len(self.item_ids)
 
-    def group_positions(self, group: int) -> np.ndarray:
-        return np.flatnonzero(self.groups == group)
-
     def has_both_groups(self) -> bool:
         return bool(np.any(self.groups == GROUP_A) and np.any(self.groups == GROUP_B))
 
@@ -59,9 +65,6 @@ class Dataset:
     # so evaluation can sample genuinely unobserved items as negatives.
     observed: dict[str, frozenset] | None = None
 
-    _pair_qpos: np.ndarray | None = field(default=None, repr=False)
-    _pair_ipos: np.ndarray | None = field(default=None, repr=False)
-
     @property
     def num_queries(self) -> int:
         return len(self.queries)
@@ -70,40 +73,88 @@ class Dataset:
     def total_pairs(self) -> int:
         return sum(q.num_items for q in self.queries)
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pair_qpos is None:
-            qpos = np.concatenate(
-                [np.full(q.num_items, k, dtype=np.int64)
-                 for k, q in enumerate(self.queries)]
-            ) if self.queries else np.zeros(0, dtype=np.int64)
-            ipos = np.concatenate(
-                [np.arange(q.num_items, dtype=np.int64) for q in self.queries]
-            ) if self.queries else np.zeros(0, dtype=np.int64)
-            self._pair_qpos, self._pair_ipos = qpos, ipos
-        return self._pair_qpos, self._pair_ipos
+    @cached_property
+    def flat(self) -> "FlatView":
+        """The CSR view of ``queries``, built on first use and cached."""
+        return FlatView(self.queries)
 
 
-@dataclass
-class QuerySubBatch:
-    """Sampled sub-batches of one query's item list."""
+def ideal_dcg(labels: np.ndarray) -> float:
+    """Max achievable DCG for a label multiset (the NDCG normalizer)."""
+    gains = np.sort(2.0 ** np.asarray(labels, dtype=np.float64) - 1.0)[::-1]
+    ranks = np.arange(1, len(gains) + 1)
+    return float(np.sum(gains / np.log2(1.0 + ranks)))
 
-    items: np.ndarray   # positions into the QueryGroup arrays
-    group_a: np.ndarray
-    group_b: np.ndarray
-    fairness_skipped: bool
+
+def label_softmax(labels: np.ndarray) -> np.ndarray:
+    """softmax(y) over one query's labels, the ListNet target distribution."""
+    p = np.exp(labels - labels.max())
+    return p / p.sum()
+
+
+class FlatView:
+    """All queries' item lists concatenated in query order.
+
+    Per flat position: the owning query's position (``query_of``) and model
+    row (``query_row``), and the item's feature row, relevance and ListNet
+    target (the softmax of the labels within its query).  Per query: its
+    offset, its size N_q, the flat positions of its group-A and group-B
+    items, whether it has both groups, and its NDCG normalizer.
+    """
+
+    def __init__(self, queries: list[QueryGroup]):
+        self.sizes = np.array([q.num_items for q in queries], dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
+        self.query_of = np.repeat(np.arange(len(queries), dtype=np.int64), self.sizes)
+        self.query_row = np.array([q.query_index for q in queries])[self.query_of]
+        empty = [np.zeros(0, dtype=np.int64)]
+        self.feature_idx = np.concatenate([q.feature_idx for q in queries] or empty)
+        self.relevance = np.concatenate([q.relevance for q in queries] or empty)
+        self.label_softmax = np.concatenate([label_softmax(q.relevance) for q in queries] or empty)
+        self.group_a, self.group_b = (
+            [off + np.flatnonzero(q.groups == group) for off, q in zip(self.offsets, queries)]
+            for group in (GROUP_A, GROUP_B))
+        self.has_both_groups = np.array([q.has_both_groups() for q in queries], dtype=bool)
+        self.ideal_dcg = np.array([ideal_dcg(q.relevance) for q in queries], dtype=np.float64)
+
+
+# one query's sub-batches as positions into its QueryGroup arrays
+QuerySubBatch = namedtuple("QuerySubBatch", "items group_a group_b fairness_skipped")
 
 
 @dataclass
 class BatchSample:
-    """One Algorithm-level draw: pair batch plus per-query sub-batches."""
+    """One Algorithm-level draw: the pair batch plus per-query sub-batches.
 
-    pair_qpos: np.ndarray
-    pair_ipos: np.ndarray
-    per_query: dict[int, QuerySubBatch]   # keyed by query position in Dataset.queries
+    ``queries`` lists the distinct queries of the pair batch in ascending
+    order.  Row r of ``items``, ``group_a`` and ``group_b`` holds the flat
+    positions drawn for ``queries[r]``, padded with -1; ``skipped[r]``
+    marks a query missing a group, which gets no fairness term.
+    """
+
+    pairs: np.ndarray       # flat positions of the pair batch
+    pair_row: np.ndarray    # row of each pair's query
+    queries: np.ndarray
+    items: np.ndarray
+    group_a: np.ndarray
+    group_b: np.ndarray
+    skipped: np.ndarray
+    offsets: np.ndarray     # FlatView.offsets of the sampled dataset
 
     @property
     def num_pairs(self) -> int:
-        return len(self.pair_qpos)
+        return len(self.pairs)
+
+    @cached_property
+    def per_query(self) -> dict[int, QuerySubBatch]:
+        """Per-query view of the sub-batches, keyed by query position; built
+        on first access from the padded arrays, never used in training."""
+        out = {}
+        for r, q in enumerate(self.queries.tolist()):
+            local = [row[row >= 0] - self.offsets[q]
+                     for row in (self.items[r], self.group_a[r], self.group_b[r])]
+            out[q] = QuerySubBatch(*local, fairness_skipped=bool(self.skipped[r]))
+        return out
 
 
 def _build_dataset(rows: list[tuple[str, int, float, int]]) -> Dataset:
@@ -308,36 +359,34 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     """Draw the pair batch B and per-query sub-batches for one iteration.
 
     All draws are uniform without replacement; requested sizes are capped
-    at the source sizes.  Queries missing a group get an empty sub-batch
-    for it and are flagged ``fairness_skipped``.
+    at the source sizes.  The draws come in a fixed order, so a generator
+    state fixes the batch: the pair batch first, then for each sampled
+    query in ascending order its items, its group-A and its group-B items.
+    A query missing a group draws nothing for it and is marked ``skipped``.
     """
     n_pairs, n_q, n_a, n_b = sizes
     if min(sizes) < 1:
         raise ConfigurationError("batch sizes must be >= 1")
-    qpos_all, ipos_all = d._pairs()
-    total = len(qpos_all)
+    view = d.flat
+    total = len(view.query_of)
     if total == 0:
         raise EmptyDatasetError("cannot sample from an empty dataset")
-    take = min(n_pairs, total)
-    sel = rng.choice(total, size=take, replace=False)
-    pair_qpos = qpos_all[sel]
-    pair_ipos = ipos_all[sel]
+    pairs = rng.choice(total, size=min(n_pairs, total), replace=False)
+    queries, pair_row = np.unique(view.query_of[pairs], return_inverse=True)
 
-    per_query: dict[int, QuerySubBatch] = {}
-    for qp in np.unique(pair_qpos):
-        q = d.queries[qp]
-        items = rng.choice(q.num_items, size=min(n_q, q.num_items), replace=False)
-        a_all = q.group_positions(GROUP_A)
-        b_all = q.group_positions(GROUP_B)
-        skipped = len(a_all) == 0 or len(b_all) == 0
-        ga = (rng.choice(a_all, size=min(n_a, len(a_all)), replace=False)
-              if len(a_all) else np.zeros(0, dtype=np.int64))
-        gb = (rng.choice(b_all, size=min(n_b, len(b_all)), replace=False)
-              if len(b_all) else np.zeros(0, dtype=np.int64))
-        per_query[int(qp)] = QuerySubBatch(
-            items=np.asarray(items, dtype=np.int64),
-            group_a=np.asarray(ga, dtype=np.int64),
-            group_b=np.asarray(gb, dtype=np.int64),
-            fairness_skipped=skipped,
-        )
-    return BatchSample(pair_qpos=pair_qpos, pair_ipos=pair_ipos, per_query=per_query)
+    widest = int(view.sizes.max())
+    items, group_a, group_b = (np.full((len(queries), min(n, widest)), -1, dtype=np.int64)
+                               for n in (n_q, n_a, n_b))
+    offsets = view.offsets.tolist()
+    for r, q in enumerate(queries.tolist()):
+        n = offsets[q + 1] - offsets[q]
+        take = min(n_q, n)
+        items[r, :take] = offsets[q] + rng.choice(n, size=take, replace=False)
+        for out, pool, cap in ((group_a, view.group_a[q], n_a),
+                               (group_b, view.group_b[q], n_b)):
+            if len(pool):
+                take = min(cap, len(pool))
+                out[r, :take] = pool[rng.choice(len(pool), size=take, replace=False)]
+    return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
+                       items=items, group_a=group_a, group_b=group_b,
+                       skipped=~view.has_both_groups[queries], offsets=view.offsets)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import GROUP_A, GROUP_B, Dataset, QueryGroup
+from .data import GROUP_A, Dataset, QueryGroup
 from .errors import ConfigurationError, FairTopKError
-from .fairness import exposures, topk_membership
+from .fairness import disparity_mae_mse, topk_gap
 from .model import FactorizationScorer, ScoringModel
 
 
@@ -85,17 +85,6 @@ def ndcg_at_k(model: ScoringModel, q: int, eval_items: np.ndarray,
     return dcg / idcg
 
 
-def _eval_gap(scores: np.ndarray, groups: np.ndarray, item_ids: np.ndarray,
-              k: int) -> float | None:
-    a = groups == GROUP_A
-    b = groups == GROUP_B
-    if not a.any() or not b.any():
-        return None
-    e = exposures(scores)
-    top = topk_membership(scores, item_ids, k)
-    return float(e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum())
-
-
 def evaluate(model: ScoringModel, d: Dataset, proto: EvalProtocol) -> dict:
     """Per-K report: NDCG mean/std, disparity MAE/MSE, skip counts."""
     if d.num_queries == 0:
@@ -116,7 +105,7 @@ def evaluate(model: ScoringModel, d: Dataset, proto: EvalProtocol) -> dict:
             n = ndcg_at_k(model, qg.query_index, feats, labels, k, item_ids=ids)
             if n is not None:
                 ndcgs[k].append(n)
-            gap = _eval_gap(scores, groups, ids, min(k, len(ids) - 1))
+            gap = topk_gap(scores, groups, ids, min(k, len(ids) - 1))
             if gap is None:
                 skipped[k] += 1
             else:
@@ -124,14 +113,12 @@ def evaluate(model: ScoringModel, d: Dataset, proto: EvalProtocol) -> dict:
 
     report = {}
     for k in proto.k_list:
-        g = np.asarray(gaps[k]) if gaps[k] else np.zeros(0)
         n = np.asarray(ndcgs[k]) if ndcgs[k] else np.zeros(0)
+        mae, mse = disparity_mae_mse(gaps[k])
         report[k] = {
             "ndcg_mean": float(n.mean()) if len(n) else float("nan"),
             "ndcg_std": float(n.std()) if len(n) else float("nan"),
-            "mae": float(np.abs(g).mean()) if len(g) else float("nan"),
-            "mse": float((g ** 2).mean()) if len(g) else float("nan"),
-            "skipped": skipped[k],
+            "mae": mae, "mse": mse, "skipped": skipped[k],
         }
     return report
 
@@ -142,7 +129,7 @@ class TradeoffReport:
 
     def to_csv(self, path: str) -> None:
         import csv as _csv
-        keys = ["C", "K", "ndcg_mean", "ndcg_std", "mae", "mse", "skipped", "failed"]
+        keys = ["C", "K", "ndcg_mean", "ndcg_std", "mae", "mse", "skipped", "failed", "error"]
         with open(path, "w", newline="") as fh:
             writer = _csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()

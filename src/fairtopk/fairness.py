@@ -7,11 +7,17 @@ sitting above the threshold lambda; with the indicator hard-wired to one
 it reduces to the full-list disparity.  All exp sums apply a per-query
 reference shift, valid because the loss depends only on the ratio
 (g_a - g_b) / g_q which is invariant to a common positive rescaling.
+
+The G2 estimator handles every sampled query at once: its group-A,
+group-B and item sub-batches are padded (queries, slots) matrices of flat
+positions (see ``data.FlatView``), and the moving averages, shifts and
+thresholds are dense arrays indexed by query position.  Empty slots score
+-inf, which zeroes their exp and indicator terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +27,10 @@ from .lambda_solver import (
     LambdaState,
     SmoothingParams,
     _sigmoid,
-    cross_grad,
     solve_lambda_exactly_smoothed,
 )
 from .model import ScoringModel
+from .rank_losses import MovingAverage, gather_scores, scatter_grads
 
 
 @dataclass(frozen=True)
@@ -45,20 +51,9 @@ class SmoothIndicator:
         return v * (1.0 - v) / self.temperature
 
 
-class ConstantOne(SmoothIndicator):
-    """Test hook / full-list mode: the indicator is identically one."""
-
-    def __init__(self):
-        object.__setattr__(self, "temperature", np.inf)
-
-    def value(self, x):
-        return np.ones_like(np.asarray(x, dtype=np.float64))
-
-    def derivative(self, x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-
-CONSTANT_ONE = ConstantOne()
+# psi = None stands for the constant indicator psi = 1, which turns the top-K
+# disparity into the full-list one
+CONSTANT_ONE = None
 
 
 def exposures(scores: np.ndarray) -> np.ndarray:
@@ -91,53 +86,50 @@ def topk_membership(scores: np.ndarray, item_ids: np.ndarray, k: int) -> np.ndar
     return mask
 
 
-def topk_disparity_exact(model: ScoringModel, qg: QueryGroup, k: int) -> float | None:
-    """Signed top-K exposure gap, group A minus group B.
+def topk_gap(scores: np.ndarray, groups: np.ndarray, item_ids: np.ndarray,
+             k: int) -> float | None:
+    """Signed top-k exposure gap of a scored list, group A minus group B;
+    None when a group is empty.
 
-    Each group's mean runs over the whole group, but only top-K members
+    Each group's mean runs over the whole group, but only top-k members
     contribute their (full-list) exposure.
     """
-    if not 1 <= k < qg.num_items:
-        raise ConfigurationError(f"k must be in [1, {qg.num_items - 1}]")
-    if not qg.has_both_groups():
-        return None
-    scores = model.score_many(qg.query_index, qg.feature_idx)
-    e = exposures(scores)
-    top = topk_membership(scores, qg.item_ids, k)
-    a = qg.groups == GROUP_A
-    b = qg.groups == GROUP_B
-    gap = e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum()
-    return float(gap)
-
-
-def group_stats(scores: np.ndarray, groups: np.ndarray, psi_vals: np.ndarray,
-                shift: float) -> tuple[float, float, float]:
-    """(g_a, g_b, g_q) with exp taken relative to the reference shift."""
-    e = np.exp(scores - shift)
     a = groups == GROUP_A
     b = groups == GROUP_B
-    g_a = float((psi_vals[a] * e[a]).mean())
-    g_b = float((psi_vals[b] * e[b]).mean())
-    g_q = float(e.mean())
-    return g_a, g_b, g_q
+    if not a.any() or not b.any():
+        return None
+    e = exposures(scores)
+    top = topk_membership(scores, item_ids, k)
+    return float(e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum())
+
+
+def topk_disparity_exact(model: ScoringModel, qg: QueryGroup, k: int) -> float | None:
+    """``topk_gap`` of a query's whole item list."""
+    if not 1 <= k < qg.num_items:
+        raise ConfigurationError(f"k must be in [1, {qg.num_items - 1}]")
+    scores = model.score_many(qg.query_index, qg.feature_idx)
+    return topk_gap(scores, qg.groups, qg.item_ids, k)
 
 
 def topk_disparity_surrogate(model: ScoringModel, qg: QueryGroup, k: int,
-                             lam: float, psi: SmoothIndicator,
+                             lam: float, psi: SmoothIndicator | None,
                              shift: float | None = None) -> float | None:
     """Smoothed half-squared top-K gap at threshold lam.
 
     Equals half the square of (mean_A psi*e - mean_B psi*e) with e the
-    softmax exposures; the shift cancels in the ratio.
+    softmax exposures; the shift cancels in the ratio.  ``psi = None``
+    (``CONSTANT_ONE``) gives the full-list disparity.
     """
     if not qg.has_both_groups():
         return None
     scores = model.score_many(qg.query_index, qg.feature_idx)
     if shift is None:
         shift = float(scores.max())
-    psi_vals = psi.value(scores - lam)
-    g_a, g_b, g_q = group_stats(scores, qg.groups, psi_vals, shift)
-    return 0.5 * ((g_a - g_b) / (qg.num_items * g_q)) ** 2
+    e = np.exp(scores - shift)
+    w = e if psi is None else psi.value(scores - lam) * e
+    g_a = w[qg.groups == GROUP_A].mean()
+    g_b = w[qg.groups == GROUP_B].mean()
+    return 0.5 * float((g_a - g_b) / (qg.num_items * e.mean())) ** 2
 
 
 def dataset_topk_fairness(model: ScoringModel, d: Dataset, k: int,
@@ -164,115 +156,84 @@ def disparity_mae_mse(gaps: list[float]) -> tuple[float, float]:
 
 
 @dataclass
-class QueryFairnessState:
-    """Per-query moving averages of the shifted compositional quantities."""
+class FairnessState:
+    """Per query: moving averages of the shifted group sums, columns
+    (u_a, u_b, u_g), and the reference shift fixed at the query's first
+    touch."""
 
-    u_a: float
-    u_b: float
-    u_g: float
-    shift: float
+    u: MovingAverage
+    shift: np.ndarray
 
-
-@dataclass
-class FairnessEstimatorTable:
-    """Holds the per-query states and the three averaging weights."""
-
-    gamma_a: float = 0.2
-    gamma_b: float = 0.2
-    gamma_g: float = 0.2
-    states: dict[int, QueryFairnessState] = field(default_factory=dict)
-
-    def update(self, key: int, g_a: float, g_b: float, g_q: float,
-               shift: float) -> QueryFairnessState:
-        st = self.states.get(key)
-        if st is None:
-            st = QueryFairnessState(u_a=g_a, u_b=g_b, u_g=g_q, shift=shift)
-            self.states[key] = st
-        else:
-            st.u_a = self.gamma_a * g_a + (1.0 - self.gamma_a) * st.u_a
-            st.u_b = self.gamma_b * g_b + (1.0 - self.gamma_b) * st.u_b
-            st.u_g = self.gamma_g * g_q + (1.0 - self.gamma_g) * st.u_g
-        return st
+    @classmethod
+    def zeros(cls, num_queries: int, gamma_a: float = 0.2, gamma_b: float = 0.2,
+              gamma_g: float = 0.2) -> "FairnessState":
+        return cls(u=MovingAverage.zeros(np.array([gamma_a, gamma_b, gamma_g]), num_queries, 3),
+                   shift=np.zeros(num_queries))
 
 
 def g2_estimate(model: ScoringModel, d: Dataset, batch: BatchSample, k: int,
-                table: FairnessEstimatorTable,
-                lambda_states: dict[int, LambdaState],
-                psi: SmoothIndicator, p: SmoothingParams,
+                fair: FairnessState, lam: LambdaState | None,
+                psi: SmoothIndicator | None, p: SmoothingParams,
                 mode: str = "simplified") -> np.ndarray:
     """Stochastic gradient of the top-K fairness regularizer over B_Q.
 
+    ``lam`` holds one threshold per query of ``d``.  ``psi = None`` selects
+    the full-list disparity (psi = 1), which needs no threshold.
     ``simplified`` drops the indicator-derivative terms (the training
     default); ``full_implicit`` includes them with the implicit-function
     gradient of the threshold, grad lambda = -cross / s.
     """
     if mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {mode!r}")
+    view = d.flat
+    if psi is not None and (lam is None or np.size(lam.lam) != d.num_queries):
+        raise StateError("top-K fairness needs one threshold state per query")
     grad = np.zeros(len(model.params.values))
-    qkeys = sorted(batch.per_query)
-    if not qkeys:
+    active = ~batch.skipped
+    if not active.any():
         return grad
-    inv_nq = 1.0 / len(qkeys)
+    inv_nq = 1.0 / len(batch.queries)
+    rows = batch.queries[active]
+    blocks = (batch.group_a[active], batch.group_b[active], batch.items[active])
+    s_a, s_b, s_g = gather_scores(model, view, *blocks)
+    n_a, n_b, n_g = (np.count_nonzero(b >= 0, axis=1)[:, None] for b in blocks)
 
-    acc_q: list[np.ndarray] = []
-    acc_i: list[np.ndarray] = []
-    acc_c: list[np.ndarray] = []
+    shift = np.where(fair.u.seen[rows], fair.shift[rows],
+                     np.maximum(np.maximum(s_a.max(axis=1), s_b.max(axis=1)), s_g.max(axis=1)))
+    fair.shift[rows] = shift
+    e_a, e_b, e_g = (np.exp(s - shift[:, None]) for s in (s_a, s_b, s_g))
+    if psi is None:
+        psi_a = psi_b = 1.0
+    else:
+        lam_q = lam.lam[rows][:, None]
+        psi_a = psi.value(s_a - lam_q)
+        psi_b = psi.value(s_b - lam_q)
 
-    for qp in qkeys:
-        sub = batch.per_query[qp]
-        if sub.fairness_skipped:
-            continue
-        qg = d.queries[qp]
-        lst = lambda_states.get(qp)
-        if lst is None:
-            raise StateError(f"no lambda state for query {qg.query_id}")
-        lam = lst.lam
+    u = fair.u.update(rows, np.stack([(psi_a * e_a).sum(axis=1) / n_a[:, 0],
+                                      (psi_b * e_b).sum(axis=1) / n_b[:, 0],
+                                      e_g.sum(axis=1) / n_g[:, 0]], axis=1))
+    u_a, u_b, u_g = u.T
+    n_q = view.sizes[rows]
+    diff = (u_a - u_b) / (n_q * u_g)
+    d1 = (diff / (n_q * u_g))[:, None]          # d2 = -d1
+    d3 = (-diff * diff / u_g)[:, None]
 
-        feat_a = qg.feature_idx[sub.group_a]
-        feat_b = qg.feature_idx[sub.group_b]
-        feat_g = qg.feature_idx[sub.items]
-        s_a = model.score_many(qg.query_index, feat_a)
-        s_b = model.score_many(qg.query_index, feat_b)
-        s_g = model.score_many(qg.query_index, feat_g)
+    coeff_a = d1 * psi_a * e_a / n_a * inv_nq
+    coeff_b = -d1 * psi_b * e_b / n_b * inv_nq
+    coeff_g = d3 * e_g / n_g * inv_nq
 
-        prev = table.states.get(qp)
-        shift = prev.shift if prev is not None else float(
-            max(s_a.max(), s_b.max(), s_g.max()))
-        e_a = np.exp(s_a - shift)
-        e_b = np.exp(s_b - shift)
-        e_g = np.exp(s_g - shift)
-        psi_a = psi.value(s_a - lam)
-        psi_b = psi.value(s_b - lam)
+    if mode == "full_implicit" and psi is not None:
+        extra_a = d1 * psi.derivative(s_a - lam_q) * e_a / n_a * inv_nq
+        extra_b = -d1 * psi.derivative(s_b - lam_q) * e_b / n_b * inv_nq
+        coeff_a = coeff_a + extra_a
+        coeff_b = coeff_b + extra_b
+        # the threshold moves with the scores: grad lambda = -cross / s, where
+        # cross = sum_j c_j grad h_j over the item sub-batch and
+        # c_j = -sig_j (1 - sig_j) / (|items| tau1)
+        sig = _sigmoid((s_g - lam_q) / p.tau1)
+        cross = -sig * (1.0 - sig) / (n_g * p.tau1)
+        lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / lam.s[rows]
+        coeff_g = coeff_g + lam_weight[:, None] * cross
 
-        st = table.update(qp, float((psi_a * e_a).mean()),
-                          float((psi_b * e_b).mean()), float(e_g.mean()), shift)
-
-        n_q = qg.num_items
-        diff = (st.u_a - st.u_b) / (n_q * st.u_g)
-        d1 = diff / (n_q * st.u_g)
-        d2 = -d1
-        d3 = -diff * diff / st.u_g
-
-        coeff_a = d1 * psi_a * e_a / len(s_a) * inv_nq
-        coeff_b = d2 * psi_b * e_b / len(s_b) * inv_nq
-        coeff_g = d3 * e_g / len(s_g) * inv_nq
-
-        if mode == "full_implicit":
-            dpsi_a = psi.derivative(s_a - lam)
-            dpsi_b = psi.derivative(s_b - lam)
-            extra_a = d1 * dpsi_a * e_a / len(s_a) * inv_nq
-            extra_b = d2 * dpsi_b * e_b / len(s_b) * inv_nq
-            coeff_a = coeff_a + extra_a
-            coeff_b = coeff_b + extra_b
-            lam_grad = -cross_grad(lam, model, qg.query_index, feat_g, p) / lst.s
-            grad += -(extra_a.sum() + extra_b.sum()) * lam_grad
-
-        acc_q.append(np.full(len(s_a) + len(s_b) + len(s_g), qg.query_index,
-                             dtype=np.int64))
-        acc_i.append(np.concatenate([feat_a, feat_b, feat_g]))
-        acc_c.append(np.concatenate([coeff_a, coeff_b, coeff_g]))
-
-    if acc_q:
-        model.add_weighted_grads(np.concatenate(acc_q), np.concatenate(acc_i),
-                                 np.concatenate(acc_c), grad)
+    scatter_grads(model, view, blocks, (coeff_a, coeff_b, coeff_g), grad)
     return grad

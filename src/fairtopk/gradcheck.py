@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, generate_synthetic, sample_batch
 from .fairness import (
-    FairnessEstimatorTable,
+    FairnessState,
     SmoothIndicator,
     dataset_topk_fairness,
     g2_estimate,
@@ -30,7 +30,7 @@ from .lambda_solver import (
 from .model import FactorizationScorer
 from .rank_losses import (
     LossVariant,
-    PairEstimatorTable,
+    MovingAverage,
     RankLossKind,
     dataset_loss,
     g1_estimate,
@@ -79,8 +79,7 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
     out = {}
     for kind in (RankLossKind(LossVariant.NDCG, 1.0),
                  RankLossKind(LossVariant.LISTNET, 1.0)):
-        table = PairEstimatorTable(gamma=1.0)
-        g1 = g1_estimate(model, d, batch, kind, table)
+        g1 = g1_estimate(model, d, batch, kind, MovingAverage.zeros(1.0, d.total_pairs))
 
         def loss_of(w):
             model.params.values[:] = w
@@ -104,14 +103,15 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
     psi = SmoothIndicator(temperature=0.2)
     batch = _full_batch(d)
 
-    lambda_states = {}
-    for qp, qg in enumerate(d.queries):
+    lams, hessians = [], []
+    for qg in d.queries:
         scores = model.score_many(qg.query_index, qg.feature_idx)
-        lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-10)
-        lambda_states[qp] = LambdaState(lam=lam, s=smoothed_hess(lam, scores, p))
+        lams.append(solve_lambda_exactly_smoothed(scores, p, tol=1e-10))
+        hessians.append(smoothed_hess(lams[-1], scores, p))
+    lam_state = LambdaState(lam=np.array(lams), s=np.array(hessians))
 
-    table = FairnessEstimatorTable(gamma_a=1.0, gamma_b=1.0, gamma_g=1.0)
-    g2 = g2_estimate(model, d, batch, k, table, lambda_states, psi, p,
+    fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
+    g2 = g2_estimate(model, d, batch, k, fair, lam_state, psi, p,
                      mode="full_implicit")
 
     def fairness_of(w):

@@ -6,6 +6,11 @@ smoothed threshold with respect to model parameters.
 The smoothed objective replaces each hinge (h - lambda)_+ by the softplus
 tau1 * log(1 + exp((h - lambda) / tau1)) and adds a tau2/2 * lambda^2
 curvature term, so its second derivative is bounded below by tau2 > 0.
+
+The online functions (``smoothed_grad``, ``smoothed_hess``, ``state_step``,
+``init_lambda_state``) take one query's scores as a vector, or many
+queries' as a (queries, slots) matrix with -inf in empty slots and one
+threshold per row; a -inf score adds nothing to any batch sum.
 """
 
 from __future__ import annotations
@@ -19,16 +24,12 @@ from .model import ScoringModel
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(x / 2))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+def _batch_mean(values: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, counting only the slots with a finite score."""
+    return values.sum(axis=-1) / np.count_nonzero(scores > -np.inf, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,9 @@ class SmoothingParams:
 
 @dataclass
 class LambdaState:
-    """Per-query online threshold state: lam tracks the smoothed threshold,
-    s its curvature estimate and v its gradient estimate."""
+    """Online threshold state: lam tracks the smoothed threshold, s its
+    curvature estimate and v its gradient estimate.  The fields are floats
+    for one query or arrays with one entry per query."""
 
     lam: float
     s: float
@@ -68,12 +70,10 @@ def exact_lambda(scores: np.ndarray, k: int) -> float:
     return float(np.partition(scores, idx)[idx])
 
 
-def smoothed_objective(lam: float, scores: np.ndarray, p: SmoothingParams,
-                       n_total: int | None = None) -> float:
+def smoothed_objective(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
     scores = np.asarray(scores, dtype=np.float64)
-    n = n_total if n_total is not None else len(scores)
-    soft = p.tau1 * _softplus((scores - lam) / p.tau1)
-    return (p.k + p.eps) / n * lam + 0.5 * p.tau2 * lam ** 2 + soft.mean()
+    soft = p.tau1 * np.logaddexp(0.0, (scores - lam) / p.tau1)     # softplus
+    return (p.k + p.eps) / len(scores) * lam + 0.5 * p.tau2 * lam ** 2 + soft.mean()
 
 
 def smoothed_grad(lam: float, scores: np.ndarray, p: SmoothingParams,
@@ -85,16 +85,16 @@ def smoothed_grad(lam: float, scores: np.ndarray, p: SmoothingParams,
     (K + eps) / N_q term keeps the true N_q.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n = n_total if n_total is not None else len(scores)
-    sig = _sigmoid((scores - lam) / p.tau1)
-    return (p.k + p.eps) / n + p.tau2 * lam - sig.mean()
+    sig = _sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1)
+    n = n_total if n_total is not None else np.count_nonzero(scores > -np.inf, axis=-1)
+    return (p.k + p.eps) / n + p.tau2 * lam - _batch_mean(sig, scores)
 
 
 def smoothed_hess(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
     """Second derivative; bounded below by tau2."""
     scores = np.asarray(scores, dtype=np.float64)
-    sig = _sigmoid((scores - lam) / p.tau1)
-    return p.tau2 + float(np.mean(sig * (1.0 - sig))) / p.tau1
+    sig = _sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1)
+    return p.tau2 + _batch_mean(sig * (1.0 - sig), scores) / p.tau1
 
 
 def cross_grad(lam: float, model: ScoringModel, q: int, item_idx: np.ndarray,
@@ -119,28 +119,26 @@ def implicit_lambda_grad(lam: float, model: ScoringModel, q: int,
 
 
 def solve_lambda_exactly_smoothed(scores: np.ndarray, p: SmoothingParams,
-                                  tol: float = 1e-10,
-                                  n_total: int | None = None) -> float:
+                                  tol: float = 1e-10) -> float:
     """Safeguarded Newton (bisection fallback) on the smoothed gradient."""
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     scores = np.asarray(scores, dtype=np.float64)
-    n = n_total if n_total is not None else len(scores)
     lo = float(scores.min()) - 1.0
-    hi = float(scores.max()) + (p.k + p.eps) / (p.tau2 * n) + 1.0
-    glo = smoothed_grad(lo, scores, p, n_total)
-    ghi = smoothed_grad(hi, scores, p, n_total)
+    hi = float(scores.max()) + (p.k + p.eps) / (p.tau2 * len(scores)) + 1.0
+    glo = smoothed_grad(lo, scores, p)
+    ghi = smoothed_grad(hi, scores, p)
     for _ in range(200):
         if glo < 0.0:
             break
         lo -= max(1.0, hi - lo)
-        glo = smoothed_grad(lo, scores, p, n_total)
+        glo = smoothed_grad(lo, scores, p)
     if glo >= 0.0 or ghi <= 0.0:
         raise FairTopKError("threshold bracket failure")  # cannot happen for valid inputs
 
     lam = 0.5 * (lo + hi)
     for _ in range(200):
-        g = smoothed_grad(lam, scores, p, n_total)
+        g = smoothed_grad(lam, scores, p)
         if abs(g) <= tol:
             return lam
         if g > 0.0:
@@ -172,8 +170,11 @@ def init_lambda_state(scores: np.ndarray, p: SmoothingParams, n_total: int,
     quantile; s starts at the softplus curvature midpoint bound.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    k_batch = int(round(p.k * len(scores) / n_total))
-    k_batch = min(max(k_batch, 1), len(scores) - 1) if len(scores) > 1 else 0
-    lam0 = exact_lambda(scores, k_batch) if len(scores) > 1 else float(scores[0])
-    return LambdaState(lam=lam0, s=p.tau2 + 0.25 / p.tau1, v=0.0,
-                       gamma=gamma, eta=eta)
+    n = np.count_nonzero(scores > -np.inf, axis=-1)
+    # k_batch in [1, n - 1]; a single sampled score gives k_batch = 0, the score itself
+    k_batch = np.minimum(np.maximum(np.rint(p.k * n / n_total), 1), n - 1).astype(np.int64)
+    ranked = np.sort(scores, axis=-1)       # empty slots (-inf) sort first
+    lam0 = np.take_along_axis(ranked, np.expand_dims(scores.shape[-1] - 1 - k_batch, -1),
+                              axis=-1)[..., 0]
+    return LambdaState(lam=lam0, s=np.full_like(lam0, p.tau2 + 0.25 / p.tau1),
+                       v=np.zeros_like(lam0), gamma=gamma, eta=eta)

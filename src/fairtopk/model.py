@@ -43,7 +43,8 @@ class ScoringModel:
     def score(self, q: int, x: int) -> float:
         raise NotImplementedError
 
-    def score_many(self, q: int, items: np.ndarray) -> np.ndarray:
+    def score_many(self, q, items: np.ndarray) -> np.ndarray:
+        """Scores of ``items`` for query row ``q``, or for query rows ``q[j]``."""
         raise NotImplementedError
 
     def score_gradient(self, q: int, x: int) -> np.ndarray:
@@ -100,21 +101,34 @@ class FactorizationScorer(ScoringModel):
         if not 0 <= q < self.num_queries:
             raise LookupError_(f"query index {q} out of range")
 
-    def _check_items(self, items: np.ndarray) -> None:
-        if len(items) and (items.min() < 0 or items.max() >= self.num_items):
-            raise LookupError_("item index out of range")
+    @staticmethod
+    def _check_range(idx: np.ndarray, size: int, what: str) -> None:
+        if len(idx) and (idx.min() < 0 or idx.max() >= size):
+            raise LookupError_(f"{what} index out of range")
 
     def _pre(self, q: int, items: np.ndarray) -> np.ndarray:
         return (self.item_emb[items] @ self.query_emb[q] + self.item_bias[items]) / self.scale
 
+    def _pre_rows(self, emb_i: np.ndarray, emb_q: np.ndarray, items: np.ndarray) -> np.ndarray:
+        return (np.einsum("ij,ij->i", emb_i, emb_q) + self.item_bias[items]) / self.scale
+
     def score(self, q: int, x: int) -> float:
         return float(self.score_many(q, np.array([x]))[0])
 
-    def score_many(self, q: int, items) -> np.ndarray:
-        self._check_q(q)
+    def score_many(self, q, items) -> np.ndarray:
+        """Scores of ``items`` for query row ``q``; when ``q`` is an array,
+        item j is scored for query row ``q[j]``."""
+        if np.isscalar(q):
+            self._check_q(q)
+            items = np.asarray(items, dtype=np.int64)
+            self._check_range(items, self.num_items, "item")
+            return self.score_bound * np.tanh(self._pre(q, items))
         items = np.asarray(items, dtype=np.int64)
-        self._check_items(items)
-        return self.score_bound * np.tanh(self._pre(q, items))
+        self._check_range(items, self.num_items, "item")
+        q = np.asarray(q, dtype=np.int64)
+        self._check_range(q, self.num_queries, "query")
+        return self.score_bound * np.tanh(
+            self._pre_rows(self.item_emb[items], self.query_emb[q], items))
 
     def score_gradient(self, q: int, x: int) -> np.ndarray:
         grad = np.zeros(len(self.params))
@@ -125,23 +139,23 @@ class FactorizationScorer(ScoringModel):
         q_idx = np.asarray(q_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         coeff = np.asarray(coeff, dtype=np.float64)
-        if len(q_idx):
-            if q_idx.min() < 0 or q_idx.max() >= self.num_queries:
-                raise LookupError_("query index out of range")
-        self._check_items(item_idx)
-        t = np.tanh((np.einsum("ij,ij->i", self.item_emb[item_idx], self.query_emb[q_idx])
-                     + self.item_bias[item_idx]) / self.scale)
+        self._check_range(q_idx, self.num_queries, "query")
+        self._check_range(item_idx, self.num_items, "item")
+        emb_i, emb_q = self.item_emb[item_idx], self.query_emb[q_idx]
+        t = np.tanh(self._pre_rows(emb_i, emb_q, item_idx))
         c = coeff * self.score_bound * (1.0 - t * t) / self.scale
-        d = self.dim
-        qe = out[self.params.layout["query_emb"][0]:
-                 self.params.layout["query_emb"][0] + self.num_queries * d].reshape(-1, d)
-        ie = out[self.params.layout["item_emb"][0]:
-                 self.params.layout["item_emb"][0] + self.num_items * d].reshape(-1, d)
-        ib = out[self.params.layout["item_bias"][0]:
-                 self.params.layout["item_bias"][0] + self.num_items]
-        np.add.at(qe, q_idx, c[:, None] * self.item_emb[item_idx])
-        np.add.at(ie, item_idx, c[:, None] * self.query_emb[q_idx])
-        np.add.at(ib, item_idx, c)
+        # weighted bincounts, one per embedding column: each entry adds
+        # c * item_emb to its query row, c * query_emb to its item row and c
+        # to its item bias
+        layout = self.params.layout
+        for name, rows, g in (("query_emb", q_idx, c[:, None] * emb_i),
+                              ("item_emb", item_idx, c[:, None] * emb_q)):
+            off, length = layout[name]
+            seg = out[off:off + length].reshape(-1, self.dim)
+            for k in range(self.dim):
+                seg[:, k] += np.bincount(rows, weights=g[:, k], minlength=len(seg))
+        off, length = layout["item_bias"]
+        out[off:off + length] += np.bincount(item_idx, weights=c, minlength=length)
 
     def clone(self) -> "FactorizationScorer":
         m = FactorizationScorer(self.num_queries, self.num_items, self.dim,

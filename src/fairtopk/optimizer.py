@@ -18,26 +18,17 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .errors import ConfigurationError, NonFiniteGradientError
-from .fairness import (
-    CONSTANT_ONE,
-    FairnessEstimatorTable,
-    SmoothIndicator,
-    g2_estimate,
-)
-from .lambda_solver import (
-    LambdaState,
-    SmoothingParams,
-    init_lambda_state,
-    state_step,
-)
-from .model import FactorizationScorer, ScoringModel
+from .errors import ConfigurationError, NonFiniteGradientError, StateError
+from .fairness import FairnessState, SmoothIndicator, g2_estimate
+from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
+from .model import ScoringModel
 from .rank_losses import (
     LossVariant,
-    PairEstimatorTable,
+    MovingAverage,
     RankLossKind,
     dataset_loss,
     g1_estimate,
+    gather_scores,
 )
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
@@ -154,20 +145,38 @@ class MomentumState:
 
 @dataclass
 class TrainerState:
-    pair_table: PairEstimatorTable
-    fair_table: FairnessEstimatorTable
-    lambda_states: dict[int, LambdaState]
+    """The momentum buffer plus the estimators' dense state.
+
+    The estimator arrays are allocated by the first ``bind``, sized for
+    that dataset; binding a dataset of another layout raises StateError.
+    """
+
     momentum: MomentumState
+    pairs: MovingAverage | None = None      # u per (query, item) pair
+    fair: FairnessState | None = None       # (u_a, u_b, u_g) and shift per query
+    lam: LambdaState | None = None          # (lam, s, v) per query
+    lam_seen: np.ndarray | None = None
+    offsets: np.ndarray | None = None       # FlatView.offsets of the bound dataset
 
     @classmethod
     def fresh(cls, cfg: TrainConfig, num_params: int) -> "TrainerState":
-        return cls(
-            pair_table=PairEstimatorTable(gamma=cfg.gamma0),
-            fair_table=FairnessEstimatorTable(
-                gamma_a=cfg.gamma1, gamma_b=cfg.gamma2, gamma_g=cfg.gamma3),
-            lambda_states={},
-            momentum=MomentumState(z=np.zeros(num_params), gamma=cfg.gamma5),
-        )
+        return cls(momentum=MomentumState(z=np.zeros(num_params), gamma=cfg.gamma5))
+
+    def bind(self, d: Dataset, cfg: TrainConfig) -> None:
+        offsets = d.flat.offsets
+        if self.offsets is not None:
+            if not np.array_equal(self.offsets, offsets):
+                raise StateError("trainer state is sized for a dataset with other "
+                                 "query sizes; start a fresh TrainerState")
+            return
+        nq = len(offsets) - 1
+        self.offsets = offsets
+        self.pairs = MovingAverage.zeros(cfg.gamma0, int(offsets[-1]))
+        self.fair = FairnessState.zeros(nq, cfg.gamma1, cfg.gamma2, cfg.gamma3)
+        # NaN until a query's first touch sets it, so a stray read cannot pass as finite
+        self.lam = LambdaState(lam=np.full(nq, np.nan), s=np.zeros(nq), v=np.zeros(nq),
+                               gamma=cfg.gamma4, eta=cfg.eta0)
+        self.lam_seen = np.zeros(nq, dtype=bool)
 
 
 @dataclass
@@ -198,40 +207,35 @@ def train_step(model: ScoringModel, d: Dataset, cfg: TrainConfig,
                state: TrainerState, rng: np.random.Generator,
                lr_mult: float = 1.0) -> dict:
     """One full iteration: sample, estimate G1 (+ C * G2), momentum, step."""
+    state.bind(d, cfg)
     batch = sample_batch(
         d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
-    g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pair_table)
+    g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pairs)
     _check_finite(g1, "G1")
 
     combined = g1
     if cfg.fairness_active():
         smoothing = cfg.smoothing()
-        if cfg.fairness_mode == "full_list":
-            psi: SmoothIndicator = CONSTANT_ONE
-            for qp in batch.per_query:
-                if qp not in state.lambda_states:
-                    state.lambda_states[qp] = LambdaState(lam=0.0, s=1.0, v=0.0)
-        else:
+        psi = None                              # full_list: psi = 1, no threshold
+        if cfg.fairness_mode == "top_k":
             psi = SmoothIndicator(temperature=cfg.tau_psi)
-            for qp, sub in batch.per_query.items():
-                if sub.fairness_skipped:
-                    continue
-                qg = d.queries[qp]
-                if qp not in state.lambda_states:
-                    scores = model.score_many(qg.query_index, qg.feature_idx[sub.items])
-                    state.lambda_states[qp] = init_lambda_state(
-                        scores, smoothing, qg.num_items, cfg.gamma4, cfg.eta0)
-        g2 = g2_estimate(model, d, batch, cfg.k, state.fair_table,
-                         state.lambda_states, psi, smoothing, mode=cfg.g2_mode)
+            lam, rows = state.lam, batch.queries[~batch.skipped]
+            scores = gather_scores(model, d.flat, batch.items[~batch.skipped])[0]
+            n_total = d.flat.sizes[rows]
+            fresh = ~state.lam_seen[rows]
+            if fresh.any():
+                new = rows[fresh]
+                warm = init_lambda_state(scores[fresh], smoothing, n_total[fresh],
+                                         cfg.gamma4, cfg.eta0)
+                lam.lam[new], lam.s[new], lam.v[new] = warm.lam, warm.s, warm.v
+                state.lam_seen[new] = True
+        g2 = g2_estimate(model, d, batch, cfg.k, state.fair, state.lam, psi,
+                         smoothing, mode=cfg.g2_mode)
         _check_finite(g2, "G2")
         if cfg.fairness_mode == "top_k":
-            for qp, sub in batch.per_query.items():
-                if sub.fairness_skipped:
-                    continue
-                qg = d.queries[qp]
-                scores = model.score_many(qg.query_index, qg.feature_idx[sub.items])
-                state_step(state.lambda_states[qp], scores, smoothing,
-                           n_total=qg.num_items)
+            st = state_step(LambdaState(lam.lam[rows], lam.s[rows], lam.v[rows], lam.gamma,
+                                        lam.eta), scores, smoothing, n_total=n_total)
+            lam.lam[rows], lam.s[rows], lam.v[rows] = st.lam, st.s, st.v
         combined = g1 + cfg.fair_weight * g2
 
     state.momentum.update(combined)
@@ -265,6 +269,7 @@ def train(model: ScoringModel, train_d: Dataset, cfg: TrainConfig,
     best_ndcg = -np.inf
     if valid_d is not None and protocol is None:
         protocol = EvalProtocol(k_list=(cfg.k,), seed=cfg.seed)
+    loss_probe = replace(train_d, queries=train_d.queries[:20])
     t0 = time.perf_counter()
 
     for step in range(total_steps):
@@ -275,11 +280,6 @@ def train(model: ScoringModel, train_d: Dataset, cfg: TrainConfig,
         metrics = train_step(model, train_d, cfg, state, rng, lr_mult=lr_mult)
 
         if step % cfg.log_every == 0 or step == total_steps - 1:
-            loss_probe = Dataset(
-                queries=train_d.queries[:min(20, train_d.num_queries)],
-                item_index=train_d.item_index, item_groups=train_d.item_groups,
-                num_query_rows=train_d.num_query_rows,
-                num_item_rows=train_d.num_item_rows)
             record = {"step": step, "epoch": epoch, "z_norm": metrics["z_norm"],
                       "train_loss": dataset_loss(model, loss_probe, cfg.loss_kind()),
                       "valid_ndcg": float("nan"),
@@ -301,6 +301,3 @@ def train(model: ScoringModel, train_d: Dataset, cfg: TrainConfig,
     return TrainResult(model=model, best_params=best_params,
                        best_valid_ndcg=float(best_ndcg), trace=trace)
 
-
-def clone_model(model: FactorizationScorer) -> FactorizationScorer:
-    return model.clone()

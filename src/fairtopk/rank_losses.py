@@ -9,18 +9,22 @@ surrogate is bounded below by c^2 and the exponential one by 1.
 The G1 estimator follows the compositional structure L = mean f(g): the
 inner quantity g = (surrogate rank) / N_q is tracked per query-item pair
 with an exponential moving average, and the outer derivative is evaluated
-at the tracked value.
+at the tracked value.  It works on a whole batch at once: the moving
+averages are one dense vector indexed by flat pair position (see
+``data.FlatView``), and the surrogate ranks of all sampled pairs are one
+(pairs, inner slots) matrix against their queries' padded inner sub-batch
+rows.  Empty slots score -inf, which zeroes their hinge and exp terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import BatchSample, Dataset
+from .data import BatchSample, Dataset, FlatView, ideal_dcg, label_softmax
 from .errors import ConfigurationError, EmptyDatasetError
 from .model import ScoringModel
 
@@ -66,25 +70,6 @@ def exp_rank_from_scores(scores: np.ndarray, i: int) -> float:
     return float(np.sum(np.exp(diff)))
 
 
-def surrogate_rank_hinge(model: ScoringModel, q: int, i: int,
-                         items: np.ndarray, margin: float) -> float:
-    scores = model.score_many(q, items)
-    return hinge_rank_from_scores(scores, i, margin)
-
-
-def surrogate_rank_exp(model: ScoringModel, q: int, i: int,
-                       items: np.ndarray) -> float:
-    scores = model.score_many(q, items)
-    return exp_rank_from_scores(scores, i)
-
-
-def ideal_dcg(labels: np.ndarray) -> float:
-    """Max achievable DCG for a label multiset (the NDCG normalizer)."""
-    gains = np.sort(2.0 ** np.asarray(labels, dtype=np.float64) - 1.0)[::-1]
-    ranks = np.arange(1, len(gains) + 1)
-    return float(np.sum(gains / np.log2(1.0 + ranks)))
-
-
 def ndcg_loss(model: ScoringModel, q: int, items: np.ndarray,
               labels: np.ndarray, margin: float) -> LossResult:
     """- (1/Z_q) sum_i (2^y_i - 1) / log2(1 + hinge_rank_i)."""
@@ -102,9 +87,7 @@ def ndcg_loss(model: ScoringModel, q: int, items: np.ndarray,
 def listnet_loss(model: ScoringModel, q: int, items: np.ndarray,
                  labels: np.ndarray) -> float:
     """sum_i softmax(y)_i * log(exp-surrogate-rank_i)."""
-    labels = np.asarray(labels, dtype=np.float64)
-    p = np.exp(labels - labels.max())
-    p /= p.sum()
+    p = label_softmax(np.asarray(labels, dtype=np.float64))
     scores = model.score_many(q, items)
     diff = scores[None, :] - scores[:, None]
     ghat = np.sum(np.exp(diff), axis=1)
@@ -128,39 +111,69 @@ def dataset_loss(model: ScoringModel, d: Dataset, kind: RankLossKind) -> float:
 
 
 @dataclass
-class PairEstimatorTable:
-    """Moving averages u_{q,i} of the normalized surrogate ranks.
+class MovingAverage:
+    """Dense moving averages, one row per (query, item) pair or per query.
 
-    First touch initializes an entry to the current minibatch estimate,
-    which avoids the blow-up of the outer derivative near u = 0.
+    An entry's first update sets it to the estimate itself, which avoids
+    the blow-up of the outer derivative near u = 0; later updates blend the
+    estimate in with weight ``gamma`` (one weight, or one per column).
     """
 
-    gamma: float = 0.3
-    u: dict[tuple[int, int], float] = field(default_factory=dict)
+    gamma: float | np.ndarray
+    values: np.ndarray
+    seen: np.ndarray
 
-    def update(self, key: tuple[int, int], estimate: float) -> float:
-        if key not in self.u:
-            self.u[key] = estimate
-        else:
-            self.u[key] = self.gamma * estimate + (1.0 - self.gamma) * self.u[key]
-        return self.u[key]
+    @classmethod
+    def zeros(cls, gamma, *shape: int) -> "MovingAverage":
+        return cls(gamma=gamma, values=np.zeros(shape), seen=np.zeros(shape[0], dtype=bool))
+
+    def update(self, idx: np.ndarray, estimate: np.ndarray) -> np.ndarray:
+        """Fold ``estimate[j]`` into row ``idx[j]`` (distinct rows); returns the new rows."""
+        seen = self.seen[idx].reshape((-1,) + (1,) * (estimate.ndim - 1))
+        blended = self.gamma * estimate + (1.0 - self.gamma) * self.values[idx]
+        new = np.where(seen, blended, estimate)
+        self.values[idx] = new
+        self.seen[idx] = True
+        return new
+
+
+def gather_scores(model: ScoringModel, view: FlatView, *blocks: np.ndarray) -> list[np.ndarray]:
+    """Scores at the flat positions of each block, from one score_many call.
+
+    A block is a vector or a padded matrix; its -1 slots score -inf.
+    """
+    filled = [b >= 0 for b in blocks]
+    pos = np.concatenate([b[f] for b, f in zip(blocks, filled)])
+    scores = model.score_many(view.query_row[pos], view.feature_idx[pos])
+    parts = np.split(scores, np.cumsum([f.sum() for f in filled])[:-1])
+    out = [np.full(b.shape, -np.inf) for b in blocks]
+    for s, f, part in zip(out, filled, parts):
+        s[f] = part
+    return out
+
+
+def scatter_grads(model: ScoringModel, view: FlatView, blocks, coeffs, out: np.ndarray) -> None:
+    """out += sum over the filled slots of every block of coeff * grad_w score."""
+    filled = [b >= 0 for b in blocks]
+    pos = np.concatenate([b[f] for b, f in zip(blocks, filled)])
+    coeff = np.concatenate([c[f] for c, f in zip(coeffs, filled)])
+    model.add_weighted_grads(view.query_row[pos], view.feature_idx[pos], coeff, out)
 
 
 def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
-                      z: float, n_q: int, label_softmax: np.ndarray | None) -> np.ndarray:
+                      z: np.ndarray, n_q: np.ndarray, target: np.ndarray) -> np.ndarray:
     """df/dg evaluated at the tracked inner estimates u."""
     if kind.variant is LossVariant.NDCG:
-        if z <= 0.0:
-            return np.zeros_like(u)
+        # a query whose labels are all zero (z = 0) gets no ranking gradient
+        gain = (2.0 ** labels - 1.0) / np.where(z > 0.0, z, np.inf)
         arg = n_q * u + 1.0
-        log2arg = np.log2(arg)
-        return (2.0 ** labels - 1.0) / z * n_q / (arg * _LN2 * log2arg ** 2)
-    # ListNet: f(g) = p_i log(N_q g) => f'(g) = p_i / g
-    return label_softmax / u
+        return gain * n_q / (arg * _LN2 * np.log2(arg) ** 2)
+    # ListNet: f(g) = p_i log(N_q g) => f'(g) = p_i / g, p the label softmax
+    return target / u
 
 
 def g1_estimate(model: ScoringModel, d: Dataset, batch: BatchSample,
-                kind: RankLossKind, table: PairEstimatorTable) -> np.ndarray:
+                kind: RankLossKind, pairs: MovingAverage) -> np.ndarray:
     """Stochastic gradient of the ranking loss over the pair batch.
 
     Updates the moving averages for every sampled pair first, then
@@ -169,52 +182,30 @@ def g1_estimate(model: ScoringModel, d: Dataset, batch: BatchSample,
     """
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
+    view = d.flat
     grad = np.zeros(len(model.params.values))
-    acc_q: list[np.ndarray] = []
-    acc_i: list[np.ndarray] = []
-    acc_c: list[np.ndarray] = []
-    inv_b = 1.0 / batch.num_pairs
+    s_pair, s_inner = gather_scores(model, view, batch.pairs, batch.items)
+    diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
-    for qp in np.unique(batch.pair_qpos):
-        qg = d.queries[qp]
-        sub = batch.per_query[int(qp)]
-        pair_rows = batch.pair_ipos[batch.pair_qpos == qp]
-        inner = sub.items
-        s_pairs = model.score_many(qg.query_index, qg.feature_idx[pair_rows])
-        s_inner = model.score_many(qg.query_index, qg.feature_idx[inner])
-        diff = s_inner[None, :] - s_pairs[:, None]     # (pairs, inner)
+    if kind.variant is LossVariant.NDCG:
+        hinge = np.maximum(diff + kind.margin, 0.0)
+        ell = hinge ** 2
+        dell = 2.0 * hinge
+    else:
+        ell = np.exp(diff)
+        dell = ell
 
-        if kind.variant is LossVariant.NDCG:
-            hinge = np.maximum(diff + kind.margin, 0.0)
-            ell = hinge ** 2
-            dell = 2.0 * hinge
-        else:
-            ell = np.exp(diff)
-            dell = ell
+    n_inner = np.count_nonzero(batch.items >= 0, axis=1)[batch.pair_row][:, None]
+    u = pairs.update(batch.pairs, ell.sum(axis=1) / n_inner[:, 0])
+    q = view.query_of[batch.pairs]
+    fprime = _outer_derivative(kind, u, view.relevance[batch.pairs], view.ideal_dcg[q],
+                               view.sizes[q], view.label_softmax[batch.pairs])
 
-        ghat = ell.mean(axis=1)
-        u = np.array([
-            table.update((qg.query_index, int(qg.item_ids[r])), float(g))
-            for r, g in zip(pair_rows, ghat)
-        ])
-        labels = qg.relevance[pair_rows]
-        if kind.variant is LossVariant.NDCG:
-            z = ideal_dcg(qg.relevance)
-            fprime = _outer_derivative(kind, u, labels, z, qg.num_items, None)
-        else:
-            p_all = np.exp(qg.relevance - qg.relevance.max())
-            p_all /= p_all.sum()
-            fprime = _outer_derivative(kind, u, labels, 0.0, qg.num_items, p_all[pair_rows])
-
-        # d ghat / dw = (1/|inner|) sum_j dell(h_j - h_i) (grad h_j - grad h_i)
-        w = fprime[:, None] * dell / len(inner) * inv_b
-        inner_coeff = w.sum(axis=0)                    # onto each inner item
-        pair_coeff = -w.sum(axis=1)                    # onto each pair item
-        n_pairs, n_inner = len(pair_rows), len(inner)
-        acc_q.append(np.full(n_inner + n_pairs, qg.query_index, dtype=np.int64))
-        acc_i.append(np.concatenate([qg.feature_idx[inner], qg.feature_idx[pair_rows]]))
-        acc_c.append(np.concatenate([inner_coeff, pair_coeff]))
-
-    model.add_weighted_grads(np.concatenate(acc_q), np.concatenate(acc_i),
-                             np.concatenate(acc_c), grad)
+    # d ghat / dw = (1/|inner|) sum_j dell(h_j - h_i) (grad h_j - grad h_i)
+    w = fprime[:, None] * dell / n_inner * (1.0 / batch.num_pairs)
+    rows, slots = batch.items.shape
+    cell = (batch.pair_row[:, None] * slots + np.arange(slots)).ravel()
+    inner_coeff = np.bincount(cell, weights=w.ravel(), minlength=rows * slots)
+    scatter_grads(model, view, (batch.items, batch.pairs),
+                  (inner_coeff.reshape(rows, slots), -w.sum(axis=1)), grad)
     return grad

@@ -230,8 +230,29 @@ class TestSampleBatch:
     def test_deterministic_given_generator_state(self, small_data):
         a = sample_batch(small_data, (6, 3, 2, 2), np.random.default_rng(5))
         b = sample_batch(small_data, (6, 3, 2, 2), np.random.default_rng(5))
-        assert np.array_equal(a.pair_qpos, b.pair_qpos)
-        assert np.array_equal(a.pair_ipos, b.pair_ipos)
+        for name in ("pairs", "items", "group_a", "group_b"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_per_query_view_matches_flat_arrays(self, tmp_path, rng):
+        rows = [f"q0,{i},{i % 3},{i % 2}" for i in range(7)]
+        rows += [f"q1,{i},1,1" for i in range(3)]            # group B only
+        rows += [f"q2,{i},{i % 2},{i % 2}" for i in range(12)]
+        d = load_csv(_write(tmp_path, "\n".join(rows) + "\n"))
+        view = d.flat
+        for _ in range(10):
+            batch = sample_batch(d, (9, 5, 2, 3), rng)
+            assert list(batch.per_query) == batch.queries.tolist()
+            assert np.array_equal(view.query_of[batch.pairs], batch.queries[batch.pair_row])
+            for r, (qp, sub) in enumerate(batch.per_query.items()):
+                q = d.queries[qp]
+                for local, padded in ((sub.items, batch.items[r]),
+                                      (sub.group_a, batch.group_a[r]),
+                                      (sub.group_b, batch.group_b[r])):
+                    assert np.array_equal(view.offsets[qp] + local, padded[padded >= 0])
+                    assert np.all(padded[len(local):] == -1)
+                assert np.all(q.groups[sub.group_a] == GROUP_A)
+                assert np.all(q.groups[sub.group_b] == GROUP_B)
+                assert sub.fairness_skipped == (q.query_id == "q1") == batch.skipped[r]
 
     def test_empty_dataset_rejected(self, small_data, rng):
         from fairtopk.data import Dataset

@@ -184,6 +184,26 @@ class TestTradeoffSweep:
         assert csv_path.read_text().startswith("C,K,ndcg_mean")
         assert json.loads(json_path.read_text())[0]["K"] == 2
 
+    def test_failed_run_keeps_both_files(self, tmp_path):
+        d = generate_synthetic(4, 8, 0.4, 1.0, seed=4)
+        tr, va, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
+        cfg = TrainConfig(k=2, epochs=1, batch_pairs=8, batch_items=4, batch_a=2,
+                          batch_b=2, seed=4, fairness_mode="none")
+        proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
+                             k_list=(2,), seed=4)
+        # C > 0 conflicts with fairness_mode=none, so the second run fails
+        report = tradeoff_sweep(m, tr, va, te, cfg, [0.0, 10.0], [2], proto=proto)
+        assert [row["failed"] for row in report.rows] == [False, True]
+        csv_path = tmp_path / "r.csv"
+        json_path = tmp_path / "r.json"
+        report.to_csv(str(csv_path))
+        report.to_json(str(json_path))
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].endswith(",failed,error")
+        assert len(lines) == 3 and "fairness_mode=none" in lines[2]
+        assert json.loads(json_path.read_text())[1]["failed"] is True
+
 
 class TestRankingStrips:
     def test_row_order_and_cells(self, tmp_path):

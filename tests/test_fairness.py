@@ -15,7 +15,7 @@ from fairtopk.data import (
 from fairtopk.errors import ConfigurationError, StateError
 from fairtopk.fairness import (
     CONSTANT_ONE,
-    FairnessEstimatorTable,
+    FairnessState,
     SmoothIndicator,
     dataset_topk_fairness,
     disparity_mae_mse,
@@ -190,30 +190,34 @@ class TestG2:
         batch = sample_batch(d, (d.total_pairs, 10, 10, 10), rng)
         p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=2)
         psi = SmoothIndicator(temperature=0.2)
-        lambda_states = {}
-        for qp, qg in enumerate(d.queries):
+        lams, hessians = [], []
+        for qg in d.queries:
             scores = m.score_many(qg.query_index, qg.feature_idx)
-            lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-10)
-            lambda_states[qp] = LambdaState(lam=lam, s=smoothed_hess(lam, scores, p))
-        return d, m, batch, p, psi, lambda_states
+            lams.append(solve_lambda_exactly_smoothed(scores, p, tol=1e-10))
+            hessians.append(smoothed_hess(lams[-1], scores, p))
+        lam_state = LambdaState(lam=np.array(lams), s=np.array(hessians))
+        return d, m, batch, p, psi, lam_state
 
     def test_missing_lambda_state_is_an_error(self):
-        d, m, batch, p, psi, _ = self._setup()
-        table = FairnessEstimatorTable()
+        d, m, batch, p, psi, lam_state = self._setup()
+        fair = FairnessState.zeros(d.num_queries)
         with pytest.raises(StateError):
-            g2_estimate(m, d, batch, 2, table, {}, psi, p)
+            g2_estimate(m, d, batch, 2, fair, None, psi, p)
+        short = LambdaState(lam=lam_state.lam[:-1], s=lam_state.s[:-1])
+        with pytest.raises(StateError):
+            g2_estimate(m, d, batch, 2, fair, short, psi, p)
 
     def test_gamma_zero_freezes_direction(self):
-        d, m, batch, p, psi, lam_states = self._setup()
-        table = FairnessEstimatorTable(gamma_a=0.0, gamma_b=0.0, gamma_g=0.0)
-        g_first = g2_estimate(m, d, batch, 2, table, lam_states, psi, p)
-        g_second = g2_estimate(m, d, batch, 2, table, lam_states, psi, p)
+        d, m, batch, p, psi, lam_state = self._setup()
+        fair = FairnessState.zeros(d.num_queries, 0.0, 0.0, 0.0)
+        g_first = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p)
+        g_second = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p)
         assert np.allclose(g_first, g_second)
 
     def test_full_batch_matches_finite_differences(self):
-        d, m, batch, p, psi, lam_states = self._setup()
-        table = FairnessEstimatorTable(gamma_a=1.0, gamma_b=1.0, gamma_g=1.0)
-        g2 = g2_estimate(m, d, batch, 2, table, lam_states, psi, p,
+        d, m, batch, p, psi, lam_state = self._setup()
+        fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
+        g2 = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p,
                          mode="full_implicit")
         w = m.params.values
         w0 = w.copy()
@@ -229,16 +233,16 @@ class TestG2:
         assert np.abs(g2 - fd).max() <= 1e-3 * max(np.abs(fd).max(), 1e-12)
 
     def test_unknown_mode_rejected(self):
-        d, m, batch, p, psi, lam_states = self._setup()
+        d, m, batch, p, psi, lam_state = self._setup()
         with pytest.raises(ConfigurationError):
-            g2_estimate(m, d, batch, 2, FairnessEstimatorTable(), lam_states,
+            g2_estimate(m, d, batch, 2, FairnessState.zeros(d.num_queries), lam_state,
                         psi, p, mode="bogus")
 
     def test_moving_average_update_rule(self):
-        table = FairnessEstimatorTable(gamma_a=0.5, gamma_b=0.5, gamma_g=0.5)
-        st1 = table.update(0, 1.0, 2.0, 3.0, shift=0.0)
-        assert (st1.u_a, st1.u_b, st1.u_g) == (1.0, 2.0, 3.0)
-        st2 = table.update(0, 3.0, 4.0, 5.0, shift=0.0)
-        assert st2.u_a == pytest.approx(2.0)
-        assert st2.u_b == pytest.approx(3.0)
-        assert st2.u_g == pytest.approx(4.0)
+        fair = FairnessState.zeros(3, gamma_a=0.5, gamma_b=0.5, gamma_g=0.5)
+        first = fair.u.update(np.array([1]), np.array([[1.0, 2.0, 3.0]]))
+        assert first.tolist() == [[1.0, 2.0, 3.0]]             # first touch
+        second = fair.u.update(np.array([1]), np.array([[3.0, 4.0, 5.0]]))
+        assert second[0] == pytest.approx([2.0, 3.0, 4.0])
+        assert fair.u.seen.tolist() == [False, True, False]
+        assert np.all(fair.u.values[[0, 2]] == 0.0)

@@ -1,10 +1,15 @@
 """Training configuration, the step update and the outer loop."""
 
+import copy
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fairtopk.data import generate_synthetic
-from fairtopk.errors import ConfigurationError
+from fairtopk.data import generate_synthetic, load_csv, sample_batch, split
+from fairtopk.errors import ConfigurationError, StateError
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import (
     MomentumState,
@@ -136,13 +141,17 @@ class TestTrainStep:
         d, m, cfg = _tiny_setup(fair_weight=10.0, batch_pairs=2)
         state = TrainerState.fresh(cfg, len(m.params.values))
         rng = np.random.default_rng(3)
-        batch_queries = set()
+        sampled_pairs, sampled_queries = set(), set()
         for _ in range(3):
-            before_keys = set(state.fair_table.states)
+            batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a,
+                                     cfg.batch_b), copy.deepcopy(rng))
+            sampled_pairs |= set(batch.pairs.tolist())
+            sampled_queries |= set(batch.queries.tolist())
             train_step(m, d, cfg, state, rng)
-            batch_queries |= set(state.fair_table.states) - before_keys
-        assert set(state.fair_table.states) <= set(range(d.num_queries))
-        assert set(state.lambda_states) == set(state.fair_table.states)
+        assert set(np.flatnonzero(state.pairs.seen).tolist()) == sampled_pairs
+        assert set(np.flatnonzero(state.fair.u.seen).tolist()) == sampled_queries
+        assert np.array_equal(state.lam_seen, state.fair.u.seen)
+        assert np.all(np.isnan(state.lam.lam) == ~state.lam_seen)
 
 
 class TestTrain:
@@ -194,3 +203,70 @@ class TestTrainTrace:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 3
+
+
+class TestPinnedTrajectory:
+    """Twenty train_step calls from a fixed start, compared with parameter
+    values recorded with the earlier per-query implementation of the step.
+    They move if the sampler's random stream or the estimators' arithmetic
+    changes beyond summation-order rounding."""
+
+    PINS = Path(__file__).with_name("trajectory_pins.json")
+    SIZES = (9, 6, 12, 5, 7)
+    B_ONLY = (1, 3, 5, 7, 9)     # query q3 has no group-A item: fairness skips it
+    CONFIGS = {
+        "rank": dict(fair_weight=0.0),
+        "top_k": dict(fair_weight=5.0, loss="listnet"),
+        "top_k_full_implicit": dict(fair_weight=5.0, g2_mode="full_implicit"),
+        "full_list": dict(fair_weight=5.0, fairness_mode="full_list", loss="listnet"),
+    }
+
+    def _data(self, tmp_path):
+        lines = ["query_id,item_id,relevance,group"]
+        for q, n in enumerate(self.SIZES):
+            items = self.B_ONLY if q == 3 else [(5 * q + 3 * j) % 23 for j in range(n)]
+            lines += [f"q{q},{i},{(7 * i + q) % 5},{i % 2}" for i in items]
+        path = tmp_path / "pins.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return load_csv(str(path))
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_recorded_parameters(self, tmp_path, name):
+        d = self._data(tmp_path)
+        cfg = TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
+                          eta1=0.3, seed=5, **self.CONFIGS[name])
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(20):
+            train_step(m, d, cfg, state, rng)
+        expected = np.array(json.loads(self.PINS.read_text())[name])
+        np.testing.assert_allclose(m.params.values, expected, rtol=0.0, atol=1e-12)
+
+
+class TestStateReuse:
+    def test_other_dataset_shape_is_a_state_error(self):
+        d, m, cfg = _tiny_setup(fair_weight=10.0)
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        rng = np.random.default_rng(0)
+        train_step(m, d, cfg, state, rng)
+        train_step(m, d, cfg, state, rng)          # same dataset: fine
+        smaller, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+        with pytest.raises(StateError):
+            train_step(m, smaller, cfg, state, rng)
+
+    def test_same_totals_other_layout_is_a_state_error(self):
+        d, m, cfg = _tiny_setup()
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        train_step(m, d, cfg, state, np.random.default_rng(0))
+        q0, q1 = d.queries[0], d.queries[1]
+        moved = replace(q0, item_ids=q0.item_ids[:-1], feature_idx=q0.feature_idx[:-1],
+                        relevance=q0.relevance[:-1], groups=q0.groups[:-1])
+        grown = replace(q1, item_ids=np.append(q1.item_ids, q0.item_ids[-1]),
+                        feature_idx=np.append(q1.feature_idx, q0.feature_idx[-1]),
+                        relevance=np.append(q1.relevance, q0.relevance[-1]),
+                        groups=np.append(q1.groups, q0.groups[-1]))
+        other = replace(d, queries=[moved, grown] + d.queries[2:])
+        assert other.total_pairs == d.total_pairs
+        with pytest.raises(StateError):
+            train_step(m, other, cfg, state, np.random.default_rng(0))

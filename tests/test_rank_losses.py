@@ -10,7 +10,7 @@ from fairtopk.errors import ConfigurationError
 from fairtopk.model import FactorizationScorer
 from fairtopk.rank_losses import (
     LossVariant,
-    PairEstimatorTable,
+    MovingAverage,
     RankLossKind,
     dataset_loss,
     exact_rank,
@@ -20,8 +20,6 @@ from fairtopk.rank_losses import (
     ideal_dcg,
     listnet_loss,
     ndcg_loss,
-    surrogate_rank_exp,
-    surrogate_rank_hinge,
 )
 
 finite_scores = st.lists(
@@ -66,14 +64,6 @@ class TestSurrogateRanks:
         e /= e.sum()
         for i in range(8):
             assert 1.0 / exp_rank_from_scores(s, i) == pytest.approx(e[i], rel=1e-10)
-
-    def test_model_facing_wrappers(self, small_data, small_model):
-        q = small_data.queries[0]
-        scores = small_model.score_many(q.query_index, q.feature_idx)
-        got = surrogate_rank_hinge(small_model, q.query_index, 1, q.feature_idx, 1.0)
-        assert got == pytest.approx(hinge_rank_from_scores(scores, 1, 1.0))
-        got = surrogate_rank_exp(small_model, q.query_index, 1, q.feature_idx)
-        assert got == pytest.approx(exp_rank_from_scores(scores, 1))
 
     @settings(max_examples=50, deadline=None)
     @given(finite_scores)
@@ -142,18 +132,18 @@ class TestG1:
     def test_gamma_zero_freezes_estimates(self):
         d, m, batch = self._setup()
         kind = RankLossKind(LossVariant.NDCG, 1.0)
-        table = PairEstimatorTable(gamma=0.0)
-        g_first = g1_estimate(m, d, batch, kind, table)
-        frozen = dict(table.u)
-        g_second = g1_estimate(m, d, batch, kind, table)
-        assert table.u == frozen
+        pairs = MovingAverage.zeros(0.0, d.total_pairs)
+        g_first = g1_estimate(m, d, batch, kind, pairs)
+        frozen = pairs.values.copy()
+        g_second = g1_estimate(m, d, batch, kind, pairs)
+        assert np.array_equal(pairs.values, frozen)
         assert np.allclose(g_first, g_second)
 
     def test_full_batch_gamma_one_matches_finite_differences(self):
         d, m, batch = self._setup()
         for variant in (LossVariant.NDCG, LossVariant.LISTNET):
             kind = RankLossKind(variant, 1.0)
-            g1 = g1_estimate(m, d, batch, kind, PairEstimatorTable(gamma=1.0))
+            g1 = g1_estimate(m, d, batch, kind, MovingAverage.zeros(1.0, d.total_pairs))
             w0 = m.params.values.copy()
             fd = np.zeros_like(w0)
             step = 1e-5
@@ -167,6 +157,7 @@ class TestG1:
             assert np.abs(g1 - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-9)
 
     def test_moving_average_update_rule(self):
-        table = PairEstimatorTable(gamma=0.25)
-        assert table.update((0, 1), 4.0) == 4.0          # first touch
-        assert table.update((0, 1), 8.0) == pytest.approx(0.25 * 8.0 + 0.75 * 4.0)
+        pairs = MovingAverage.zeros(0.25, 4)
+        assert pairs.update(np.array([1]), np.array([4.0]))[0] == 4.0   # first touch
+        assert pairs.update(np.array([1, 2]), np.array([8.0, 2.0])).tolist() == \
+            pytest.approx([0.25 * 8.0 + 0.75 * 4.0, 2.0])
