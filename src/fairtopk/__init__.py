@@ -26,7 +26,7 @@ from .lambda_solver import (
     exact_lambda,
     solve_lambda_exactly_smoothed,
 )
-from .model import FactorizationScorer, ParamVector, ScoringModel
+from .model import FactorizationScorer, ParamVector
 from .optimizer import TrainConfig, TrainResult, train, train_step
 from .rank_losses import (
     LossVariant,

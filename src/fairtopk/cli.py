@@ -35,6 +35,16 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_ALIASES = {"k": ["--K"], "fair_weight": ["--C"], "fairness_mode": ["--mode"]}
 
 
+def float_list(text: str) -> list[float]:
+    """Comma-separated floats; a bad entry is a usage error."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; a bad entry is a usage error."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     for f in fields(TrainConfig):
         flags = ["--" + f.name.replace("_", "-")] + _FLAG_ALIASES.get(f.name, [])
@@ -74,7 +84,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="train a scoring model")
     t.add_argument("--data", required=True, help="CSV dataset")
     t.add_argument("--config", default=None, help="key=value config file")
-    t.add_argument("--fractions", default="0.8,0.1,0.1",
+    t.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1",
                    help="train,valid,test split fractions")
     t.add_argument("--split-seed", type=int, default=0)
     t.add_argument("--dim", type=int, default=8)
@@ -85,7 +95,7 @@ def build_parser() -> _Parser:
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--k-list", default="50,100,200")
+    e.add_argument("--k-list", type=int_list, default="50,100,200")
     e.add_argument("--relevant", type=int, default=5)
     e.add_argument("--irrelevant", type=int, default=300)
     e.add_argument("--seed", type=int, default=None)
@@ -94,9 +104,9 @@ def build_parser() -> _Parser:
     s = sub.add_parser("sweep", help="C-grid accuracy/fairness tradeoff sweep")
     s.add_argument("--data", required=True)
     s.add_argument("--config", default=None)
-    s.add_argument("--c-grid", default="0,10,100,1000,10000")
-    s.add_argument("--k-list", default="50")
-    s.add_argument("--fractions", default="0.8,0.1,0.1")
+    s.add_argument("--c-grid", type=float_list, default="0,10,100,1000,10000")
+    s.add_argument("--k-list", type=int_list, default="50")
+    s.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1")
     s.add_argument("--split-seed", type=int, default=0)
     s.add_argument("--dim", type=int, default=8)
     s.add_argument("--bound", type=float, default=10.0)
@@ -125,14 +135,6 @@ def _require_seed(args, default: int = 0) -> int:
     return seed
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
 def _cmd_gen_data(args) -> int:
     seed = _require_seed(args)
     d = generate_synthetic(args.queries, args.items, args.minority_fraction,
@@ -142,10 +144,9 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_and_split(path: str, fractions_text: str, seed: int):
+def _load_and_split(path: str, fractions: list[float], seed: int):
     d = load_csv(path)
-    fr = tuple(_parse_floats(fractions_text))
-    train_d, valid_d, test_d, tiny = split(d, fr, seed)
+    train_d, valid_d, test_d, tiny = split(d, tuple(fractions), seed)
     return d, train_d, valid_d, test_d, tiny
 
 
@@ -178,7 +179,7 @@ def _cmd_eval(args) -> int:
     model = FactorizationScorer.load(args.checkpoint)
     proto = EvalProtocol(relevant_per_query=args.relevant,
                          irrelevant_per_query=args.irrelevant,
-                         k_list=tuple(_parse_ints(args.k_list)), seed=seed)
+                         k_list=tuple(args.k_list), seed=seed)
     report = evaluate(model, d, proto)
     text = json.dumps({str(k): v for k, v in report.items()}, indent=2)
     if args.out:
@@ -196,7 +197,7 @@ def _cmd_sweep(args) -> int:
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)
     report = tradeoff_sweep(model, train_d, valid_d, test_d, cfg,
-                            _parse_floats(args.c_grid), _parse_ints(args.k_list))
+                            args.c_grid, args.k_list)
     report.to_csv(args.out + ".csv")
     report.to_json(args.out + ".json")
     print(f"wrote {len(report.rows)} frontier rows to {args.out}.csv")

@@ -52,6 +52,10 @@ class QueryGroup:
         return bool(np.any(self.groups == GROUP_A) and np.any(self.groups == GROUP_B))
 
 
+# item ids, their feature rows and their group tags
+Vocabulary = namedtuple("Vocabulary", "ids rows groups")
+
+
 @dataclass
 class Dataset:
     """A collection of queries plus the item vocabulary shared across them."""
@@ -77,6 +81,15 @@ class Dataset:
     def flat(self) -> "FlatView":
         """The CSR view of ``queries``, built on first use and cached."""
         return FlatView(self.queries)
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        """The item vocabulary as arrays sorted by item id, built on first use
+        and cached."""
+        ids = sorted(self.item_index)
+        return Vocabulary(np.array(ids, dtype=np.int64),
+                          np.array([self.item_index[i] for i in ids], dtype=np.int64),
+                          np.array([self.item_groups[i] for i in ids], dtype=np.int8))
 
 
 def ideal_dcg(labels: np.ndarray) -> float:

@@ -4,9 +4,10 @@ tradeoff harness and the ranking-strip export.
 Evaluation lists mix a handful of relevant items with a large pool of
 irrelevant ones per query: zero-relevance items from the query's own list
 first, then items never observed for that query (relevance imputed 0,
-group taken from the item table).  NDCG and the signed top-K exposure
-gap are computed on the same sampled list; MAE / MSE aggregate the gaps
-over queries, skipping queries where a group is absent.
+group taken from the item table).  Each list is scored once and ranked
+once by ``fairness.rank_order``; NDCG@K and the signed top-K exposure gap
+for every K are read off that one ranking as prefix sums.  MAE / MSE
+aggregate the gaps over queries, skipping queries where a group is absent.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .data import GROUP_A, Dataset, QueryGroup
 from .errors import ConfigurationError, FairTopKError
-from .fairness import disparity_mae_mse, topk_gap
-from .model import FactorizationScorer, ScoringModel
+from .fairness import disparity_mae_mse, rank_order, topk_gaps
+from .model import FactorizationScorer
 
 
 @dataclass(frozen=True)
@@ -30,39 +31,43 @@ class EvalProtocol:
     seed: int = 0
 
 
+def _draw(rng: np.random.Generator, pool: np.ndarray, n: int) -> np.ndarray:
+    """Up to n entries of ``pool``, uniform without replacement; nothing is
+    drawn when n or the pool is empty."""
+    n = min(n, len(pool))
+    return pool[rng.choice(len(pool), size=n, replace=False)] if n else pool[:0]
+
+
 def build_eval_list(d: Dataset, qg: QueryGroup, proto: EvalProtocol,
                     rng: np.random.Generator):
-    """Sampled evaluation list: (item_ids, feature_idx, labels, groups)."""
-    rel_pos = np.flatnonzero(qg.relevance > 0)
-    irr_pos = np.flatnonzero(qg.relevance == 0)
-    take_rel = min(proto.relevant_per_query, len(rel_pos))
-    sel_rel = rng.choice(rel_pos, size=take_rel, replace=False) if take_rel else \
-        np.zeros(0, dtype=np.int64)
-    take_irr = min(proto.irrelevant_per_query, len(irr_pos))
-    sel_irr = rng.choice(irr_pos, size=take_irr, replace=False) if take_irr else \
-        np.zeros(0, dtype=np.int64)
+    """Sampled evaluation list: (item_ids, feature_idx, labels, groups).
 
-    ids = list(qg.item_ids[np.concatenate([sel_rel, sel_irr]).astype(np.int64)])
-    feats = list(qg.feature_idx[np.concatenate([sel_rel, sel_irr]).astype(np.int64)])
-    labels = list(qg.relevance[sel_rel]) + [0.0] * len(sel_irr)
-    groups = list(qg.groups[np.concatenate([sel_rel, sel_irr]).astype(np.int64)])
-
-    missing = proto.irrelevant_per_query - take_irr
-    if missing > 0:
-        observed = (d.observed or {}).get(qg.query_id, frozenset(int(i) for i in qg.item_ids))
-        pool = np.array(sorted(set(d.item_index) - set(observed)), dtype=np.int64)
-        extra = rng.choice(pool, size=min(missing, len(pool)), replace=False) if len(pool) \
-            else np.zeros(0, dtype=np.int64)
-        for iid in extra:
-            ids.append(int(iid))
-            feats.append(d.item_index[int(iid)])
-            labels.append(0.0)
-            groups.append(d.item_groups[int(iid)])
-    return (np.asarray(ids, dtype=np.int64), np.asarray(feats, dtype=np.int64),
-            np.asarray(labels, dtype=np.float64), np.asarray(groups, dtype=np.int8))
+    Draws, in this order: the query's relevant items, its zero-relevance
+    items, then unobserved items to make up the irrelevant count.
+    """
+    rel = _draw(rng, np.flatnonzero(qg.relevance > 0), proto.relevant_per_query)
+    irr = _draw(rng, np.flatnonzero(qg.relevance == 0), proto.irrelevant_per_query)
+    own = np.concatenate([rel, irr])
+    vocab = d.vocab
+    observed = (d.observed or {}).get(qg.query_id, qg.item_ids)
+    unobserved = ~np.isin(vocab.ids, np.fromiter(observed, dtype=np.int64, count=len(observed)))
+    extra = _draw(rng, np.flatnonzero(unobserved), proto.irrelevant_per_query - len(irr))
+    labels = np.zeros(len(own) + len(extra))
+    labels[:len(rel)] = qg.relevance[rel]
+    return (np.concatenate([qg.item_ids[own], vocab.ids[extra]]),
+            np.concatenate([qg.feature_idx[own], vocab.rows[extra]]),
+            labels,
+            np.concatenate([qg.groups[own], vocab.groups[extra]]))
 
 
-def ndcg_at_k(model: ScoringModel, q: int, eval_items: np.ndarray,
+def ndcg_curve(labels: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """NDCG@1..n of a list ranked by ``order``; needs a positive label."""
+    gains = 2.0 ** labels - 1.0
+    discounts = 1.0 / np.log2(2.0 + np.arange(len(gains)))
+    return np.cumsum(gains[order] * discounts) / np.cumsum(np.sort(gains)[::-1] * discounts)
+
+
+def ndcg_at_k(model: FactorizationScorer, q: int, eval_items: np.ndarray,
               labels: np.ndarray, k: int,
               item_ids: np.ndarray | None = None) -> float | None:
     """Exact NDCG truncated at k; ties broken by ascending item id.
@@ -75,50 +80,50 @@ def ndcg_at_k(model: ScoringModel, q: int, eval_items: np.ndarray,
     scores = model.score_many(q, eval_items)
     if item_ids is None:
         item_ids = np.arange(len(scores))
-    order = np.lexsort((item_ids, -scores))
-    gains = 2.0 ** labels[order] - 1.0
-    kk = min(k, len(scores))
-    discounts = 1.0 / np.log2(1.0 + np.arange(1, kk + 1))
-    dcg = float(np.sum(gains[:kk] * discounts))
-    ideal = np.sort(2.0 ** labels - 1.0)[::-1]
-    idcg = float(np.sum(ideal[:kk] * discounts))
-    return dcg / idcg
+    return float(ndcg_curve(labels, rank_order(scores, item_ids))[min(k, len(scores)) - 1])
 
 
-def evaluate(model: ScoringModel, d: Dataset, proto: EvalProtocol) -> dict:
-    """Per-K report: NDCG mean/std, disparity MAE/MSE, skip counts."""
+def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dict:
+    """Per-K report: NDCG mean/std, disparity MAE/MSE, skip counts.
+
+    NDCG@K is truncated at the list length and the top-K gap at one less,
+    so that it never covers a whole list.
+    """
     if d.num_queries == 0:
         raise FairTopKError("cannot evaluate an empty dataset")
+    ks = np.array(proto.k_list, dtype=np.int64)
+    if np.any(ks < 1):
+        raise ConfigurationError("k must be >= 1")
     rng = np.random.default_rng(proto.seed)
-    ndcgs: dict[int, list[float]] = {k: [] for k in proto.k_list}
-    gaps: dict[int, list[float]] = {k: [] for k in proto.k_list}
-    skipped: dict[int, int] = {k: 0 for k in proto.k_list}
+    ndcgs, gaps = [], []
+    skipped = np.zeros(len(ks), dtype=np.int64)
 
     for qg in d.queries:
         ids, feats, labels, groups = build_eval_list(d, qg, proto, rng)
-        if len(ids) < 2:
-            for k in proto.k_list:
-                skipped[k] += 1
+        size = len(ids)
+        if size < 2:
+            skipped += 1
             continue
         scores = model.score_many(qg.query_index, feats)
-        for k in proto.k_list:
-            n = ndcg_at_k(model, qg.query_index, feats, labels, k, item_ids=ids)
-            if n is not None:
-                ndcgs[k].append(n)
-            gap = topk_gap(scores, groups, ids, min(k, len(ids) - 1))
-            if gap is None:
-                skipped[k] += 1
-            else:
-                gaps[k].append(gap)
+        order = rank_order(scores, ids)
+        if np.any(labels > 0):
+            ndcgs.append(ndcg_curve(labels, order)[np.minimum(ks, size) - 1])
+        gap = topk_gaps(scores, groups, order)
+        if gap is None:
+            skipped += 1
+        else:
+            gaps.append(gap[np.minimum(ks, size - 1) - 1])
 
+    ndcgs = np.array(ndcgs).reshape(len(ndcgs), len(ks))
+    gaps = np.array(gaps).reshape(len(gaps), len(ks))
     report = {}
-    for k in proto.k_list:
-        n = np.asarray(ndcgs[k]) if ndcgs[k] else np.zeros(0)
-        mae, mse = disparity_mae_mse(gaps[k])
+    for j, k in enumerate(proto.k_list):
+        n = ndcgs[:, j]
+        mae, mse = disparity_mae_mse(gaps[:, j])
         report[k] = {
             "ndcg_mean": float(n.mean()) if len(n) else float("nan"),
             "ndcg_std": float(n.std()) if len(n) else float("nan"),
-            "mae": mae, "mse": mse, "skipped": skipped[k],
+            "mae": mae, "mse": mse, "skipped": int(skipped[j]),
         }
     return report
 
@@ -197,7 +202,7 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / denom) if denom else 0.0
 
 
-def export_ranking_strips(model: ScoringModel, d: Dataset, num_queries: int,
+def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: int,
                           k: int, csv_path: str, ppm_path: str) -> None:
     """Group-membership strips of the most unfair rankings.
 
@@ -206,24 +211,22 @@ def export_ranking_strips(model: ScoringModel, d: Dataset, num_queries: int,
     green pixels in the binary PPM.  Rows are right-padded with black
     pixels when queries have fewer items than the widest one.
     """
-    from .fairness import topk_disparity_exact
-
     if num_queries > d.num_queries:
         raise ConfigurationError("num_queries exceeds the dataset size")
-    scored = []
+    if k < 1:
+        raise ConfigurationError("k must be >= 1")
+    ranked = []
     for qg in d.queries:
         if qg.num_items < 2:
             continue
-        gap = topk_disparity_exact(model, qg, min(k, qg.num_items - 1))
-        scored.append((abs(gap) if gap is not None else -1.0, qg))
-    scored.sort(key=lambda t: -t[0])
-    chosen = [qg for _, qg in scored[:num_queries]]
-
-    rows = []
-    for qg in chosen:
         scores = model.score_many(qg.query_index, qg.feature_idx)
-        order = np.lexsort((qg.item_ids, -scores))
-        rows.append(["A" if g == GROUP_A else "B" for g in qg.groups[order]])
+        order = rank_order(scores, qg.item_ids)
+        gaps = topk_gaps(scores, qg.groups, order)
+        gap = abs(gaps[min(k, qg.num_items - 1) - 1]) if gaps is not None else -1.0
+        ranked.append((gap, qg.groups[order]))
+    ranked.sort(key=lambda t: -t[0])
+    rows = [["A" if g == GROUP_A else "B" for g in groups]
+            for _, groups in ranked[:num_queries]]
 
     with open(csv_path, "w") as fh:
         for row in rows:

@@ -27,9 +27,10 @@ from .lambda_solver import (
     LambdaState,
     SmoothingParams,
     _sigmoid,
+    cross_coeff,
     solve_lambda_exactly_smoothed,
 )
-from .model import ScoringModel
+from .model import FactorizationScorer
 from .rank_losses import MovingAverage, gather_scores, scatter_grads
 
 
@@ -63,12 +64,12 @@ def exposures(scores: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def exposure(model: ScoringModel, q: int, x: int, items: np.ndarray) -> float:
+def exposure(model: FactorizationScorer, q: int, x: int, items: np.ndarray) -> float:
     """Exposure of the item at position x within the query's item list."""
     return float(exposures(model.score_many(q, items))[x])
 
 
-def full_list_disparity(model: ScoringModel, qg: QueryGroup) -> float | None:
+def full_list_disparity(model: FactorizationScorer, qg: QueryGroup) -> float | None:
     """Half the squared gap between group-averaged exposures; None when a
     group is empty (fairness undefined for the query)."""
     if not qg.has_both_groups():
@@ -78,18 +79,15 @@ def full_list_disparity(model: ScoringModel, qg: QueryGroup) -> float | None:
     return 0.5 * float(gap) ** 2
 
 
-def topk_membership(scores: np.ndarray, item_ids: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the exact top-k, ties broken by ascending item id."""
-    order = np.lexsort((item_ids, -scores))
-    mask = np.zeros(len(scores), dtype=bool)
-    mask[order[:k]] = True
-    return mask
+def rank_order(scores: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+    """Positions of a scored list from first to last: score descending, ties
+    broken by ascending item id.  Every exact ranked-list metric uses it."""
+    return np.lexsort((item_ids, -scores))
 
 
-def topk_gap(scores: np.ndarray, groups: np.ndarray, item_ids: np.ndarray,
-             k: int) -> float | None:
-    """Signed top-k exposure gap of a scored list, group A minus group B;
-    None when a group is empty.
+def topk_gaps(scores: np.ndarray, groups: np.ndarray, order: np.ndarray) -> np.ndarray | None:
+    """Signed top-k exposure gap, group A minus group B, for every k = 1..n of
+    a scored list ranked by ``order`` (entry k - 1); None when a group is empty.
 
     Each group's mean runs over the whole group, but only top-k members
     contribute their (full-list) exposure.
@@ -99,19 +97,19 @@ def topk_gap(scores: np.ndarray, groups: np.ndarray, item_ids: np.ndarray,
     if not a.any() or not b.any():
         return None
     e = exposures(scores)
-    top = topk_membership(scores, item_ids, k)
-    return float(e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum())
+    return np.cumsum((a * e / a.sum() - b * e / b.sum())[order])
 
 
-def topk_disparity_exact(model: ScoringModel, qg: QueryGroup, k: int) -> float | None:
-    """``topk_gap`` of a query's whole item list."""
+def topk_disparity_exact(model: FactorizationScorer, qg: QueryGroup, k: int) -> float | None:
+    """Signed top-k exposure gap of a query's whole item list (``topk_gaps``)."""
     if not 1 <= k < qg.num_items:
         raise ConfigurationError(f"k must be in [1, {qg.num_items - 1}]")
     scores = model.score_many(qg.query_index, qg.feature_idx)
-    return topk_gap(scores, qg.groups, qg.item_ids, k)
+    gaps = topk_gaps(scores, qg.groups, rank_order(scores, qg.item_ids))
+    return None if gaps is None else float(gaps[k - 1])
 
 
-def topk_disparity_surrogate(model: ScoringModel, qg: QueryGroup, k: int,
+def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
                              lam: float, psi: SmoothIndicator | None,
                              shift: float | None = None) -> float | None:
     """Smoothed half-squared top-K gap at threshold lam.
@@ -132,7 +130,7 @@ def topk_disparity_surrogate(model: ScoringModel, qg: QueryGroup, k: int,
     return 0.5 * float((g_a - g_b) / (qg.num_items * e.mean())) ** 2
 
 
-def dataset_topk_fairness(model: ScoringModel, d: Dataset, k: int,
+def dataset_topk_fairness(model: FactorizationScorer, d: Dataset, k: int,
                           psi: SmoothIndicator, p: SmoothingParams,
                           tol: float = 1e-12) -> float:
     """U(w): mean over queries of the smoothed top-K disparity with the
@@ -149,7 +147,7 @@ def dataset_topk_fairness(model: ScoringModel, d: Dataset, k: int,
 
 def disparity_mae_mse(gaps: list[float]) -> tuple[float, float]:
     """MAE and MSE of signed per-query gaps."""
-    if not gaps:
+    if len(gaps) == 0:
         return float("nan"), float("nan")
     g = np.asarray(gaps, dtype=np.float64)
     return float(np.abs(g).mean()), float((g ** 2).mean())
@@ -171,7 +169,7 @@ class FairnessState:
                    shift=np.zeros(num_queries))
 
 
-def g2_estimate(model: ScoringModel, d: Dataset, batch: BatchSample, k: int,
+def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: int,
                 fair: FairnessState, lam: LambdaState | None,
                 psi: SmoothIndicator | None, p: SmoothingParams,
                 mode: str = "simplified") -> np.ndarray:
@@ -228,12 +226,9 @@ def g2_estimate(model: ScoringModel, d: Dataset, batch: BatchSample, k: int,
         coeff_a = coeff_a + extra_a
         coeff_b = coeff_b + extra_b
         # the threshold moves with the scores: grad lambda = -cross / s, where
-        # cross = sum_j c_j grad h_j over the item sub-batch and
-        # c_j = -sig_j (1 - sig_j) / (|items| tau1)
-        sig = _sigmoid((s_g - lam_q) / p.tau1)
-        cross = -sig * (1.0 - sig) / (n_g * p.tau1)
+        # cross = sum_j c_j grad h_j over the item sub-batch
         lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / lam.s[rows]
-        coeff_g = coeff_g + lam_weight[:, None] * cross
+        coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(lam.lam[rows], s_g, p)
 
     scatter_grads(model, view, blocks, (coeff_a, coeff_b, coeff_g), grad)
     return grad

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FairTopKError
-from .model import ScoringModel
+from .model import FactorizationScorer
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -97,20 +97,27 @@ def smoothed_hess(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
     return p.tau2 + _batch_mean(sig * (1.0 - sig), scores) / p.tau1
 
 
-def cross_grad(lam: float, model: ScoringModel, q: int, item_idx: np.ndarray,
+def cross_coeff(lam: float | np.ndarray, scores: np.ndarray, p: SmoothingParams) -> np.ndarray:
+    """Per-score coefficients c_j = -sig_j (1 - sig_j) / (|B| tau1) of the
+    mixed second derivative d^2 G / (d lambda d h_j), sig_j the softplus
+    slope at h_j; -inf slots get 0 and do not count in |B|."""
+    sig = _sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1)
+    n = np.count_nonzero(scores > -np.inf, axis=-1, keepdims=True)
+    return -sig * (1.0 - sig) / (n * p.tau1)
+
+
+def cross_grad(lam: float, model: FactorizationScorer, q: int, item_idx: np.ndarray,
                p: SmoothingParams) -> np.ndarray:
     """Mixed second derivative d^2 G / (d lambda d w) over the batch:
-    -(1 / (|B| tau1)) sum_i sig_i (1 - sig_i) grad_w h_i."""
+    sum_i c_i grad_w h_i with the ``cross_coeff`` coefficients."""
     item_idx = np.asarray(item_idx, dtype=np.int64)
-    scores = model.score_many(q, item_idx)
-    sig = _sigmoid((scores - lam) / p.tau1)
-    coeff = -sig * (1.0 - sig) / (len(item_idx) * p.tau1)
+    coeff = cross_coeff(lam, model.score_many(q, item_idx), p)
     out = np.zeros(len(model.params.values))
     model.add_weighted_grads(np.full(len(item_idx), q), item_idx, coeff, out)
     return out
 
 
-def implicit_lambda_grad(lam: float, model: ScoringModel, q: int,
+def implicit_lambda_grad(lam: float, model: FactorizationScorer, q: int,
                          item_idx: np.ndarray, p: SmoothingParams) -> np.ndarray:
     """grad_w of the smoothed threshold via the implicit function theorem."""
     scores = model.score_many(q, np.asarray(item_idx, dtype=np.int64))

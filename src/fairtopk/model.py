@@ -34,30 +34,8 @@ class ParamVector:
         return len(self.values)
 
 
-class ScoringModel:
-    """Interface: a bounded score function with analytic gradients."""
-
-    params: ParamVector
-    score_bound: float
-
-    def score(self, q: int, x: int) -> float:
-        raise NotImplementedError
-
-    def score_many(self, q, items: np.ndarray) -> np.ndarray:
-        """Scores of ``items`` for query row ``q``, or for query rows ``q[j]``."""
-        raise NotImplementedError
-
-    def score_gradient(self, q: int, x: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def add_weighted_grads(self, q_idx: np.ndarray, item_idx: np.ndarray,
-                           coeff: np.ndarray, out: np.ndarray) -> None:
-        """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j])."""
-        raise NotImplementedError
-
-
-class FactorizationScorer(ScoringModel):
-    """score = B_h * tanh((u_q . v_i + b_i) / s)."""
+class FactorizationScorer:
+    """score = B_h * tanh((u_q . v_i + b_i) / s), with analytic parameter gradients."""
 
     def __init__(self, num_queries: int, num_items: int, dim: int,
                  bound: float = 10.0, scale: float = 1.0, seed: int = 0):
@@ -97,17 +75,10 @@ class FactorizationScorer(ScoringModel):
     def item_bias(self) -> np.ndarray:
         return self.params.segment("item_bias")
 
-    def _check_q(self, q: int) -> None:
-        if not 0 <= q < self.num_queries:
-            raise LookupError_(f"query index {q} out of range")
-
     @staticmethod
     def _check_range(idx: np.ndarray, size: int, what: str) -> None:
-        if len(idx) and (idx.min() < 0 or idx.max() >= size):
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise LookupError_(f"{what} index out of range")
-
-    def _pre(self, q: int, items: np.ndarray) -> np.ndarray:
-        return (self.item_emb[items] @ self.query_emb[q] + self.item_bias[items]) / self.scale
 
     def _pre_rows(self, emb_i: np.ndarray, emb_q: np.ndarray, items: np.ndarray) -> np.ndarray:
         return (np.einsum("ij,ij->i", emb_i, emb_q) + self.item_bias[items]) / self.scale
@@ -118,15 +89,11 @@ class FactorizationScorer(ScoringModel):
     def score_many(self, q, items) -> np.ndarray:
         """Scores of ``items`` for query row ``q``; when ``q`` is an array,
         item j is scored for query row ``q[j]``."""
-        if np.isscalar(q):
-            self._check_q(q)
-            items = np.asarray(items, dtype=np.int64)
-            self._check_range(items, self.num_items, "item")
-            return self.score_bound * np.tanh(self._pre(q, items))
         items = np.asarray(items, dtype=np.int64)
-        self._check_range(items, self.num_items, "item")
         q = np.asarray(q, dtype=np.int64)
+        self._check_range(items, self.num_items, "item")
         self._check_range(q, self.num_queries, "query")
+        q = np.broadcast_to(q, items.shape)
         return self.score_bound * np.tanh(
             self._pre_rows(self.item_emb[items], self.query_emb[q], items))
 
@@ -136,6 +103,7 @@ class FactorizationScorer(ScoringModel):
         return grad
 
     def add_weighted_grads(self, q_idx, item_idx, coeff, out) -> None:
+        """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j])."""
         q_idx = np.asarray(q_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         coeff = np.asarray(coeff, dtype=np.float64)
@@ -183,16 +151,21 @@ class FactorizationScorer(ScoringModel):
     @classmethod
     def load(cls, path: str) -> "FactorizationScorer":
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:
-                raise CheckpointError(f"{path}: bad magic header {magic!r}")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
-            raw = fh.read()
-        m = cls(header["num_queries"], header["num_items"], header["dim"],
-                header["bound"], header["scale"], seed=0)
-        values = np.frombuffer(raw, dtype="<f8")
-        if len(values) != len(m.params):
-            raise CheckpointError(f"{path}: expected {len(m.params)} params, got {len(values)}")
-        m.params.values[:] = values
+            data = fh.read()
+        if data[:8] != _MAGIC:
+            raise CheckpointError(f"{path}: bad magic header {data[:8]!r}")
+        hlen = int.from_bytes(data[8:16], "little")
+        if len(data) < 16 + hlen:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(data[16:16 + hlen].decode())
+            m = cls(header["num_queries"], header["num_items"], header["dim"],
+                    header["bound"], header["scale"], seed=0)
+        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
+            raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+        raw = data[16 + hlen:]
+        if len(raw) != 8 * len(m.params):
+            raise CheckpointError(f"{path}: expected {8 * len(m.params)} parameter bytes, "
+                                  f"got {len(raw)}")
+        m.params.values[:] = np.frombuffer(raw, dtype="<f8")
         return m

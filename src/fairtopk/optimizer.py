@@ -21,7 +21,7 @@ from .data import Dataset, sample_batch
 from .errors import ConfigurationError, NonFiniteGradientError, StateError
 from .fairness import FairnessState, SmoothIndicator, g2_estimate
 from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
-from .model import ScoringModel
+from .model import FactorizationScorer
 from .rank_losses import (
     LossVariant,
     MovingAverage,
@@ -203,7 +203,7 @@ def _check_finite(grad: np.ndarray, name: str) -> None:
         raise NonFiniteGradientError(f"non-finite values in {name}")
 
 
-def train_step(model: ScoringModel, d: Dataset, cfg: TrainConfig,
+def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
                state: TrainerState, rng: np.random.Generator,
                lr_mult: float = 1.0) -> dict:
     """One full iteration: sample, estimate G1 (+ C * G2), momentum, step."""
@@ -247,13 +247,13 @@ def train_step(model: ScoringModel, d: Dataset, cfg: TrainConfig,
 
 @dataclass
 class TrainResult:
-    model: ScoringModel
+    model: FactorizationScorer
     best_params: np.ndarray
     best_valid_ndcg: float
     trace: TrainTrace
 
 
-def train(model: ScoringModel, train_d: Dataset, cfg: TrainConfig,
+def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
           valid_d: Dataset | None = None, protocol=None) -> TrainResult:
     """Run the full loop; returns the final model, the best-validation
     parameter snapshot and the logged trace."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import BatchSample, Dataset, FlatView, ideal_dcg, label_softmax
 from .errors import ConfigurationError, EmptyDatasetError
-from .model import ScoringModel
+from .model import FactorizationScorer
 
 _LN2 = np.log(2.0)
 
@@ -70,7 +70,7 @@ def exp_rank_from_scores(scores: np.ndarray, i: int) -> float:
     return float(np.sum(np.exp(diff)))
 
 
-def ndcg_loss(model: ScoringModel, q: int, items: np.ndarray,
+def ndcg_loss(model: FactorizationScorer, q: int, items: np.ndarray,
               labels: np.ndarray, margin: float) -> LossResult:
     """- (1/Z_q) sum_i (2^y_i - 1) / log2(1 + hinge_rank_i)."""
     labels = np.asarray(labels, dtype=np.float64)
@@ -84,7 +84,7 @@ def ndcg_loss(model: ScoringModel, q: int, items: np.ndarray,
     return LossResult(float(value), False)
 
 
-def listnet_loss(model: ScoringModel, q: int, items: np.ndarray,
+def listnet_loss(model: FactorizationScorer, q: int, items: np.ndarray,
                  labels: np.ndarray) -> float:
     """sum_i softmax(y)_i * log(exp-surrogate-rank_i)."""
     p = label_softmax(np.asarray(labels, dtype=np.float64))
@@ -94,14 +94,14 @@ def listnet_loss(model: ScoringModel, q: int, items: np.ndarray,
     return float(np.sum(p * np.log(ghat)))
 
 
-def query_loss(model: ScoringModel, q, items, labels, kind: RankLossKind) -> float:
+def query_loss(model: FactorizationScorer, q, items, labels, kind: RankLossKind) -> float:
     """L_q under the configured loss; degenerate NDCG queries contribute 0."""
     if kind.variant is LossVariant.NDCG:
         return ndcg_loss(model, q, items, labels, kind.margin).value
     return listnet_loss(model, q, items, labels)
 
 
-def dataset_loss(model: ScoringModel, d: Dataset, kind: RankLossKind) -> float:
+def dataset_loss(model: FactorizationScorer, d: Dataset, kind: RankLossKind) -> float:
     """L(w) = (1 / |S|) * sum_q L_q(w); the finite-difference target for G1."""
     total = sum(
         query_loss(model, q.query_index, q.feature_idx, q.relevance, kind)
@@ -137,7 +137,8 @@ class MovingAverage:
         return new
 
 
-def gather_scores(model: ScoringModel, view: FlatView, *blocks: np.ndarray) -> list[np.ndarray]:
+def gather_scores(model: FactorizationScorer, view: FlatView,
+                  *blocks: np.ndarray) -> list[np.ndarray]:
     """Scores at the flat positions of each block, from one score_many call.
 
     A block is a vector or a padded matrix; its -1 slots score -inf.
@@ -152,7 +153,8 @@ def gather_scores(model: ScoringModel, view: FlatView, *blocks: np.ndarray) -> l
     return out
 
 
-def scatter_grads(model: ScoringModel, view: FlatView, blocks, coeffs, out: np.ndarray) -> None:
+def scatter_grads(model: FactorizationScorer, view: FlatView, blocks, coeffs,
+                  out: np.ndarray) -> None:
     """out += sum over the filled slots of every block of coeff * grad_w score."""
     filled = [b >= 0 for b in blocks]
     pos = np.concatenate([b[f] for b, f in zip(blocks, filled)])
@@ -166,13 +168,15 @@ def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
     if kind.variant is LossVariant.NDCG:
         # a query whose labels are all zero (z = 0) gets no ranking gradient
         gain = (2.0 ** labels - 1.0) / np.where(z > 0.0, z, np.inf)
-        arg = n_q * u + 1.0
+        # the exact surrogate rank counts the item itself, so N_q g >= margin^2;
+        # an inner sub-batch that misses every item near i can still give u = 0
+        arg = np.maximum(n_q * u, kind.margin ** 2) + 1.0
         return gain * n_q / (arg * _LN2 * np.log2(arg) ** 2)
     # ListNet: f(g) = p_i log(N_q g) => f'(g) = p_i / g, p the label softmax
     return target / u
 
 
-def g1_estimate(model: ScoringModel, d: Dataset, batch: BatchSample,
+def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
                 kind: RankLossKind, pairs: MovingAverage) -> np.ndarray:
     """Stochastic gradient of the ranking loss over the pair batch.
 

@@ -85,6 +85,14 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv,
                     "--checkpoint", str(bad)]) == 2
 
+    def test_truncated_checkpoint_exits_two(self, data_csv, tmp_path, capsys):
+        good = tmp_path / "m.ckpt"
+        FactorizationScorer(2, 2, 2).save(str(good))
+        bad = tmp_path / "short.ckpt"
+        bad.write_bytes(good.read_bytes()[:20])
+        assert run(["eval", "--data", data_csv, "--checkpoint", str(bad)]) == 2
+        assert "truncated" in capsys.readouterr().err
+
 
 class TestSweepAndStrips:
     def test_sweep_writes_frontier(self, data_csv, tmp_path):
@@ -122,6 +130,15 @@ class TestParser:
 
     def test_unknown_flag_exits_one(self):
         assert run(["gen-data", "--bogus", "1"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--data", "d.csv", "--out", "x", "--c-grid", "0,abc"],
+        ["eval", "--data", "d.csv", "--checkpoint", "m.ckpt", "--k-list", "5,x"],
+        ["train", "--data", "d.csv", "--out", "x", "--fractions", "a,b,c"],
+    ])
+    def test_bad_list_flag_is_a_usage_error(self, argv, capsys):
+        assert run(argv) == 1
+        assert "usage error: argument " + argv[-2] in capsys.readouterr().err
 
     def test_help_mentions_every_config_field(self):
         from dataclasses import fields

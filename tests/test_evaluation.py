@@ -1,11 +1,12 @@
 """Evaluation metrics, the sampled protocol, the sweep harness and exports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairtopk.data import GROUP_A, GROUP_B, generate_synthetic, split
+from fairtopk.data import GROUP_A, GROUP_B, Dataset, QueryGroup, generate_synthetic, split
 from fairtopk.errors import ConfigurationError, FairTopKError
 from fairtopk.evaluation import (
     EvalProtocol,
@@ -96,6 +97,68 @@ class TestBuildEvalList:
                 assert lab == 0.0
 
 
+def _pinned_cases():
+    """(name, model, dataset, protocol) cases for the pinned reports: test-split
+    queries padded with unobserved items, plus four hand-built queries: one
+    group only, no positive label, a pool too small to fill the list and a
+    list shorter than 2; the unsplit data is padded from the vocabulary minus
+    each query's own items."""
+    d = generate_synthetic(12, 16, 0.3, 1.0, seed=11)
+    _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+    vocab = np.array(sorted(d.item_index))
+    b_items = vocab[[d.item_groups[i] == GROUP_B for i in vocab]]
+    nq = d.num_query_rows
+
+    def query(qid, row, ids, rel):
+        ids = np.asarray(ids, dtype=np.int64)
+        return QueryGroup(qid, row, ids, np.array([d.item_index[i] for i in ids]),
+                          np.asarray(rel, dtype=np.float64),
+                          np.array([d.item_groups[i] for i in ids], dtype=np.int8))
+
+    extra = [query("one_group", nq, b_items[:11], [2, 1] + [0] * 9),
+             query("no_positive", nq + 1, vocab[3:8], [0] * 5),
+             query("tight", nq + 2, vocab[:3], [1, 0, 0]),
+             query("short", nq + 3, vocab[5:6], [1])]
+    observed = dict(te.observed, tight=frozenset(vocab[:-2].tolist()),
+                    short=frozenset(vocab.tolist()))
+    mixed = Dataset(te.queries + extra, d.item_index, d.item_groups, nq + 4,
+                    d.num_item_rows, observed=observed)
+    models = {seed: FactorizationScorer(nq + 4, d.num_item_rows, 4, seed=seed)
+              for seed in (1, 2)}
+    tied = FactorizationScorer(nq + 4, d.num_item_rows, 4, seed=0)
+    tied.params.values[:] = 0.0
+    tied.item_bias[:] = np.round(np.random.default_rng(3).normal(0, 1, d.num_item_rows), 1)
+    small = EvalProtocol(relevant_per_query=3, irrelevant_per_query=8,
+                         k_list=(1, 3, 5, 50), seed=4)
+    wide = EvalProtocol(relevant_per_query=5, irrelevant_per_query=20,
+                        k_list=(2, 10, 25), seed=9)
+    return [("split_m1", models[1], mixed, small),
+            ("split_m2", models[2], mixed, wide),
+            ("split_tied", tied, mixed, small),
+            ("unsplit_m1", models[1], d, wide),
+            ("unsplit_tied", tied, d, small)]
+
+
+class TestPinnedReports:
+    """evaluate() on hand-built edge cases, against reports recorded with the
+    earlier implementation that scored and sorted each list once per K."""
+
+    PINS = Path(__file__).with_name("eval_report_pins.json")
+
+    @pytest.mark.parametrize("name", ["split_m1", "split_m2", "split_tied",
+                                      "unsplit_m1", "unsplit_tied"])
+    def test_matches_recorded_report(self, name):
+        model, d, proto = next(case[1:] for case in _pinned_cases() if case[0] == name)
+        expected = json.loads(self.PINS.read_text())[name]
+        report = evaluate(model, d, proto)
+        assert [str(k) for k in report] == list(expected)
+        for k, row in report.items():
+            want = expected[str(k)]
+            assert row["skipped"] == want["skipped"]
+            for key in ("ndcg_mean", "ndcg_std", "mae", "mse"):
+                np.testing.assert_allclose(row[key], want[key], rtol=0.0, atol=1e-12)
+
+
 class TestEvaluate:
     def test_deterministic(self):
         d = generate_synthetic(6, 12, 0.4, 1.0, seed=2)
@@ -103,6 +166,20 @@ class TestEvaluate:
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=6,
                              k_list=(3,), seed=5)
         assert evaluate(m, d, proto) == evaluate(m, d, proto)
+
+    def test_one_score_call_per_evaluated_list(self, monkeypatch):
+        model, d, proto = next(case[1:] for case in _pinned_cases() if case[0] == "split_m1")
+        calls = []
+        original = FactorizationScorer.score_many
+
+        def counted(self, q, items):
+            calls.append(q)
+            return original(self, q, items)
+
+        monkeypatch.setattr(FactorizationScorer, "score_many", counted)
+        evaluate(model, d, proto)
+        # every query but the one whose list is shorter than 2
+        assert calls == [qg.query_index for qg in d.queries if qg.query_id != "short"]
 
     def test_unbiased_data_has_small_mae(self):
         # at the 5 + 300 protocol scale, exposure gaps on fair data are

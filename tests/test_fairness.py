@@ -24,8 +24,9 @@ from fairtopk.fairness import (
     full_list_disparity,
     g2_estimate,
     topk_disparity_exact,
+    rank_order,
     topk_disparity_surrogate,
-    topk_membership,
+    topk_gaps,
 )
 from fairtopk.lambda_solver import (
     LambdaState,
@@ -89,9 +90,23 @@ class TestFullListDisparity:
 
 class TestTopkExact:
     def test_membership_tie_break_by_item_id(self):
-        mask = topk_membership(np.array([1.0, 1.0, 0.0]),
-                               np.array([9, 2, 5]), k=1)
-        assert mask.tolist() == [False, True, False]
+        order = rank_order(np.array([1.0, 1.0, 0.0]), np.array([9, 2, 5]))
+        assert order.tolist() == [1, 0, 2]
+
+    def test_gap_curve_matches_per_k_membership_sums(self, rng):
+        for _ in range(20):
+            scores = np.round(rng.normal(0, 1, 9), 1)      # ties are common
+            groups = np.array([GROUP_A, GROUP_B] * 4 + [GROUP_A], dtype=np.int8)
+            ids = rng.permutation(9) * 3
+            gaps = topk_gaps(scores, groups, rank_order(scores, ids))
+            # an item is in the top k when fewer than k items rank above it
+            above = (scores[None, :] > scores[:, None]) | (
+                (scores[None, :] == scores[:, None]) & (ids[None, :] < ids[:, None]))
+            e, a, b = exposures(scores), groups == GROUP_A, groups == GROUP_B
+            for k in range(1, 10):
+                top = above.sum(axis=1) < k
+                expected = e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum()
+                assert gaps[k - 1] == pytest.approx(expected, abs=1e-15)
 
     def test_one_sided_membership_is_negative(self):
         m, qg = _query_with(None, [0.0, 3.0, 2.0], [GROUP_A, GROUP_B, GROUP_B])

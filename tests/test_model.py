@@ -70,6 +70,8 @@ class TestScore:
             m.score(5, 0)
         with pytest.raises(LookupError_):
             m.score(0, 9)
+        with pytest.raises(LookupError_):
+            m.score_many(2, np.zeros(0, dtype=np.int64))
 
     def test_score_many_matches_score(self):
         m = FactorizationScorer(2, 4, 3, seed=1)
@@ -143,6 +145,23 @@ class TestCheckpoint:
         m.save(str(path))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
+        with pytest.raises(CheckpointError):
+            FactorizationScorer.load(str(path))
+
+    @pytest.mark.parametrize("keep", [5, 12, 20, 30, -3])
+    def test_truncated_header_or_payload_rejected(self, tmp_path, keep):
+        m = FactorizationScorer(2, 2, 2)
+        path = tmp_path / "t.ckpt"
+        m.save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:keep])
+        with pytest.raises(CheckpointError):
+            FactorizationScorer.load(str(path))
+
+    def test_malformed_header_rejected(self, tmp_path):
+        header = b'{"num_queries": 2}'
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(b"RANKCKP1" + len(header).to_bytes(8, "little") + header)
         with pytest.raises(CheckpointError):
             FactorizationScorer.load(str(path))
 

@@ -244,6 +244,34 @@ class TestPinnedTrajectory:
         np.testing.assert_allclose(m.params.values, expected, rtol=0.0, atol=1e-12)
 
 
+class TestNdcgZeroInnerEstimate:
+    """A pair whose item outscores every sampled inner item by more than the
+    margin gets u = 0 on its first touch; the NDCG outer derivative must stay
+    finite there (it once divided by log2(1) = 0 at the second step)."""
+
+    def test_twenty_steps_stay_finite(self, tmp_path):
+        lines = ["query_id,item_id,relevance,group"]
+        for q, n in enumerate((9, 6, 12, 5, 7)):
+            for i in ((5 * q + 3 * j) % 23 for j in range(n)):
+                group = 1 if q == 3 or i % 3 else 0
+                lines.append(f"q{q},{i},{(7 * i + q) % 5},{group}")
+        path = tmp_path / "zero_u.csv"
+        path.write_text("\n".join(lines) + "\n")
+        d = load_csv(str(path))
+        cfg = TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
+                          eta1=0.5, fair_weight=50.0, fairness_mode="top_k",
+                          g2_mode="full_implicit", seed=5)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        rng = np.random.default_rng(cfg.seed)
+        zero_seen = False
+        for _ in range(20):
+            train_step(m, d, cfg, state, rng)
+            zero_seen |= bool(np.any(state.pairs.values[state.pairs.seen] == 0.0))
+        assert zero_seen
+        assert np.all(np.isfinite(m.params.values))
+
+
 class TestStateReuse:
     def test_other_dataset_shape_is_a_state_error(self):
         d, m, cfg = _tiny_setup(fair_weight=10.0)
