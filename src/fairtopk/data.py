@@ -91,6 +91,22 @@ class Dataset:
                           np.array([self.item_index[i] for i in ids], dtype=np.int64),
                           np.array([self.item_groups[i] for i in ids], dtype=np.int8))
 
+    @cached_property
+    def unobserved(self) -> dict[str, np.ndarray]:
+        """Per query id, the ascending positions in ``vocab`` of the items never
+        observed for it (``observed``, else its own list).  Cached like ``flat``
+        and ``vocab``, so none of the three follows later changes to the fields."""
+        observed = self.observed or {}
+        seen = [np.fromiter(observed.get(q.query_id, q.item_ids), np.int64) for q in self.queries]
+        ids = self.vocab.ids
+        owner = np.repeat(np.arange(len(seen)), [len(s) for s in seen])
+        seen = np.concatenate(seen + [ids[:0]])
+        pos = np.minimum(np.searchsorted(ids, seen), len(ids) - 1)
+        known = ids[pos] == seen        # ids outside the vocabulary mark nothing
+        free = np.ones((len(self.queries), len(ids)), dtype=bool)
+        free[owner[known], pos[known]] = False
+        return {q.query_id: np.flatnonzero(row) for q, row in zip(self.queries, free)}
+
 
 def ideal_dcg(labels: np.ndarray) -> float:
     """Max achievable DCG for a label multiset (the NDCG normalizer)."""

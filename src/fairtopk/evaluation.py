@@ -3,10 +3,13 @@ tradeoff harness and the ranking-strip export.
 
 Evaluation lists mix a handful of relevant items with a large pool of
 irrelevant ones per query: zero-relevance items from the query's own list
-first, then items never observed for that query (relevance imputed 0,
-group taken from the item table).  Each list is scored once and ranked
-once by ``fairness.rank_order``; NDCG@K and the signed top-K exposure gap
-for every K are read off that one ranking as prefix sums.  MAE / MSE
+first, then items never observed for that query (``Dataset.unobserved``;
+relevance imputed 0, group from the item table).  Lists are drawn in query
+order and handled in blocks of about ``_BLOCK_ENTRIES`` entries, padded
+(lists, width) matrices with one ``score_many`` and one ``rank_order`` call
+each.  Empty slots score -inf with label 0 and no group, so they rank last
+and add nothing to any exposure or prefix sum.  NDCG@K and the signed top-K
+gap for every K are row-wise prefix sums along the ranking.  MAE / MSE
 aggregate the gaps over queries, skipping queries where a group is absent.
 """
 
@@ -30,6 +33,14 @@ class EvalProtocol:
     k_list: tuple[int, ...] = (50, 100, 200)
     seed: int = 0
 
+    def __post_init__(self):
+        if (min(self.relevant_per_query, self.irrelevant_per_query) < 0
+                or min(self.k_list, default=0) < 1):
+            raise ConfigurationError("list counts must be >= 0 and k_list nonempty, every k >= 1")
+
+
+_BLOCK_ENTRIES = 8192       # list entries per block of evaluate(): a few MB of temporaries
+
 
 def _draw(rng: np.random.Generator, pool: np.ndarray, n: int) -> np.ndarray:
     """Up to n entries of ``pool``, uniform without replacement; nothing is
@@ -49,9 +60,7 @@ def build_eval_list(d: Dataset, qg: QueryGroup, proto: EvalProtocol,
     irr = _draw(rng, np.flatnonzero(qg.relevance == 0), proto.irrelevant_per_query)
     own = np.concatenate([rel, irr])
     vocab = d.vocab
-    observed = (d.observed or {}).get(qg.query_id, qg.item_ids)
-    unobserved = ~np.isin(vocab.ids, np.fromiter(observed, dtype=np.int64, count=len(observed)))
-    extra = _draw(rng, np.flatnonzero(unobserved), proto.irrelevant_per_query - len(irr))
+    extra = _draw(rng, d.unobserved[qg.query_id], proto.irrelevant_per_query - len(irr))
     labels = np.zeros(len(own) + len(extra))
     labels[:len(rel)] = qg.relevance[rel]
     return (np.concatenate([qg.item_ids[own], vocab.ids[extra]]),
@@ -61,10 +70,13 @@ def build_eval_list(d: Dataset, qg: QueryGroup, proto: EvalProtocol,
 
 
 def ndcg_curve(labels: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """NDCG@1..n of a list ranked by ``order``; needs a positive label."""
+    """NDCG@1..n of lists ranked by ``order`` along the last axis; each needs a
+    positive label, and label-0 padding ranked last leaves it unchanged."""
     gains = 2.0 ** labels - 1.0
-    discounts = 1.0 / np.log2(2.0 + np.arange(len(gains)))
-    return np.cumsum(gains[order] * discounts) / np.cumsum(np.sort(gains)[::-1] * discounts)
+    discounts = 1.0 / np.log2(2.0 + np.arange(gains.shape[-1]))
+    ideal = np.sort(gains, axis=-1)[..., ::-1]
+    return (np.cumsum(np.take_along_axis(gains, order, axis=-1) * discounts, axis=-1)
+            / np.cumsum(ideal * discounts, axis=-1))
 
 
 def ndcg_at_k(model: FactorizationScorer, q: int, eval_items: np.ndarray,
@@ -92,30 +104,41 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
     if d.num_queries == 0:
         raise FairTopKError("cannot evaluate an empty dataset")
     ks = np.array(proto.k_list, dtype=np.int64)
-    if np.any(ks < 1):
-        raise ConfigurationError("k must be >= 1")
     rng = np.random.default_rng(proto.seed)
+    per_block = max(1, _BLOCK_ENTRIES // max(1, proto.relevant_per_query
+                                             + proto.irrelevant_per_query))
     ndcgs, gaps = [], []
-    skipped = np.zeros(len(ks), dtype=np.int64)
+    skipped = 0
 
-    for qg in d.queries:
-        ids, feats, labels, groups = build_eval_list(d, qg, proto, rng)
-        size = len(ids)
-        if size < 2:
-            skipped += 1
+    for start in range(0, d.num_queries, per_block):
+        drawn = [(qg.query_index, *build_eval_list(d, qg, proto, rng))
+                 for qg in d.queries[start:start + per_block]]
+        kept = [lst for lst in drawn if len(lst[1]) >= 2]
+        skipped += len(drawn) - len(kept)
+        if not kept:
             continue
-        scores = model.score_many(qg.query_index, feats)
+        rows, ids, feats, labels, groups = zip(*kept)
+        sizes = np.array([len(i) for i in ids])
+        # slot (r, j) reads entry j of list r from the concatenated lists, an
+        # empty slot the fill value appended after them
+        filled = np.arange(sizes.max()) < sizes[:, None]
+        slot = np.where(filled, np.cumsum(filled).reshape(filled.shape) - 1, -1)
+        scores = model.score_many(np.repeat(rows, sizes), np.concatenate(feats))
+        scores, ids, labels, groups = (
+            np.append(np.concatenate(parts), fill)[slot]
+            for parts, fill in (([scores], -np.inf), (ids, 0), (labels, 0.0), (groups, -1)))
         order = rank_order(scores, ids)
-        if np.any(labels > 0):
-            ndcgs.append(ndcg_curve(labels, order)[np.minimum(ks, size) - 1])
+        ranked = np.any(labels > 0, axis=1)
+        ndcg = ndcg_curve(labels[ranked], order[ranked])
+        ndcgs.append(np.take_along_axis(ndcg, np.minimum(ks, sizes[ranked, None]) - 1, axis=1))
         gap = topk_gaps(scores, groups, order)
-        if gap is None:
-            skipped += 1
-        else:
-            gaps.append(gap[np.minimum(ks, size - 1) - 1])
+        both = ~np.isnan(gap[:, 0])
+        skipped += len(gap) - np.count_nonzero(both)
+        gaps.append(np.take_along_axis(gap[both], np.minimum(ks, sizes[both, None] - 1) - 1,
+                                       axis=1))
 
-    ndcgs = np.array(ndcgs).reshape(len(ndcgs), len(ks))
-    gaps = np.array(gaps).reshape(len(gaps), len(ks))
+    ndcgs = np.concatenate(ndcgs or [np.zeros((0, len(ks)))])
+    gaps = np.concatenate(gaps or [np.zeros((0, len(ks)))])
     report = {}
     for j, k in enumerate(proto.k_list):
         n = ndcgs[:, j]
@@ -123,7 +146,7 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
         report[k] = {
             "ndcg_mean": float(n.mean()) if len(n) else float("nan"),
             "ndcg_std": float(n.std()) if len(n) else float("nan"),
-            "mae": mae, "mse": mse, "skipped": int(skipped[j]),
+            "mae": mae, "mse": mse, "skipped": int(skipped),
         }
     return report
 
@@ -221,8 +244,9 @@ def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: i
             continue
         scores = model.score_many(qg.query_index, qg.feature_idx)
         order = rank_order(scores, qg.item_ids)
-        gaps = topk_gaps(scores, qg.groups, order)
-        gap = abs(gaps[min(k, qg.num_items - 1) - 1]) if gaps is not None else -1.0
+        gap = abs(topk_gaps(scores, qg.groups, order)[min(k, qg.num_items - 1) - 1])
+        if np.isnan(gap):
+            gap = -1.0
         ranked.append((gap, qg.groups[order]))
     ranked.sort(key=lambda t: -t[0])
     rows = [["A" if g == GROUP_A else "B" for g in groups]

@@ -58,10 +58,11 @@ CONSTANT_ONE = None
 
 
 def exposures(scores: np.ndarray) -> np.ndarray:
-    """Softmax of the scores, computed with max subtraction; sums to 1."""
+    """Softmax of the scores along the last axis, computed with max
+    subtraction; each row sums to 1 and -inf padding gets 0."""
     scores = np.asarray(scores, dtype=np.float64)
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def exposure(model: FactorizationScorer, q: int, x: int, items: np.ndarray) -> float:
@@ -80,33 +81,36 @@ def full_list_disparity(model: FactorizationScorer, qg: QueryGroup) -> float | N
 
 
 def rank_order(scores: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
-    """Positions of a scored list from first to last: score descending, ties
-    broken by ascending item id.  Every exact ranked-list metric uses it."""
+    """Positions of scored lists from first to last along the last axis: score
+    descending, ties broken by ascending item id.  Every exact ranked-list
+    metric uses it."""
     return np.lexsort((item_ids, -scores))
 
 
-def topk_gaps(scores: np.ndarray, groups: np.ndarray, order: np.ndarray) -> np.ndarray | None:
+def topk_gaps(scores: np.ndarray, groups: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Signed top-k exposure gap, group A minus group B, for every k = 1..n of
-    a scored list ranked by ``order`` (entry k - 1); None when a group is empty.
+    lists scored along the last axis and ranked by ``order`` (entry k - 1);
+    NaN throughout for a list with an empty group.
 
     Each group's mean runs over the whole group, but only top-k members
-    contribute their (full-list) exposure.
+    contribute their (full-list) exposure.  Padding is in neither group.
     """
-    a = groups == GROUP_A
-    b = groups == GROUP_B
-    if not a.any() or not b.any():
-        return None
+    a, b = groups == GROUP_A, groups == GROUP_B
+    n_a, n_b = a.sum(axis=-1, keepdims=True), b.sum(axis=-1, keepdims=True)
     e = exposures(scores)
-    return np.cumsum((a * e / a.sum() - b * e / b.sum())[order])
+    w = a * e / np.maximum(n_a, 1) - b * e / np.maximum(n_b, 1)
+    gaps = np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
+    return np.where((n_a > 0) & (n_b > 0), gaps, np.nan)
 
 
 def topk_disparity_exact(model: FactorizationScorer, qg: QueryGroup, k: int) -> float | None:
-    """Signed top-k exposure gap of a query's whole item list (``topk_gaps``)."""
+    """Signed top-k exposure gap of a query's whole item list (``topk_gaps``);
+    None when a group is empty."""
     if not 1 <= k < qg.num_items:
         raise ConfigurationError(f"k must be in [1, {qg.num_items - 1}]")
     scores = model.score_many(qg.query_index, qg.feature_idx)
-    gaps = topk_gaps(scores, qg.groups, rank_order(scores, qg.item_ids))
-    return None if gaps is None else float(gaps[k - 1])
+    gap = topk_gaps(scores, qg.groups, rank_order(scores, qg.item_ids))[k - 1]
+    return None if np.isnan(gap) else float(gap)
 
 
 def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
@@ -169,17 +173,23 @@ class FairnessState:
                    shift=np.zeros(num_queries))
 
 
+def fairness_blocks(batch: BatchSample) -> tuple[np.ndarray, ...]:
+    """The group-A, group-B and item sub-batches of the queries with both groups."""
+    return tuple(b[~batch.skipped] for b in (batch.group_a, batch.group_b, batch.items))
+
+
 def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: int,
                 fair: FairnessState, lam: LambdaState | None,
                 psi: SmoothIndicator | None, p: SmoothingParams,
-                mode: str = "simplified") -> np.ndarray:
+                mode: str = "simplified", scores: tuple | None = None) -> np.ndarray:
     """Stochastic gradient of the top-K fairness regularizer over B_Q.
 
     ``lam`` holds one threshold per query of ``d``.  ``psi = None`` selects
     the full-list disparity (psi = 1), which needs no threshold.
     ``simplified`` drops the indicator-derivative terms (the training
     default); ``full_implicit`` includes them with the implicit-function
-    gradient of the threshold, grad lambda = -cross / s.
+    gradient of the threshold, grad lambda = -cross / s.  ``scores`` are the
+    ``fairness_blocks`` scores, when the caller has gathered them already.
     """
     if mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {mode!r}")
@@ -192,8 +202,8 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
         return grad
     inv_nq = 1.0 / len(batch.queries)
     rows = batch.queries[active]
-    blocks = (batch.group_a[active], batch.group_b[active], batch.items[active])
-    s_a, s_b, s_g = gather_scores(model, view, *blocks)
+    blocks = fairness_blocks(batch)
+    s_a, s_b, s_g = gather_scores(model, view, *blocks) if scores is None else scores
     n_a, n_b, n_g = (np.count_nonzero(b >= 0, axis=1)[:, None] for b in blocks)
 
     shift = np.where(fair.u.seen[rows], fair.shift[rows],

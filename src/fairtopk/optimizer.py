@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import ConfigurationError, NonFiniteGradientError, StateError
-from .fairness import FairnessState, SmoothIndicator, g2_estimate
+from .fairness import FairnessState, SmoothIndicator, fairness_blocks, g2_estimate
 from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
 from .rank_losses import (
@@ -216,25 +216,26 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
     combined = g1
     if cfg.fairness_active():
         smoothing = cfg.smoothing()
+        # one gather serves the threshold update and G2
+        scores = gather_scores(model, d.flat, *fairness_blocks(batch))
         psi = None                              # full_list: psi = 1, no threshold
         if cfg.fairness_mode == "top_k":
             psi = SmoothIndicator(temperature=cfg.tau_psi)
             lam, rows = state.lam, batch.queries[~batch.skipped]
-            scores = gather_scores(model, d.flat, batch.items[~batch.skipped])[0]
             n_total = d.flat.sizes[rows]
             fresh = ~state.lam_seen[rows]
             if fresh.any():
                 new = rows[fresh]
-                warm = init_lambda_state(scores[fresh], smoothing, n_total[fresh],
+                warm = init_lambda_state(scores[2][fresh], smoothing, n_total[fresh],
                                          cfg.gamma4, cfg.eta0)
                 lam.lam[new], lam.s[new], lam.v[new] = warm.lam, warm.s, warm.v
                 state.lam_seen[new] = True
         g2 = g2_estimate(model, d, batch, cfg.k, state.fair, state.lam, psi,
-                         smoothing, mode=cfg.g2_mode)
+                         smoothing, mode=cfg.g2_mode, scores=scores)
         _check_finite(g2, "G2")
         if cfg.fairness_mode == "top_k":
             st = state_step(LambdaState(lam.lam[rows], lam.s[rows], lam.v[rows], lam.gamma,
-                                        lam.eta), scores, smoothing, n_total=n_total)
+                                        lam.eta), scores[2], smoothing, n_total=n_total)
             lam.lam[rows], lam.s[rows], lam.v[rows] = st.lam, st.s, st.v
         combined = g1 + cfg.fair_weight * g2
 

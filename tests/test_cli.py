@@ -93,6 +93,13 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv, "--checkpoint", str(bad)]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--relevant", "--irrelevant"])
+    def test_negative_list_count_exits_one(self, data_csv, tmp_path, capsys, flag):
+        ckpt = tmp_path / "m.ckpt"
+        FactorizationScorer(12, 32, 2).save(str(ckpt))
+        assert run(["eval", "--data", data_csv, "--checkpoint", str(ckpt), flag, "-1"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
 
 class TestSweepAndStrips:
     def test_sweep_writes_frontier(self, data_csv, tmp_path):

@@ -1,5 +1,7 @@
 """Dataset loading, synthetic generation, splitting and batch sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,21 @@ class TestSplit:
         assert tr.observed is not None
         for q in d.queries:
             assert tr.observed[q.query_id] == frozenset(int(i) for i in q.item_ids)
+
+
+class TestUnobserved:
+    def test_matches_set_difference(self):
+        d = generate_synthetic(6, 8, 0.4, 1.0, seed=2)
+        tr, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+        # observed for half the queries only, with an id outside the vocabulary
+        partial = replace(tr, observed={q.query_id: tr.observed[q.query_id] | {10 ** 6}
+                                        for q in tr.queries[:3]})
+        for ds in (tr, d, partial):
+            vocab = ds.vocab.ids.tolist()
+            for qg in ds.queries:
+                seen = (ds.observed or {}).get(qg.query_id, set(qg.item_ids.tolist()))
+                expected = [pos for pos, i in enumerate(vocab) if i not in seen]
+                assert ds.unobserved[qg.query_id].tolist() == expected
 
 
 class TestSampleBatch:

@@ -1,13 +1,17 @@
 """Evaluation metrics, the sampled protocol, the sweep harness and exports."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtopk.data import GROUP_A, GROUP_B, Dataset, QueryGroup, generate_synthetic, split
 from fairtopk.errors import ConfigurationError, FairTopKError
+from fairtopk import evaluation
 from fairtopk.evaluation import (
     EvalProtocol,
     TradeoffReport,
@@ -18,6 +22,7 @@ from fairtopk.evaluation import (
     spearman,
     tradeoff_sweep,
 )
+from fairtopk.fairness import disparity_mae_mse, rank_order, topk_gaps
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainConfig
 
@@ -167,19 +172,27 @@ class TestEvaluate:
                              k_list=(3,), seed=5)
         assert evaluate(m, d, proto) == evaluate(m, d, proto)
 
-    def test_one_score_call_per_evaluated_list(self, monkeypatch):
+    def test_scores_each_evaluated_list_once(self, monkeypatch):
         model, d, proto = next(case[1:] for case in _pinned_cases() if case[0] == "split_m1")
         calls = []
         original = FactorizationScorer.score_many
 
-        def counted(self, q, items):
-            calls.append(q)
+        def recorded(self, q, items):
+            calls.append((np.broadcast_to(q, np.shape(items)).copy(), np.asarray(items)))
             return original(self, q, items)
 
-        monkeypatch.setattr(FactorizationScorer, "score_many", counted)
+        monkeypatch.setattr(FactorizationScorer, "score_many", recorded)
         evaluate(model, d, proto)
-        # every query but the one whose list is shorter than 2
-        assert calls == [qg.query_index for qg in d.queries if qg.query_id != "short"]
+        rng = np.random.default_rng(proto.seed)
+        lists = [(qg.query_index, build_eval_list(d, qg, proto, rng)[1]) for qg in d.queries]
+        lists = [(q, feats) for q, feats in lists if len(feats) >= 2]
+        # every list of 2+ items in query order, each once; "short" is never scored
+        assert len(lists) == d.num_queries - 1
+        np.testing.assert_array_equal(np.concatenate([q for q, _ in calls]),
+                                      np.concatenate([np.full(len(f), q) for q, f in lists]))
+        np.testing.assert_array_equal(np.concatenate([items for _, items in calls]),
+                                      np.concatenate([f for _, f in lists]))
+        assert len(calls) < len(lists)
 
     def test_unbiased_data_has_small_mae(self):
         # at the 5 + 300 protocol scale, exposure gaps on fair data are
@@ -208,6 +221,126 @@ class TestEvaluate:
                         num_query_rows=1, num_item_rows=1)
         with pytest.raises(FairTopKError):
             evaluate(m, empty, EvalProtocol())
+
+
+class TestEvalProtocol:
+    @pytest.mark.parametrize("kwargs", [{"relevant_per_query": -1},
+                                        {"irrelevant_per_query": -1},
+                                        {"k_list": (5, 0)}, {"k_list": ()}])
+    def test_bad_protocol_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            EvalProtocol(**kwargs)
+
+    def test_zero_counts_allowed(self):
+        d = generate_synthetic(4, 10, 0.4, 1.0, seed=2)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=2)
+        proto = EvalProtocol(relevant_per_query=0, irrelevant_per_query=0, k_list=(1,))
+        assert evaluate(m, d, proto)[1]["skipped"] == d.num_queries
+
+
+def _reference_report(model, d, proto):
+    """evaluate() one list at a time: build_eval_list, ndcg_at_k, topk_gaps."""
+    rng = np.random.default_rng(proto.seed)
+    ndcgs, gaps, skipped = [], [], 0
+    for qg in d.queries:
+        ids, feats, labels, groups = build_eval_list(d, qg, proto, rng)
+        if len(ids) < 2:
+            skipped += 1
+            continue
+        if np.any(labels > 0):
+            ndcgs.append([ndcg_at_k(model, qg.query_index, feats, labels, k, item_ids=ids)
+                          for k in proto.k_list])
+        scores = model.score_many(qg.query_index, feats)
+        curve = topk_gaps(scores, groups, rank_order(scores, ids))
+        if np.isnan(curve[0]):
+            skipped += 1
+        else:
+            gaps.append([curve[min(k, len(ids) - 1) - 1] for k in proto.k_list])
+    ndcgs = np.array(ndcgs).reshape(-1, len(proto.k_list))
+    gaps = np.array(gaps).reshape(-1, len(proto.k_list))
+    return {k: dict(zip(("mae", "mse"), disparity_mae_mse(gaps[:, j])),
+                    ndcg_mean=ndcgs[:, j].mean() if len(ndcgs) else np.nan,
+                    ndcg_std=ndcgs[:, j].std() if len(ndcgs) else np.nan, skipped=skipped)
+            for j, k in enumerate(proto.k_list)}
+
+
+def _block_case(num_queries):
+    """The first ``num_queries`` of a test split with odd lists spliced in:
+    a list shorter than 2, a one-group list and a list with no positive
+    label, each once at a block edge and once mid-block under the 5+300
+    protocol; the protocol and a model come with it."""
+    d = generate_synthetic(70, 16, 0.3, 1.0, seed=5)
+    _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+    vocab = np.array(sorted(d.item_index))
+    b_items = vocab[[d.item_groups[i] == GROUP_B for i in vocab]]
+    proto = EvalProtocol(5, 300, k_list=(1, 4, 10, 50), seed=3)
+    per_block = evaluation._BLOCK_ENTRIES // 305
+    odd = {"short": (vocab[4:5], [2]),
+           "one_group": (b_items[:7], [3, 0, 1, 0, 0, 2, 0]),
+           "no_positive": (vocab[10:16], [0] * 6)}
+    where = {per_block - 1: "short", per_block: "one_group", 2 * per_block - 1: "no_positive",
+             per_block // 2: "short", per_block + per_block // 2: "one_group",
+             2 * per_block + 3: "no_positive"}
+    queries, observed = list(te.queries), dict(te.observed)
+    for pos in sorted(where):
+        kind = where[pos]
+        ids, rel = odd[kind]
+        qid = f"{kind}@{pos}"
+        queries.insert(pos, QueryGroup(qid, d.num_query_rows + pos, ids,
+                                       np.array([d.item_index[i] for i in ids]),
+                                       np.asarray(rel, dtype=np.float64),
+                                       np.array([d.item_groups[i] for i in ids], dtype=np.int8)))
+        # the short and one-group lists get no unobserved items
+        observed[qid] = frozenset((ids if kind == "no_positive" else vocab).tolist())
+    rows = d.num_query_rows + max(where) + 1
+    mixed = Dataset(queries[:num_queries], d.item_index, d.item_groups, rows,
+                    d.num_item_rows, observed=observed)
+    return FactorizationScorer(rows, d.num_item_rows, 4, seed=6), mixed, proto
+
+
+class TestBlocks:
+    """evaluate() scores and ranks lists a block at a time; the report must
+    equal the one-list-at-a-time reference whatever falls on a block edge."""
+
+    @staticmethod
+    def _assert_same(model, d, proto):
+        report, expected = evaluate(model, d, proto), _reference_report(model, d, proto)
+        for k in proto.k_list:
+            assert report[k]["skipped"] == expected[k]["skipped"]
+            for key in ("ndcg_mean", "ndcg_std", "mae", "mse"):
+                np.testing.assert_allclose(report[k][key], expected[k][key],
+                                           rtol=0.0, atol=1e-12)
+
+    def test_odd_lists_at_block_edges_and_mid_block(self):
+        model, d, proto = _block_case(10_000)
+        per_block = evaluation._BLOCK_ENTRIES // 305
+        assert d.num_queries > 2 * per_block + 3          # at least three blocks
+        lengths = [len(build_eval_list(d, qg, proto, np.random.default_rng(0))[0])
+                   for qg in d.queries]
+        assert len(set(lengths)) > 2                      # uneven list lengths
+        self._assert_same(model, d, proto)
+        assert evaluate(model, d, proto)[1]["skipped"] == 4   # 2 short + 2 one-group
+
+    @settings(max_examples=20, deadline=None)
+    @given(num_queries=st.integers(1, 90))
+    def test_any_number_of_queries(self, num_queries):
+        self._assert_same(*_block_case(num_queries))
+
+
+class TestMemory:
+    def test_peak_traced_memory_of_sampled_evaluation(self):
+        # the acceptance data under the 5+300 protocol: scoring every list of
+        # the split at once would trace about 12.8 MB
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
+        _, _, te, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+        model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=1)
+        tracemalloc.start()
+        try:
+            evaluate(model, te, EvalProtocol(5, 300, k_list=(50, 100, 200), seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class TestSpearman:

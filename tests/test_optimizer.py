@@ -153,6 +153,26 @@ class TestTrainStep:
         assert np.array_equal(state.lam_seen, state.fair.u.seen)
         assert np.all(np.isnan(state.lam.lam) == ~state.lam_seen)
 
+    def test_fairness_sub_batches_scored_once(self, monkeypatch):
+        d, m, cfg = _tiny_setup(fair_weight=10.0)
+        rng = np.random.default_rng(3)
+        batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a,
+                                 cfg.batch_b), copy.deepcopy(rng))
+        scored = []
+        original = FactorizationScorer.score_many
+
+        def counted(self, q, items):
+            scored.append(len(items))
+            return original(self, q, items)
+
+        monkeypatch.setattr(FactorizationScorer, "score_many", counted)
+        train_step(m, d, cfg, TrainerState.fresh(cfg, len(m.params.values)), rng)
+        active = ~batch.skipped
+        assert active.any()
+        # one gather for G1; one for the threshold update and G2 together
+        assert scored[1:] == [sum(np.count_nonzero(b[active] >= 0)
+                                  for b in (batch.group_a, batch.group_b, batch.items))]
+
 
 class TestTrain:
     def test_zero_epochs_is_identity(self):
