@@ -29,7 +29,7 @@ def main():
     args = ap.parse_args()
 
     d = generate_synthetic(args.queries, args.items, 0.3, args.bias, args.seed)
-    train_d, valid_d, test_d, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+    train_d, _, test_d, _ = split(d, (0.8, 0.1, 0.1), seed=0)
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8,
                                 seed=args.seed)
     cfg = TrainConfig(k=args.k, loss="listnet", epochs=args.epochs,
@@ -37,8 +37,7 @@ def main():
     c_grid = [float(c) for c in args.c_grid.split(",")]
     proto = EvalProtocol(k_list=(args.k,), seed=0)
 
-    report = tradeoff_sweep(model, train_d, valid_d, test_d, cfg,
-                            c_grid, [args.k], proto=proto)
+    report = tradeoff_sweep(model, train_d, test_d, cfg, c_grid, [args.k], proto=proto)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     report.to_csv(args.out + ".csv")
     report.to_json(args.out + ".json")

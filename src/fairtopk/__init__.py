@@ -14,7 +14,6 @@ from .data import (
 from .evaluation import EvalProtocol, TradeoffReport, evaluate, tradeoff_sweep
 from .fairness import (
     SmoothIndicator,
-    exposure,
     exposures,
     full_list_disparity,
     topk_disparity_exact,

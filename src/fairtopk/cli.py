@@ -192,12 +192,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    d, train_d, valid_d, test_d, _ = _load_and_split(args.data, args.fractions,
-                                                     args.split_seed)
+    d, train_d, _, test_d, _ = _load_and_split(args.data, args.fractions, args.split_seed)
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)
-    report = tradeoff_sweep(model, train_d, valid_d, test_d, cfg,
-                            args.c_grid, args.k_list)
+    report = tradeoff_sweep(model, train_d, test_d, cfg, args.c_grid, args.k_list)
     report.to_csv(args.out + ".csv")
     report.to_json(args.out + ".json")
     print(f"wrote {len(report.rows)} frontier rows to {args.out}.csv")

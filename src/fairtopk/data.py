@@ -203,7 +203,9 @@ def _build_dataset(rows: list[tuple[str, int, float, int]]) -> Dataset:
         by_query[qid].append((iid, rel, grp))
         if iid not in item_index:
             item_index[iid] = len(item_index)
-        item_groups[iid] = grp
+        if item_groups.setdefault(iid, grp) != grp:
+            raise ParseError(f"item {iid} is tagged group {item_groups[iid]} and, "
+                             f"in query {qid}, group {grp}")
 
     queries = []
     for k, qid in enumerate(order):
@@ -253,8 +255,9 @@ def load_csv(path: str) -> Dataset:
                 rel = float(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric relevance {parts[2]!r}")
-            if rel < 0:
-                raise ParseError(f"line {lineno}: negative relevance {rel}")
+            if not 0 <= rel < float("inf"):
+                raise ParseError(f"line {lineno}: relevance must be finite and >= 0, "
+                                 f"got {parts[2]!r}")
             grp = parts[3].strip()
             if grp not in ("0", "1"):
                 raise ParseError(f"line {lineno}: group must be 0 or 1, got {grp!r}")

@@ -168,9 +168,8 @@ class TradeoffReport:
             json.dump(self.rows, fh, indent=2)
 
 
-def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset,
-                   valid_d: Dataset | None, test_d: Dataset, base_cfg,
-                   c_grid, k_list, proto: EvalProtocol | None = None) -> TradeoffReport:
+def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Dataset,
+                   base_cfg, c_grid, k_list, proto: EvalProtocol | None = None) -> TradeoffReport:
     """Train one model per C (identical seed and budget) and report one
     frontier row per (C, K) on the test split.  Failed runs are marked
     and the sweep continues."""
@@ -186,7 +185,7 @@ def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset,
         model = init_model.clone()
         try:
             cfg.validate()
-            train(model, train_d, cfg, valid_d=None)
+            train(model, train_d, cfg)
             per_k = evaluate(model, test_d, proto)
             for k in k_list:
                 row = {"C": float(c), "K": int(k), "failed": False}
@@ -208,15 +207,9 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
 
     def _ranks(v):
-        order = np.argsort(v)
-        r = np.empty(len(v))
-        r[order] = np.arange(1, len(v) + 1)
-        # average ranks for exact ties
-        for val in np.unique(v):
-            m = v == val
-            if m.sum() > 1:
-                r[m] = r[m].mean()
-        return r
+        # a run of c tied values ending at 1-based position e has rank e - (c - 1) / 2
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
     rx, ry = _ranks(x), _ranks(y)
     rx -= rx.mean()
@@ -234,8 +227,8 @@ def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: i
     green pixels in the binary PPM.  Rows are right-padded with black
     pixels when queries have fewer items than the widest one.
     """
-    if num_queries > d.num_queries:
-        raise ConfigurationError("num_queries exceeds the dataset size")
+    if not 1 <= num_queries <= d.num_queries:
+        raise ConfigurationError(f"num_queries must be in [1, {d.num_queries}]")
     if k < 1:
         raise ConfigurationError("k must be >= 1")
     ranked = []

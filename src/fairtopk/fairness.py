@@ -65,11 +65,6 @@ def exposures(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def exposure(model: FactorizationScorer, q: int, x: int, items: np.ndarray) -> float:
-    """Exposure of the item at position x within the query's item list."""
-    return float(exposures(model.score_many(q, items))[x])
-
-
 def full_list_disparity(model: FactorizationScorer, qg: QueryGroup) -> float | None:
     """Half the squared gap between group-averaged exposures; None when a
     group is empty (fairness undefined for the query)."""
@@ -114,8 +109,7 @@ def topk_disparity_exact(model: FactorizationScorer, qg: QueryGroup, k: int) -> 
 
 
 def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
-                             lam: float, psi: SmoothIndicator | None,
-                             shift: float | None = None) -> float | None:
+                             lam: float, psi: SmoothIndicator | None) -> float | None:
     """Smoothed half-squared top-K gap at threshold lam.
 
     Equals half the square of (mean_A psi*e - mean_B psi*e) with e the
@@ -125,9 +119,7 @@ def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
     if not qg.has_both_groups():
         return None
     scores = model.score_many(qg.query_index, qg.feature_idx)
-    if shift is None:
-        shift = float(scores.max())
-    e = np.exp(scores - shift)
+    e = np.exp(scores - scores.max())
     w = e if psi is None else psi.value(scores - lam) * e
     g_a = w[qg.groups == GROUP_A].mean()
     g_b = w[qg.groups == GROUP_B].mean()

@@ -83,9 +83,6 @@ class FactorizationScorer:
     def _pre_rows(self, emb_i: np.ndarray, emb_q: np.ndarray, items: np.ndarray) -> np.ndarray:
         return (np.einsum("ij,ij->i", emb_i, emb_q) + self.item_bias[items]) / self.scale
 
-    def score(self, q: int, x: int) -> float:
-        return float(self.score_many(q, np.array([x]))[0])
-
     def score_many(self, q, items) -> np.ndarray:
         """Scores of ``items`` for query row ``q``; when ``q`` is an array,
         item j is scored for query row ``q[j]``."""
@@ -96,11 +93,6 @@ class FactorizationScorer:
         q = np.broadcast_to(q, items.shape)
         return self.score_bound * np.tanh(
             self._pre_rows(self.item_emb[items], self.query_emb[q], items))
-
-    def score_gradient(self, q: int, x: int) -> np.ndarray:
-        grad = np.zeros(len(self.params))
-        self.add_weighted_grads(np.array([q]), np.array([x]), np.array([1.0]), grad)
-        return grad
 
     def add_weighted_grads(self, q_idx, item_idx, coeff, out) -> None:
         """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j])."""

@@ -87,8 +87,10 @@ class TrainConfig:
             raise ConfigurationError("batch sizes must be >= 1")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
+        if self.log_every < 1:
+            raise ConfigurationError("log_every must be >= 1")
+        # the loss, smoothing (k >= 1 included) and indicator types check their own ranges
+        self.loss_kind(), self.smoothing(), SmoothIndicator(temperature=self.tau_psi)
 
     def loss_kind(self) -> RankLossKind:
         variant = LossVariant.NDCG if self.loss == "ndcg" else LossVariant.LISTNET
@@ -155,7 +157,6 @@ class TrainerState:
     pairs: MovingAverage | None = None      # u per (query, item) pair
     fair: FairnessState | None = None       # (u_a, u_b, u_g) and shift per query
     lam: LambdaState | None = None          # (lam, s, v) per query
-    lam_seen: np.ndarray | None = None
     offsets: np.ndarray | None = None       # FlatView.offsets of the bound dataset
 
     @classmethod
@@ -173,10 +174,10 @@ class TrainerState:
         self.offsets = offsets
         self.pairs = MovingAverage.zeros(cfg.gamma0, int(offsets[-1]))
         self.fair = FairnessState.zeros(nq, cfg.gamma1, cfg.gamma2, cfg.gamma3)
-        # NaN until a query's first touch sets it, so a stray read cannot pass as finite
+        # NaN until a query's first touch sets it: marks the queries still to
+        # warm up, and a stray read cannot pass as finite
         self.lam = LambdaState(lam=np.full(nq, np.nan), s=np.zeros(nq), v=np.zeros(nq),
                                gamma=cfg.gamma4, eta=cfg.eta0)
-        self.lam_seen = np.zeros(nq, dtype=bool)
 
 
 @dataclass
@@ -223,13 +224,12 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
             psi = SmoothIndicator(temperature=cfg.tau_psi)
             lam, rows = state.lam, batch.queries[~batch.skipped]
             n_total = d.flat.sizes[rows]
-            fresh = ~state.lam_seen[rows]
+            fresh = np.isnan(lam.lam[rows])
             if fresh.any():
                 new = rows[fresh]
                 warm = init_lambda_state(scores[2][fresh], smoothing, n_total[fresh],
                                          cfg.gamma4, cfg.eta0)
                 lam.lam[new], lam.s[new], lam.v[new] = warm.lam, warm.s, warm.v
-                state.lam_seen[new] = True
         g2 = g2_estimate(model, d, batch, cfg.k, state.fair, state.lam, psi,
                          smoothing, mode=cfg.g2_mode, scores=scores)
         _check_finite(g2, "G2")
@@ -255,7 +255,7 @@ class TrainResult:
 
 
 def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
-          valid_d: Dataset | None = None, protocol=None) -> TrainResult:
+          valid_d: Dataset | None = None) -> TrainResult:
     """Run the full loop; returns the final model, the best-validation
     parameter snapshot and the logged trace."""
     from .evaluation import EvalProtocol, evaluate  # local import avoids a cycle
@@ -268,8 +268,7 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
     trace = TrainTrace()
     best_params = model.params.values.copy()
     best_ndcg = -np.inf
-    if valid_d is not None and protocol is None:
-        protocol = EvalProtocol(k_list=(cfg.k,), seed=cfg.seed)
+    protocol = EvalProtocol(k_list=(cfg.k,), seed=cfg.seed)
     loss_probe = replace(train_d, queries=train_d.queries[:20])
     t0 = time.perf_counter()
 

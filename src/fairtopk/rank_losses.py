@@ -94,19 +94,15 @@ def listnet_loss(model: FactorizationScorer, q: int, items: np.ndarray,
     return float(np.sum(p * np.log(ghat)))
 
 
-def query_loss(model: FactorizationScorer, q, items, labels, kind: RankLossKind) -> float:
-    """L_q under the configured loss; degenerate NDCG queries contribute 0."""
-    if kind.variant is LossVariant.NDCG:
-        return ndcg_loss(model, q, items, labels, kind.margin).value
-    return listnet_loss(model, q, items, labels)
-
-
 def dataset_loss(model: FactorizationScorer, d: Dataset, kind: RankLossKind) -> float:
-    """L(w) = (1 / |S|) * sum_q L_q(w); the finite-difference target for G1."""
-    total = sum(
-        query_loss(model, q.query_index, q.feature_idx, q.relevance, kind)
-        for q in d.queries
-    )
+    """L(w) = (1 / |S|) * sum_q L_q(w); the finite-difference target for G1.
+    Degenerate NDCG queries contribute 0."""
+    if kind.variant is LossVariant.NDCG:
+        total = sum(ndcg_loss(model, q.query_index, q.feature_idx, q.relevance,
+                              kind.margin).value for q in d.queries)
+    else:
+        total = sum(listnet_loss(model, q.query_index, q.feature_idx, q.relevance)
+                    for q in d.queries)
     return total / d.total_pairs
 
 

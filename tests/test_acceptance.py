@@ -88,7 +88,7 @@ def c_sweep(bench_data):
                                 seed=BENCH_SEED)
     proto = EvalProtocol(k_list=(50,), seed=0)
     t0 = time.perf_counter()
-    report = tradeoff_sweep(model, tr, va, te, _bench_config(),
+    report = tradeoff_sweep(model, tr, te, _bench_config(),
                             C_GRID, [50], proto=proto)
     elapsed = time.perf_counter() - t0
     return report, elapsed

@@ -100,6 +100,19 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv, "--checkpoint", str(ckpt), flag, "-1"]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--log-every", "--tau1"])
+    def test_out_of_range_config_flag_exits_one(self, data_csv, tmp_path, capsys, flag):
+        assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"), flag, "0"]) == 1
+        assert "invalid configuration:" in capsys.readouterr().err
+
+    def test_item_in_two_groups_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("q1,1,2,0\nq1,2,0,1\nq2,1,1,1\nq2,3,0,0\n")
+        ckpt = tmp_path / "m.ckpt"
+        FactorizationScorer(2, 3, 2).save(str(ckpt))
+        assert run(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+        assert "item 1" in capsys.readouterr().err
+
 
 class TestSweepAndStrips:
     def test_sweep_writes_frontier(self, data_csv, tmp_path):

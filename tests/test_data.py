@@ -60,6 +60,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(_write(tmp_path, "q1,1,-2,0\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_relevance_rejected(self, tmp_path, value):
+        with pytest.raises(ParseError, match="line 2"):
+            load_csv(_write(tmp_path, f"q1,1,2,0\nq1,2,{value},1\n"))
+
+    def test_item_in_two_groups_rejected(self, tmp_path):
+        path = _write(tmp_path, "q1,1,2,0\nq2,1,0,0\nq3,1,1,0\nq4,1,3,1\n")
+        with pytest.raises(ParseError, match="item 1 is tagged group 0 and, in query q4, group 1"):
+            load_csv(path)
+
     def test_bad_group_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(_write(tmp_path, "q1,1,2,7\n"))
@@ -252,7 +262,7 @@ class TestSampleBatch:
 
     def test_per_query_view_matches_flat_arrays(self, tmp_path, rng):
         rows = [f"q0,{i},{i % 3},{i % 2}" for i in range(7)]
-        rows += [f"q1,{i},1,1" for i in range(3)]            # group B only
+        rows += [f"q1,{2 * i + 1},1,1" for i in range(3)]    # group B only
         rows += [f"q2,{i},{i % 2},{i % 2}" for i in range(12)]
         d = load_csv(_write(tmp_path, "\n".join(rows) + "\n"))
         view = d.flat

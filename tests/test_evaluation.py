@@ -358,13 +358,13 @@ class TestSpearman:
 class TestTradeoffSweep:
     def test_single_point_matches_plain_evaluate(self):
         d = generate_synthetic(5, 10, 0.4, 1.0, seed=4)
-        tr, va, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
+        tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
         cfg = TrainConfig(k=2, epochs=1, batch_pairs=8, batch_items=4,
                           batch_a=2, batch_b=2, seed=4)
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
                              k_list=(2,), seed=cfg.seed)
-        report = tradeoff_sweep(m, tr, va, te, cfg, [0.0], [2], proto=proto)
+        report = tradeoff_sweep(m, tr, te, cfg, [0.0], [2], proto=proto)
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row["C"] == 0.0 and not row["failed"]
@@ -378,10 +378,10 @@ class TestTradeoffSweep:
 
     def test_empty_grid_rejected(self):
         d = generate_synthetic(4, 8, 0.4, 1.0, seed=4)
-        tr, va, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
+        tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
         with pytest.raises(ConfigurationError):
-            tradeoff_sweep(m, tr, va, te, TrainConfig(), [], [2])
+            tradeoff_sweep(m, tr, te, TrainConfig(), [], [2])
 
     def test_report_serialization(self, tmp_path):
         report = TradeoffReport(rows=[{
@@ -396,14 +396,14 @@ class TestTradeoffSweep:
 
     def test_failed_run_keeps_both_files(self, tmp_path):
         d = generate_synthetic(4, 8, 0.4, 1.0, seed=4)
-        tr, va, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
+        tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
         cfg = TrainConfig(k=2, epochs=1, batch_pairs=8, batch_items=4, batch_a=2,
                           batch_b=2, seed=4, fairness_mode="none")
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
                              k_list=(2,), seed=4)
         # C > 0 conflicts with fairness_mode=none, so the second run fails
-        report = tradeoff_sweep(m, tr, va, te, cfg, [0.0, 10.0], [2], proto=proto)
+        report = tradeoff_sweep(m, tr, te, cfg, [0.0, 10.0], [2], proto=proto)
         assert [row["failed"] for row in report.rows] == [False, True]
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
@@ -441,6 +441,15 @@ class TestRankingStrips:
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=0)
         with pytest.raises(ConfigurationError):
             export_ranking_strips(m, d, 5, 2, "x.csv", "x.ppm")
+
+    @pytest.mark.parametrize("num_queries", [0, -2])
+    def test_fewer_than_one_query_rejected(self, tmp_path, num_queries):
+        d = generate_synthetic(6, 6, 0.4, 1.0, seed=0)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=0)
+        csv_path = tmp_path / "s.csv"
+        with pytest.raises(ConfigurationError, match="num_queries"):
+            export_ranking_strips(m, d, num_queries, 2, str(csv_path), str(tmp_path / "s.ppm"))
+        assert not csv_path.exists()
 
     def test_uniform_row_for_single_group_query(self, tmp_path):
         from fairtopk.data import QueryGroup, Dataset

@@ -19,7 +19,6 @@ from fairtopk.fairness import (
     SmoothIndicator,
     dataset_topk_fairness,
     disparity_mae_mse,
-    exposure,
     exposures,
     full_list_disparity,
     g2_estimate,
@@ -62,7 +61,8 @@ class TestExposures:
 
     def test_model_facing_wrapper(self):
         m, qg = _query_with(None, [np.log(2.0), 0.0], [GROUP_A, GROUP_B])
-        assert exposure(m, 0, 0, qg.feature_idx) == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert exposures(m.score_many(0, qg.feature_idx))[0] == pytest.approx(2.0 / 3.0,
+                                                                             abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=20))

@@ -150,8 +150,7 @@ class TestTrainStep:
             train_step(m, d, cfg, state, rng)
         assert set(np.flatnonzero(state.pairs.seen).tolist()) == sampled_pairs
         assert set(np.flatnonzero(state.fair.u.seen).tolist()) == sampled_queries
-        assert np.array_equal(state.lam_seen, state.fair.u.seen)
-        assert np.all(np.isnan(state.lam.lam) == ~state.lam_seen)
+        assert np.array_equal(~np.isnan(state.lam.lam), state.fair.u.seen)
 
     def test_fairness_sub_batches_scored_once(self, monkeypatch):
         d, m, cfg = _tiny_setup(fair_weight=10.0)
@@ -274,7 +273,8 @@ class TestNdcgZeroInnerEstimate:
         for q, n in enumerate((9, 6, 12, 5, 7)):
             for i in ((5 * q + 3 * j) % 23 for j in range(n)):
                 group = 1 if q == 3 or i % 3 else 0
-                lines.append(f"q{q},{i},{(7 * i + q) % 5},{group}")
+                # q3, group B only, has items of its own: an item keeps one group
+                lines.append(f"q{q},{i + 23 * (q == 3)},{(7 * i + q) % 5},{group}")
         path = tmp_path / "zero_u.csv"
         path.write_text("\n".join(lines) + "\n")
         d = load_csv(str(path))
