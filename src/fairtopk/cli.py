@@ -18,7 +18,8 @@ from dataclasses import fields, replace
 from . import gradcheck
 from .data import generate_synthetic, load_csv, save_csv, split
 from .errors import FairTopKError, ConfigurationError
-from .evaluation import EvalProtocol, evaluate, export_ranking_strips, tradeoff_sweep
+from .evaluation import (EvalProtocol, evaluate, export_ranking_strips, finite_or_null,
+                         tradeoff_sweep)
 from .model import FactorizationScorer
 from .optimizer import TrainConfig, config_from_file, train
 
@@ -167,8 +168,8 @@ def _cmd_train(args) -> int:
     best.save(args.out + ".best.ckpt")
     result.trace.to_csv(args.out + ".trace.csv")
     with open(args.out + ".meta.json", "w") as fh:
-        json.dump({"finished_at": time.time(), "best_valid_ndcg": result.best_valid_ndcg},
-                  fh)
+        json.dump(finite_or_null({"finished_at": time.time(),
+                                  "best_valid_ndcg": result.best_valid_ndcg}), fh)
     print(f"trained {cfg.epochs} epochs; checkpoints at {args.out}.ckpt")
     return 0
 
@@ -181,7 +182,7 @@ def _cmd_eval(args) -> int:
                          irrelevant_per_query=args.irrelevant,
                          k_list=tuple(args.k_list), seed=seed)
     report = evaluate(model, d, proto)
-    text = json.dumps({str(k): v for k, v in report.items()}, indent=2)
+    text = json.dumps(finite_or_null({str(k): v for k, v in report.items()}), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -125,10 +125,9 @@ class FlatView:
     """All queries' item lists concatenated in query order.
 
     Per flat position: the owning query's position (``query_of``) and model
-    row (``query_row``), and the item's feature row, relevance and ListNet
-    target (the softmax of the labels within its query).  Per query: its
-    offset, its size N_q, the flat positions of its group-A and group-B
-    items, whether it has both groups, and its NDCG normalizer.
+    row (``query_row``), and the item's id, feature row, relevance, group and
+    ListNet target (softmax of the query's labels).  Per query: its offset,
+    size N_q, both-groups flag and NDCG normalizer.
     """
 
     def __init__(self, queries: list[QueryGroup]):
@@ -137,14 +136,47 @@ class FlatView:
         self.query_of = np.repeat(np.arange(len(queries), dtype=np.int64), self.sizes)
         self.query_row = np.array([q.query_index for q in queries])[self.query_of]
         empty = [np.zeros(0, dtype=np.int64)]
-        self.feature_idx = np.concatenate([q.feature_idx for q in queries] or empty)
-        self.relevance = np.concatenate([q.relevance for q in queries] or empty)
+        self.item_ids, self.feature_idx, self.relevance, self.groups = (
+            np.concatenate([getattr(q, name) for q in queries] or empty)
+            for name in ("item_ids", "feature_idx", "relevance", "groups"))
         self.label_softmax = np.concatenate([label_softmax(q.relevance) for q in queries] or empty)
-        self.group_a, self.group_b = (
-            [off + np.flatnonzero(q.groups == group) for off, q in zip(self.offsets, queries)]
-            for group in (GROUP_A, GROUP_B))
         self.has_both_groups = np.array([q.has_both_groups() for q in queries], dtype=bool)
         self.ideal_dcg = np.array([ideal_dcg(q.relevance) for q in queries], dtype=np.float64)
+
+
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[r]:starts[r] + lengths[r]``, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def padded(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Consecutive runs of ``values``, ``sizes[r]`` long, as the rows of a
+    matrix padded with -1."""
+    filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    out = np.full(filled.shape, -1, dtype=np.int64)
+    out[filled] = values
+    return out
+
+
+def smallest_keys(keys: np.ndarray, seg: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Indices of the ``n[s]`` smallest ``keys`` (in [0, 1)) of each segment s
+    (``seg``: ints in [0, 2**31)), ordered by segment, then key; keys equal in
+    their first 32 bits tie.  With independent uniform keys, a uniform draw
+    without replacement per segment (Efraimidis & Spirakis, IPL 2006).  Only
+    keys under a cut that leaves n[s] with overwhelming odds are sorted, and a
+    segment the cut leaves short sorts all of its keys."""
+    size = np.bincount(seg, minlength=len(n))
+    n = np.minimum(n, size)
+    low = keys < ((n + 4 * np.sqrt(n) + 8) / np.maximum(size, 1))[seg]
+    idx = np.flatnonzero(low)
+    count = np.bincount(seg[idx], minlength=len(n))
+    if np.any(count < n):
+        idx = np.flatnonzero(low | (count < n)[seg])
+        count = np.bincount(seg[idx], minlength=len(n))
+    code = seg[idx].astype(np.int64) << 32 | (keys[idx] * 2.0 ** 32).astype(np.int64)
+    idx = idx[np.argsort(code)]
+    s = seg[idx]
+    return idx[np.arange(len(idx)) - (np.cumsum(count) - count)[s] < n[s]]
 
 
 # one query's sub-batches as positions into its QueryGroup arrays
@@ -391,10 +423,11 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     """Draw the pair batch B and per-query sub-batches for one iteration.
 
     All draws are uniform without replacement; requested sizes are capped
-    at the source sizes.  The draws come in a fixed order, so a generator
-    state fixes the batch: the pair batch first, then for each sampled
-    query in ascending order its items, its group-A and its group-B items.
-    A query missing a group draws nothing for it and is marked ``skipped``.
+    at the source sizes.  A generator state fixes the batch: one call draws
+    the pair batch, then one call each gives every item of the sampled
+    queries a uniform key for ``smallest_keys``, per query and per query and
+    group.  A query missing a group draws nothing for it and is marked
+    ``skipped``.
     """
     n_pairs, n_q, n_a, n_b = sizes
     if min(sizes) < 1:
@@ -405,20 +438,16 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
         raise EmptyDatasetError("cannot sample from an empty dataset")
     pairs = rng.choice(total, size=min(n_pairs, total), replace=False)
     queries, pair_row = np.unique(view.query_of[pairs], return_inverse=True)
-
-    widest = int(view.sizes.max())
-    items, group_a, group_b = (np.full((len(queries), min(n, widest)), -1, dtype=np.int64)
-                               for n in (n_q, n_a, n_b))
-    offsets = view.offsets.tolist()
-    for r, q in enumerate(queries.tolist()):
-        n = offsets[q + 1] - offsets[q]
-        take = min(n_q, n)
-        items[r, :take] = offsets[q] + rng.choice(n, size=take, replace=False)
-        for out, pool, cap in ((group_a, view.group_a[q], n_a),
-                               (group_b, view.group_b[q], n_b)):
-            if len(pool):
-                take = min(cap, len(pool))
-                out[r, :take] = pool[rng.choice(len(pool), size=take, replace=False)]
+    counts = view.sizes[queries]
+    pos = spans(view.offsets[queries], counts)
+    row = np.repeat(np.arange(len(queries)), counts)
+    items = pos[smallest_keys(rng.random(len(pos)), row, np.full(len(queries), n_q))]
+    seg = 2 * row + view.groups[pos]        # GROUP_A even, GROUP_B odd
+    picked = smallest_keys(rng.random(len(pos)), seg, np.tile([n_a, n_b], len(queries)))
+    group_a, group_b = (padded(pos[picked[in_g]], np.bincount(row[picked[in_g]],
+                                                              minlength=len(queries)))
+                        for in_g in (seg[picked] % 2 == GROUP_A, seg[picked] % 2 == GROUP_B))
     return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
-                       items=items, group_a=group_a, group_b=group_b,
-                       skipped=~view.has_both_groups[queries], offsets=view.offsets)
+                       items=padded(items, np.minimum(counts, n_q)), group_a=group_a,
+                       group_b=group_b, skipped=~view.has_both_groups[queries],
+                       offsets=view.offsets)

@@ -4,23 +4,26 @@ tradeoff harness and the ranking-strip export.
 Evaluation lists mix a handful of relevant items with a large pool of
 irrelevant ones per query: zero-relevance items from the query's own list
 first, then items never observed for that query (``Dataset.unobserved``;
-relevance imputed 0, group from the item table).  Lists are drawn in query
-order and handled in blocks of about ``_BLOCK_ENTRIES`` entries, padded
-(lists, width) matrices with one ``score_many`` and one ``rank_order`` call
-each.  Empty slots score -inf with label 0 and no group, so they rank last
-and add nothing to any exposure or prefix sum.  NDCG@K and the signed top-K
-gap for every K are row-wise prefix sums along the ranking.  MAE / MSE
-aggregate the gaps over queries, skipping queries where a group is absent.
+relevance imputed 0, group from the item table).  Draws are counter-based
+hashes keyed by (seed, query id), so a list depends only on the seed, its
+query id and its candidate item ids.  Blocks of about ``_BLOCK_ENTRIES``
+list entries are drawn, scored and ranked as padded (lists, width)
+matrices.  Empty slots score -inf with label 0 and no group, so they rank
+last and add nothing to any exposure or prefix sum.  NDCG@K and the signed
+top-K gap for every K are row-wise prefix sums along the ranking.  MAE /
+MSE aggregate the gaps over queries, skipping queries where a group is
+absent.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import GROUP_A, Dataset, QueryGroup
+from .data import GROUP_A, Dataset, padded, smallest_keys, spans
 from .errors import ConfigurationError, FairTopKError
 from .fairness import disparity_mae_mse, rank_order, topk_gaps
 from .model import FactorizationScorer
@@ -42,31 +45,72 @@ class EvalProtocol:
 _BLOCK_ENTRIES = 8192       # list entries per block of evaluate(): a few MB of temporaries
 
 
-def _draw(rng: np.random.Generator, pool: np.ndarray, n: int) -> np.ndarray:
-    """Up to n entries of ``pool``, uniform without replacement; nothing is
-    drawn when n or the pool is empty."""
-    n = min(n, len(pool))
-    return pool[rng.choice(len(pool), size=n, replace=False)] if n else pool[:0]
+def _streams(seed: int, query_ids: list[str], tag: str = "") -> np.ndarray:
+    """One 64-bit stream per query id: blake2b of (seed, id, ``tag``)."""
+    return np.array([int.from_bytes(hashlib.blake2b(f"{seed}/{q}{tag}".encode(),
+                                                    digest_size=8).digest(), "little")
+                     for q in query_ids], dtype=np.uint64)
 
 
-def build_eval_list(d: Dataset, qg: QueryGroup, proto: EvalProtocol,
-                    rng: np.random.Generator):
-    """Sampled evaluation list: (item_ids, feature_idx, labels, groups).
+def _uniform(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A uniform [0, 1) key for counter ``x`` in stream ``z``: splitmix64 of
+    the stream offset by x, a counter-based draw (Salmon et al., SC 2011)."""
+    z = z + x.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53
 
-    Draws, in this order: the query's relevant items, its zero-relevance
-    items, then unobserved items to make up the irrelevant count.
+
+def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
+    """The sampled lists of the queries at positions ``queries``: left-aligned,
+    -1 padded (lists, width) item ids, feature rows, labels, groups; sizes.
+
+    Own relevant and own zero-relevance items are keyed by item id, the
+    smallest keys taken.  The unobserved items a list still lacks come from
+    keying its whole pool when that is under 4 times their number, else
+    from draws j = 0, 1, ... of pool index ``floor(key * pool size)`` until
+    that many distinct ones come up: the work follows the list, not the pool.
     """
-    rel = _draw(rng, np.flatnonzero(qg.relevance > 0), proto.relevant_per_query)
-    irr = _draw(rng, np.flatnonzero(qg.relevance == 0), proto.irrelevant_per_query)
-    own = np.concatenate([rel, irr])
-    vocab = d.vocab
-    extra = _draw(rng, d.unobserved[qg.query_id], proto.irrelevant_per_query - len(irr))
-    labels = np.zeros(len(own) + len(extra))
-    labels[:len(rel)] = qg.relevance[rel]
-    return (np.concatenate([qg.item_ids[own], vocab.ids[extra]]),
-            np.concatenate([qg.feature_idx[own], vocab.rows[extra]]),
-            labels,
-            np.concatenate([qg.groups[own], vocab.groups[extra]]))
+    view, vocab, lists = d.flat, d.vocab, np.arange(len(queries))
+    qids = [d.queries[k].query_id for k in queries]
+    unseen = [d.unobserved[q] for q in qids]
+    pool = np.array([len(u) for u in unseen], dtype=np.int64)
+    sizes = view.sizes[queries]
+    own, own_list = spans(view.offsets[queries], sizes), np.repeat(lists, sizes)
+    rel = view.relevance[own]
+    need = np.clip(proto.irrelevant_per_query
+                   - np.bincount(own_list[rel == 0], minlength=len(lists)), 0, pool)
+    whole, drawn = np.flatnonzero(pool < 4 * need), np.flatnonzero((pool >= 4 * need) & (need > 0))
+    z = _streams(proto.seed, [qids[r] for r in drawn], "/draws")[:, None]
+    k = need.max(initial=0) + 16
+    while True:         # sort draws by (pool index, j); the first of each run is new
+        k *= 2
+        at = (_uniform(z, np.arange(k)) * pool[drawn, None]).astype(np.int64)
+        runs = np.sort(at * k + np.arange(k), axis=1)
+        first = np.ones(runs.shape, dtype=bool)
+        first[:, 1:] = runs[:, 1:] // k != runs[:, :-1] // k
+        if np.all(first.sum(axis=1) >= need[drawn]):
+            break
+    taken = np.zeros(runs.shape, dtype=bool)
+    taken[np.nonzero(first)[0], runs[first] % k] = True
+    taken &= np.cumsum(taken, axis=1) <= need[drawn, None]
+    voc = np.concatenate([unseen[r] for r in whole] + [pool[:0]]
+                         + [unseen[r][a[t]] for r, a, t in zip(drawn, at, taken)])
+    cand_list = np.concatenate([own_list, np.repeat(whole, pool[whole]),
+                                np.repeat(drawn, need[drawn])])
+    # candidates: own items, then vocabulary positions ``voc``; the last entry fills
+    ids, rows, labels, groups = (np.concatenate([own_v, voc_v, [fill]]) for own_v, voc_v, fill in (
+        (view.item_ids[own], vocab.ids[voc], 0), (view.feature_idx[own], vocab.rows[voc], 0),
+        (rel, np.zeros(len(voc)), 0.0), (view.groups[own], vocab.groups[voc], -1)))
+    # segment 4r: list r's relevant items, 4r + 1 own zeros, + 2 unobserved, + 3 the rest
+    seg = 4 * cand_list + np.concatenate([np.where(rel > 0, 0, np.where(rel == 0, 1, 3)),
+                                          np.full(len(voc), 2)])
+    quota = np.stack(np.broadcast_arrays(proto.relevant_per_query, proto.irrelevant_per_query,
+                                         need, 0), axis=1).ravel()
+    picked = smallest_keys(_uniform(_streams(proto.seed, qids)[cand_list], ids[:-1]), seg, quota)
+    sizes = np.bincount(cand_list[picked], minlength=len(lists))
+    picked = padded(picked, sizes)
+    return ids[picked], rows[picked], labels[picked], groups[picked], sizes
 
 
 def ndcg_curve(labels: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -104,29 +148,23 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
     if d.num_queries == 0:
         raise FairTopKError("cannot evaluate an empty dataset")
     ks = np.array(proto.k_list, dtype=np.int64)
-    rng = np.random.default_rng(proto.seed)
     per_block = max(1, _BLOCK_ENTRIES // max(1, proto.relevant_per_query
                                              + proto.irrelevant_per_query))
     ndcgs, gaps = [], []
     skipped = 0
 
     for start in range(0, d.num_queries, per_block):
-        drawn = [(qg.query_index, *build_eval_list(d, qg, proto, rng))
-                 for qg in d.queries[start:start + per_block]]
-        kept = [lst for lst in drawn if len(lst[1]) >= 2]
-        skipped += len(drawn) - len(kept)
-        if not kept:
+        block = np.arange(start, min(start + per_block, d.num_queries))
+        ids, feats, labels, groups, sizes = build_eval_list(d, block, proto)
+        kept = sizes >= 2
+        skipped += len(block) - np.count_nonzero(kept)
+        if not kept.any():
             continue
-        rows, ids, feats, labels, groups = zip(*kept)
-        sizes = np.array([len(i) for i in ids])
-        # slot (r, j) reads entry j of list r from the concatenated lists, an
-        # empty slot the fill value appended after them
-        filled = np.arange(sizes.max()) < sizes[:, None]
-        slot = np.where(filled, np.cumsum(filled).reshape(filled.shape) - 1, -1)
-        scores = model.score_many(np.repeat(rows, sizes), np.concatenate(feats))
-        scores, ids, labels, groups = (
-            np.append(np.concatenate(parts), fill)[slot]
-            for parts, fill in (([scores], -np.inf), (ids, 0), (labels, 0.0), (groups, -1)))
+        ids, feats, labels, groups, sizes = (a[kept] for a in (ids, feats, labels, groups, sizes))
+        rows = np.array([d.queries[k].query_index for k in block[kept]])
+        filled = np.arange(ids.shape[1]) < sizes[:, None]
+        scores = np.full(ids.shape, -np.inf)
+        scores[filled] = model.score_many(np.repeat(rows, sizes), feats[filled])
         order = rank_order(scores, ids)
         ranked = np.any(labels > 0, axis=1)
         ndcg = ndcg_curve(labels[ranked], order[ranked])
@@ -165,7 +203,12 @@ class TradeoffReport:
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.rows, fh, indent=2)
+            json.dump(finite_or_null(self.rows), fh, indent=2)
+
+
+def finite_or_null(value):
+    """``value`` with NaN and +-Infinity, which are not JSON, made None (null)."""
+    return json.loads(json.dumps(value), parse_constant=lambda _: None)
 
 
 def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Dataset,

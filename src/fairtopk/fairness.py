@@ -77,9 +77,13 @@ def full_list_disparity(model: FactorizationScorer, qg: QueryGroup) -> float | N
 
 def rank_order(scores: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
     """Positions of scored lists from first to last along the last axis: score
-    descending, ties broken by ascending item id.  Every exact ranked-list
-    metric uses it."""
-    return np.lexsort((item_ids, -scores))
+    descending, ties broken by ascending item id (a lexsort of the lists with a
+    finite tie); the order among -inf padding is unspecified.  Every metric uses it."""
+    order = np.argsort(-scores, axis=-1)
+    ranked = np.take_along_axis(scores, order, axis=-1)
+    tied = np.any((ranked[..., 1:] == ranked[..., :-1]) & np.isfinite(ranked[..., 1:]), axis=-1)
+    order[tied] = np.lexsort((item_ids[tied], -scores[tied]))
+    return order
 
 
 def topk_gaps(scores: np.ndarray, groups: np.ndarray, order: np.ndarray) -> np.ndarray:

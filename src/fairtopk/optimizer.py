@@ -182,6 +182,9 @@ class TrainerState:
 
 @dataclass
 class TrainTrace:
+    # the header of an empty trace: the keys of every record train() logs
+    FIELDS = ("step", "epoch", "z_norm", "train_loss", "valid_ndcg", "valid_mae", "valid_mse",
+              "wall_time")
     records: list[dict] = field(default_factory=list)
 
     def append(self, **kwargs) -> None:
@@ -190,9 +193,7 @@ class TrainTrace:
         self.records.append(kwargs)
 
     def to_csv(self, path: str) -> None:
-        if not self.records:
-            return
-        keys = list(self.records[0].keys())
+        keys = list(self.records[0]) if self.records else self.FIELDS
         with open(path, "w", newline="") as fh:
             writer = _csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()

@@ -1,5 +1,7 @@
 """Shared fixtures: small datasets and models used across the suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,34 @@ def small_model(small_data):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the method calls made on it."""
+
+    def __init__(self, *args, **kwargs):
+        self.rng, self.calls = np.random.Generator(np.random.PCG64(*args, **kwargs)), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def counting_rng():
+    """Builds a CountingGenerator from default_rng's arguments."""
+    return CountingGenerator
+
+
+@pytest.fixture
+def strict_json():
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return lambda text: json.loads(text, parse_constant=refuse)

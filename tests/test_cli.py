@@ -114,8 +114,33 @@ class TestTrainEval:
         assert "item 1" in capsys.readouterr().err
 
 
+class TestStrictJson:
+    """Every JSON file or report the CLI writes parses as strict JSON; a value
+    that is not finite is written as null."""
+
+    def test_zero_epochs(self, data_csv, tmp_path, strict_json):
+        prefix = str(tmp_path / "run")
+        assert run(["train", "--data", data_csv, "--out", prefix, "--epochs", "0",
+                    "--dim", "2"]) == 0
+        meta = strict_json(open(prefix + ".meta.json").read())
+        assert meta["best_valid_ndcg"] is None
+        assert open(prefix + ".trace.csv").read().splitlines() == [
+            "step,epoch,z_norm,train_loss,valid_ndcg,valid_mae,valid_mse,wall_time"]
+
+    def test_report_without_ranked_lists(self, data_csv, tmp_path, capsys, strict_json):
+        prefix = str(tmp_path / "run")
+        assert run(["train", "--data", data_csv, "--out", prefix, "--epochs", "0",
+                    "--dim", "2"]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", data_csv, "--checkpoint", prefix + ".ckpt",
+                    "--k-list", "1", "--relevant", "0", "--irrelevant", "1",
+                    "--seed", "0"]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["1"]["ndcg_mean"] is None and report["1"]["mae"] is None
+
+
 class TestSweepAndStrips:
-    def test_sweep_writes_frontier(self, data_csv, tmp_path):
+    def test_sweep_writes_frontier(self, data_csv, tmp_path, strict_json):
         prefix = str(tmp_path / "sweep")
         code = run(["sweep", "--data", data_csv, "--c-grid", "0,10",
                     "--k-list", "3", "--out", prefix, "--dim", "2",
@@ -124,7 +149,7 @@ class TestSweepAndStrips:
         assert code == 0
         lines = open(prefix + ".csv").read().strip().splitlines()
         assert len(lines) == 3    # header + 2 C values
-        rows = json.loads(open(prefix + ".json").read())
+        rows = strict_json(open(prefix + ".json").read())
         assert [r["C"] for r in rows] == [0.0, 10.0]
 
     def test_export_strips(self, data_csv, tmp_path):

@@ -1,5 +1,6 @@
 """Dataset loading, synthetic generation, splitting and batch sampling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from fairtopk.data import (
     load_csv,
     sample_batch,
     save_csv,
+    smallest_keys,
     split,
 )
 from fairtopk.errors import (
@@ -218,6 +220,22 @@ class TestUnobserved:
                 assert ds.unobserved[qg.query_id].tolist() == expected
 
 
+class TestSmallestKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), segments=st.integers(1, 6),
+           power=st.sampled_from([1.0, 0.2]))
+    def test_equals_a_full_sort_per_segment(self, seed, segments, power):
+        # power 0.2 piles the keys up near 1, so the cut leaves segments short
+        rng = np.random.default_rng(seed)
+        seg = rng.integers(0, segments, 60)
+        keys = rng.random(60) ** power
+        n = rng.integers(0, 12, segments)
+        got = smallest_keys(keys, seg, n)
+        want = [i for s in range(segments)
+                for i in np.flatnonzero(seg == s)[np.argsort(keys[seg == s])][:n[s]]]
+        assert got.tolist() == want
+
+
 class TestSampleBatch:
     def test_caps_at_source_sizes(self, small_data, rng):
         batch = sample_batch(small_data, (10_000, 100, 100, 100), rng)
@@ -253,6 +271,32 @@ class TestSampleBatch:
             counts[sub.items[0]] += 1
         freqs = counts / draws
         assert freqs.min() >= 0.07 and freqs.max() <= 0.13
+
+    def test_draw_calls_do_not_grow_with_queries(self, counting_rng):
+        # a fixed handful of whole-batch draws, never one per sampled query
+        calls = []
+        for num_queries in (2, 200):
+            d = generate_synthetic(num_queries, 10, 0.3, 1.0, seed=1)
+            rng = counting_rng(4)
+            batch = sample_batch(d, (d.total_pairs, 5, 2, 2), rng)
+            assert len(batch.queries) == num_queries
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] <= 4
+
+    def test_memory_follows_the_pairs_not_the_widest_query(self, tmp_path, rng):
+        # one 3,000-item query and 300 of 4 items: a (queries x widest) matrix
+        # of flat positions would take 7.2 MB, the 4,200 pairs take kilobytes
+        rows = [f"w,{i},{i % 3},{i % 2}" for i in range(3000)]
+        rows += [f"q{k},{i},{i % 2},{i % 2}" for k in range(300) for i in range(4)]
+        d = load_csv(_write(tmp_path, "\n".join(rows) + "\n"))
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                sample_batch(d, (64, 32, 16, 16), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
     def test_deterministic_given_generator_state(self, small_data):
         a = sample_batch(small_data, (6, 3, 2, 2), np.random.default_rng(5))

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,27 +80,125 @@ class TestBuildEvalList:
         d = generate_synthetic(10, 20, 0.3, 1.0, seed=1)
         tr, va, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
         proto = EvalProtocol(relevant_per_query=3, irrelevant_per_query=12, seed=0)
-        rng = np.random.default_rng(0)
-        for qg in te.queries:
-            ids, feats, labels, groups = build_eval_list(te, qg, proto, rng)
-            assert len(ids) == len(set(ids.tolist()))
-            assert (labels > 0).sum() <= 3
-            assert (labels == 0).sum() <= 12
-            assert len(ids) == len(feats) == len(labels) == len(groups)
+        ids, feats, labels, groups, sizes = build_eval_list(te, np.arange(te.num_queries), proto)
+        assert ids.shape == feats.shape == labels.shape == groups.shape == (te.num_queries,
+                                                                            sizes.max())
+        for row, n in enumerate(sizes):
+            assert len(set(ids[row, :n].tolist())) == n
+            assert (labels[row, :n] > 0).sum() <= 3
+            assert (labels[row, :n] == 0).sum() <= 12
+            assert feats[row, :n].tolist() == [d.item_index[i] for i in ids[row, :n].tolist()]
+            assert groups[row, :n].tolist() == [d.item_groups[i] for i in ids[row, :n].tolist()]
+            assert np.all(groups[row, n:] == -1) and np.all(labels[row, n:] == 0.0)
 
     def test_pads_with_unobserved_items(self):
         d = generate_synthetic(10, 8, 0.3, 1.0, seed=1)
         tr, va, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=10, seed=0)
-        rng = np.random.default_rng(0)
         qg = te.queries[0]
-        ids, _, labels, _ = build_eval_list(te, qg, proto, rng)
+        ids, _, labels, _, sizes = build_eval_list(te, np.array([0]), proto)
+        ids, labels = ids[0, :sizes[0]], labels[0, :sizes[0]]
         observed = te.observed[qg.query_id]
         outside = [i for i in ids.tolist() if i not in observed]
         assert outside, "expected padding from the unobserved pool"
         for i, lab in zip(ids.tolist(), labels):
             if i not in observed:
                 assert lab == 0.0
+
+    @pytest.mark.parametrize("irrelevant", [8, 12])
+    def test_inclusion_frequencies_are_uniform(self, irrelevant):
+        # one query: 4 relevant and 6 zero-relevance items of its own, 20 more
+        # never observed; a 2 + 8 list draws its 2 unobserved items, a 2 + 12
+        # list keys all 20 to take 6; each takes each relevant item and each
+        # unobserved one with equal odds across seeds, every own zero always
+        d = generate_synthetic(1, 30, 0.3, 1.0, seed=0)
+        vocab = np.array(sorted(d.item_index))
+        own = vocab[:10]
+        q = QueryGroup("q", 0, own, np.array([d.item_index[i] for i in own]),
+                       np.array([1.0, 2.0, 3.0, 1.0] + [0.0] * 6),
+                       np.array([d.item_groups[i] for i in own], dtype=np.int8))
+        one = Dataset([q], d.item_index, d.item_groups, 1, d.num_item_rows)
+        seeds = 3000
+        counts = np.zeros(len(vocab))
+        for seed in range(seeds):
+            ids, _, _, _, sizes = build_eval_list(one, np.array([0]),
+                                                  EvalProtocol(2, irrelevant, seed=seed))
+            assert sizes[0] == 2 + irrelevant
+            counts[np.searchsorted(vocab, ids[0])] += 1
+        assert np.all(counts[4:10] == seeds)
+
+        def chi_square(observed):
+            expected = observed.sum() / len(observed)
+            return float(((observed - expected) ** 2 / expected).sum())
+
+        # upper 0.1% points of chi-square with 3 and 19 degrees of freedom
+        assert chi_square(counts[:4]) < 16.27
+        assert chi_square(counts[10:]) < 43.82
+
+    def test_work_grows_with_the_list_not_the_vocabulary(self, monkeypatch):
+        # 40,000 items, 4 queries of 30: keying every unobserved item would
+        # hash about 160,000 keys; drawing from the pool hashes a few per entry
+        vocab = np.arange(40_000)
+        index, tags = {int(i): int(i) for i in vocab}, {int(i): int(i % 2) for i in vocab}
+        own = [vocab[k * 30:(k + 1) * 30] for k in range(4)]
+        queries = [QueryGroup(f"q{k}", k, own[k], own[k], np.arange(30) % 3 * 1.0,
+                              (own[k] % 2).astype(np.int8)) for k in range(4)]
+        d = Dataset(queries, index, tags, 4, len(vocab))
+        hashed = []
+        keys = evaluation._uniform
+        monkeypatch.setattr(evaluation, "_uniform", lambda z, x: hashed.append(
+            np.broadcast(z, x).size) or keys(z, x))
+        ids, _, labels, _, sizes = build_eval_list(d, np.arange(4), EvalProtocol(5, 300))
+        assert sizes.tolist() == [5 + 300] * 4
+        assert sum(hashed) <= 4 * 4 * (5 + 300)
+        for q, row in zip(queries, ids):
+            unobserved = np.setdiff1d(row, q.item_ids)
+            assert len(unobserved) == len(set(row.tolist())) - 5 - 10 == 300 - 10
+
+    def test_draws_until_enough_distinct_items(self, monkeypatch):
+        # the first 100 draws of every list all pick one pool index
+        d = generate_synthetic(6, 40, 0.3, 1.0, seed=2)
+        _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+        proto = EvalProtocol(1, 12)
+        keys = evaluation._uniform
+        monkeypatch.setattr(evaluation, "_uniform", lambda z, x: keys(z, x) if z.ndim == 1
+                            else np.where(x < 100, 0.5, keys(z, x)))
+        ids, _, labels, _, sizes = build_eval_list(te, np.arange(te.num_queries), proto)
+        for qg, row, n in zip(te.queries, ids, sizes):
+            zeros = min(12, int((qg.relevance == 0).sum()))
+            unobserved = set(row[:n].tolist()) - te.observed[qg.query_id]
+            assert 0 < len(unobserved) == 12 - zeros and n == len(set(row[:n].tolist()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), proto_seed=st.integers(-2 ** 40, 2 ** 40),
+           relevant=st.integers(0, 4), irrelevant=st.integers(0, 12))
+    def test_list_depends_only_on_its_query(self, seed, proto_seed, relevant, irrelevant):
+        """A query's list, as a set, is the same under query reordering, row
+        shuffles within a query, and drawn alone or in a block."""
+        d = generate_synthetic(8, 10, 0.3, 1.0, seed=seed % 1000)
+        _, _, te, _ = split(d, (0.4, 0.3, 0.3), seed=0)
+        proto = EvalProtocol(relevant, irrelevant, seed=proto_seed)
+        rng = np.random.default_rng(seed)
+
+        def lists(ds, positions):
+            ids, _, labels, groups, sizes = build_eval_list(ds, np.asarray(positions), proto)
+            return {ds.queries[k].query_id: set(zip(ids[r, :n].tolist(), labels[r, :n].tolist(),
+                                                    groups[r, :n].tolist()))
+                    for r, (k, n) in enumerate(zip(positions, sizes))}
+
+        block = lists(te, range(te.num_queries))
+        alone = {}
+        for k in range(te.num_queries):
+            alone.update(lists(te, [k]))
+        shuffled = []
+        for qg in te.queries:
+            p = rng.permutation(qg.num_items)
+            shuffled.append(QueryGroup(qg.query_id, qg.query_index, qg.item_ids[p],
+                                       qg.feature_idx[p], qg.relevance[p], qg.groups[p]))
+        order = rng.permutation(te.num_queries)
+        moved = replace(te, queries=[shuffled[k] for k in order])
+        assert alone == block
+        assert lists(moved, range(te.num_queries)) == block
 
 
 def _pinned_cases():
@@ -145,8 +244,8 @@ def _pinned_cases():
 
 
 class TestPinnedReports:
-    """evaluate() on hand-built edge cases, against reports recorded with the
-    earlier implementation that scored and sorted each list once per K."""
+    """evaluate() on hand-built edge cases, against recorded reports.  They move
+    if the keyed draw of the lists or the metrics' arithmetic changes."""
 
     PINS = Path(__file__).with_name("eval_report_pins.json")
 
@@ -183,9 +282,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(FactorizationScorer, "score_many", recorded)
         evaluate(model, d, proto)
-        rng = np.random.default_rng(proto.seed)
-        lists = [(qg.query_index, build_eval_list(d, qg, proto, rng)[1]) for qg in d.queries]
-        lists = [(q, feats) for q, feats in lists if len(feats) >= 2]
+        _, feats, _, _, sizes = build_eval_list(d, np.arange(d.num_queries), proto)
+        lists = [(qg.query_index, feats[k, :n]) for k, (qg, n) in enumerate(zip(d.queries, sizes))
+                 if n >= 2]
         # every list of 2+ items in query order, each once; "short" is never scored
         assert len(lists) == d.num_queries - 1
         np.testing.assert_array_equal(np.concatenate([q for q, _ in calls]),
@@ -193,6 +292,22 @@ class TestEvaluate:
         np.testing.assert_array_equal(np.concatenate([items for _, items in calls]),
                                       np.concatenate([f for _, f in lists]))
         assert len(calls) < len(lists)
+
+    def test_makes_no_random_draws(self, monkeypatch, counting_rng):
+        d = generate_synthetic(30, 20, 0.3, 1.0, seed=4)
+        _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
+        made = []
+
+        def tracked(*args, **kwargs):
+            made.append(counting_rng(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", tracked)
+        legacy = np.random.get_state()[1].copy()
+        evaluate(m, te, EvalProtocol(3, 12, k_list=(2, 5), seed=1))
+        assert sum(g.calls for g in made) == 0
+        assert np.array_equal(np.random.get_state()[1], legacy)
 
     def test_unbiased_data_has_small_mae(self):
         # at the 5 + 300 protocol scale, exposure gaps on fair data are
@@ -239,11 +354,12 @@ class TestEvalProtocol:
 
 
 def _reference_report(model, d, proto):
-    """evaluate() one list at a time: build_eval_list, ndcg_at_k, topk_gaps."""
-    rng = np.random.default_rng(proto.seed)
+    """evaluate() one list at a time: build_eval_list on the query alone,
+    ndcg_at_k, topk_gaps."""
     ndcgs, gaps, skipped = [], [], 0
-    for qg in d.queries:
-        ids, feats, labels, groups = build_eval_list(d, qg, proto, rng)
+    for k, qg in enumerate(d.queries):
+        ids, feats, labels, groups, sizes = build_eval_list(d, np.array([k]), proto)
+        ids, feats, labels, groups = (a[0, :sizes[0]] for a in (ids, feats, labels, groups))
         if len(ids) < 2:
             skipped += 1
             continue
@@ -315,9 +431,8 @@ class TestBlocks:
         model, d, proto = _block_case(10_000)
         per_block = evaluation._BLOCK_ENTRIES // 305
         assert d.num_queries > 2 * per_block + 3          # at least three blocks
-        lengths = [len(build_eval_list(d, qg, proto, np.random.default_rng(0))[0])
-                   for qg in d.queries]
-        assert len(set(lengths)) > 2                      # uneven list lengths
+        lengths = build_eval_list(d, np.arange(d.num_queries), proto)[4]
+        assert len(set(lengths.tolist())) > 2             # uneven list lengths
         self._assert_same(model, d, proto)
         assert evaluate(model, d, proto)[1]["skipped"] == 4   # 2 short + 2 one-group
 
@@ -394,7 +509,7 @@ class TestTradeoffSweep:
         assert csv_path.read_text().startswith("C,K,ndcg_mean")
         assert json.loads(json_path.read_text())[0]["K"] == 2
 
-    def test_failed_run_keeps_both_files(self, tmp_path):
+    def test_failed_run_keeps_both_files(self, tmp_path, strict_json):
         d = generate_synthetic(4, 8, 0.4, 1.0, seed=4)
         tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
@@ -412,7 +527,8 @@ class TestTradeoffSweep:
         lines = csv_path.read_text().splitlines()
         assert lines[0].endswith(",failed,error")
         assert len(lines) == 3 and "fairness_mode=none" in lines[2]
-        assert json.loads(json_path.read_text())[1]["failed"] is True
+        rows = strict_json(json_path.read_text())
+        assert rows[1]["failed"] is True and rows[1]["ndcg_mean"] is None
 
 
 class TestRankingStrips:

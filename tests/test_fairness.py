@@ -93,6 +93,26 @@ class TestTopkExact:
         order = rank_order(np.array([1.0, 1.0, 0.0]), np.array([9, 2, 5]))
         assert order.tolist() == [1, 0, 2]
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), rows=st.integers(1, 6), width=st.integers(1, 40),
+           levels=st.integers(1, 8))
+    def test_rank_order_equals_lexsort(self, seed, rows, width, levels):
+        # scores from a few levels, so finite ties are common, and -inf padding
+        # at the end of some rows, whose order among itself is left open
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, (rows, width)) + rng.choice([0.0, 0.5], (rows, 1))
+        filled = np.arange(width) < rng.integers(1, width + 1, (rows, 1))
+        scores = np.where(filled, scores, -np.inf)
+        ids = rng.permutation(rows * width).reshape(rows, width)
+        expected = np.lexsort((ids, -scores))
+        order = rank_order(scores, ids)
+        for r in range(rows):
+            n = int(filled[r].sum())
+            assert order[r, :n].tolist() == expected[r, :n].tolist()
+            assert sorted(order[r].tolist()) == list(range(width))
+        assert rank_order(scores[0], ids[0])[:filled[0].sum()].tolist() == \
+            expected[0, :filled[0].sum()].tolist()
+
     def test_gap_curve_matches_per_k_membership_sums(self, rng):
         for _ in range(20):
             scores = np.round(rng.normal(0, 1, 9), 1)      # ties are common
