@@ -31,7 +31,7 @@ from .lambda_solver import (
     solve_lambda_exactly_smoothed,
 )
 from .model import FactorizationScorer
-from .rank_losses import MovingAverage, gather_scores, scatter_grads
+from .rank_losses import GradWeights, MovingAverage, gather_scores
 
 
 @dataclass(frozen=True)
@@ -169,36 +169,31 @@ class FairnessState:
                    shift=np.zeros(num_queries))
 
 
-def fairness_blocks(batch: BatchSample) -> tuple[np.ndarray, ...]:
-    """The group-A, group-B and item sub-batches of the queries with both groups."""
-    return tuple(b[~batch.skipped] for b in (batch.group_a, batch.group_b, batch.items))
-
-
 def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: int,
                 fair: FairnessState, lam: LambdaState | None,
                 psi: SmoothIndicator | None, p: SmoothingParams,
-                mode: str = "simplified", scores: tuple | None = None) -> np.ndarray:
-    """Stochastic gradient of the top-K fairness regularizer over B_Q.
+                mode: str = "simplified", scores: tuple | None = None) -> GradWeights:
+    """Stochastic gradient of the top-K fairness regularizer over B_Q, as weights
+    on the group-A, group-B and item blocks of the queries with both groups.
 
     ``lam`` holds one threshold per query of ``d``.  ``psi = None`` selects
     the full-list disparity (psi = 1), which needs no threshold.
     ``simplified`` drops the indicator-derivative terms (the training
     default); ``full_implicit`` includes them with the implicit-function
     gradient of the threshold, grad lambda = -cross / s.  ``scores`` are the
-    ``fairness_blocks`` scores, when the caller has gathered them already.
+    scores of those three blocks, when the caller has gathered them already.
     """
     if mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {mode!r}")
     view = d.flat
     if psi is not None and (lam is None or np.size(lam.lam) != d.num_queries):
         raise StateError("top-K fairness needs one threshold state per query")
-    grad = np.zeros(len(model.params.values))
     active = ~batch.skipped
+    blocks = tuple(b[active] for b in (batch.group_a, batch.group_b, batch.items))
     if not active.any():
-        return grad
+        return GradWeights(blocks, tuple(np.zeros(b.shape) for b in blocks))
     inv_nq = 1.0 / len(batch.queries)
     rows = batch.queries[active]
-    blocks = fairness_blocks(batch)
     s_a, s_b, s_g = gather_scores(model, view, *blocks) if scores is None else scores
     n_a, n_b, n_g = (np.count_nonzero(b >= 0, axis=1)[:, None] for b in blocks)
 
@@ -236,5 +231,4 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
         lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / lam.s[rows]
         coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(lam.lam[rows], s_g, p)
 
-    scatter_grads(model, view, blocks, (coeff_a, coeff_b, coeff_g), grad)
-    return grad
+    return GradWeights(blocks, (coeff_a, coeff_b, coeff_g))

@@ -79,7 +79,8 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
     out = {}
     for kind in (RankLossKind(LossVariant.NDCG, 1.0),
                  RankLossKind(LossVariant.LISTNET, 1.0)):
-        g1 = g1_estimate(model, d, batch, kind, MovingAverage.zeros(1.0, d.total_pairs))
+        pairs = MovingAverage.zeros(1.0, d.total_pairs)
+        g1 = g1_estimate(model, d, batch, kind, pairs).dense(model, d.flat)
 
         def loss_of(w):
             model.params.values[:] = w
@@ -112,7 +113,7 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
 
     fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
     g2 = g2_estimate(model, d, batch, k, fair, lam_state, psi, p,
-                     mode="full_implicit")
+                     mode="full_implicit").dense(model, d.flat)
 
     def fairness_of(w):
         model.params.values[:] = w

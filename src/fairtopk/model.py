@@ -9,6 +9,7 @@ the optimizer can treat any model uniformly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -81,7 +82,7 @@ class FactorizationScorer:
             raise LookupError_(f"{what} index out of range")
 
     def _pre_rows(self, emb_i: np.ndarray, emb_q: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return (np.einsum("ij,ij->i", emb_i, emb_q) + self.item_bias[items]) / self.scale
+        return (np.einsum("ij,ij->i", emb_i, emb_q) + np.take(self.item_bias, items)) / self.scale
 
     def score_many(self, q, items) -> np.ndarray:
         """Scores of ``items`` for query row ``q``; when ``q`` is an array,
@@ -91,8 +92,8 @@ class FactorizationScorer:
         self._check_range(items, self.num_items, "item")
         self._check_range(q, self.num_queries, "query")
         q = np.broadcast_to(q, items.shape)
-        return self.score_bound * np.tanh(
-            self._pre_rows(self.item_emb[items], self.query_emb[q], items))
+        emb_i, emb_q = np.take(self.item_emb, items, axis=0), np.take(self.query_emb, q, axis=0)
+        return self.score_bound * np.tanh(self._pre_rows(emb_i, emb_q, items))
 
     def add_weighted_grads(self, q_idx, item_idx, coeff, out) -> None:
         """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j])."""
@@ -101,7 +102,8 @@ class FactorizationScorer:
         coeff = np.asarray(coeff, dtype=np.float64)
         self._check_range(q_idx, self.num_queries, "query")
         self._check_range(item_idx, self.num_items, "item")
-        emb_i, emb_q = self.item_emb[item_idx], self.query_emb[q_idx]
+        emb_i = np.take(self.item_emb, item_idx, axis=0)
+        emb_q = np.take(self.query_emb, q_idx, axis=0)
         t = np.tanh(self._pre_rows(emb_i, emb_q, item_idx))
         c = coeff * self.score_bound * (1.0 - t * t) / self.scale
         # weighted bincounts, one per embedding column: each entry adds
@@ -124,7 +126,8 @@ class FactorizationScorer:
         return m
 
     def save(self, path: str) -> None:
-        """Binary checkpoint: 8-byte magic, JSON header, raw float64 params."""
+        """Binary checkpoint: 8-byte magic, JSON header, raw float64 params;
+        written to ``path + ".tmp"``, then renamed over ``path``."""
         header = json.dumps({
             "num_queries": self.num_queries,
             "num_items": self.num_items,
@@ -134,11 +137,15 @@ class FactorizationScorer:
             "layout": {k: list(v) for k, v in self.params.layout.items()},
             "dtype": "float64",
         }).encode()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            fh.write(self.params.values.astype("<f8").tobytes())
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(b"".join((_MAGIC, struct.pack("<Q", len(header)), header,
+                                   self.params.values.astype("<f8").tobytes())))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path: str) -> "FactorizationScorer":

@@ -1,8 +1,9 @@
 """The stochastic training loop: momentum descent on G1 + C * G2.
 
-One step draws the pair batch and per-query sub-batches, refreshes the
-moving-average estimator states, assembles the two stochastic gradients,
-folds them into the momentum buffer z and takes a parameter step.  Mode
+One step draws the pair batch and per-query sub-batches, scores them in
+one gather, refreshes the moving-average estimator states, assembles the
+two stochastic gradients as weights on the sampled score gradients,
+scatters their sum into the momentum buffer z and takes a step.  Mode
 switches select the ablations: ``fairness_mode = none`` (or C = 0) is
 color-blind training, ``full_list`` pairs the ranking loss with the
 whole-list disparity, and ``top_k`` is the full method.
@@ -19,10 +20,11 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import ConfigurationError, NonFiniteGradientError, StateError
-from .fairness import FairnessState, SmoothIndicator, fairness_blocks, g2_estimate
+from .fairness import FairnessState, SmoothIndicator, g2_estimate
 from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
 from .rank_losses import (
+    GradWeights,
     LossVariant,
     MovingAverage,
     RankLossKind,
@@ -200,48 +202,54 @@ class TrainTrace:
             writer.writerows(self.records)
 
 
-def _check_finite(grad: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(grad)):
+def _check_finite(arrays, name: str) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NonFiniteGradientError(f"non-finite values in {name}")
 
 
 def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
                state: TrainerState, rng: np.random.Generator,
                lr_mult: float = 1.0) -> dict:
-    """One full iteration: sample, estimate G1 (+ C * G2), momentum, step."""
+    """One full iteration: sample, estimate G1 (+ C * G2), momentum, step.
+    One score gather and one gradient scatter serve both estimators."""
     state.bind(d, cfg)
     batch = sample_batch(
         d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
-    g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pairs)
-    _check_finite(g1, "G1")
+    active = ~batch.skipped
+    fair_blocks = (batch.group_a[active], batch.group_b[active]) if cfg.fairness_active() else ()
+    scores = gather_scores(model, d.flat, batch.pairs, batch.items, *fair_blocks)
+    g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pairs, scores=scores[:2])
+    _check_finite(g1.coeffs, "G1")
 
-    combined = g1
+    weights = g1
     if cfg.fairness_active():
         smoothing = cfg.smoothing()
-        # one gather serves the threshold update and G2
-        scores = gather_scores(model, d.flat, *fairness_blocks(batch))
+        s_g = scores[1][active]                 # G1's item sub-batch, both-group queries
         psi = None                              # full_list: psi = 1, no threshold
         if cfg.fairness_mode == "top_k":
             psi = SmoothIndicator(temperature=cfg.tau_psi)
-            lam, rows = state.lam, batch.queries[~batch.skipped]
+            lam, rows = state.lam, batch.queries[active]
             n_total = d.flat.sizes[rows]
             fresh = np.isnan(lam.lam[rows])
             if fresh.any():
                 new = rows[fresh]
-                warm = init_lambda_state(scores[2][fresh], smoothing, n_total[fresh],
+                warm = init_lambda_state(s_g[fresh], smoothing, n_total[fresh],
                                          cfg.gamma4, cfg.eta0)
                 lam.lam[new], lam.s[new], lam.v[new] = warm.lam, warm.s, warm.v
         g2 = g2_estimate(model, d, batch, cfg.k, state.fair, state.lam, psi,
-                         smoothing, mode=cfg.g2_mode, scores=scores)
-        _check_finite(g2, "G2")
+                         smoothing, mode=cfg.g2_mode, scores=(*scores[2:], s_g))
+        _check_finite(g2.coeffs, "G2")
         if cfg.fairness_mode == "top_k":
             st = state_step(LambdaState(lam.lam[rows], lam.s[rows], lam.v[rows], lam.gamma,
-                                        lam.eta), scores[2], smoothing, n_total=n_total)
+                                        lam.eta), s_g, smoothing, n_total=n_total)
             lam.lam[rows], lam.s[rows], lam.v[rows] = st.lam, st.s, st.v
-        combined = g1 + cfg.fair_weight * g2
+        # G2's item block is G1's at the active rows: its weights merge into G1's
+        g1.coeffs[1][active] += cfg.fair_weight * g2.coeffs[2]
+        weights = GradWeights(g1.blocks + g2.blocks[:2],
+                              g1.coeffs + tuple(cfg.fair_weight * c for c in g2.coeffs[:2]))
 
-    state.momentum.update(combined)
-    _check_finite(state.momentum.z, "momentum z")
+    state.momentum.update(weights.dense(model, d.flat))
+    _check_finite([state.momentum.z], "momentum z")
     model.params.values -= cfg.eta1 * lr_mult * state.momentum.z
     return {"z_norm": float(np.linalg.norm(state.momentum.z)),
             "num_pairs": batch.num_pairs}

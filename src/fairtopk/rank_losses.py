@@ -149,13 +149,21 @@ def gather_scores(model: FactorizationScorer, view: FlatView,
     return out
 
 
-def scatter_grads(model: FactorizationScorer, view: FlatView, blocks, coeffs,
-                  out: np.ndarray) -> None:
-    """out += sum over the filled slots of every block of coeff * grad_w score."""
-    filled = [b >= 0 for b in blocks]
-    pos = np.concatenate([b[f] for b, f in zip(blocks, filled)])
-    coeff = np.concatenate([c[f] for c, f in zip(coeffs, filled)])
-    model.add_weighted_grads(view.query_row[pos], view.feature_idx[pos], coeff, out)
+class GradWeights(NamedTuple):
+    """A gradient estimate as weights on grad_w score: ``coeffs[b]`` weighs
+    the flat positions in the filled slots of ``blocks[b]``."""
+
+    blocks: tuple[np.ndarray, ...]
+    coeffs: tuple[np.ndarray, ...]
+
+    def dense(self, model: FactorizationScorer, view: FlatView) -> np.ndarray:
+        """The estimate as a parameter vector, from one add_weighted_grads call."""
+        filled = [b >= 0 for b in self.blocks]
+        pos = np.concatenate([b[f] for b, f in zip(self.blocks, filled)])
+        coeff = np.concatenate([c[f] for c, f in zip(self.coeffs, filled)])
+        out = np.zeros(len(model.params.values))
+        model.add_weighted_grads(view.query_row[pos], view.feature_idx[pos], coeff, out)
+        return out
 
 
 def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
@@ -173,18 +181,21 @@ def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
 
 
 def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
-                kind: RankLossKind, pairs: MovingAverage) -> np.ndarray:
-    """Stochastic gradient of the ranking loss over the pair batch.
+                kind: RankLossKind, pairs: MovingAverage,
+                scores: tuple | None = None) -> GradWeights:
+    """Stochastic gradient of the ranking loss over the pair batch, as
+    weights on the blocks (``batch.pairs``, ``batch.items``).
 
     Updates the moving averages for every sampled pair first, then
     assembles G1 with the refreshed values; with full batches and
-    gamma = 1 this reproduces the exact full-batch gradient.
+    gamma = 1 this reproduces the exact full-batch gradient.  ``scores``
+    are the scores of those two blocks, when the caller has gathered them.
     """
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
     view = d.flat
-    grad = np.zeros(len(model.params.values))
-    s_pair, s_inner = gather_scores(model, view, batch.pairs, batch.items)
+    blocks = (batch.pairs, batch.items)
+    s_pair, s_inner = gather_scores(model, view, *blocks) if scores is None else scores
     diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
     if kind.variant is LossVariant.NDCG:
@@ -206,6 +217,4 @@ def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
     rows, slots = batch.items.shape
     cell = (batch.pair_row[:, None] * slots + np.arange(slots)).ravel()
     inner_coeff = np.bincount(cell, weights=w.ravel(), minlength=rows * slots)
-    scatter_grads(model, view, (batch.items, batch.pairs),
-                  (inner_coeff.reshape(rows, slots), -w.sum(axis=1)), grad)
-    return grad
+    return GradWeights(blocks, (-w.sum(axis=1), inner_coeff.reshape(rows, slots)))

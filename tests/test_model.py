@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtopk import model as model_module
 from fairtopk.errors import CheckpointError, ConfigurationError, LookupError_
 from fairtopk.model import FactorizationScorer
 
@@ -142,6 +143,34 @@ class TestCheckpoint:
         assert m2.score_bound == 7.0
         assert m2.scale == 2.0
         assert m2.dim == 4
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        class HalfWriter:
+            """A file whose first write stores half its bytes, then fails."""
+
+            def __init__(self, file, mode):
+                self.fh = open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        m = FactorizationScorer(3, 5, 4, seed=9)
+        path = tmp_path / "m.ckpt"
+        m.save(str(path))
+        before = path.read_bytes()
+        m.params.values += 1.0
+        monkeypatch.setattr(model_module, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            m.save(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fairtopk.data import BatchSample, generate_synthetic, load_csv, sample_batch, split
-from fairtopk.errors import ConfigurationError, StateError
+from fairtopk.errors import ConfigurationError, NonFiniteGradientError, StateError
+from fairtopk.fairness import SmoothIndicator, g2_estimate
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import (
     MomentumState,
@@ -153,25 +154,58 @@ class TestTrainStep:
         assert set(np.flatnonzero(state.fair.u.seen).tolist()) == sampled_queries
         assert np.array_equal(~np.isnan(state.lam.lam), state.fair.u.seen)
 
-    def test_fairness_sub_batches_scored_once(self, monkeypatch):
+    def test_one_gather_and_one_scatter_per_step(self, monkeypatch):
+        calls = []
+        for name in ("score_many", "add_weighted_grads"):
+            def counted(self, q, items, *rest, _name=name,
+                        _original=getattr(FactorizationScorer, name)):
+                calls.append((_name, len(items)))
+                return _original(self, q, items, *rest)
+
+            monkeypatch.setattr(FactorizationScorer, name, counted)
+        for c in (10.0, 0.0):
+            d, m, cfg = _tiny_setup(fair_weight=c)
+            rng = np.random.default_rng(3)
+            batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a,
+                                     cfg.batch_b), copy.deepcopy(rng))
+            active = ~batch.skipped if c > 0 else np.zeros_like(batch.skipped)
+            assert active.any() == (c > 0)
+            calls.clear()
+            train_step(m, d, cfg, TrainerState.fresh(cfg, len(m.params.values)), rng)
+            # G1, the threshold update and G2 share one gather; G1 and C * G2 one scatter
+            filled = sum(np.count_nonzero(b >= 0) for b in (
+                batch.pairs, batch.items, batch.group_a[active], batch.group_b[active]))
+            assert calls == [("score_many", filled), ("add_weighted_grads", filled)]
+
+
+class TestNonFiniteGradients:
+    """A non-finite estimate stops the step before the parameters move,
+    naming the estimator it came from."""
+
+    def _assert_step_raises(self, m, d, cfg, state, rng, name):
+        w0 = m.params.values.copy()
+        with pytest.raises(NonFiniteGradientError, match=name):
+            train_step(m, d, cfg, state, rng)
+        np.testing.assert_array_equal(m.params.values, w0)
+
+    def test_nan_parameter_is_reported_as_g1(self):
         d, m, cfg = _tiny_setup(fair_weight=10.0)
+        m.query_emb[:] = np.nan
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        self._assert_step_raises(m, d, cfg, state, np.random.default_rng(3), "G1")
+
+    def test_nan_fairness_average_is_reported_as_g2(self):
+        d, m, cfg = _tiny_setup(fair_weight=10.0)
+        state = TrainerState.fresh(cfg, len(m.params.values))
         rng = np.random.default_rng(3)
+        train_step(m, d, cfg, state, rng)
         batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a,
                                  cfg.batch_b), copy.deepcopy(rng))
-        scored = []
-        original = FactorizationScorer.score_many
-
-        def counted(self, q, items):
-            scored.append(len(items))
-            return original(self, q, items)
-
-        monkeypatch.setattr(FactorizationScorer, "score_many", counted)
-        train_step(m, d, cfg, TrainerState.fresh(cfg, len(m.params.values)), rng)
-        active = ~batch.skipped
-        assert active.any()
-        # one gather for G1; one for the threshold update and G2 together
-        assert scored[1:] == [sum(np.count_nonzero(b[active] >= 0)
-                                  for b in (batch.group_a, batch.group_b, batch.items))]
+        rows = batch.queries[~batch.skipped]
+        seen = rows[state.fair.u.seen[rows]]
+        assert seen.size
+        state.fair.u.values[seen[0]] = np.nan
+        self._assert_step_raises(m, d, cfg, state, rng, "G2")
 
 
 class TestTrain:
@@ -268,6 +302,40 @@ class TestPinnedTrajectory:
         expected = np.array(json.loads(self.PINS.read_text())[name])
         np.testing.assert_allclose(m.params.values, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_step_moves_momentum_by_g1_plus_c_g2(self, tmp_path, name):
+        """The fused step (one gather, G2's item scores taken from G1's, item
+        weights merged, one scatter) against separate estimator calls."""
+        d = self._data(tmp_path)
+        cfg = TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
+                          eta1=0.3, seed=5, **self.CONFIGS[name])
+        sizes = (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b)
+        psi = SmoothIndicator(cfg.tau_psi) if cfg.fairness_mode == "top_k" else None
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(5):
+            train_step(m, d, cfg, state, rng)
+        if cfg.fairness_active() and psi is not None:
+            # every query with both groups has its threshold: no warm start below
+            assert not np.isnan(state.lam.lam[d.flat.has_both_groups]).any()
+        skipped_seen = False
+        for _ in range(5):
+            ref_m, ref_state, ref_rng = copy.deepcopy((m, state, rng))
+            train_step(m, d, cfg, state, rng)
+            batch = sample_batch(d, sizes, ref_rng)
+            skipped_seen |= bool(batch.skipped.any())
+            grad = g1_estimate(ref_m, d, batch, cfg.loss_kind(),
+                               ref_state.pairs).dense(ref_m, d.flat)
+            if cfg.fairness_active():
+                g2 = g2_estimate(ref_m, d, batch, cfg.k, ref_state.fair, ref_state.lam, psi,
+                                 cfg.smoothing(), mode=cfg.g2_mode)
+                grad += cfg.fair_weight * g2.dense(ref_m, d.flat)
+            ref_state.momentum.update(grad)
+            np.testing.assert_allclose(state.momentum.z, ref_state.momentum.z,
+                                       rtol=0.0, atol=1e-12)
+        assert skipped_seen            # q3 sampled: the skipped-row mask was exercised
+
 
 class TestNdcgZeroInnerEstimate:
     """A pair whose item outscores every sampled inner item by more than the
@@ -291,7 +359,7 @@ class TestNdcgZeroInnerEstimate:
         kind = RankLossKind(LossVariant.NDCG, margin=1.0)
         zero_seen = False
         for _ in range(20):
-            m.params.values -= 0.5 * g1_estimate(m, d, batch, kind, pairs)
+            m.params.values -= 0.5 * g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
             zero_seen |= bool(pairs.seen[0] and pairs.values[0] == 0.0)
         assert zero_seen
         assert np.all(np.isfinite(m.params.values))

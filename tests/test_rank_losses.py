@@ -133,9 +133,9 @@ class TestG1:
         d, m, batch = self._setup()
         kind = RankLossKind(LossVariant.NDCG, 1.0)
         pairs = MovingAverage.zeros(0.0, d.total_pairs)
-        g_first = g1_estimate(m, d, batch, kind, pairs)
+        g_first = g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
         frozen = pairs.values.copy()
-        g_second = g1_estimate(m, d, batch, kind, pairs)
+        g_second = g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
         assert np.array_equal(pairs.values, frozen)
         assert np.allclose(g_first, g_second)
 
@@ -143,7 +143,8 @@ class TestG1:
         d, m, batch = self._setup()
         for variant in (LossVariant.NDCG, LossVariant.LISTNET):
             kind = RankLossKind(variant, 1.0)
-            g1 = g1_estimate(m, d, batch, kind, MovingAverage.zeros(1.0, d.total_pairs))
+            pairs = MovingAverage.zeros(1.0, d.total_pairs)
+            g1 = g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
             w0 = m.params.values.copy()
             fd = np.zeros_like(w0)
             step = 1e-5
