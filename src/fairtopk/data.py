@@ -5,12 +5,13 @@ protected / minority group, encoded 0 on disk) and group B (the majority
 group, encoded 1).  Queries keep a fixed ``query_index`` row so that the
 same scoring model can be shared by train / validation / test splits.
 
-Training works on a flat (CSR) view of a dataset, ``Dataset.flat``: every
-query's items concatenated in query order, so that a (query, item) pair is
-one flat position and query k owns positions ``offsets[k]:offsets[k+1]``.
-A ``BatchSample`` holds flat positions: the pair batch as one vector and
-each sampled query's sub-batches as one row of a padded matrix (-1 marks
-an empty slot).
+A ``Dataset`` is one set of read-only CSR arrays: every query's items
+concatenated in query order, so that a (query, item) pair is one flat
+position and query k owns positions ``offsets[k]:offsets[k+1]``.
+``Dataset.query(k)`` shows query k as a ``QueryGroup`` of views, for the
+per-query reference oracles.  A ``BatchSample`` holds flat positions: the
+pair batch as one vector and each sampled query's sub-batches as one row
+of a padded matrix (-1 marks an empty slot).
 """
 
 from __future__ import annotations
@@ -52,60 +53,8 @@ class QueryGroup:
         return bool(np.any(self.groups == GROUP_A) and np.any(self.groups == GROUP_B))
 
 
-# item ids, their feature rows and their group tags
+# item ids, their feature rows and their group tags, sorted by item id
 Vocabulary = namedtuple("Vocabulary", "ids rows groups")
-
-
-@dataclass
-class Dataset:
-    """A collection of queries plus the item vocabulary shared across them."""
-
-    queries: list[QueryGroup]
-    item_index: dict[int, int]        # item_id -> feature row
-    item_groups: dict[int, int]       # item_id -> group tag
-    num_query_rows: int
-    num_item_rows: int
-    # item ids observed for each query in the *source* dataset; set by split()
-    # so evaluation can sample genuinely unobserved items as negatives.
-    observed: dict[str, frozenset] | None = None
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.queries)
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(q.num_items for q in self.queries)
-
-    @cached_property
-    def flat(self) -> "FlatView":
-        """The CSR view of ``queries``, built on first use and cached."""
-        return FlatView(self.queries)
-
-    @cached_property
-    def vocab(self) -> Vocabulary:
-        """The item vocabulary as arrays sorted by item id, built on first use
-        and cached."""
-        ids = sorted(self.item_index)
-        return Vocabulary(np.array(ids, dtype=np.int64),
-                          np.array([self.item_index[i] for i in ids], dtype=np.int64),
-                          np.array([self.item_groups[i] for i in ids], dtype=np.int8))
-
-    @cached_property
-    def unobserved(self) -> dict[str, np.ndarray]:
-        """Per query id, the ascending positions in ``vocab`` of the items never
-        observed for it (``observed``, else its own list).  Cached like ``flat``
-        and ``vocab``, so none of the three follows later changes to the fields."""
-        observed = self.observed or {}
-        seen = [np.fromiter(observed.get(q.query_id, q.item_ids), np.int64) for q in self.queries]
-        ids = self.vocab.ids
-        owner = np.repeat(np.arange(len(seen)), [len(s) for s in seen])
-        seen = np.concatenate(seen + [ids[:0]])
-        pos = np.minimum(np.searchsorted(ids, seen), len(ids) - 1)
-        known = ids[pos] == seen        # ids outside the vocabulary mark nothing
-        free = np.ones((len(self.queries), len(ids)), dtype=bool)
-        free[owner[known], pos[known]] = False
-        return {q.query_id: np.flatnonzero(row) for q, row in zip(self.queries, free)}
 
 
 def ideal_dcg(labels: np.ndarray) -> float:
@@ -121,27 +70,75 @@ def label_softmax(labels: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-class FlatView:
-    """All queries' item lists concatenated in query order.
+class Dataset:
+    """Queries as read-only CSR arrays over a shared item vocabulary.
 
-    Per flat position: the owning query's position (``query_of``) and model
-    row (``query_row``), and the item's id, feature row, relevance, group and
-    ListNet target (softmax of the query's labels).  Per query: its offset,
-    size N_q, both-groups flag and NDCG normalizer.
+    Per query k: ``query_ids``, model row ``query_index``, size N_q
+    (``sizes``), ``offsets``, ``has_both_groups`` and the NDCG normalizer
+    ``ideal_dcg``.  Per flat position: ``item_ids``, ``feature_idx`` (rows
+    of the model's item table), ``relevance``, ``groups``, the owning
+    query's position ``query_of`` and model row ``query_row``, and the
+    ListNet target ``label_softmax`` (softmax of the query's labels).
+
+    ``observed`` holds the sorted, distinct codes ``model row *
+    len(vocab.ids) + vocabulary position`` of the (query, item) pairs known
+    for each model row, every pair of the dataset among them, so that
+    evaluation can sample genuinely unobserved items as negatives.  By
+    default they are the dataset's own pairs; ``split`` parts share their
+    source's.
     """
 
-    def __init__(self, queries: list[QueryGroup]):
-        self.sizes = np.array([q.num_items for q in queries], dtype=np.int64)
+    def __init__(self, query_ids, query_index, sizes, item_ids, feature_idx, relevance,
+                 groups, vocab: Vocabulary, num_query_rows: int,
+                 observed: np.ndarray | None = None):
+        self.query_ids = np.asarray(query_ids, dtype=str)
+        self.query_index = np.asarray(query_index, dtype=np.int64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.item_ids = np.asarray(item_ids, dtype=np.int64)
+        self.feature_idx = np.asarray(feature_idx, dtype=np.int64)
+        self.relevance = np.asarray(relevance, dtype=np.float64)
+        self.groups = np.asarray(groups, dtype=np.int8)
+        self.vocab = vocab
+        self.num_query_rows, self.num_item_rows = num_query_rows, len(vocab.ids)
+        self.num_queries, self.total_pairs = len(self.sizes), len(self.item_ids)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
-        self.query_of = np.repeat(np.arange(len(queries), dtype=np.int64), self.sizes)
-        self.query_row = np.array([q.query_index for q in queries])[self.query_of]
-        empty = [np.zeros(0, dtype=np.int64)]
-        self.item_ids, self.feature_idx, self.relevance, self.groups = (
-            np.concatenate([getattr(q, name) for q in queries] or empty)
-            for name in ("item_ids", "feature_idx", "relevance", "groups"))
-        self.label_softmax = np.concatenate([label_softmax(q.relevance) for q in queries] or empty)
-        self.has_both_groups = np.array([q.has_both_groups() for q in queries], dtype=bool)
-        self.ideal_dcg = np.array([ideal_dcg(q.relevance) for q in queries], dtype=np.float64)
+        self.query_of = np.repeat(np.arange(self.num_queries), self.sizes)
+        self.query_row = self.query_index[self.query_of]
+        if observed is None:
+            observed = np.sort(self.query_row * len(vocab.ids)
+                               + np.searchsorted(vocab.ids, self.item_ids))
+        self.observed = observed
+        labels = [self.relevance[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+        self.label_softmax = np.concatenate([label_softmax(y) for y in labels]
+                                            + [self.relevance[:0]])
+        self.ideal_dcg = np.array([ideal_dcg(y) for y in labels], dtype=np.float64)
+        has_a, has_b = (np.bincount(self.query_of[self.groups == g], minlength=self.num_queries) > 0
+                        for g in (GROUP_A, GROUP_B))
+        self.has_both_groups = has_a & has_b
+        for a in (*vars(self).values(), *vocab):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+    def query(self, k: int) -> QueryGroup:
+        """Query k as a QueryGroup of read-only views."""
+        s = slice(self.offsets[k], self.offsets[k + 1])
+        return QueryGroup(str(self.query_ids[k]), int(self.query_index[k]), self.item_ids[s],
+                          self.feature_idx[s], self.relevance[s], self.groups[s])
+
+    @property
+    def queries(self) -> list[QueryGroup]:
+        """Every query as a view (``query``), built anew on each access."""
+        return [self.query(k) for k in range(self.num_queries)]
+
+    def take(self, positions: np.ndarray) -> "Dataset":
+        """The pairs at ascending flat ``positions``, as a dataset of the queries
+        that keep any; model rows, vocabulary and observed pairs are shared."""
+        sizes = np.bincount(self.query_of[positions], minlength=self.num_queries)
+        kept = sizes > 0
+        return Dataset(self.query_ids[kept], self.query_index[kept], sizes[kept],
+                       self.item_ids[positions], self.feature_idx[positions],
+                       self.relevance[positions], self.groups[positions], self.vocab,
+                       self.num_query_rows, self.observed)
 
 
 def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -200,7 +197,7 @@ class BatchSample:
     group_a: np.ndarray
     group_b: np.ndarray
     skipped: np.ndarray
-    offsets: np.ndarray     # FlatView.offsets of the sampled dataset
+    offsets: np.ndarray     # Dataset.offsets of the sampled dataset
 
     @property
     def num_pairs(self) -> int:
@@ -218,45 +215,30 @@ class BatchSample:
         return out
 
 
-def _build_dataset(rows: list[tuple[str, int, float, int]]) -> Dataset:
-    """Group (query_id, item_id, relevance, group) rows in first-appearance order."""
-    by_query: dict[str, list[tuple[int, float, int]]] = {}
-    order: list[str] = []
-    item_index: dict[int, int] = {}
-    item_groups: dict[int, int] = {}
-    seen: set[tuple[str, int]] = set()
-    for qid, iid, rel, grp in rows:
-        if (qid, iid) in seen:
-            raise DuplicateItemError(f"duplicate (query, item) pair ({qid}, {iid})")
-        seen.add((qid, iid))
-        if qid not in by_query:
-            by_query[qid] = []
-            order.append(qid)
-        by_query[qid].append((iid, rel, grp))
-        if iid not in item_index:
-            item_index[iid] = len(item_index)
-        if item_groups.setdefault(iid, grp) != grp:
-            raise ParseError(f"item {iid} is tagged group {item_groups[iid]} and, "
-                             f"in query {qid}, group {grp}")
-
-    queries = []
-    for k, qid in enumerate(order):
-        entries = by_query[qid]
-        queries.append(QueryGroup(
-            query_id=qid,
-            query_index=k,
-            item_ids=np.array([e[0] for e in entries], dtype=np.int64),
-            feature_idx=np.array([item_index[e[0]] for e in entries], dtype=np.int64),
-            relevance=np.array([e[1] for e in entries], dtype=np.float64),
-            groups=np.array([e[2] for e in entries], dtype=np.int8),
-        ))
-    return Dataset(
-        queries=queries,
-        item_index=item_index,
-        item_groups=item_groups,
-        num_query_rows=len(queries),
-        num_item_rows=len(item_index),
-    )
+def _build_dataset(query_ids, item_ids, relevance, groups) -> Dataset:
+    """Group (query_id, item_id, relevance, group) rows by query in
+    first-appearance order; item feature rows follow first appearance too."""
+    first: dict[str, int] = {}
+    query_of = np.array([first.setdefault(q, len(first)) for q in query_ids], dtype=np.int64)
+    item_ids, groups = np.asarray(item_ids, dtype=np.int64), np.asarray(groups, dtype=np.int8)
+    ids, where, vocab_pos = np.unique(item_ids, return_index=True, return_inverse=True)
+    pair = query_of * len(ids) + vocab_pos
+    order = np.argsort(pair, kind="stable")
+    repeated = order[1:][pair[order[1:]] == pair[order[:-1]]]
+    if len(repeated):
+        r = repeated.min()
+        raise DuplicateItemError(f"duplicate (query, item) pair ({query_ids[r]}, {item_ids[r]})")
+    clash = np.flatnonzero(groups != groups[where][vocab_pos])
+    if len(clash):
+        r = clash[0]
+        raise ParseError(f"item {item_ids[r]} is tagged group {groups[where[vocab_pos[r]]]} "
+                         f"and, in query {query_ids[r]}, group {groups[r]}")
+    rows = np.empty(len(ids), dtype=np.int64)
+    rows[np.argsort(where)] = np.arange(len(ids))
+    flat = np.argsort(query_of, kind="stable")
+    return Dataset(list(first), np.arange(len(first)), np.bincount(query_of, minlength=len(first)),
+                   item_ids[flat], rows[vocab_pos[flat]], np.asarray(relevance)[flat],
+                   groups[flat], Vocabulary(ids, rows, groups[where]), len(first))
 
 
 def load_csv(path: str) -> Dataset:
@@ -283,6 +265,8 @@ def load_csv(path: str) -> Dataset:
                 iid = int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer item id {parts[1]!r}")
+            if not -2 ** 63 <= iid < 2 ** 63:
+                raise ParseError(f"line {lineno}: item id {parts[1]!r} is outside int64")
             try:
                 rel = float(parts[2])
             except ValueError:
@@ -296,7 +280,7 @@ def load_csv(path: str) -> Dataset:
             rows.append((qid, iid, rel, int(grp)))
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return _build_dataset(rows)
+    return _build_dataset(*zip(*rows))
 
 
 def save_csv(d: Dataset, path: str) -> None:
@@ -304,10 +288,9 @@ def save_csv(d: Dataset, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "item_id", "relevance", "group"])
-        for q in d.queries:
-            for iid, rel, grp in zip(q.item_ids, q.relevance, q.groups):
-                rel = float(rel)
-                writer.writerow([q.query_id, int(iid), int(rel) if rel == int(rel) else rel, int(grp)])
+        writer.writerows(zip(d.query_ids[d.query_of].tolist(), d.item_ids.tolist(),
+                             (int(r) if r == int(r) else r for r in d.relevance.tolist()),
+                             d.groups.tolist()))
 
 
 def generate_synthetic(num_queries: int, items_per_query: int,
@@ -347,16 +330,16 @@ def generate_synthetic(num_queries: int, items_per_query: int,
     if per_query_a > len(a_pool) or items_per_query - per_query_a > len(b_pool):
         raise ConfigurationError("minority_fraction incompatible with items_per_query")
 
-    rows: list[tuple[str, int, float, int]] = []
+    picked, rel = [], []
     for k in range(num_queries):
         picked_a = rng.choice(a_pool, size=per_query_a, replace=False)
         picked_b = rng.choice(b_pool, size=items_per_query - per_query_a, replace=False)
-        picked = np.concatenate([picked_a, picked_b])
-        noise = rng.normal(0.0, 0.5, size=len(picked))
-        rel = np.clip(np.round(quality[picked] + noise), 0.0, 4.0)
-        for iid, r in zip(picked, rel):
-            rows.append((f"q{k}", int(iid), float(r), int(pool_groups[iid])))
-    return _build_dataset(rows)
+        picked.append(np.concatenate([picked_a, picked_b]))
+        noise = rng.normal(0.0, 0.5, size=items_per_query)
+        rel.append(np.clip(np.round(quality[picked[-1]] + noise), 0.0, 4.0))
+    picked = np.concatenate(picked)
+    return _build_dataset([f"q{k}" for k in range(num_queries) for _ in range(items_per_query)],
+                          picked, np.concatenate(rel), pool_groups[picked])
 
 
 def split(d: Dataset, fractions: tuple[float, float, float],
@@ -364,7 +347,9 @@ def split(d: Dataset, fractions: tuple[float, float, float],
     """Per-query split of each item list into train / valid / test.
 
     Queries with fewer items than split parts go entirely to train; the
-    returned counter reports how many queries were handled that way.
+    returned counter reports how many queries were handled that way.  Each
+    part keeps the items' order and shares ``d``'s vocabulary and observed
+    pairs.
     """
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ConfigurationError("fractions must be three positive numbers")
@@ -372,50 +357,25 @@ def split(d: Dataset, fractions: tuple[float, float, float],
         raise ConfigurationError("fractions must sum to 1")
 
     rng = np.random.default_rng(seed)
-    parts: list[list[QueryGroup]] = [[], [], []]
-    tiny_queries = 0
-    observed = {q.query_id: frozenset(int(i) for i in q.item_ids) for q in d.queries}
-
-    for q in d.queries:
-        n = q.num_items
-        if n < 3:
-            tiny_queries += 1
-            counts = [n, 0, 0]
-            perm = np.arange(n)
-        else:
-            perm = rng.permutation(n)
-            counts = [int(f * n) for f in fractions]
-            remainders = [f * n - c for f, c in zip(fractions, counts)]
-            while sum(counts) < n:
-                j = int(np.argmax(remainders))
-                counts[j] += 1
-                remainders[j] = -1.0
-        start = 0
-        for part, c in zip(parts, counts):
-            sel = np.sort(perm[start:start + c])
-            start += c
-            if c == 0:
-                continue
-            part.append(QueryGroup(
-                query_id=q.query_id,
-                query_index=q.query_index,
-                item_ids=q.item_ids[sel],
-                feature_idx=q.feature_idx[sel],
-                relevance=q.relevance[sel],
-                groups=q.groups[sel],
-            ))
-
-    out = []
-    for part in parts:
-        out.append(Dataset(
-            queries=part,
-            item_index=d.item_index,
-            item_groups=d.item_groups,
-            num_query_rows=d.num_query_rows,
-            num_item_rows=d.num_item_rows,
-            observed=observed,
-        ))
-    return out[0], out[1], out[2], tiny_queries
+    n = d.sizes
+    exact = np.asarray(fractions, dtype=np.float64) * n[:, None]
+    counts = exact.astype(np.int64)
+    # largest remainders first, ties to the earlier part
+    order = np.argsort(counts - exact, axis=1, kind="stable")
+    counts[np.arange(len(n))[:, None], order] += np.arange(3) < (n - counts.sum(axis=1))[:, None]
+    tiny = n < 3
+    counts[tiny] = 0
+    counts[tiny, 0] = n[tiny]
+    # one permutation per query of 3+ items, in query order; the item at slot
+    # s of a query's permutation goes to the part whose range of slots holds s
+    local = np.concatenate([rng.permutation(k) if k >= 3 else np.arange(k)
+                            for k in n.tolist()] + [n[:0]])
+    start = d.offsets[d.query_of]
+    ends = np.cumsum(counts, axis=1)[d.query_of, :2]
+    part = np.empty(d.total_pairs, dtype=np.int64)
+    part[start + local] = np.sum(np.arange(d.total_pairs)[:, None] - start[:, None] >= ends, axis=1)
+    train, valid, test = (d.take(np.flatnonzero(part == j)) for j in range(3))
+    return train, valid, test, int(tiny.sum())
 
 
 def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
@@ -432,22 +392,21 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     n_pairs, n_q, n_a, n_b = sizes
     if min(sizes) < 1:
         raise ConfigurationError("batch sizes must be >= 1")
-    view = d.flat
-    total = len(view.query_of)
+    total = d.total_pairs
     if total == 0:
         raise EmptyDatasetError("cannot sample from an empty dataset")
     pairs = rng.choice(total, size=min(n_pairs, total), replace=False)
-    queries, pair_row = np.unique(view.query_of[pairs], return_inverse=True)
-    counts = view.sizes[queries]
-    pos = spans(view.offsets[queries], counts)
+    queries, pair_row = np.unique(d.query_of[pairs], return_inverse=True)
+    counts = d.sizes[queries]
+    pos = spans(d.offsets[queries], counts)
     row = np.repeat(np.arange(len(queries)), counts)
     items = pos[smallest_keys(rng.random(len(pos)), row, np.full(len(queries), n_q))]
-    seg = 2 * row + view.groups[pos]        # GROUP_A even, GROUP_B odd
+    seg = 2 * row + d.groups[pos]        # GROUP_A even, GROUP_B odd
     picked = smallest_keys(rng.random(len(pos)), seg, np.tile([n_a, n_b], len(queries)))
     group_a, group_b = (padded(pos[picked[in_g]], np.bincount(row[picked[in_g]],
                                                               minlength=len(queries)))
                         for in_g in (seg[picked] % 2 == GROUP_A, seg[picked] % 2 == GROUP_B))
     return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
                        items=padded(items, np.minimum(counts, n_q)), group_a=group_a,
-                       group_b=group_b, skipped=~view.has_both_groups[queries],
-                       offsets=view.offsets)
+                       group_b=group_b, skipped=~d.has_both_groups[queries],
+                       offsets=d.offsets)

@@ -3,7 +3,7 @@ tradeoff harness and the ranking-strip export.
 
 Evaluation lists mix a handful of relevant items with a large pool of
 irrelevant ones per query: zero-relevance items from the query's own list
-first, then items never observed for that query (``Dataset.unobserved``;
+first, then items never observed for that query (``Dataset.observed``;
 relevance imputed 0, group from the item table).  Draws are counter-based
 hashes keyed by (seed, query id), so a list depends only on the seed, its
 query id and its candidate item ids.  Blocks of about ``_BLOCK_ENTRIES``
@@ -71,13 +71,16 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     from draws j = 0, 1, ... of pool index ``floor(key * pool size)`` until
     that many distinct ones come up: the work follows the list, not the pool.
     """
-    view, vocab, lists = d.flat, d.vocab, np.arange(len(queries))
-    qids = [d.queries[k].query_id for k in queries]
-    unseen = [d.unobserved[q] for q in qids]
-    pool = np.array([len(u) for u in unseen], dtype=np.int64)
-    sizes = view.sizes[queries]
-    own, own_list = spans(view.offsets[queries], sizes), np.repeat(lists, sizes)
-    rel = view.relevance[own]
+    vocab, lists = d.vocab, np.arange(len(queries))
+    qids = d.query_ids[queries].tolist()
+    # list r's observed pairs are d.observed[lo[r]:hi[r]], codes base[r] + vocabulary position
+    width = len(vocab.ids)
+    base = d.query_index[queries] * width
+    lo, hi = np.searchsorted(d.observed, base), np.searchsorted(d.observed, base + width)
+    pool = width - (hi - lo)
+    sizes = d.sizes[queries]
+    own, own_list = spans(d.offsets[queries], sizes), np.repeat(lists, sizes)
+    rel = d.relevance[own]
     need = np.clip(proto.irrelevant_per_query
                    - np.bincount(own_list[rel == 0], minlength=len(lists)), 0, pool)
     whole, drawn = np.flatnonzero(pool < 4 * need), np.flatnonzero((pool >= 4 * need) & (need > 0))
@@ -94,14 +97,22 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     taken = np.zeros(runs.shape, dtype=bool)
     taken[np.nonzero(first)[0], runs[first] % k] = True
     taken &= np.cumsum(taken, axis=1) <= need[drawn, None]
-    voc = np.concatenate([unseen[r] for r in whole] + [pool[:0]]
-                         + [unseen[r][a[t]] for r, a, t in zip(drawn, at, taken)])
+    # a whole pool: the positions left free in the list's stretch of one mask
+    n_seen = hi[whole] - lo[whole]
+    free = np.ones(len(whole) * width, dtype=bool)
+    free[d.observed[spans(lo[whole], n_seen)]
+         - np.repeat(base[whole] - np.arange(len(whole)) * width, n_seen)] = False
+    # pool index a of a drawn list is vocabulary position a + #{j : p_j - j <= a},
+    # p_j its observed positions in ascending order
+    below = [d.observed[lo[r]:hi[r]] - base[r] - np.arange(hi[r] - lo[r]) for r in drawn]
+    voc = np.concatenate([np.flatnonzero(free) % width] + [
+        a[t] + np.searchsorted(c, a[t], side="right") for c, a, t in zip(below, at, taken)])
     cand_list = np.concatenate([own_list, np.repeat(whole, pool[whole]),
                                 np.repeat(drawn, need[drawn])])
     # candidates: own items, then vocabulary positions ``voc``; the last entry fills
     ids, rows, labels, groups = (np.concatenate([own_v, voc_v, [fill]]) for own_v, voc_v, fill in (
-        (view.item_ids[own], vocab.ids[voc], 0), (view.feature_idx[own], vocab.rows[voc], 0),
-        (rel, np.zeros(len(voc)), 0.0), (view.groups[own], vocab.groups[voc], -1)))
+        (d.item_ids[own], vocab.ids[voc], 0), (d.feature_idx[own], vocab.rows[voc], 0),
+        (rel, np.zeros(len(voc)), 0.0), (d.groups[own], vocab.groups[voc], -1)))
     # segment 4r: list r's relevant items, 4r + 1 own zeros, + 2 unobserved, + 3 the rest
     seg = 4 * cand_list + np.concatenate([np.where(rel > 0, 0, np.where(rel == 0, 1, 3)),
                                           np.full(len(voc), 2)])
@@ -161,7 +172,7 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
         if not kept.any():
             continue
         ids, feats, labels, groups, sizes = (a[kept] for a in (ids, feats, labels, groups, sizes))
-        rows = np.array([d.queries[k].query_index for k in block[kept]])
+        rows = d.query_index[block[kept]]
         filled = np.arange(ids.shape[1]) < sizes[:, None]
         scores = np.full(ids.shape, -np.inf)
         scores[filled] = model.score_many(np.repeat(rows, sizes), feats[filled])

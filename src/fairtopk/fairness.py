@@ -10,7 +10,7 @@ reference shift, valid because the loss depends only on the ratio
 
 The G2 estimator handles every sampled query at once: its group-A,
 group-B and item sub-batches are padded (queries, slots) matrices of flat
-positions (see ``data.FlatView``), and the moving averages, shifts and
+positions (see ``data.Dataset``), and the moving averages, shifts and
 thresholds are dense arrays indexed by query position.  Empty slots score
 -inf, which zeroes their exp and indicator terms.
 """
@@ -185,7 +185,6 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
     """
     if mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {mode!r}")
-    view = d.flat
     if psi is not None and (lam is None or np.size(lam.lam) != d.num_queries):
         raise StateError("top-K fairness needs one threshold state per query")
     active = ~batch.skipped
@@ -194,7 +193,7 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
         return GradWeights(blocks, tuple(np.zeros(b.shape) for b in blocks))
     inv_nq = 1.0 / len(batch.queries)
     rows = batch.queries[active]
-    s_a, s_b, s_g = gather_scores(model, view, *blocks) if scores is None else scores
+    s_a, s_b, s_g = gather_scores(model, d, *blocks) if scores is None else scores
     n_a, n_b, n_g = (np.count_nonzero(b >= 0, axis=1)[:, None] for b in blocks)
 
     shift = np.where(fair.u.seen[rows], fair.shift[rows],
@@ -212,7 +211,7 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
                                       (psi_b * e_b).sum(axis=1) / n_b[:, 0],
                                       e_g.sum(axis=1) / n_g[:, 0]], axis=1))
     u_a, u_b, u_g = u.T
-    n_q = view.sizes[rows]
+    n_q = d.sizes[rows]
     diff = (u_a - u_b) / (n_q * u_g)
     d1 = (diff / (n_q * u_g))[:, None]          # d2 = -d1
     d3 = (-diff * diff / u_g)[:, None]

@@ -60,7 +60,7 @@ def relative_error(estimate: np.ndarray, reference: np.ndarray,
 
 def _full_batch(d: Dataset) -> "object":
     rng = np.random.default_rng(0)
-    big = max(q.num_items for q in d.queries)
+    big = int(d.sizes.max())
     return sample_batch(d, (d.total_pairs, big, big, big), rng)
 
 
@@ -80,7 +80,7 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
     for kind in (RankLossKind(LossVariant.NDCG, 1.0),
                  RankLossKind(LossVariant.LISTNET, 1.0)):
         pairs = MovingAverage.zeros(1.0, d.total_pairs)
-        g1 = g1_estimate(model, d, batch, kind, pairs).dense(model, d.flat)
+        g1 = g1_estimate(model, d, batch, kind, pairs).dense(model, d)
 
         def loss_of(w):
             model.params.values[:] = w
@@ -113,7 +113,7 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
 
     fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
     g2 = g2_estimate(model, d, batch, k, fair, lam_state, psi, p,
-                     mode="full_implicit").dense(model, d.flat)
+                     mode="full_implicit").dense(model, d)
 
     def fairness_of(w):
         model.params.values[:] = w
@@ -149,7 +149,7 @@ def check_lambda(seed: int = 0, trials: int = 50) -> dict[str, float]:
     # implicit gradient of the solved threshold, small model
     d = generate_synthetic(3, 6, 0.4, 1.0, seed)
     model = _model_for(d, 2, seed)
-    qg = d.queries[0]
+    qg = d.query(0)
     scores = model.score_many(qg.query_index, qg.feature_idx)
     lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-12)
     analytic = implicit_lambda_grad(lam, model, qg.query_index, qg.feature_idx, p)

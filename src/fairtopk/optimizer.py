@@ -159,14 +159,14 @@ class TrainerState:
     pairs: MovingAverage | None = None      # u per (query, item) pair
     fair: FairnessState | None = None       # (u_a, u_b, u_g) and shift per query
     lam: LambdaState | None = None          # (lam, s, v) per query
-    offsets: np.ndarray | None = None       # FlatView.offsets of the bound dataset
+    offsets: np.ndarray | None = None       # Dataset.offsets of the bound dataset
 
     @classmethod
     def fresh(cls, cfg: TrainConfig, num_params: int) -> "TrainerState":
         return cls(momentum=MomentumState(z=np.zeros(num_params), gamma=cfg.gamma5))
 
     def bind(self, d: Dataset, cfg: TrainConfig) -> None:
-        offsets = d.flat.offsets
+        offsets = d.offsets
         if self.offsets is not None:
             if not np.array_equal(self.offsets, offsets):
                 raise StateError("trainer state is sized for a dataset with other "
@@ -217,7 +217,7 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
         d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
     active = ~batch.skipped
     fair_blocks = (batch.group_a[active], batch.group_b[active]) if cfg.fairness_active() else ()
-    scores = gather_scores(model, d.flat, batch.pairs, batch.items, *fair_blocks)
+    scores = gather_scores(model, d, batch.pairs, batch.items, *fair_blocks)
     g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pairs, scores=scores[:2])
     _check_finite(g1.coeffs, "G1")
 
@@ -229,7 +229,7 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
         if cfg.fairness_mode == "top_k":
             psi = SmoothIndicator(temperature=cfg.tau_psi)
             lam, rows = state.lam, batch.queries[active]
-            n_total = d.flat.sizes[rows]
+            n_total = d.sizes[rows]
             fresh = np.isnan(lam.lam[rows])
             if fresh.any():
                 new = rows[fresh]
@@ -248,7 +248,7 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
         weights = GradWeights(g1.blocks + g2.blocks[:2],
                               g1.coeffs + tuple(cfg.fair_weight * c for c in g2.coeffs[:2]))
 
-    state.momentum.update(weights.dense(model, d.flat))
+    state.momentum.update(weights.dense(model, d))
     _check_finite([state.momentum.z], "momentum z")
     model.params.values -= cfg.eta1 * lr_mult * state.momentum.z
     return {"z_norm": float(np.linalg.norm(state.momentum.z)),
@@ -278,7 +278,7 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
     best_params = model.params.values.copy()
     best_ndcg = -np.inf
     protocol = EvalProtocol(k_list=(cfg.k,), seed=cfg.seed)
-    loss_probe = replace(train_d, queries=train_d.queries[:20])
+    loss_probe = train_d.take(np.arange(train_d.offsets[min(20, train_d.num_queries)]))
     t0 = time.perf_counter()
 
     for step in range(total_steps):

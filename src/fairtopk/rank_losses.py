@@ -11,7 +11,7 @@ inner quantity g = (surrogate rank) / N_q is tracked per query-item pair
 with an exponential moving average, and the outer derivative is evaluated
 at the tracked value.  It works on a whole batch at once: the moving
 averages are one dense vector indexed by flat pair position (see
-``data.FlatView``), and the surrogate ranks of all sampled pairs are one
+``data.Dataset``), and the surrogate ranks of all sampled pairs are one
 (pairs, inner slots) matrix against their queries' padded inner sub-batch
 rows.  Empty slots score -inf, which zeroes their hinge and exp terms.
 """
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import BatchSample, Dataset, FlatView, ideal_dcg, label_softmax
+from .data import BatchSample, Dataset, ideal_dcg, label_softmax
 from .errors import ConfigurationError, EmptyDatasetError
 from .model import FactorizationScorer
 
@@ -133,7 +133,7 @@ class MovingAverage:
         return new
 
 
-def gather_scores(model: FactorizationScorer, view: FlatView,
+def gather_scores(model: FactorizationScorer, d: Dataset,
                   *blocks: np.ndarray) -> list[np.ndarray]:
     """Scores at the flat positions of each block, from one score_many call.
 
@@ -141,7 +141,7 @@ def gather_scores(model: FactorizationScorer, view: FlatView,
     """
     filled = [b >= 0 for b in blocks]
     pos = np.concatenate([b[f] for b, f in zip(blocks, filled)])
-    scores = model.score_many(view.query_row[pos], view.feature_idx[pos])
+    scores = model.score_many(d.query_row[pos], d.feature_idx[pos])
     parts = np.split(scores, np.cumsum([f.sum() for f in filled])[:-1])
     out = [np.full(b.shape, -np.inf) for b in blocks]
     for s, f, part in zip(out, filled, parts):
@@ -156,13 +156,13 @@ class GradWeights(NamedTuple):
     blocks: tuple[np.ndarray, ...]
     coeffs: tuple[np.ndarray, ...]
 
-    def dense(self, model: FactorizationScorer, view: FlatView) -> np.ndarray:
+    def dense(self, model: FactorizationScorer, d: Dataset) -> np.ndarray:
         """The estimate as a parameter vector, from one add_weighted_grads call."""
         filled = [b >= 0 for b in self.blocks]
         pos = np.concatenate([b[f] for b, f in zip(self.blocks, filled)])
         coeff = np.concatenate([c[f] for c, f in zip(self.coeffs, filled)])
         out = np.zeros(len(model.params.values))
-        model.add_weighted_grads(view.query_row[pos], view.feature_idx[pos], coeff, out)
+        model.add_weighted_grads(d.query_row[pos], d.feature_idx[pos], coeff, out)
         return out
 
 
@@ -193,9 +193,8 @@ def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
     """
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
-    view = d.flat
     blocks = (batch.pairs, batch.items)
-    s_pair, s_inner = gather_scores(model, view, *blocks) if scores is None else scores
+    s_pair, s_inner = gather_scores(model, d, *blocks) if scores is None else scores
     diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
     if kind.variant is LossVariant.NDCG:
@@ -208,9 +207,9 @@ def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
 
     n_inner = np.count_nonzero(batch.items >= 0, axis=1)[batch.pair_row][:, None]
     u = pairs.update(batch.pairs, ell.sum(axis=1) / n_inner[:, 0])
-    q = view.query_of[batch.pairs]
-    fprime = _outer_derivative(kind, u, view.relevance[batch.pairs], view.ideal_dcg[q],
-                               view.sizes[q], view.label_softmax[batch.pairs])
+    q = d.query_of[batch.pairs]
+    fprime = _outer_derivative(kind, u, d.relevance[batch.pairs], d.ideal_dcg[q],
+                               d.sizes[q], d.label_softmax[batch.pairs])
 
     # d ghat / dw = (1/|inner|) sum_j dell(h_j - h_i) (grad h_j - grad h_i)
     w = fprime[:, None] * dell / n_inner * (1.0 / batch.num_pairs)

@@ -5,8 +5,35 @@ import json
 import numpy as np
 import pytest
 
-from fairtopk.data import generate_synthetic
+from fairtopk.data import Dataset, Vocabulary, generate_synthetic
 from fairtopk.model import FactorizationScorer
+
+
+def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
+    """A Dataset of hand-built QueryGroups, in their order, over ``vocab``
+    (default: their own items).  ``observed`` maps a query id to item ids
+    known for it besides its own; ids outside the vocabulary are ignored."""
+    def cat(name, dtype):
+        return np.concatenate([getattr(q, name) for q in queries] + [np.zeros(0, dtype)])
+
+    item_ids, feature_idx, groups = (cat("item_ids", np.int64), cat("feature_idx", np.int64),
+                                     cat("groups", np.int8))
+    if vocab is None:
+        ids, first = np.unique(item_ids, return_index=True)
+        vocab = Vocabulary(ids, feature_idx[first], groups[first])
+    rows = np.array([q.query_index for q in queries], dtype=np.int64)
+    codes = None
+    if observed is not None:
+        seen = [np.append(q.item_ids, list(observed.get(q.query_id, ()))) for q in queries]
+        ids = np.concatenate(seen + [np.zeros(0, np.int64)]).astype(np.int64)
+        pos = np.searchsorted(vocab.ids, ids)
+        known = vocab.ids[np.minimum(pos, len(vocab.ids) - 1)] == ids
+        row = np.repeat(rows, [len(s) for s in seen])
+        codes = np.unique(row[known] * len(vocab.ids) + pos[known])
+    return Dataset([q.query_id for q in queries], rows, [q.num_items for q in queries],
+                   item_ids, feature_idx, cat("relevance", np.float64), groups, vocab,
+                   int(rows.max(initial=-1)) + 1 if num_query_rows is None else num_query_rows,
+                   codes)
 
 
 @pytest.fixture

@@ -113,6 +113,12 @@ class TestTrainEval:
         assert run(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
         assert "item 1" in capsys.readouterr().err
 
+    def test_item_id_outside_int64_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "big_id.csv"
+        data.write_text("q0,1,1,0\nq0,99999999999999999999,1,0\nq0,2,0,1\n")
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "x")]) == 2
+        assert "line 2: item id" in capsys.readouterr().err
+
 
 class TestStrictJson:
     """Every JSON file or report the CLI writes parses as strict JSON; a value

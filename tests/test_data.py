@@ -1,10 +1,10 @@
 """Dataset loading, synthetic generation, splitting and batch sampling."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from fairtopk.errors import (
     EmptyDatasetError,
     ParseError,
 )
+from fairtopk.evaluation import EvalProtocol, build_eval_list
 
 
 def _write(tmp_path, text, name="d.csv"):
@@ -71,6 +72,10 @@ class TestLoadCsv:
         path = _write(tmp_path, "q1,1,2,0\nq2,1,0,0\nq3,1,1,0\nq4,1,3,1\n")
         with pytest.raises(ParseError, match="item 1 is tagged group 0 and, in query q4, group 1"):
             load_csv(path)
+
+    def test_item_id_outside_int64_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2: item id '99999999999999999999'"):
+            load_csv(_write(tmp_path, "q0,1,1,0\nq0,99999999999999999999,1,0\n"))
 
     def test_bad_group_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -200,24 +205,47 @@ class TestSplit:
     def test_observed_map_attached(self):
         d = generate_synthetic(3, 6, 0.3, 0.0, seed=0)
         tr, _, _, _ = split(d, (0.8, 0.1, 0.1), seed=0)
-        assert tr.observed is not None
-        for q in d.queries:
-            assert tr.observed[q.query_id] == frozenset(int(i) for i in q.item_ids)
+        assert tr.observed is d.observed
+        width = d.num_item_rows
+        pairs = {(int(c) // width, int(d.vocab.ids[c % width])) for c in tr.observed}
+        assert pairs == {(q.query_index, int(i)) for q in d.queries for i in q.item_ids}
+
+
+class TestDataset:
+    def test_arrays_are_read_only(self):
+        d = generate_synthetic(4, 8, 0.4, 1.0, seed=2)
+        tr, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+        for ds in (d, tr):
+            arrays = {name: a for name, a in vars(ds).items() if isinstance(a, np.ndarray)}
+            arrays.update((f"vocab.{name}", a) for name, a in ds.vocab._asdict().items())
+            assert {"query_ids", "query_index", "sizes", "offsets", "item_ids", "feature_idx",
+                    "relevance", "groups", "query_of", "query_row", "label_softmax",
+                    "has_both_groups", "ideal_dcg", "observed", "vocab.ids"} <= set(arrays)
+            for name, a in arrays.items():
+                with pytest.raises(ValueError):
+                    a[...] = a
+            with pytest.raises(ValueError):
+                ds.query(1).relevance[0] = 9.0
 
 
 class TestUnobserved:
     def test_matches_set_difference(self):
         d = generate_synthetic(6, 8, 0.4, 1.0, seed=2)
         tr, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
+        source = {q.query_id: set(q.item_ids.tolist()) for q in d.queries}
         # observed for half the queries only, with an id outside the vocabulary
-        partial = replace(tr, observed={q.query_id: tr.observed[q.query_id] | {10 ** 6}
-                                        for q in tr.queries[:3]})
-        for ds in (tr, d, partial):
+        extra = {q.query_id: source[q.query_id] | {10 ** 6} for q in tr.queries[:3]}
+        partial = make_dataset(tr.queries, tr.vocab, tr.num_query_rows, observed=extra)
+        # a list that wants more unobserved items than any pool holds keys it whole
+        proto = EvalProtocol(relevant_per_query=0, irrelevant_per_query=10 ** 6)
+        for ds, observed in ((tr, source), (d, {}), (partial, extra)):
             vocab = ds.vocab.ids.tolist()
-            for qg in ds.queries:
-                seen = (ds.observed or {}).get(qg.query_id, set(qg.item_ids.tolist()))
+            ids, _, _, _, sizes = build_eval_list(ds, np.arange(ds.num_queries), proto)
+            for qg, row, n in zip(ds.queries, ids, sizes):
+                seen = observed.get(qg.query_id, set(qg.item_ids.tolist()))
                 expected = [pos for pos, i in enumerate(vocab) if i not in seen]
-                assert ds.unobserved[qg.query_id].tolist() == expected
+                unobserved = sorted(set(row[:n].tolist()) - set(qg.item_ids.tolist()))
+                assert np.searchsorted(vocab, unobserved).tolist() == expected
 
 
 class TestSmallestKeys:
@@ -309,26 +337,23 @@ class TestSampleBatch:
         rows += [f"q1,{2 * i + 1},1,1" for i in range(3)]    # group B only
         rows += [f"q2,{i},{i % 2},{i % 2}" for i in range(12)]
         d = load_csv(_write(tmp_path, "\n".join(rows) + "\n"))
-        view = d.flat
         for _ in range(10):
             batch = sample_batch(d, (9, 5, 2, 3), rng)
             assert list(batch.per_query) == batch.queries.tolist()
-            assert np.array_equal(view.query_of[batch.pairs], batch.queries[batch.pair_row])
+            assert np.array_equal(d.query_of[batch.pairs], batch.queries[batch.pair_row])
             for r, (qp, sub) in enumerate(batch.per_query.items()):
                 q = d.queries[qp]
                 for local, padded in ((sub.items, batch.items[r]),
                                       (sub.group_a, batch.group_a[r]),
                                       (sub.group_b, batch.group_b[r])):
-                    assert np.array_equal(view.offsets[qp] + local, padded[padded >= 0])
+                    assert np.array_equal(d.offsets[qp] + local, padded[padded >= 0])
                     assert np.all(padded[len(local):] == -1)
                 assert np.all(q.groups[sub.group_a] == GROUP_A)
                 assert np.all(q.groups[sub.group_b] == GROUP_B)
                 assert sub.fairness_skipped == (q.query_id == "q1") == batch.skipped[r]
 
     def test_empty_dataset_rejected(self, small_data, rng):
-        from fairtopk.data import Dataset
-        empty = Dataset(queries=[], item_index={}, item_groups={},
-                        num_query_rows=0, num_item_rows=0)
+        empty = make_dataset([])
         with pytest.raises(EmptyDatasetError):
             sample_batch(empty, (1, 1, 1, 1), rng)
 

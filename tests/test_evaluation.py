@@ -2,15 +2,23 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtopk.data import GROUP_A, GROUP_B, Dataset, QueryGroup, generate_synthetic, split
+from fairtopk.data import (
+    GROUP_A,
+    GROUP_B,
+    QueryGroup,
+    Vocabulary,
+    generate_synthetic,
+    load_csv,
+    split,
+)
 from fairtopk.errors import ConfigurationError, FairTopKError
 from fairtopk import evaluation
 from fairtopk.evaluation import (
@@ -87,8 +95,9 @@ class TestBuildEvalList:
             assert len(set(ids[row, :n].tolist())) == n
             assert (labels[row, :n] > 0).sum() <= 3
             assert (labels[row, :n] == 0).sum() <= 12
-            assert feats[row, :n].tolist() == [d.item_index[i] for i in ids[row, :n].tolist()]
-            assert groups[row, :n].tolist() == [d.item_groups[i] for i in ids[row, :n].tolist()]
+            at = np.searchsorted(d.vocab.ids, ids[row, :n])
+            assert feats[row, :n].tolist() == d.vocab.rows[at].tolist()
+            assert groups[row, :n].tolist() == d.vocab.groups[at].tolist()
             assert np.all(groups[row, n:] == -1) and np.all(labels[row, n:] == 0.0)
 
     def test_pads_with_unobserved_items(self):
@@ -98,7 +107,7 @@ class TestBuildEvalList:
         qg = te.queries[0]
         ids, _, labels, _, sizes = build_eval_list(te, np.array([0]), proto)
         ids, labels = ids[0, :sizes[0]], labels[0, :sizes[0]]
-        observed = te.observed[qg.query_id]
+        observed = set(d.query(qg.query_index).item_ids.tolist())
         outside = [i for i in ids.tolist() if i not in observed]
         assert outside, "expected padding from the unobserved pool"
         for i, lab in zip(ids.tolist(), labels):
@@ -112,12 +121,11 @@ class TestBuildEvalList:
         # list keys all 20 to take 6; each takes each relevant item and each
         # unobserved one with equal odds across seeds, every own zero always
         d = generate_synthetic(1, 30, 0.3, 1.0, seed=0)
-        vocab = np.array(sorted(d.item_index))
+        vocab = d.vocab.ids
         own = vocab[:10]
-        q = QueryGroup("q", 0, own, np.array([d.item_index[i] for i in own]),
-                       np.array([1.0, 2.0, 3.0, 1.0] + [0.0] * 6),
-                       np.array([d.item_groups[i] for i in own], dtype=np.int8))
-        one = Dataset([q], d.item_index, d.item_groups, 1, d.num_item_rows)
+        q = QueryGroup("q", 0, own, d.vocab.rows[:10], np.array([1.0, 2.0, 3.0, 1.0] + [0.0] * 6),
+                       d.vocab.groups[:10])
+        one = make_dataset([q], d.vocab)
         seeds = 3000
         counts = np.zeros(len(vocab))
         for seed in range(seeds):
@@ -139,11 +147,10 @@ class TestBuildEvalList:
         # 40,000 items, 4 queries of 30: keying every unobserved item would
         # hash about 160,000 keys; drawing from the pool hashes a few per entry
         vocab = np.arange(40_000)
-        index, tags = {int(i): int(i) for i in vocab}, {int(i): int(i % 2) for i in vocab}
         own = [vocab[k * 30:(k + 1) * 30] for k in range(4)]
         queries = [QueryGroup(f"q{k}", k, own[k], own[k], np.arange(30) % 3 * 1.0,
                               (own[k] % 2).astype(np.int8)) for k in range(4)]
-        d = Dataset(queries, index, tags, 4, len(vocab))
+        d = make_dataset(queries, Vocabulary(vocab, vocab, (vocab % 2).astype(np.int8)))
         hashed = []
         keys = evaluation._uniform
         monkeypatch.setattr(evaluation, "_uniform", lambda z, x: hashed.append(
@@ -164,9 +171,10 @@ class TestBuildEvalList:
         monkeypatch.setattr(evaluation, "_uniform", lambda z, x: keys(z, x) if z.ndim == 1
                             else np.where(x < 100, 0.5, keys(z, x)))
         ids, _, labels, _, sizes = build_eval_list(te, np.arange(te.num_queries), proto)
+        observed = {q.query_id: set(q.item_ids.tolist()) for q in d.queries}
         for qg, row, n in zip(te.queries, ids, sizes):
             zeros = min(12, int((qg.relevance == 0).sum()))
-            unobserved = set(row[:n].tolist()) - te.observed[qg.query_id]
+            unobserved = set(row[:n].tolist()) - observed[qg.query_id]
             assert 0 < len(unobserved) == 12 - zeros and n == len(set(row[:n].tolist()))
 
     @settings(max_examples=30, deadline=None)
@@ -196,7 +204,8 @@ class TestBuildEvalList:
             shuffled.append(QueryGroup(qg.query_id, qg.query_index, qg.item_ids[p],
                                        qg.feature_idx[p], qg.relevance[p], qg.groups[p]))
         order = rng.permutation(te.num_queries)
-        moved = replace(te, queries=[shuffled[k] for k in order])
+        moved = make_dataset([shuffled[k] for k in order], te.vocab, te.num_query_rows,
+                             observed={q.query_id: q.item_ids for q in d.queries})
         assert alone == block
         assert lists(moved, range(te.num_queries)) == block
 
@@ -209,24 +218,22 @@ def _pinned_cases():
     each query's own items."""
     d = generate_synthetic(12, 16, 0.3, 1.0, seed=11)
     _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
-    vocab = np.array(sorted(d.item_index))
-    b_items = vocab[[d.item_groups[i] == GROUP_B for i in vocab]]
+    vocab = d.vocab.ids
+    b_items = vocab[d.vocab.groups == GROUP_B]
     nq = d.num_query_rows
 
     def query(qid, row, ids, rel):
-        ids = np.asarray(ids, dtype=np.int64)
-        return QueryGroup(qid, row, ids, np.array([d.item_index[i] for i in ids]),
-                          np.asarray(rel, dtype=np.float64),
-                          np.array([d.item_groups[i] for i in ids], dtype=np.int8))
+        at = np.searchsorted(vocab, ids)
+        return QueryGroup(qid, row, vocab[at], d.vocab.rows[at],
+                          np.asarray(rel, dtype=np.float64), d.vocab.groups[at])
 
     extra = [query("one_group", nq, b_items[:11], [2, 1] + [0] * 9),
              query("no_positive", nq + 1, vocab[3:8], [0] * 5),
              query("tight", nq + 2, vocab[:3], [1, 0, 0]),
              query("short", nq + 3, vocab[5:6], [1])]
-    observed = dict(te.observed, tight=frozenset(vocab[:-2].tolist()),
-                    short=frozenset(vocab.tolist()))
-    mixed = Dataset(te.queries + extra, d.item_index, d.item_groups, nq + 4,
-                    d.num_item_rows, observed=observed)
+    observed = {q.query_id: q.item_ids for q in d.queries}
+    observed.update(tight=vocab[:-2], short=vocab)
+    mixed = make_dataset(te.queries + extra, d.vocab, nq + 4, observed=observed)
     models = {seed: FactorizationScorer(nq + 4, d.num_item_rows, 4, seed=seed)
               for seed in (1, 2)}
     tied = FactorizationScorer(nq + 4, d.num_item_rows, 4, seed=0)
@@ -330,10 +337,8 @@ class TestEvaluate:
             assert row["mse"] >= 0.0 and row["mae"] >= 0.0
 
     def test_empty_dataset_rejected(self):
-        from fairtopk.data import Dataset
         m = FactorizationScorer(1, 1, 2)
-        empty = Dataset(queries=[], item_index={}, item_groups={},
-                        num_query_rows=1, num_item_rows=1)
+        empty = make_dataset([])
         with pytest.raises(FairTopKError):
             evaluate(m, empty, EvalProtocol())
 
@@ -387,8 +392,8 @@ def _block_case(num_queries):
     protocol; the protocol and a model come with it."""
     d = generate_synthetic(70, 16, 0.3, 1.0, seed=5)
     _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
-    vocab = np.array(sorted(d.item_index))
-    b_items = vocab[[d.item_groups[i] == GROUP_B for i in vocab]]
+    vocab = d.vocab.ids
+    b_items = vocab[d.vocab.groups == GROUP_B]
     proto = EvalProtocol(5, 300, k_list=(1, 4, 10, 50), seed=3)
     per_block = evaluation._BLOCK_ENTRIES // 305
     odd = {"short": (vocab[4:5], [2]),
@@ -397,20 +402,18 @@ def _block_case(num_queries):
     where = {per_block - 1: "short", per_block: "one_group", 2 * per_block - 1: "no_positive",
              per_block // 2: "short", per_block + per_block // 2: "one_group",
              2 * per_block + 3: "no_positive"}
-    queries, observed = list(te.queries), dict(te.observed)
+    queries, observed = te.queries, {q.query_id: q.item_ids for q in d.queries}
     for pos in sorted(where):
         kind = where[pos]
         ids, rel = odd[kind]
         qid = f"{kind}@{pos}"
-        queries.insert(pos, QueryGroup(qid, d.num_query_rows + pos, ids,
-                                       np.array([d.item_index[i] for i in ids]),
-                                       np.asarray(rel, dtype=np.float64),
-                                       np.array([d.item_groups[i] for i in ids], dtype=np.int8)))
+        at = np.searchsorted(vocab, ids)
+        queries.insert(pos, QueryGroup(qid, d.num_query_rows + pos, ids, d.vocab.rows[at],
+                                       np.asarray(rel, dtype=np.float64), d.vocab.groups[at]))
         # the short and one-group lists get no unobserved items
-        observed[qid] = frozenset((ids if kind == "no_positive" else vocab).tolist())
+        observed[qid] = ids if kind == "no_positive" else vocab
     rows = d.num_query_rows + max(where) + 1
-    mixed = Dataset(queries[:num_queries], d.item_index, d.item_groups, rows,
-                    d.num_item_rows, observed=observed)
+    mixed = make_dataset(queries[:num_queries], d.vocab, rows, observed=observed)
     return FactorizationScorer(rows, d.num_item_rows, 4, seed=6), mixed, proto
 
 
@@ -456,6 +459,29 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
+
+    def test_split_and_evaluate_follow_the_observed_pairs(self, tmp_path):
+        # 2,000 queries of 20 items over a 20,000-item vocabulary: a (queries x
+        # vocabulary) bool table alone would take 40 MB
+        rng = np.random.default_rng(0)
+        rows = []
+        for k in range(2000):
+            others = rng.choice(19_990, 10, replace=False)
+            ids = np.append(np.arange(10 * k, 10 * k + 10), others + 10 * (others >= 10 * k))
+            rows += [f"q{k},{i},{r},{i % 2}" for i, r in zip(ids, rng.integers(0, 5, 20))]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        d = load_csv(str(path))
+        assert (d.num_queries, d.num_item_rows) == (2000, 20_000)
+        model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=0)
+        tracemalloc.start()
+        try:
+            _, _, te, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+            evaluate(model, te, EvalProtocol(5, 300, k_list=(50,), seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
 
 class TestSpearman:
@@ -533,16 +559,13 @@ class TestTradeoffSweep:
 
 class TestRankingStrips:
     def test_row_order_and_cells(self, tmp_path):
-        from fairtopk.data import QueryGroup, Dataset
         m = _scored_model([3.0, 2.0, 1.0])
         qg = QueryGroup(query_id="q0", query_index=0,
                         item_ids=np.arange(3, dtype=np.int64),
                         feature_idx=np.arange(3, dtype=np.int64),
                         relevance=np.ones(3),
                         groups=np.array([GROUP_A, GROUP_B, GROUP_A], dtype=np.int8))
-        d = Dataset(queries=[qg], item_index={i: i for i in range(3)},
-                    item_groups={0: GROUP_A, 1: GROUP_B, 2: GROUP_A},
-                    num_query_rows=1, num_item_rows=3)
+        d = make_dataset([qg])
         csv_path = tmp_path / "s.csv"
         ppm_path = tmp_path / "s.ppm"
         export_ranking_strips(m, d, 1, 2, str(csv_path), str(ppm_path))
@@ -568,16 +591,13 @@ class TestRankingStrips:
         assert not csv_path.exists()
 
     def test_uniform_row_for_single_group_query(self, tmp_path):
-        from fairtopk.data import QueryGroup, Dataset
         m = _scored_model([1.0, 0.5])
         qg = QueryGroup(query_id="q0", query_index=0,
                         item_ids=np.arange(2, dtype=np.int64),
                         feature_idx=np.arange(2, dtype=np.int64),
                         relevance=np.ones(2),
                         groups=np.array([GROUP_B, GROUP_B], dtype=np.int8))
-        d = Dataset(queries=[qg], item_index={0: 0, 1: 1},
-                    item_groups={0: GROUP_B, 1: GROUP_B},
-                    num_query_rows=1, num_item_rows=2)
+        d = make_dataset([qg])
         csv_path = tmp_path / "s.csv"
         export_ranking_strips(m, d, 1, 1, str(csv_path), str(tmp_path / "s.ppm"))
         assert csv_path.read_text().strip() == "B,B"

@@ -245,15 +245,15 @@ class TestG2:
     def test_gamma_zero_freezes_direction(self):
         d, m, batch, p, psi, lam_state = self._setup()
         fair = FairnessState.zeros(d.num_queries, 0.0, 0.0, 0.0)
-        g_first = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p).dense(m, d.flat)
-        g_second = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p).dense(m, d.flat)
+        g_first = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p).dense(m, d)
+        g_second = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p).dense(m, d)
         assert np.allclose(g_first, g_second)
 
     def test_full_batch_matches_finite_differences(self):
         d, m, batch, p, psi, lam_state = self._setup()
         fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
         g2 = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p,
-                         mode="full_implicit").dense(m, d.flat)
+                         mode="full_implicit").dense(m, d)
         w = m.params.values
         w0 = w.copy()
         fd = np.zeros_like(w)

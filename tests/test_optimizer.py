@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 
 from fairtopk.data import BatchSample, generate_synthetic, load_csv, sample_batch, split
 from fairtopk.errors import ConfigurationError, NonFiniteGradientError, StateError
@@ -318,7 +319,7 @@ class TestPinnedTrajectory:
             train_step(m, d, cfg, state, rng)
         if cfg.fairness_active() and psi is not None:
             # every query with both groups has its threshold: no warm start below
-            assert not np.isnan(state.lam.lam[d.flat.has_both_groups]).any()
+            assert not np.isnan(state.lam.lam[d.has_both_groups]).any()
         skipped_seen = False
         for _ in range(5):
             ref_m, ref_state, ref_rng = copy.deepcopy((m, state, rng))
@@ -326,11 +327,11 @@ class TestPinnedTrajectory:
             batch = sample_batch(d, sizes, ref_rng)
             skipped_seen |= bool(batch.skipped.any())
             grad = g1_estimate(ref_m, d, batch, cfg.loss_kind(),
-                               ref_state.pairs).dense(ref_m, d.flat)
+                               ref_state.pairs).dense(ref_m, d)
             if cfg.fairness_active():
                 g2 = g2_estimate(ref_m, d, batch, cfg.k, ref_state.fair, ref_state.lam, psi,
                                  cfg.smoothing(), mode=cfg.g2_mode)
-                grad += cfg.fair_weight * g2.dense(ref_m, d.flat)
+                grad += cfg.fair_weight * g2.dense(ref_m, d)
             ref_state.momentum.update(grad)
             np.testing.assert_allclose(state.momentum.z, ref_state.momentum.z,
                                        rtol=0.0, atol=1e-12)
@@ -354,12 +355,12 @@ class TestNdcgZeroInnerEstimate:
         batch = BatchSample(pairs=np.array([0]), pair_row=np.array([0]), queries=np.array([0]),
                             items=np.array([[1, 2, 3, -1]]), group_a=np.array([[0, 2]]),
                             group_b=np.array([[1, 3]]), skipped=np.array([False]),
-                            offsets=d.flat.offsets)
+                            offsets=d.offsets)
         pairs = MovingAverage.zeros(0.5, d.total_pairs)
         kind = RankLossKind(LossVariant.NDCG, margin=1.0)
         zero_seen = False
         for _ in range(20):
-            m.params.values -= 0.5 * g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
+            m.params.values -= 0.5 * g1_estimate(m, d, batch, kind, pairs).dense(m, d)
             zero_seen |= bool(pairs.seen[0] and pairs.values[0] == 0.0)
         assert zero_seen
         assert np.all(np.isfinite(m.params.values))
@@ -387,7 +388,7 @@ class TestStateReuse:
                         feature_idx=np.append(q1.feature_idx, q0.feature_idx[-1]),
                         relevance=np.append(q1.relevance, q0.relevance[-1]),
                         groups=np.append(q1.groups, q0.groups[-1]))
-        other = replace(d, queries=[moved, grown] + d.queries[2:])
+        other = make_dataset([moved, grown] + d.queries[2:], d.vocab, d.num_query_rows)
         assert other.total_pairs == d.total_pairs
         with pytest.raises(StateError):
             train_step(m, other, cfg, state, np.random.default_rng(0))

@@ -133,9 +133,9 @@ class TestG1:
         d, m, batch = self._setup()
         kind = RankLossKind(LossVariant.NDCG, 1.0)
         pairs = MovingAverage.zeros(0.0, d.total_pairs)
-        g_first = g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
+        g_first = g1_estimate(m, d, batch, kind, pairs).dense(m, d)
         frozen = pairs.values.copy()
-        g_second = g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
+        g_second = g1_estimate(m, d, batch, kind, pairs).dense(m, d)
         assert np.array_equal(pairs.values, frozen)
         assert np.allclose(g_first, g_second)
 
@@ -144,7 +144,7 @@ class TestG1:
         for variant in (LossVariant.NDCG, LossVariant.LISTNET):
             kind = RankLossKind(variant, 1.0)
             pairs = MovingAverage.zeros(1.0, d.total_pairs)
-            g1 = g1_estimate(m, d, batch, kind, pairs).dense(m, d.flat)
+            g1 = g1_estimate(m, d, batch, kind, pairs).dense(m, d)
             w0 = m.params.values.copy()
             fd = np.zeros_like(w0)
             step = 1e-5
