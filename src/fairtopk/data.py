@@ -17,6 +17,7 @@ of a padded matrix (-1 marks an empty slot).
 from __future__ import annotations
 
 import csv
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,11 +75,12 @@ class Dataset:
     """Queries as read-only CSR arrays over a shared item vocabulary.
 
     Per query k: ``query_ids``, model row ``query_index``, size N_q
-    (``sizes``), ``offsets``, ``has_both_groups`` and the NDCG normalizer
-    ``ideal_dcg``.  Per flat position: ``item_ids``, ``feature_idx`` (rows
-    of the model's item table), ``relevance``, ``groups``, the owning
-    query's position ``query_of`` and model row ``query_row``, and the
-    ListNet target ``label_softmax`` (softmax of the query's labels).
+    (``sizes``), ``offsets``, the number of group-A items ``sizes_a``,
+    ``has_both_groups`` and the NDCG normalizer ``ideal_dcg``.  Per flat
+    position: ``item_ids``, ``feature_idx`` (rows of the model's item table),
+    ``relevance``, ``groups``, the owning query's position ``query_of`` and
+    model row ``query_row``, and the ListNet target ``label_softmax``
+    (softmax of the query's labels).
 
     ``observed`` holds the sorted, distinct codes ``model row *
     len(vocab.ids) + vocabulary position`` of the (query, item) pairs known
@@ -112,9 +114,9 @@ class Dataset:
         self.label_softmax = np.concatenate([label_softmax(y) for y in labels]
                                             + [self.relevance[:0]])
         self.ideal_dcg = np.array([ideal_dcg(y) for y in labels], dtype=np.float64)
-        has_a, has_b = (np.bincount(self.query_of[self.groups == g], minlength=self.num_queries) > 0
-                        for g in (GROUP_A, GROUP_B))
-        self.has_both_groups = has_a & has_b
+        self.sizes_a = np.bincount(self.query_of[self.groups == GROUP_A],
+                                   minlength=self.num_queries)
+        self.has_both_groups = (self.sizes_a > 0) & (self.sizes_a < self.sizes)
         for a in (*vars(self).values(), *vocab):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
@@ -155,25 +157,50 @@ def padded(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def smallest_keys(keys: np.ndarray, seg: np.ndarray, n: np.ndarray) -> np.ndarray:
+def smallest_keys(keys: np.ndarray, seg: np.ndarray, n: np.ndarray,
+                  size: np.ndarray) -> np.ndarray:
     """Indices of the ``n[s]`` smallest ``keys`` (in [0, 1)) of each segment s
-    (``seg``: ints in [0, 2**31)), ordered by segment, then key; keys equal in
-    their first 32 bits tie.  With independent uniform keys, a uniform draw
-    without replacement per segment (Efraimidis & Spirakis, IPL 2006).  Only
-    keys under a cut that leaves n[s] with overwhelming odds are sorted, and a
-    segment the cut leaves short sorts all of its keys."""
-    size = np.bincount(seg, minlength=len(n))
+    (``seg``: ints in [0, len(n))), ordered by segment, then key; ``size[s]``
+    is the number of keys of segment s.  Keys equal in their first 32 bits
+    keep the order of their indices.  With independent uniform keys, a
+    uniform draw without replacement per segment (Efraimidis & Spirakis, IPL
+    2006).  Only keys under a cut that leaves n[s] with overwhelming odds are
+    sorted, and a segment the cut leaves short sorts all of its keys; one
+    value sort of packed codes orders them (``_smallest_sorted``)."""
     n = np.minimum(n, size)
     low = keys < ((n + 4 * np.sqrt(n) + 8) / np.maximum(size, 1))[seg]
     idx = np.flatnonzero(low)
-    count = np.bincount(seg[idx], minlength=len(n))
+    s = seg[idx]
+    count = np.bincount(s, minlength=len(n))
     if np.any(count < n):
         idx = np.flatnonzero(low | (count < n)[seg])
-        count = np.bincount(seg[idx], minlength=len(n))
-    code = seg[idx].astype(np.int64) << 32 | (keys[idx] * 2.0 ** 32).astype(np.int64)
-    idx = idx[np.argsort(code)]
-    s = seg[idx]
-    return idx[np.arange(len(idx)) - (np.cumsum(count) - count)[s] < n[s]]
+        s, count = seg[idx], np.where(count < n, size, count)
+    return idx[_smallest_sorted(s, (keys[idx] * 2.0 ** 32).astype(np.int64), n, count)]
+
+
+def _smallest_sorted(seg: np.ndarray, key32: np.ndarray, n: np.ndarray,
+                     count: np.ndarray) -> np.ndarray:
+    """Positions of the ``n[s]`` smallest ``key32`` (ints in [0, 2**32)) of each
+    segment s, ordered by segment, key, then position; ``count[s]`` is the
+    number of keys of segment s.
+
+    One value sort orders the int64 codes (segment, key, position), packed
+    from the high bits down.  Segment and position share the 31 bits beside
+    the key; when they need more, each half of the segments is sorted apart.
+    """
+    m = len(seg)
+    pos_bits, seg_bits = max(m - 1, 0).bit_length(), max(len(n) - 1, 0).bit_length()
+    if pos_bits + seg_bits > 31:
+        if len(n) == 1:
+            raise ConfigurationError(f"cannot order {m} keys of one segment in one sort")
+        half = len(n) // 2
+        lower, upper = np.flatnonzero(seg < half), np.flatnonzero(seg >= half)
+        return np.concatenate([
+            lower[_smallest_sorted(seg[lower], key32[lower], n[:half], count[:half])],
+            upper[_smallest_sorted(seg[upper] - half, key32[upper], n[half:], count[half:])]])
+    code = np.sort(seg.astype(np.int64) << (32 + pos_bits) | key32 << pos_bits | np.arange(m))
+    s = code >> (32 + pos_bits)
+    return (code & ((1 << pos_bits) - 1))[np.arange(m) < (np.cumsum(count) - count + n)[s]]
 
 
 # one query's sub-batches as positions into its QueryGroup arrays
@@ -215,11 +242,11 @@ class BatchSample:
         return out
 
 
-def _build_dataset(query_ids, item_ids, relevance, groups) -> Dataset:
-    """Group (query_id, item_id, relevance, group) rows by query in
-    first-appearance order; item feature rows follow first appearance too."""
-    first: dict[str, int] = {}
-    query_of = np.array([first.setdefault(q, len(first)) for q in query_ids], dtype=np.int64)
+def _build_dataset(names, query_of, item_ids, relevance, groups) -> Dataset:
+    """Group (query, item_id, relevance, group) rows by query in the order of
+    ``names``, row j's query being ``names[query_of[j]]``; item feature rows
+    follow first appearance."""
+    query_of = np.asarray(query_of, dtype=np.int64)
     item_ids, groups = np.asarray(item_ids, dtype=np.int64), np.asarray(groups, dtype=np.int8)
     ids, where, vocab_pos = np.unique(item_ids, return_index=True, return_inverse=True)
     pair = query_of * len(ids) + vocab_pos
@@ -227,26 +254,29 @@ def _build_dataset(query_ids, item_ids, relevance, groups) -> Dataset:
     repeated = order[1:][pair[order[1:]] == pair[order[:-1]]]
     if len(repeated):
         r = repeated.min()
-        raise DuplicateItemError(f"duplicate (query, item) pair ({query_ids[r]}, {item_ids[r]})")
+        raise DuplicateItemError(f"duplicate (query, item) pair ({names[query_of[r]]}, "
+                                 f"{item_ids[r]})")
     clash = np.flatnonzero(groups != groups[where][vocab_pos])
     if len(clash):
         r = clash[0]
         raise ParseError(f"item {item_ids[r]} is tagged group {groups[where[vocab_pos[r]]]} "
-                         f"and, in query {query_ids[r]}, group {groups[r]}")
+                         f"and, in query {names[query_of[r]]}, group {groups[r]}")
     rows = np.empty(len(ids), dtype=np.int64)
     rows[np.argsort(where)] = np.arange(len(ids))
     flat = np.argsort(query_of, kind="stable")
-    return Dataset(list(first), np.arange(len(first)), np.bincount(query_of, minlength=len(first)),
+    return Dataset(names, np.arange(len(names)), np.bincount(query_of, minlength=len(names)),
                    item_ids[flat], rows[vocab_pos[flat]], np.asarray(relevance)[flat],
-                   groups[flat], Vocabulary(ids, rows, groups[where]), len(first))
+                   groups[flat], Vocabulary(ids, rows, groups[where]), len(names))
 
 
 def load_csv(path: str) -> Dataset:
     """Load ``query_id,item_id,relevance,group`` rows; header auto-detected.
 
-    Group 0 is the protected group A, 1 the majority group B.
+    Group 0 is the protected group A, 1 the majority group B.  Each field
+    goes into its column as its row is read, so memory follows the columns.
     """
-    rows: list[tuple[str, int, float, int]] = []
+    first: dict[str, int] = {}
+    query_of, item_ids, relevance, groups = array("q"), array("q"), array("d"), array("b")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, parts in enumerate(reader, start=1):
@@ -260,7 +290,6 @@ def load_csv(path: str) -> Dataset:
                     continue
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            qid = parts[0].strip()
             try:
                 iid = int(parts[1])
             except ValueError:
@@ -277,10 +306,13 @@ def load_csv(path: str) -> Dataset:
             grp = parts[3].strip()
             if grp not in ("0", "1"):
                 raise ParseError(f"line {lineno}: group must be 0 or 1, got {grp!r}")
-            rows.append((qid, iid, rel, int(grp)))
-    if not rows:
+            query_of.append(first.setdefault(parts[0].strip(), len(first)))
+            item_ids.append(iid)
+            relevance.append(rel)
+            groups.append(int(grp))
+    if not item_ids:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return _build_dataset(*zip(*rows))
+    return _build_dataset(list(first), query_of, item_ids, relevance, groups)
 
 
 def save_csv(d: Dataset, path: str) -> None:
@@ -310,8 +342,8 @@ def generate_synthetic(num_queries: int, items_per_query: int,
         raise ConfigurationError("items_per_query must be >= 4")
     if not (0.0 < minority_fraction < 1.0):
         raise ConfigurationError("minority_fraction must be in (0, 1)")
-    if bias < 0:
-        raise ConfigurationError("bias must be >= 0")
+    if not 0 <= bias < float("inf"):
+        raise ConfigurationError("bias must be finite and >= 0")
     if num_queries < 1:
         raise ConfigurationError("num_queries must be >= 1")
 
@@ -338,7 +370,8 @@ def generate_synthetic(num_queries: int, items_per_query: int,
         noise = rng.normal(0.0, 0.5, size=items_per_query)
         rel.append(np.clip(np.round(quality[picked[-1]] + noise), 0.0, 4.0))
     picked = np.concatenate(picked)
-    return _build_dataset([f"q{k}" for k in range(num_queries) for _ in range(items_per_query)],
+    return _build_dataset([f"q{k}" for k in range(num_queries)],
+                          np.repeat(np.arange(num_queries), items_per_query),
                           picked, np.concatenate(rel), pool_groups[picked])
 
 
@@ -351,9 +384,9 @@ def split(d: Dataset, fractions: tuple[float, float, float],
     part keeps the items' order and shares ``d``'s vocabulary and observed
     pairs.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):
         raise ConfigurationError("fractions must be three positive numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ConfigurationError("fractions must sum to 1")
 
     rng = np.random.default_rng(seed)
@@ -384,8 +417,8 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
 
     All draws are uniform without replacement; requested sizes are capped
     at the source sizes.  A generator state fixes the batch: one call draws
-    the pair batch, then one call each gives every item of the sampled
-    queries a uniform key for ``smallest_keys``, per query and per query and
+    the pair batch, then one call gives every item of the sampled queries
+    two uniform keys for ``smallest_keys``: one per query, one per query and
     group.  A query missing a group draws nothing for it and is marked
     ``skipped``.
     """
@@ -397,15 +430,17 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
         raise EmptyDatasetError("cannot sample from an empty dataset")
     pairs = rng.choice(total, size=min(n_pairs, total), replace=False)
     queries, pair_row = np.unique(d.query_of[pairs], return_inverse=True)
-    counts = d.sizes[queries]
+    counts, counts_a = d.sizes[queries], d.sizes_a[queries]
     pos = spans(d.offsets[queries], counts)
     row = np.repeat(np.arange(len(queries)), counts)
-    items = pos[smallest_keys(rng.random(len(pos)), row, np.full(len(queries), n_q))]
+    keys = rng.random(2 * len(pos))
+    items = pos[smallest_keys(keys[:len(pos)], row, np.full(len(queries), n_q), counts)]
     seg = 2 * row + d.groups[pos]        # GROUP_A even, GROUP_B odd
-    picked = smallest_keys(rng.random(len(pos)), seg, np.tile([n_a, n_b], len(queries)))
-    group_a, group_b = (padded(pos[picked[in_g]], np.bincount(row[picked[in_g]],
-                                                              minlength=len(queries)))
-                        for in_g in (seg[picked] % 2 == GROUP_A, seg[picked] % 2 == GROUP_B))
+    picked = smallest_keys(keys[len(pos):], seg, np.tile([n_a, n_b], len(queries)),
+                           np.stack([counts_a, counts - counts_a], axis=1).ravel())
+    in_a = seg[picked] % 2 == GROUP_A
+    group_a = padded(pos[picked[in_a]], np.minimum(counts_a, n_a))
+    group_b = padded(pos[picked[~in_a]], np.minimum(counts - counts_a, n_b))
     return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
                        items=padded(items, np.minimum(counts, n_q)), group_a=group_a,
                        group_b=group_b, skipped=~d.has_both_groups[queries],

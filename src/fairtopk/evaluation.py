@@ -118,7 +118,8 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
                                           np.full(len(voc), 2)])
     quota = np.stack(np.broadcast_arrays(proto.relevant_per_query, proto.irrelevant_per_query,
                                          need, 0), axis=1).ravel()
-    picked = smallest_keys(_uniform(_streams(proto.seed, qids)[cand_list], ids[:-1]), seg, quota)
+    picked = smallest_keys(_uniform(_streams(proto.seed, qids)[cand_list], ids[:-1]), seg, quota,
+                           np.bincount(seg, minlength=len(quota)))
     sizes = np.bincount(cand_list[picked], minlength=len(lists))
     picked = padded(picked, sizes)
     return ids[picked], rows[picked], labels[picked], groups[picked], sizes

@@ -31,7 +31,7 @@ from .lambda_solver import (
     solve_lambda_exactly_smoothed,
 )
 from .model import FactorizationScorer
-from .rank_losses import GradWeights, MovingAverage, gather_scores
+from .rank_losses import BlockRows, GradWeights, MovingAverage
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
         return GradWeights(blocks, tuple(np.zeros(b.shape) for b in blocks))
     inv_nq = 1.0 / len(batch.queries)
     rows = batch.queries[active]
-    s_a, s_b, s_g = gather_scores(model, d, *blocks) if scores is None else scores
+    s_a, s_b, s_g = BlockRows(d, blocks).scores(model) if scores is None else scores
     n_a, n_b, n_g = (np.count_nonzero(b >= 0, axis=1)[:, None] for b in blocks)
 
     shift = np.where(fair.u.seen[rows], fair.shift[rows],

@@ -27,9 +27,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(x / 2))
 
 
-def _batch_mean(values: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, counting only the slots with a finite score."""
-    return values.sum(axis=-1) / np.count_nonzero(scores > -np.inf, axis=-1)
+def _slopes(lam, scores: np.ndarray, p: SmoothingParams) -> tuple[np.ndarray, np.ndarray]:
+    """The softplus slopes sigmoid((h - lambda) / tau1) of the scores and the
+    number of finite scores, over the last axis."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return (_sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1),
+            np.count_nonzero(scores > -np.inf, axis=-1))
+
+
+def _grad(lam, sig: np.ndarray, n: np.ndarray, p: SmoothingParams, n_total):
+    n_q = n if n_total is None else n_total
+    return (p.k + p.eps) / n_q + p.tau2 * lam - sig.sum(axis=-1) / n
+
+
+def _hess(sig: np.ndarray, n: np.ndarray, p: SmoothingParams):
+    return p.tau2 + (sig * (1.0 - sig)).sum(axis=-1) / n / p.tau1
 
 
 @dataclass(frozen=True)
@@ -84,17 +96,12 @@ def smoothed_grad(lam: float, scores: np.ndarray, p: SmoothingParams,
     the batch average then stands in for the full average while the
     (K + eps) / N_q term keeps the true N_q.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    sig = _sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1)
-    n = n_total if n_total is not None else np.count_nonzero(scores > -np.inf, axis=-1)
-    return (p.k + p.eps) / n + p.tau2 * lam - _batch_mean(sig, scores)
+    return _grad(lam, *_slopes(lam, scores, p), p, n_total)
 
 
 def smoothed_hess(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
     """Second derivative; bounded below by tau2."""
-    scores = np.asarray(scores, dtype=np.float64)
-    sig = _sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1)
-    return p.tau2 + _batch_mean(sig * (1.0 - sig), scores) / p.tau1
+    return _hess(*_slopes(lam, scores, p), p)
 
 
 def cross_coeff(lam: float | np.ndarray, scores: np.ndarray, p: SmoothingParams) -> np.ndarray:
@@ -162,9 +169,12 @@ def solve_lambda_exactly_smoothed(scores: np.ndarray, p: SmoothingParams,
 
 def state_step(st: LambdaState, scores: np.ndarray, p: SmoothingParams,
                n_total: int | None = None) -> LambdaState:
-    """One online update of (s, v, lambda) from a mini-batch of scores."""
-    st.s = (1.0 - st.gamma) * st.s + st.gamma * smoothed_hess(st.lam, scores, p)
-    st.v = (1.0 - st.gamma) * st.v + st.gamma * smoothed_grad(st.lam, scores, p, n_total)
+    """One online update of (s, v, lambda) from a mini-batch of scores: s
+    blends in ``smoothed_hess`` and v ``smoothed_grad`` at the current
+    lambda, both from one evaluation of the softplus slopes."""
+    sig, n = _slopes(st.lam, scores, p)
+    st.s = (1.0 - st.gamma) * st.s + st.gamma * _hess(sig, n, p)
+    st.v = (1.0 - st.gamma) * st.v + st.gamma * _grad(st.lam, sig, n, p, n_total)
     st.lam = st.lam - st.eta * st.v
     return st
 

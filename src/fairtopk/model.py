@@ -42,8 +42,8 @@ class FactorizationScorer:
                  bound: float = 10.0, scale: float = 1.0, seed: int = 0):
         if num_queries < 1 or num_items < 1 or dim < 1:
             raise ConfigurationError("model dimensions must be positive")
-        if bound <= 0 or scale <= 0:
-            raise ConfigurationError("bound and scale must be positive")
+        if not (0 < bound < np.inf and 0 < scale < np.inf):
+            raise ConfigurationError("bound and scale must be positive and finite")
         self.num_queries = num_queries
         self.num_items = num_items
         self.dim = dim
@@ -81,41 +81,49 @@ class FactorizationScorer:
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise LookupError_(f"{what} index out of range")
 
-    def _pre_rows(self, emb_i: np.ndarray, emb_q: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return (np.einsum("ij,ij->i", emb_i, emb_q) + np.take(self.item_bias, items)) / self.scale
-
-    def score_many(self, q, items) -> np.ndarray:
-        """Scores of ``items`` for query row ``q``; when ``q`` is an array,
-        item j is scored for query row ``q[j]``."""
-        items = np.asarray(items, dtype=np.int64)
-        q = np.asarray(q, dtype=np.int64)
+    def _gather(self, q: np.ndarray, items: np.ndarray) -> dict:
+        """The checked embedding rows of the pairs (q[j], items[j]) and the tanh
+        of their scaled logits; ``q`` may be one row for all items."""
         self._check_range(items, self.num_items, "item")
         self._check_range(q, self.num_queries, "query")
-        q = np.broadcast_to(q, items.shape)
-        emb_i, emb_q = np.take(self.item_emb, items, axis=0), np.take(self.query_emb, q, axis=0)
-        return self.score_bound * np.tanh(self._pre_rows(emb_i, emb_q, items))
+        emb_i = np.take(self.item_emb, items, axis=0)
+        emb_q = np.take(self.query_emb, np.broadcast_to(q, items.shape), axis=0)
+        logits = np.einsum("ij,ij->i", emb_i, emb_q) + np.take(self.item_bias, items)
+        return {"emb_i": emb_i, "emb_q": emb_q, "tanh": np.tanh(logits / self.scale)}
 
-    def add_weighted_grads(self, q_idx, item_idx, coeff, out) -> None:
-        """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j])."""
+    def score_many(self, q, items, keep: dict | None = None) -> np.ndarray:
+        """Scores of ``items`` for query row ``q``; when ``q`` is an array,
+        item j is scored for query row ``q[j]``.  ``keep``, when given, receives
+        the embedding rows and tanh values gathered, for an
+        ``add_weighted_grads`` call on the same pairs."""
+        rows = self._gather(np.asarray(q, dtype=np.int64), np.asarray(items, dtype=np.int64))
+        if keep is not None:
+            keep.update(rows)
+        return self.score_bound * rows["tanh"]
+
+    def add_weighted_grads(self, q_idx, item_idx, coeff, out, kept: dict | None = None) -> None:
+        """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j]).
+
+        ``kept`` is what ``score_many(q_idx, item_idx, keep=...)`` kept while
+        the parameters were as they are now; it is used as it is, unchecked.
+        Without it the indices are checked and the rows gathered here.
+        """
         q_idx = np.asarray(q_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         coeff = np.asarray(coeff, dtype=np.float64)
-        self._check_range(q_idx, self.num_queries, "query")
-        self._check_range(item_idx, self.num_items, "item")
-        emb_i = np.take(self.item_emb, item_idx, axis=0)
-        emb_q = np.take(self.query_emb, q_idx, axis=0)
-        t = np.tanh(self._pre_rows(emb_i, emb_q, item_idx))
+        rows = self._gather(q_idx, item_idx) if kept is None else kept
+        t = rows["tanh"]
         c = coeff * self.score_bound * (1.0 - t * t) / self.scale
         # weighted bincounts, one per embedding column: each entry adds
         # c * item_emb to its query row, c * query_emb to its item row and c
-        # to its item bias
+        # to its item bias; the weights are laid out column by column
         layout = self.params.layout
-        for name, rows, g in (("query_emb", q_idx, c[:, None] * emb_i),
-                              ("item_emb", item_idx, c[:, None] * emb_q)):
+        for name, idx, emb in (("query_emb", q_idx, rows["emb_i"]),
+                               ("item_emb", item_idx, rows["emb_q"])):
             off, length = layout[name]
             seg = out[off:off + length].reshape(-1, self.dim)
-            for k in range(self.dim):
-                seg[:, k] += np.bincount(rows, weights=g[:, k], minlength=len(seg))
+            for k, w in enumerate(np.multiply(emb.T, c, order="C")):
+                seg[:, k] += np.bincount(idx, weights=w, minlength=len(seg))
         off, length = layout["item_bias"]
         out[off:off + length] += np.bincount(item_idx, weights=c, minlength=length)
 

@@ -24,13 +24,12 @@ from .fairness import FairnessState, SmoothIndicator, g2_estimate
 from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
 from .rank_losses import (
-    GradWeights,
+    BlockRows,
     LossVariant,
     MovingAverage,
     RankLossKind,
     dataset_loss,
     g1_estimate,
-    gather_scores,
 )
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
@@ -67,6 +66,10 @@ class TrainConfig:
     log_every: int = 100
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.fairness_mode not in FAIRNESS_MODES:
             raise ConfigurationError(f"unknown fairness_mode {self.fairness_mode!r}")
         if self.lr_schedule not in LR_SCHEDULES:
@@ -211,17 +214,19 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
                state: TrainerState, rng: np.random.Generator,
                lr_mult: float = 1.0) -> dict:
     """One full iteration: sample, estimate G1 (+ C * G2), momentum, step.
-    One score gather and one gradient scatter serve both estimators."""
+    One score gather serves both estimators, and one gradient scatter on the
+    rows that gather kept takes both estimates."""
     state.bind(d, cfg)
     batch = sample_batch(
         d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
     active = ~batch.skipped
     fair_blocks = (batch.group_a[active], batch.group_b[active]) if cfg.fairness_active() else ()
-    scores = gather_scores(model, d, batch.pairs, batch.items, *fair_blocks)
+    gathered = BlockRows(d, (batch.pairs, batch.items, *fair_blocks))
+    scores = gathered.scores(model)
     g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pairs, scores=scores[:2])
     _check_finite(g1.coeffs, "G1")
 
-    weights = g1
+    coeffs = g1.coeffs
     if cfg.fairness_active():
         smoothing = cfg.smoothing()
         s_g = scores[1][active]                 # G1's item sub-batch, both-group queries
@@ -245,10 +250,9 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
             lam.lam[rows], lam.s[rows], lam.v[rows] = st.lam, st.s, st.v
         # G2's item block is G1's at the active rows: its weights merge into G1's
         g1.coeffs[1][active] += cfg.fair_weight * g2.coeffs[2]
-        weights = GradWeights(g1.blocks + g2.blocks[:2],
-                              g1.coeffs + tuple(cfg.fair_weight * c for c in g2.coeffs[:2]))
+        coeffs += tuple(cfg.fair_weight * c for c in g2.coeffs[:2])
 
-    state.momentum.update(weights.dense(model, d))
+    state.momentum.update(gathered.dense(model, coeffs))
     _check_finite([state.momentum.z], "momentum z")
     model.params.values -= cfg.eta1 * lr_mult * state.momentum.z
     return {"z_norm": float(np.linalg.norm(state.momentum.z)),

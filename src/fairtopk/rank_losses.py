@@ -133,20 +133,40 @@ class MovingAverage:
         return new
 
 
-def gather_scores(model: FactorizationScorer, d: Dataset,
-                  *blocks: np.ndarray) -> list[np.ndarray]:
-    """Scores at the flat positions of each block, from one score_many call.
+class BlockRows:
+    """The flat positions in the filled slots of some blocks, concatenated once
+    with their model rows.  A block is a vector or a padded matrix of flat
+    positions; its -1 slots are empty.
 
-    A block is a vector or a padded matrix; its -1 slots score -inf.
+    ``scores`` scores them with one score_many call, which keeps the rows it
+    gathers; ``dense`` scatters weights on the same positions with one
+    add_weighted_grads call, on those rows while the parameters stay as they
+    were scored, else gathering its own.
     """
-    filled = [b >= 0 for b in blocks]
-    pos = np.concatenate([b[f] for b, f in zip(blocks, filled)])
-    scores = model.score_many(d.query_row[pos], d.feature_idx[pos])
-    parts = np.split(scores, np.cumsum([f.sum() for f in filled])[:-1])
-    out = [np.full(b.shape, -np.inf) for b in blocks]
-    for s, f, part in zip(out, filled, parts):
-        s[f] = part
-    return out
+
+    def __init__(self, d: Dataset, blocks: tuple[np.ndarray, ...]):
+        self.filled = [b >= 0 for b in blocks]
+        pos = np.concatenate([b[f] for b, f in zip(blocks, self.filled)])
+        self.q, self.items = d.query_row[pos], d.feature_idx[pos]
+        self.kept = None
+
+    def scores(self, model: FactorizationScorer) -> list[np.ndarray]:
+        """Each block's scores; its -1 slots score -inf."""
+        self.kept = {}
+        flat = model.score_many(self.q, self.items, keep=self.kept)
+        out = [np.full(f.shape, -np.inf) for f in self.filled]
+        for s, f, part in zip(out, self.filled,
+                              np.split(flat, np.cumsum([f.sum() for f in self.filled])[:-1])):
+            s[f] = part
+        return out
+
+    def dense(self, model: FactorizationScorer, coeffs) -> np.ndarray:
+        """sum over blocks b and their filled slots of coeffs[b] * grad_w score,
+        as a parameter vector."""
+        coeff = np.concatenate([c[f] for c, f in zip(coeffs, self.filled)])
+        out = np.zeros(len(model.params.values))
+        model.add_weighted_grads(self.q, self.items, coeff, out, kept=self.kept)
+        return out
 
 
 class GradWeights(NamedTuple):
@@ -158,12 +178,7 @@ class GradWeights(NamedTuple):
 
     def dense(self, model: FactorizationScorer, d: Dataset) -> np.ndarray:
         """The estimate as a parameter vector, from one add_weighted_grads call."""
-        filled = [b >= 0 for b in self.blocks]
-        pos = np.concatenate([b[f] for b, f in zip(self.blocks, filled)])
-        coeff = np.concatenate([c[f] for c, f in zip(self.coeffs, filled)])
-        out = np.zeros(len(model.params.values))
-        model.add_weighted_grads(d.query_row[pos], d.feature_idx[pos], coeff, out)
-        return out
+        return BlockRows(d, self.blocks).dense(model, self.coeffs)
 
 
 def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
@@ -194,7 +209,7 @@ def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
     blocks = (batch.pairs, batch.items)
-    s_pair, s_inner = gather_scores(model, d, *blocks) if scores is None else scores
+    s_pair, s_inner = BlockRows(d, blocks).scores(model) if scores is None else scores
     diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
     if kind.variant is LossVariant.NDCG:

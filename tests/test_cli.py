@@ -28,6 +28,14 @@ class TestGenData:
     def test_missing_required_flag(self, capsys):
         assert run(["gen-data", "--queries", "4", "--items", "8"]) == 1
 
+    @pytest.mark.parametrize("bias", ["nan", "inf"])
+    def test_non_finite_bias_exits_one_before_writing(self, tmp_path, capsys, bias):
+        out = tmp_path / "x.csv"
+        assert run(["gen-data", "--queries", "4", "--items", "8", "--bias", bias,
+                    "--seed", "0", "--out", str(out)]) == 1
+        assert "invalid configuration: bias" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strict_repro_requires_seed(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert run(["--strict-repro", "gen-data", "--queries", "4",
@@ -104,6 +112,14 @@ class TestTrainEval:
     def test_out_of_range_config_flag_exits_one(self, data_csv, tmp_path, capsys, flag):
         assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"), flag, "0"]) == 1
         assert "invalid configuration:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--C", "nan"], ["--fractions", "nan,0.5,0.5"],
+                                      ["--bound", "nan"]])
+    def test_nan_parameter_exits_one_before_writing(self, data_csv, tmp_path, capsys, argv):
+        assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"),
+                    "--epochs", "1", *argv]) == 1
+        assert "invalid configuration:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_item_in_two_groups_exits_two(self, tmp_path, capsys):
         data = tmp_path / "two.csv"

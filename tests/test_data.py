@@ -1,6 +1,9 @@
 """Dataset loading, synthetic generation, splitting and batch sampling."""
 
+import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,20 @@ class TestLoadCsv:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             load_csv(_write(tmp_path, ""))
+
+    def test_memory_follows_the_columns(self, tmp_path):
+        # 40,000 rows; holding each row as a tuple of Python objects before any
+        # array exists peaks at over five times what the dataset keeps
+        path = str(tmp_path / "big.csv")
+        save_csv(generate_synthetic(200, 200, 0.3, 1.0, seed=0), path)
+        tracemalloc.start()
+        try:
+            d = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in vars(d).values() if isinstance(a, np.ndarray))
+        assert peak <= 3 * kept
 
     def test_bad_relevance_reports_line(self, tmp_path):
         path = _write(tmp_path, "q1,1,2,0\nq1,2,abc,0\n")
@@ -155,6 +172,9 @@ class TestGenerateSynthetic:
             generate_synthetic(5, 8, 1.5, 0.0, seed=0)
         with pytest.raises(ConfigurationError):
             generate_synthetic(5, 8, 0.3, -1.0, seed=0)
+        for bias in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="bias"):
+                generate_synthetic(5, 8, 0.3, bias, seed=0)
 
 
 class TestSplit:
@@ -201,6 +221,9 @@ class TestSplit:
             split(d, (0.5, 0.5, 0.5), seed=0)
         with pytest.raises(ConfigurationError):
             split(d, (1.0, 0.0, 0.0), seed=0)
+        for fractions in ((float("nan"), 0.5, 0.5), (float("inf"), 0.5, 0.5)):
+            with pytest.raises(ConfigurationError):
+                split(d, fractions, seed=0)
 
     def test_observed_map_attached(self):
         d = generate_synthetic(3, 6, 0.3, 0.0, seed=0)
@@ -258,10 +281,23 @@ class TestSmallestKeys:
         seg = rng.integers(0, segments, 60)
         keys = rng.random(60) ** power
         n = rng.integers(0, 12, segments)
-        got = smallest_keys(keys, seg, n)
+        got = smallest_keys(keys, seg, n, np.bincount(seg, minlength=segments))
         want = [i for s in range(segments)
                 for i in np.flatnonzero(seg == s)[np.argsort(keys[seg == s])][:n[s]]]
         assert got.tolist() == want
+
+    def test_codes_wider_than_63_bits_sort_in_parts(self):
+        # 2**16 segments and 2**17 kept keys need 16 + 32 + 17 bits; ties in the
+        # first 32 bits of a key keep the order of the indices
+        rng = np.random.default_rng(0)
+        seg = np.repeat(np.arange(2 ** 16), 2)
+        keys = np.floor(rng.random(len(seg)) * 2.0 ** 6) / 2.0 ** 6
+        keys[1::4] = keys[::4]
+        n = rng.integers(0, 3, 2 ** 16)
+        got = smallest_keys(keys, seg, n, np.full(2 ** 16, 2))
+        order = np.lexsort((np.arange(len(seg)), keys, seg))
+        rank = np.arange(len(seg)) - 2 * seg[order]
+        assert np.array_equal(got, order[rank < n[seg[order]]])
 
 
 class TestSampleBatch:
@@ -325,6 +361,22 @@ class TestSampleBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+    def test_matches_recorded_draws_at_bench_scale(self):
+        # 20 draws on the benchmark's training split: the cut and fallback of
+        # smallest_keys at full size, pinned to sha256 digests of every array
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
+        train_d = split(d, (0.8, 0.1, 0.1), seed=0)[0]
+        rng = np.random.default_rng(1)
+        pins = json.loads(Path(__file__).with_name("sampler_pins.json").read_text())
+        for pinned in pins:
+            batch = sample_batch(train_d, (256, 32, 16, 16), rng)
+            got = {}
+            for name in pinned:
+                a = np.ascontiguousarray(getattr(batch, name))
+                got[name] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode()
+                                           + a.tobytes()).hexdigest()
+            assert got == pinned
 
     def test_deterministic_given_generator_state(self, small_data):
         a = sample_batch(small_data, (6, 3, 2, 2), np.random.default_rng(5))

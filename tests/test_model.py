@@ -53,6 +53,10 @@ class TestInit:
             FactorizationScorer(0, 5, 2)
         with pytest.raises(ConfigurationError):
             FactorizationScorer(5, 5, 2, bound=-1.0)
+        for value in (float("nan"), float("inf")):
+            for name in ("bound", "scale"):
+                with pytest.raises(ConfigurationError, match="finite"):
+                    FactorizationScorer(5, 5, 2, **{name: value})
 
 
 class TestScore:
@@ -131,6 +135,23 @@ class TestGradient:
         m.add_weighted_grads(np.array([0, 0]), np.array([1, 1]),
                              np.array([2.0, 3.0]), out)
         assert np.allclose(out, 5.0 * _score_gradient(m, 0, 1))
+
+    @pytest.mark.parametrize("q, items, coeff", [
+        # repeated (query, item) rows and zero coefficients among them
+        ([0, 1, 0, 0, 2, 1], [1, 4, 1, 1, 0, 4], [2.0, 0.0, -1.5, 0.0, 3.0, 0.25]),
+        ([2, 2, 2], [3, 3, 3], [0.0, 0.0, 0.0]),
+        ([], [], []),
+    ])
+    def test_scatter_on_kept_rows_equals_gathering(self, q, items, coeff):
+        m = FactorizationScorer(3, 5, 4, scale=2.0, seed=5)
+        q, items = np.array(q, dtype=np.int64), np.array(items, dtype=np.int64)
+        out_kept, out_plain = np.ones(len(m.params)), np.ones(len(m.params))
+        kept = {}
+        scores = m.score_many(q, items, keep=kept)
+        assert np.array_equal(scores, m.score_many(q, items))
+        m.add_weighted_grads(q, items, coeff, out_kept, kept=kept)
+        m.add_weighted_grads(q, items, coeff, out_plain)
+        assert np.array_equal(out_kept, out_plain)
 
 
 class TestCheckpoint:

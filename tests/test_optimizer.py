@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,13 @@ class TestConfig:
     def test_gamma_range(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(gamma0=1.5).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)
+                                      if isinstance(f.default, float)])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            replace(TrainConfig(), **{name: value}).validate()
 
     def test_file_round_trip(self, tmp_path):
         cfg = TrainConfig(k=7, fair_weight=123.0, loss="listnet", gamma0=0.9)
@@ -159,11 +166,17 @@ class TestTrainStep:
         calls = []
         for name in ("score_many", "add_weighted_grads"):
             def counted(self, q, items, *rest, _name=name,
-                        _original=getattr(FactorizationScorer, name)):
+                        _original=getattr(FactorizationScorer, name), **kwargs):
                 calls.append((_name, len(items)))
-                return _original(self, q, items, *rest)
+                return _original(self, q, items, *rest, **kwargs)
 
             monkeypatch.setattr(FactorizationScorer, name, counted)
+        for name in ("item_emb", "query_emb"):
+            def read(self, _name=name, _get=getattr(FactorizationScorer, name).fget):
+                calls.append((_name, "read"))
+                return _get(self)
+
+            monkeypatch.setattr(FactorizationScorer, name, property(read))
         for c in (10.0, 0.0):
             d, m, cfg = _tiny_setup(fair_weight=c)
             rng = np.random.default_rng(3)
@@ -173,10 +186,12 @@ class TestTrainStep:
             assert active.any() == (c > 0)
             calls.clear()
             train_step(m, d, cfg, TrainerState.fresh(cfg, len(m.params.values)), rng)
-            # G1, the threshold update and G2 share one gather; G1 and C * G2 one scatter
+            # G1, the threshold update and G2 share one gather; G1 and C * G2 one
+            # scatter, which reuses the embedding rows the gather read
             filled = sum(np.count_nonzero(b >= 0) for b in (
                 batch.pairs, batch.items, batch.group_a[active], batch.group_b[active]))
-            assert calls == [("score_many", filled), ("add_weighted_grads", filled)]
+            assert calls == [("score_many", filled), ("item_emb", "read"),
+                             ("query_emb", "read"), ("add_weighted_grads", filled)]
 
 
 class TestNonFiniteGradients:
