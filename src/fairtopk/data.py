@@ -283,11 +283,12 @@ def load_csv(path: str) -> Dataset:
             if not parts or (len(parts) == 1 and not parts[0].strip()):
                 continue
             if lineno == 1 and len(parts) == 4:
-                # header if the relevance column is not numeric
+                # a header if neither the item id nor the relevance is a number
                 try:
                     float(parts[2])
                 except ValueError:
-                    continue
+                    if not parts[1].strip().lstrip("+-").isdecimal():
+                        continue
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
@@ -346,6 +347,8 @@ def generate_synthetic(num_queries: int, items_per_query: int,
         raise ConfigurationError("bias must be finite and >= 0")
     if num_queries < 1:
         raise ConfigurationError("num_queries must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     pool_size = 2 * items_per_query
@@ -388,6 +391,8 @@ def split(d: Dataset, fractions: tuple[float, float, float],
         raise ConfigurationError("fractions must be three positive numbers")
     if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ConfigurationError("fractions must sum to 1")
+    if seed < 0:
+        raise ConfigurationError(f"split seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     n = d.sizes

@@ -31,7 +31,7 @@ from .lambda_solver import (
     solve_lambda_exactly_smoothed,
 )
 from .model import FactorizationScorer
-from .rank_losses import BlockRows, GradWeights, MovingAverage
+from .rank_losses import MovingAverage, ScoredBatch
 
 
 @dataclass(frozen=True)
@@ -169,32 +169,33 @@ class FairnessState:
                    shift=np.zeros(num_queries))
 
 
-def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: int,
+def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, k: int,
                 fair: FairnessState, lam: LambdaState | None,
                 psi: SmoothIndicator | None, p: SmoothingParams,
-                mode: str = "simplified", scores: tuple | None = None) -> GradWeights:
+                mode: str = "simplified") -> dict:
     """Stochastic gradient of the top-K fairness regularizer over B_Q, as weights
-    on the group-A, group-B and item blocks of the queries with both groups.
+    on the ``group_a``, ``group_b`` and ``items`` blocks of ``scored``, which
+    must be built with ``fair``; rows of queries missing a group weigh 0.
 
     ``lam`` holds one threshold per query of ``d``.  ``psi = None`` selects
     the full-list disparity (psi = 1), which needs no threshold.
     ``simplified`` drops the indicator-derivative terms (the training
     default); ``full_implicit`` includes them with the implicit-function
-    gradient of the threshold, grad lambda = -cross / s.  ``scores`` are the
-    scores of those three blocks, when the caller has gathered them already.
+    gradient of the threshold, grad lambda = -cross / s.
     """
     if mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {mode!r}")
     if psi is not None and (lam is None or np.size(lam.lam) != d.num_queries):
         raise StateError("top-K fairness needs one threshold state per query")
     active = ~batch.skipped
-    blocks = tuple(b[active] for b in (batch.group_a, batch.group_b, batch.items))
     if not active.any():
-        return GradWeights(blocks, tuple(np.zeros(b.shape) for b in blocks))
+        return {}
     inv_nq = 1.0 / len(batch.queries)
     rows = batch.queries[active]
-    s_a, s_b, s_g = BlockRows(d, blocks).scores(model) if scores is None else scores
-    n_a, n_b, n_g = (np.count_nonzero(b >= 0, axis=1)[:, None] for b in blocks)
+    s_a, s_b = scored.scores["group_a"], scored.scores["group_b"]
+    s_g = scored.scores["items"][active]
+    n_a, n_b, n_g = (np.count_nonzero(f, axis=1)[:, None] for f in (
+        scored.filled["group_a"], scored.filled["group_b"], scored.filled["items"][active]))
 
     shift = np.where(fair.u.seen[rows], fair.shift[rows],
                      np.maximum(np.maximum(s_a.max(axis=1), s_b.max(axis=1)), s_g.max(axis=1)))
@@ -230,4 +231,6 @@ def g2_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample, k: i
         lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / lam.s[rows]
         coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(lam.lam[rows], s_g, p)
 
-    return GradWeights(blocks, (coeff_a, coeff_b, coeff_g))
+    items = np.zeros(batch.items.shape)
+    items[active] = coeff_g
+    return {"group_a": coeff_a, "group_b": coeff_b, "items": items}

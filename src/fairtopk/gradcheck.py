@@ -32,6 +32,7 @@ from .rank_losses import (
     LossVariant,
     MovingAverage,
     RankLossKind,
+    ScoredBatch,
     dataset_loss,
     g1_estimate,
 )
@@ -80,7 +81,8 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
     for kind in (RankLossKind(LossVariant.NDCG, 1.0),
                  RankLossKind(LossVariant.LISTNET, 1.0)):
         pairs = MovingAverage.zeros(1.0, d.total_pairs)
-        g1 = g1_estimate(model, d, batch, kind, pairs).dense(model, d)
+        scored = ScoredBatch(model, d, batch)
+        g1 = scored.dense(g1_estimate(scored, d, batch, kind, pairs))
 
         def loss_of(w):
             model.params.values[:] = w
@@ -112,8 +114,9 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
     lam_state = LambdaState(lam=np.array(lams), s=np.array(hessians))
 
     fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
-    g2 = g2_estimate(model, d, batch, k, fair, lam_state, psi, p,
-                     mode="full_implicit").dense(model, d)
+    scored = ScoredBatch(model, d, batch, fair=True)
+    g2 = scored.dense(g2_estimate(scored, d, batch, k, fair, lam_state, psi, p,
+                                  mode="full_implicit"))
 
     def fairness_of(w):
         model.params.values[:] = w

@@ -117,10 +117,10 @@ def cross_grad(lam: float, model: FactorizationScorer, q: int, item_idx: np.ndar
                p: SmoothingParams) -> np.ndarray:
     """Mixed second derivative d^2 G / (d lambda d w) over the batch:
     sum_i c_i grad_w h_i with the ``cross_coeff`` coefficients."""
-    item_idx = np.asarray(item_idx, dtype=np.int64)
-    coeff = cross_coeff(lam, model.score_many(q, item_idx), p)
+    q_idx, kept = np.full(len(item_idx), q), {}
+    coeff = cross_coeff(lam, model.score_many(q_idx, item_idx, keep=kept), p)
     out = np.zeros(len(model.params.values))
-    model.add_weighted_grads(np.full(len(item_idx), q), item_idx, coeff, out)
+    model.add_weighted_grads(q_idx, item_idx, coeff, out, kept=kept)
     return out
 
 

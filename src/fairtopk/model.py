@@ -44,6 +44,8 @@ class FactorizationScorer:
             raise ConfigurationError("model dimensions must be positive")
         if not (0 < bound < np.inf and 0 < scale < np.inf):
             raise ConfigurationError("bound and scale must be positive and finite")
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self.num_queries = num_queries
         self.num_items = num_items
         self.dim = dim
@@ -76,50 +78,38 @@ class FactorizationScorer:
     def item_bias(self) -> np.ndarray:
         return self.params.segment("item_bias")
 
-    @staticmethod
-    def _check_range(idx: np.ndarray, size: int, what: str) -> None:
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
-            raise LookupError_(f"{what} index out of range")
-
-    def _gather(self, q: np.ndarray, items: np.ndarray) -> dict:
-        """The checked embedding rows of the pairs (q[j], items[j]) and the tanh
-        of their scaled logits; ``q`` may be one row for all items."""
-        self._check_range(items, self.num_items, "item")
-        self._check_range(q, self.num_queries, "query")
+    def score_many(self, q, items, keep: dict | None = None) -> np.ndarray:
+        """Scores of ``items`` for query row ``q``; when ``q`` is an array,
+        item j is scored for query row ``q[j]``.  The one place indices are
+        range-checked.  ``keep``, when given, receives the embedding rows and
+        tanh values gathered, for an ``add_weighted_grads`` call on the same
+        pairs."""
+        q, items = np.asarray(q, dtype=np.int64), np.asarray(items, dtype=np.int64)
+        for idx, size, what in ((items, self.num_items, "item"), (q, self.num_queries, "query")):
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
+                raise LookupError_(f"{what} index out of range")
         emb_i = np.take(self.item_emb, items, axis=0)
         emb_q = np.take(self.query_emb, np.broadcast_to(q, items.shape), axis=0)
         logits = np.einsum("ij,ij->i", emb_i, emb_q) + np.take(self.item_bias, items)
-        return {"emb_i": emb_i, "emb_q": emb_q, "tanh": np.tanh(logits / self.scale)}
-
-    def score_many(self, q, items, keep: dict | None = None) -> np.ndarray:
-        """Scores of ``items`` for query row ``q``; when ``q`` is an array,
-        item j is scored for query row ``q[j]``.  ``keep``, when given, receives
-        the embedding rows and tanh values gathered, for an
-        ``add_weighted_grads`` call on the same pairs."""
-        rows = self._gather(np.asarray(q, dtype=np.int64), np.asarray(items, dtype=np.int64))
+        tanh = np.tanh(logits / self.scale)
         if keep is not None:
-            keep.update(rows)
-        return self.score_bound * rows["tanh"]
+            keep.update(emb_i=emb_i, emb_q=emb_q, tanh=tanh)
+        return self.score_bound * tanh
 
-    def add_weighted_grads(self, q_idx, item_idx, coeff, out, kept: dict | None = None) -> None:
+    def add_weighted_grads(self, q_idx, item_idx, coeff, out, *, kept: dict) -> None:
         """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j]).
 
         ``kept`` is what ``score_many(q_idx, item_idx, keep=...)`` kept while
-        the parameters were as they are now; it is used as it is, unchecked.
-        Without it the indices are checked and the rows gathered here.
+        the parameters were as they are now; it and the indices are used unchecked.
         """
-        q_idx = np.asarray(q_idx, dtype=np.int64)
-        item_idx = np.asarray(item_idx, dtype=np.int64)
-        coeff = np.asarray(coeff, dtype=np.float64)
-        rows = self._gather(q_idx, item_idx) if kept is None else kept
-        t = rows["tanh"]
-        c = coeff * self.score_bound * (1.0 - t * t) / self.scale
+        t = kept["tanh"]
+        c = np.asarray(coeff, dtype=np.float64) * self.score_bound * (1.0 - t * t) / self.scale
         # weighted bincounts, one per embedding column: each entry adds
         # c * item_emb to its query row, c * query_emb to its item row and c
         # to its item bias; the weights are laid out column by column
         layout = self.params.layout
-        for name, idx, emb in (("query_emb", q_idx, rows["emb_i"]),
-                               ("item_emb", item_idx, rows["emb_q"])):
+        for name, idx, emb in (("query_emb", q_idx, kept["emb_i"]),
+                               ("item_emb", item_idx, kept["emb_q"])):
             off, length = layout[name]
             seg = out[off:off + length].reshape(-1, self.dim)
             for k, w in enumerate(np.multiply(emb.T, c, order="C")):
@@ -164,15 +154,17 @@ class FactorizationScorer:
         hlen = int.from_bytes(data[8:16], "little")
         if len(data) < 16 + hlen:
             raise CheckpointError(f"{path}: truncated header")
+        raw = data[16 + hlen:]
         try:
             header = json.loads(data[16:16 + hlen].decode())
-            m = cls(header["num_queries"], header["num_items"], header["dim"],
-                    header["bound"], header["scale"], seed=0)
+            nq, ni, dim = dims = [header[k] for k in ("num_queries", "num_items", "dim")]
+            if not all(type(n) is int and n > 0 for n in dims):
+                raise ValueError(f"model dimensions {dims} are not positive integers")
+            size = 8 * (nq * dim + ni * dim + ni)
+            if len(raw) != size:
+                raise CheckpointError(f"{path}: expected {size} parameter bytes, got {len(raw)}")
+            m = cls(nq, ni, dim, header["bound"], header["scale"], seed=0)
         except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
             raise CheckpointError(f"{path}: unreadable header ({exc})") from None
-        raw = data[16 + hlen:]
-        if len(raw) != 8 * len(m.params):
-            raise CheckpointError(f"{path}: expected {8 * len(m.params)} parameter bytes, "
-                                  f"got {len(raw)}")
         m.params.values[:] = np.frombuffer(raw, dtype="<f8")
         return m

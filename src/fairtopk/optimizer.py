@@ -24,10 +24,10 @@ from .fairness import FairnessState, SmoothIndicator, g2_estimate
 from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
 from .rank_losses import (
-    BlockRows,
     LossVariant,
     MovingAverage,
     RankLossKind,
+    ScoredBatch,
     dataset_loss,
     g1_estimate,
 )
@@ -90,8 +90,9 @@ class TrainConfig:
             raise ConfigurationError("step sizes must be >= 0")
         if min(self.batch_pairs, self.batch_items, self.batch_a, self.batch_b) < 1:
             raise ConfigurationError("batch sizes must be >= 1")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if self.log_every < 1:
             raise ConfigurationError("log_every must be >= 1")
         # the loss, smoothing (k >= 1 included) and indicator types check their own ranges
@@ -214,26 +215,24 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
                state: TrainerState, rng: np.random.Generator,
                lr_mult: float = 1.0) -> dict:
     """One full iteration: sample, estimate G1 (+ C * G2), momentum, step.
-    One score gather serves both estimators, and one gradient scatter on the
-    rows that gather kept takes both estimates."""
+    One ``ScoredBatch`` scores the blocks both estimators weigh and scatters
+    G1 + C * G2 on them."""
     state.bind(d, cfg)
     batch = sample_batch(
         d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
-    active = ~batch.skipped
-    fair_blocks = (batch.group_a[active], batch.group_b[active]) if cfg.fairness_active() else ()
-    gathered = BlockRows(d, (batch.pairs, batch.items, *fair_blocks))
-    scores = gathered.scores(model)
-    g1 = g1_estimate(model, d, batch, cfg.loss_kind(), state.pairs, scores=scores[:2])
-    _check_finite(g1.coeffs, "G1")
+    scored = ScoredBatch(model, d, batch, fair=cfg.fairness_active())
+    g1 = g1_estimate(scored, d, batch, cfg.loss_kind(), state.pairs)
+    _check_finite(g1.values(), "G1")
 
-    coeffs = g1.coeffs
+    estimates = [g1]
     if cfg.fairness_active():
         smoothing = cfg.smoothing()
-        s_g = scores[1][active]                 # G1's item sub-batch, both-group queries
         psi = None                              # full_list: psi = 1, no threshold
         if cfg.fairness_mode == "top_k":
             psi = SmoothIndicator(temperature=cfg.tau_psi)
+            active = ~batch.skipped
             lam, rows = state.lam, batch.queries[active]
+            s_g = scored.scores["items"][active]  # the item sub-batch of both-group queries
             n_total = d.sizes[rows]
             fresh = np.isnan(lam.lam[rows])
             if fresh.any():
@@ -241,18 +240,16 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
                 warm = init_lambda_state(s_g[fresh], smoothing, n_total[fresh],
                                          cfg.gamma4, cfg.eta0)
                 lam.lam[new], lam.s[new], lam.v[new] = warm.lam, warm.s, warm.v
-        g2 = g2_estimate(model, d, batch, cfg.k, state.fair, state.lam, psi,
-                         smoothing, mode=cfg.g2_mode, scores=(*scores[2:], s_g))
-        _check_finite(g2.coeffs, "G2")
+        g2 = g2_estimate(scored, d, batch, cfg.k, state.fair, state.lam, psi,
+                         smoothing, mode=cfg.g2_mode)
+        _check_finite(g2.values(), "G2")
         if cfg.fairness_mode == "top_k":
             st = state_step(LambdaState(lam.lam[rows], lam.s[rows], lam.v[rows], lam.gamma,
                                         lam.eta), s_g, smoothing, n_total=n_total)
             lam.lam[rows], lam.s[rows], lam.v[rows] = st.lam, st.s, st.v
-        # G2's item block is G1's at the active rows: its weights merge into G1's
-        g1.coeffs[1][active] += cfg.fair_weight * g2.coeffs[2]
-        coeffs += tuple(cfg.fair_weight * c for c in g2.coeffs[:2])
+        estimates.append({name: cfg.fair_weight * w for name, w in g2.items()})
 
-    state.momentum.update(gathered.dense(model, coeffs))
+    state.momentum.update(scored.dense(*estimates))
     _check_finite([state.momentum.z], "momentum z")
     model.params.values -= cfg.eta1 * lr_mult * state.momentum.z
     return {"z_norm": float(np.linalg.norm(state.momentum.z)),

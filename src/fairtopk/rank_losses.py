@@ -1,4 +1,5 @@
-"""Rank surrogates, NDCG / ListNet losses and the G1 gradient estimator.
+"""Rank surrogates, NDCG / ListNet losses, the G1 gradient estimator and
+the ``ScoredBatch`` whose blocks G1 and G2 weigh.
 
 The exact rank of an item counts every item scoring at least as high,
 itself included, so the top item has rank 1.  Differentiable surrogates
@@ -133,52 +134,46 @@ class MovingAverage:
         return new
 
 
-class BlockRows:
-    """The flat positions in the filled slots of some blocks, concatenated once
-    with their model rows.  A block is a vector or a padded matrix of flat
-    positions; its -1 slots are empty.
+class ScoredBatch:
+    """The blocks of flat positions one training step works on, scored with
+    one gather and weighted with one scatter.
 
-    ``scores`` scores them with one score_many call, which keeps the rows it
-    gathers; ``dense`` scatters weights on the same positions with one
-    add_weighted_grads call, on those rows while the parameters stay as they
-    were scored, else gathering its own.
+    The blocks are the batch's ``pairs`` and ``items`` and, with ``fair``,
+    the ``group_a`` and ``group_b`` rows of the queries that have both
+    groups; each is a vector or a padded matrix whose -1 slots are empty.
+    ``scores[name]`` holds a block's scores, -inf in its empty slots, from
+    one score_many call that keeps the rows it gathers; ``dense`` scatters
+    on those rows, so the parameters must not move in between.
     """
 
-    def __init__(self, d: Dataset, blocks: tuple[np.ndarray, ...]):
-        self.filled = [b >= 0 for b in blocks]
-        pos = np.concatenate([b[f] for b, f in zip(blocks, self.filled)])
-        self.q, self.items = d.query_row[pos], d.feature_idx[pos]
-        self.kept = None
-
-    def scores(self, model: FactorizationScorer) -> list[np.ndarray]:
-        """Each block's scores; its -1 slots score -inf."""
+    def __init__(self, model: FactorizationScorer, d: Dataset, batch: BatchSample,
+                 fair: bool = False):
+        blocks = {"pairs": batch.pairs, "items": batch.items}
+        if fair:
+            active = ~batch.skipped
+            blocks.update(group_a=batch.group_a[active], group_b=batch.group_b[active])
+        self.model = model
+        self.filled = {name: b >= 0 for name, b in blocks.items()}
+        pos = np.concatenate([b[self.filled[name]] for name, b in blocks.items()])
+        self.q, self.item_rows = d.query_row[pos], d.feature_idx[pos]
         self.kept = {}
-        flat = model.score_many(self.q, self.items, keep=self.kept)
-        out = [np.full(f.shape, -np.inf) for f in self.filled]
-        for s, f, part in zip(out, self.filled,
-                              np.split(flat, np.cumsum([f.sum() for f in self.filled])[:-1])):
-            s[f] = part
+        flat = model.score_many(self.q, self.item_rows, keep=self.kept)
+        parts = np.split(flat, np.cumsum([f.sum() for f in self.filled.values()])[:-1])
+        self.scores = {name: np.full(f.shape, -np.inf) for name, f in self.filled.items()}
+        for (name, f), part in zip(self.filled.items(), parts):
+            self.scores[name][f] = part
+
+    def dense(self, *estimates: dict) -> np.ndarray:
+        """sum over the estimates, their blocks and the blocks' filled slots of
+        weight * grad_w score, as a parameter vector.  An estimate maps block
+        names to weights shaped like the block; one block's weights add up in
+        the order the estimates are given, and a block none names weighs 0."""
+        coeff = [sum((e[name] for e in estimates if name in e), np.zeros(f.shape))[f]
+                 for name, f in self.filled.items()]
+        out = np.zeros(len(self.model.params.values))
+        self.model.add_weighted_grads(self.q, self.item_rows, np.concatenate(coeff), out,
+                                      kept=self.kept)
         return out
-
-    def dense(self, model: FactorizationScorer, coeffs) -> np.ndarray:
-        """sum over blocks b and their filled slots of coeffs[b] * grad_w score,
-        as a parameter vector."""
-        coeff = np.concatenate([c[f] for c, f in zip(coeffs, self.filled)])
-        out = np.zeros(len(model.params.values))
-        model.add_weighted_grads(self.q, self.items, coeff, out, kept=self.kept)
-        return out
-
-
-class GradWeights(NamedTuple):
-    """A gradient estimate as weights on grad_w score: ``coeffs[b]`` weighs
-    the flat positions in the filled slots of ``blocks[b]``."""
-
-    blocks: tuple[np.ndarray, ...]
-    coeffs: tuple[np.ndarray, ...]
-
-    def dense(self, model: FactorizationScorer, d: Dataset) -> np.ndarray:
-        """The estimate as a parameter vector, from one add_weighted_grads call."""
-        return BlockRows(d, self.blocks).dense(model, self.coeffs)
 
 
 def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
@@ -195,21 +190,18 @@ def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
     return target / u
 
 
-def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
-                kind: RankLossKind, pairs: MovingAverage,
-                scores: tuple | None = None) -> GradWeights:
+def g1_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample,
+                kind: RankLossKind, pairs: MovingAverage) -> dict:
     """Stochastic gradient of the ranking loss over the pair batch, as
-    weights on the blocks (``batch.pairs``, ``batch.items``).
+    weights on the ``pairs`` and ``items`` blocks of ``scored``.
 
     Updates the moving averages for every sampled pair first, then
     assembles G1 with the refreshed values; with full batches and
-    gamma = 1 this reproduces the exact full-batch gradient.  ``scores``
-    are the scores of those two blocks, when the caller has gathered them.
+    gamma = 1 this reproduces the exact full-batch gradient.
     """
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
-    blocks = (batch.pairs, batch.items)
-    s_pair, s_inner = BlockRows(d, blocks).scores(model) if scores is None else scores
+    s_pair, s_inner = scored.scores["pairs"], scored.scores["items"]
     diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
     if kind.variant is LossVariant.NDCG:
@@ -220,7 +212,7 @@ def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
         ell = np.exp(diff)
         dell = ell
 
-    n_inner = np.count_nonzero(batch.items >= 0, axis=1)[batch.pair_row][:, None]
+    n_inner = np.count_nonzero(scored.filled["items"], axis=1)[batch.pair_row][:, None]
     u = pairs.update(batch.pairs, ell.sum(axis=1) / n_inner[:, 0])
     q = d.query_of[batch.pairs]
     fprime = _outer_derivative(kind, u, d.relevance[batch.pairs], d.ideal_dcg[q],
@@ -231,4 +223,4 @@ def g1_estimate(model: FactorizationScorer, d: Dataset, batch: BatchSample,
     rows, slots = batch.items.shape
     cell = (batch.pair_row[:, None] * slots + np.arange(slots)).ravel()
     inner_coeff = np.bincount(cell, weights=w.ravel(), minlength=rows * slots)
-    return GradWeights(blocks, (-w.sum(axis=1), inner_coeff.reshape(rows, slots)))
+    return {"pairs": -w.sum(axis=1), "items": inner_coeff.reshape(rows, slots)}

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: happy paths and exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,15 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv,
                     "--checkpoint", str(bad)]) == 2
 
+    def test_header_disagreeing_with_payload_exits_two(self, data_csv, tmp_path, capsys):
+        # the header claims a model of about 961 GiB over 16 payload bytes
+        header = json.dumps({"num_queries": 10 ** 9, "num_items": 10 ** 9, "dim": 64,
+                             "bound": 10.0, "scale": 1.0}).encode()
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(b"RANKCKP1" + len(header).to_bytes(8, "little") + header + b"\0" * 16)
+        assert run(["eval", "--data", data_csv, "--checkpoint", str(bad)]) == 2
+        assert "parameter bytes, got 16" in capsys.readouterr().err
+
     def test_truncated_checkpoint_exits_two(self, data_csv, tmp_path, capsys):
         good = tmp_path / "m.ckpt"
         FactorizationScorer(2, 2, 2).save(str(good))
@@ -119,6 +131,18 @@ class TestTrainEval:
         assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"),
                     "--epochs", "1", *argv]) == 1
         assert "invalid configuration:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--queries", "4", "--items", "8", "--seed", "-1", "--out", "{out}/d.csv"],
+        ["train", "--data", "{data}", "--out", "{out}/x", "--epochs", "1", "--seed", "-3"],
+        ["train", "--data", "{data}", "--out", "{out}/x", "--epochs", "1",
+         "--split-seed", "-2"],
+    ])
+    def test_negative_seed_exits_one_before_writing(self, data_csv, tmp_path, capsys, argv):
+        argv = [a.format(data=data_csv, out=tmp_path) for a in argv]
+        assert run(argv) == 1
+        assert re.search(r"invalid configuration: .*seed must be >= 0", capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     def test_item_in_two_groups_exits_two(self, tmp_path, capsys):
@@ -216,3 +240,14 @@ class TestParser:
         help_text = sub.choices["train"].format_help()
         for f in fields(TrainConfig):
             assert "--" + f.name.replace("_", "-") in help_text
+
+    def test_readme_command_lines_parse(self):
+        """Every ``fairtopk ...`` line in README.md's code blocks, joined across
+        backslash continuations, is accepted by the parser."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("fairtopk ")]
+        assert len(commands) >= 7
+        for argv in commands:
+            assert build_parser().parse_args(argv).command == argv[0]

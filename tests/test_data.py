@@ -53,6 +53,11 @@ class TestLoadCsv:
         assert d.num_queries == 1
         assert d.queries[0].relevance[0] == 2.0
 
+    def test_bad_first_row_is_not_taken_for_a_header(self, tmp_path):
+        path = _write(tmp_path, "q0,1,abc,0\nq0,2,1,1\nq0,3,0,0\nq0,4,2,1\nq0,5,1,0\n")
+        with pytest.raises(ParseError, match="line 1: non-numeric relevance 'abc'"):
+            load_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             load_csv(_write(tmp_path, ""))

@@ -34,6 +34,13 @@ from fairtopk.lambda_solver import (
     solve_lambda_exactly_smoothed,
 )
 from fairtopk.model import FactorizationScorer
+from fairtopk.rank_losses import ScoredBatch
+
+
+def _g2(m, d, batch, *args, **kwargs):
+    """G2 as a parameter vector, from a ScoredBatch of its own blocks."""
+    scored = ScoredBatch(m, d, batch, fair=True)
+    return scored.dense(g2_estimate(scored, d, batch, *args, **kwargs))
 
 
 def _query_with(scores_model, item_bias, groups, qid="q0"):
@@ -237,23 +244,22 @@ class TestG2:
         d, m, batch, p, psi, lam_state = self._setup()
         fair = FairnessState.zeros(d.num_queries)
         with pytest.raises(StateError):
-            g2_estimate(m, d, batch, 2, fair, None, psi, p)
+            _g2(m, d, batch, 2, fair, None, psi, p)
         short = LambdaState(lam=lam_state.lam[:-1], s=lam_state.s[:-1])
         with pytest.raises(StateError):
-            g2_estimate(m, d, batch, 2, fair, short, psi, p)
+            _g2(m, d, batch, 2, fair, short, psi, p)
 
     def test_gamma_zero_freezes_direction(self):
         d, m, batch, p, psi, lam_state = self._setup()
         fair = FairnessState.zeros(d.num_queries, 0.0, 0.0, 0.0)
-        g_first = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p).dense(m, d)
-        g_second = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p).dense(m, d)
+        g_first = _g2(m, d, batch, 2, fair, lam_state, psi, p)
+        g_second = _g2(m, d, batch, 2, fair, lam_state, psi, p)
         assert np.allclose(g_first, g_second)
 
     def test_full_batch_matches_finite_differences(self):
         d, m, batch, p, psi, lam_state = self._setup()
         fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
-        g2 = g2_estimate(m, d, batch, 2, fair, lam_state, psi, p,
-                         mode="full_implicit").dense(m, d)
+        g2 = _g2(m, d, batch, 2, fair, lam_state, psi, p, mode="full_implicit")
         w = m.params.values
         w0 = w.copy()
         fd = np.zeros_like(w)
@@ -270,8 +276,8 @@ class TestG2:
     def test_unknown_mode_rejected(self):
         d, m, batch, p, psi, lam_state = self._setup()
         with pytest.raises(ConfigurationError):
-            g2_estimate(m, d, batch, 2, FairnessState.zeros(d.num_queries), lam_state,
-                        psi, p, mode="bogus")
+            _g2(m, d, batch, 2, FairnessState.zeros(d.num_queries), lam_state,
+                psi, p, mode="bogus")
 
     def test_moving_average_update_rule(self):
         fair = FairnessState.zeros(3, gamma_a=0.5, gamma_b=0.5, gamma_g=0.5)

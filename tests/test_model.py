@@ -1,5 +1,7 @@
 """The bounded factorization scorer: scores, gradients, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ def _score(model, q, x):
 
 
 def _score_gradient(model, q, x):
-    grad = np.zeros(len(model.params))
-    model.add_weighted_grads([q], [x], [1.0], grad)
+    grad, kept = np.zeros(len(model.params)), {}
+    model.score_many([q], [x], keep=kept)
+    model.add_weighted_grads([q], [x], [1.0], grad, kept=kept)
     return grad
 
 
@@ -57,6 +60,8 @@ class TestInit:
             for name in ("bound", "scale"):
                 with pytest.raises(ConfigurationError, match="finite"):
                     FactorizationScorer(5, 5, 2, **{name: value})
+        with pytest.raises(ConfigurationError, match="seed"):
+            FactorizationScorer(2, 2, 2, seed=-1)
 
 
 class TestScore:
@@ -131,9 +136,10 @@ class TestGradient:
 
     def test_add_weighted_grads_accumulates(self):
         m = FactorizationScorer(2, 3, 2, seed=3)
-        out = np.zeros(len(m.params))
+        out, kept = np.zeros(len(m.params)), {}
+        m.score_many(np.array([0, 0]), np.array([1, 1]), keep=kept)
         m.add_weighted_grads(np.array([0, 0]), np.array([1, 1]),
-                             np.array([2.0, 3.0]), out)
+                             np.array([2.0, 3.0]), out, kept=kept)
         assert np.allclose(out, 5.0 * _score_gradient(m, 0, 1))
 
     @pytest.mark.parametrize("q, items, coeff", [
@@ -143,15 +149,18 @@ class TestGradient:
         ([], [], []),
     ])
     def test_scatter_on_kept_rows_equals_gathering(self, q, items, coeff):
+        """One scatter on the rows one gather kept equals the sum of single-pair
+        gradients, each scattered on the rows of its own gather."""
         m = FactorizationScorer(3, 5, 4, scale=2.0, seed=5)
         q, items = np.array(q, dtype=np.int64), np.array(items, dtype=np.int64)
-        out_kept, out_plain = np.ones(len(m.params)), np.ones(len(m.params))
-        kept = {}
+        out, kept = np.ones(len(m.params)), {}
         scores = m.score_many(q, items, keep=kept)
         assert np.array_equal(scores, m.score_many(q, items))
-        m.add_weighted_grads(q, items, coeff, out_kept, kept=kept)
-        m.add_weighted_grads(q, items, coeff, out_plain)
-        assert np.array_equal(out_kept, out_plain)
+        m.add_weighted_grads(q, items, coeff, out, kept=kept)
+        expected = np.ones(len(m.params))
+        for qj, xj, cj in zip(q, items, coeff):
+            expected += cj * _score_gradient(m, qj, xj)
+        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-15)
 
 
 class TestCheckpoint:
@@ -224,6 +233,31 @@ class TestCheckpoint:
         path.write_bytes(b"RANKCKP1" + len(header).to_bytes(8, "little") + header)
         with pytest.raises(CheckpointError):
             FactorizationScorer.load(str(path))
+
+    @staticmethod
+    def write_header(path, dims, payload_bytes):
+        header = json.dumps(dict(zip(("num_queries", "num_items", "dim"), dims),
+                                 bound=10.0, scale=1.0)).encode()
+        path.write_bytes(b"RANKCKP1" + len(header).to_bytes(8, "little") + header
+                         + b"\0" * payload_bytes)
+
+    @pytest.mark.parametrize("dims", [(10 ** 9, 10 ** 9, 64), (True, 2, 2), (2.0, 2, 2),
+                                      (-2, 2, 2), ("2", 2, 2)])
+    def test_header_dims_must_be_positive_integers(self, tmp_path, dims):
+        # 64 bytes hold the 8 parameters of dims (1, 2, 2): (True, 2, 2) fails on its type
+        path = tmp_path / "h.ckpt"
+        self.write_header(path, dims, 64)
+        with pytest.raises(CheckpointError):
+            FactorizationScorer.load(str(path))
+
+    def test_payload_size_checked_before_the_model_is_built(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.ckpt"
+        self.write_header(path, (3, 4, 2), 16)
+        built = []
+        monkeypatch.setattr(FactorizationScorer, "__init__", lambda *args: built.append(args))
+        with pytest.raises(CheckpointError, match="expected 144 parameter bytes, got 16"):
+            FactorizationScorer.load(str(path))
+        assert built == []
 
     def test_clone_is_independent(self):
         m = FactorizationScorer(2, 3, 2, seed=1)

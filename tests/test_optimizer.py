@@ -23,7 +23,13 @@ from fairtopk.optimizer import (
     train,
     train_step,
 )
-from fairtopk.rank_losses import LossVariant, MovingAverage, RankLossKind, g1_estimate
+from fairtopk.rank_losses import (
+    LossVariant,
+    MovingAverage,
+    RankLossKind,
+    ScoredBatch,
+    g1_estimate,
+)
 
 
 def _tiny_setup(seed=0, **overrides):
@@ -320,8 +326,8 @@ class TestPinnedTrajectory:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_step_moves_momentum_by_g1_plus_c_g2(self, tmp_path, name):
-        """The fused step (one gather, G2's item scores taken from G1's, item
-        weights merged, one scatter) against separate estimator calls."""
+        """The step (one scatter of G1 + C * G2, summed block by block) against
+        one scatter per estimator on the same ScoredBatch."""
         d = self._data(tmp_path)
         cfg = TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
                           eta1=0.3, seed=5, **self.CONFIGS[name])
@@ -341,12 +347,13 @@ class TestPinnedTrajectory:
             train_step(m, d, cfg, state, rng)
             batch = sample_batch(d, sizes, ref_rng)
             skipped_seen |= bool(batch.skipped.any())
-            grad = g1_estimate(ref_m, d, batch, cfg.loss_kind(),
-                               ref_state.pairs).dense(ref_m, d)
+            scored = ScoredBatch(ref_m, d, batch, fair=cfg.fairness_active())
+            grad = scored.dense(g1_estimate(scored, d, batch, cfg.loss_kind(),
+                                            ref_state.pairs))
             if cfg.fairness_active():
-                g2 = g2_estimate(ref_m, d, batch, cfg.k, ref_state.fair, ref_state.lam, psi,
+                g2 = g2_estimate(scored, d, batch, cfg.k, ref_state.fair, ref_state.lam, psi,
                                  cfg.smoothing(), mode=cfg.g2_mode)
-                grad += cfg.fair_weight * g2.dense(ref_m, d)
+                grad += cfg.fair_weight * scored.dense(g2)
             ref_state.momentum.update(grad)
             np.testing.assert_allclose(state.momentum.z, ref_state.momentum.z,
                                        rtol=0.0, atol=1e-12)
@@ -375,7 +382,8 @@ class TestNdcgZeroInnerEstimate:
         kind = RankLossKind(LossVariant.NDCG, margin=1.0)
         zero_seen = False
         for _ in range(20):
-            m.params.values -= 0.5 * g1_estimate(m, d, batch, kind, pairs).dense(m, d)
+            scored = ScoredBatch(m, d, batch)
+            m.params.values -= 0.5 * scored.dense(g1_estimate(scored, d, batch, kind, pairs))
             zero_seen |= bool(pairs.seen[0] and pairs.values[0] == 0.0)
         assert zero_seen
         assert np.all(np.isfinite(m.params.values))
