@@ -27,12 +27,6 @@ from .lambda_solver import (
 )
 from .model import FactorizationScorer, ParamVector
 from .optimizer import TrainConfig, TrainResult, train, train_step
-from .rank_losses import (
-    LossVariant,
-    RankLossKind,
-    exact_rank,
-    listnet_loss,
-    ndcg_loss,
-)
+from .rank_losses import LossVariant, RankLossKind
 
 __version__ = "0.1.0"

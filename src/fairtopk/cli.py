@@ -153,8 +153,7 @@ def _load_and_split(path: str, fractions: list[float], seed: int):
 
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    if args.seed is None and args.strict_repro:
-        raise ConfigurationError("--strict-repro requires an explicit --seed")
+    _require_seed(args)
     d, train_d, valid_d, _, tiny = _load_and_split(args.data, args.fractions,
                                                    args.split_seed)
     if tiny:
@@ -193,6 +192,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
+    _require_seed(args)
     d, train_d, _, test_d, _ = _load_and_split(args.data, args.fractions, args.split_seed)
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)

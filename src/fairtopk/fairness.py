@@ -130,16 +130,16 @@ def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
     return 0.5 * float((g_a - g_b) / (qg.num_items * e.mean())) ** 2
 
 
-def dataset_topk_fairness(model: FactorizationScorer, d: Dataset, k: int,
+def dataset_topk_fairness(model: FactorizationScorer, d: Dataset,
                           psi: SmoothIndicator, p: SmoothingParams,
                           tol: float = 1e-12) -> float:
-    """U(w): mean over queries of the smoothed top-K disparity with the
-    threshold re-solved per query.  The finite-difference target for G2."""
+    """U(w): mean over queries of the smoothed top-K disparity at K = ``p.k``,
+    with the threshold re-solved per query.  The finite-difference target for G2."""
     total = 0.0
     for qg in d.queries:
         scores = model.score_many(qg.query_index, qg.feature_idx)
         lam = solve_lambda_exactly_smoothed(scores, p, tol=tol)
-        u = topk_disparity_surrogate(model, qg, k, lam, psi)
+        u = topk_disparity_surrogate(model, qg, p.k, lam, psi)
         if u is not None:
             total += u
     return total / d.num_queries
@@ -185,6 +185,8 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, k: int,
     """
     if mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {mode!r}")
+    if "group_a" not in scored.scores:
+        raise StateError("g2_estimate needs a ScoredBatch built with fair=True")
     if psi is not None and (lam is None or np.size(lam.lam) != d.num_queries):
         raise StateError("top-K fairness needs one threshold state per query")
     active = ~batch.skipped

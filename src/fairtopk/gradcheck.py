@@ -120,7 +120,7 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
 
     def fairness_of(w):
         model.params.values[:] = w
-        return dataset_topk_fairness(model, d, k, psi, p, tol=1e-12)
+        return dataset_topk_fairness(model, d, psi, p, tol=1e-12)
 
     w0 = model.params.values.copy()
     fd = finite_difference_gradient(fairness_of, model.params.values, step)

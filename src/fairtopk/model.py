@@ -81,11 +81,13 @@ class FactorizationScorer:
     def score_many(self, q, items, keep: dict | None = None) -> np.ndarray:
         """Scores of ``items`` for query row ``q``; when ``q`` is an array,
         item j is scored for query row ``q[j]``.  The one place indices are
-        range-checked.  ``keep``, when given, receives the embedding rows and
-        tanh values gathered, for an ``add_weighted_grads`` call on the same
-        pairs."""
-        q, items = np.asarray(q, dtype=np.int64), np.asarray(items, dtype=np.int64)
+        type- and range-checked.  ``keep``, when given, receives the embedding
+        rows and tanh values gathered, for an ``add_weighted_grads`` call on
+        the same pairs."""
+        q, items = np.asarray(q), np.asarray(items)
         for idx, size, what in ((items, self.num_items, "item"), (q, self.num_queries, "query")):
+            if idx.dtype.kind not in "iu":
+                raise LookupError_(f"{what} index must be an integer, got dtype {idx.dtype}")
             if idx.size and (idx.min() < 0 or idx.max() >= size):
                 raise LookupError_(f"{what} index out of range")
         emb_i = np.take(self.item_emb, items, axis=0)

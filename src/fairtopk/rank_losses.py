@@ -1,11 +1,14 @@
-"""Rank surrogates, NDCG / ListNet losses, the G1 gradient estimator and
+"""The listwise ranking loss ``dataset_loss``, the G1 gradient estimator and
 the ``ScoredBatch`` whose blocks G1 and G2 weigh.
 
 The exact rank of an item counts every item scoring at least as high,
 itself included, so the top item has rank 1.  Differentiable surrogates
 replace the step indicator by a squared hinge (NDCG route) or the
 exponential (ListNet route); both keep the self term, so the hinge
-surrogate is bounded below by c^2 and the exponential one by 1.
+surrogate is bounded below by c^2 and the exponential one by 1.  The
+surrogate rank is written twice on purpose: ``dataset_loss`` sums it over
+each query's whole list, as the finite-difference reference, and
+``g1_estimate`` estimates it from an inner sub-batch.
 
 The G1 estimator follows the compositional structure L = mean f(g): the
 inner quantity g = (surrogate rank) / N_q is tracked per query-item pair
@@ -21,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from .data import BatchSample, Dataset, ideal_dcg, label_softmax
+from .data import BatchSample, Dataset
 from .errors import ConfigurationError, EmptyDatasetError
 from .model import FactorizationScorer
 
@@ -47,64 +49,27 @@ class RankLossKind:
             raise ConfigurationError("hinge margin must be positive")
 
 
-class LossResult(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def exact_rank(scores: np.ndarray, i: int) -> int:
-    """Number of items with score >= scores[i]; ties share the worse rank."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return int(np.sum(scores >= scores[i]))
-
-
-def hinge_rank_from_scores(scores: np.ndarray, i: int, margin: float) -> float:
-    """Squared-hinge surrogate rank of item i, self term included."""
-    diff = np.asarray(scores, dtype=np.float64) - scores[i]
-    return float(np.sum(np.maximum(diff + margin, 0.0) ** 2))
-
-
-def exp_rank_from_scores(scores: np.ndarray, i: int) -> float:
-    """Exponential surrogate rank of item i; its reciprocal is N_q times
-    the softmax exposure of item i."""
-    diff = np.asarray(scores, dtype=np.float64) - scores[i]
-    return float(np.sum(np.exp(diff)))
-
-
-def ndcg_loss(model: FactorizationScorer, q: int, items: np.ndarray,
-              labels: np.ndarray, margin: float) -> LossResult:
-    """- (1/Z_q) sum_i (2^y_i - 1) / log2(1 + hinge_rank_i)."""
-    labels = np.asarray(labels, dtype=np.float64)
-    z = ideal_dcg(labels)
-    if z <= 0.0:
-        return LossResult(0.0, True)
-    scores = model.score_many(q, items)
-    diff = scores[None, :] - scores[:, None]          # diff[i, j] = h_j - h_i
-    gbar = np.sum(np.maximum(diff + margin, 0.0) ** 2, axis=1)
-    value = -np.sum((2.0 ** labels - 1.0) / np.log2(1.0 + gbar)) / z
-    return LossResult(float(value), False)
-
-
-def listnet_loss(model: FactorizationScorer, q: int, items: np.ndarray,
-                 labels: np.ndarray) -> float:
-    """sum_i softmax(y)_i * log(exp-surrogate-rank_i)."""
-    p = label_softmax(np.asarray(labels, dtype=np.float64))
-    scores = model.score_many(q, items)
-    diff = scores[None, :] - scores[:, None]
-    ghat = np.sum(np.exp(diff), axis=1)
-    return float(np.sum(p * np.log(ghat)))
-
-
 def dataset_loss(model: FactorizationScorer, d: Dataset, kind: RankLossKind) -> float:
-    """L(w) = (1 / |S|) * sum_q L_q(w); the finite-difference target for G1.
-    Degenerate NDCG queries contribute 0."""
-    if kind.variant is LossVariant.NDCG:
-        total = sum(ndcg_loss(model, q.query_index, q.feature_idx, q.relevance,
-                              kind.margin).value for q in d.queries)
-    else:
-        total = sum(listnet_loss(model, q.query_index, q.feature_idx, q.relevance)
-                    for q in d.queries)
-    return total / d.total_pairs
+    """L(w) = (1 / |S|) * sum_q L_q(w), the finite-difference target for G1, from
+    one score_many call over every pair.  NDCG: L_q = -(1/Z_q) sum_i (2^y_i - 1)
+    / log2(1 + hinge_rank_i), 0 when every label is 0 (Z_q = 0).  ListNet:
+    L_q = sum_i softmax(y)_i * log(exp_rank_i)."""
+    scores = model.score_many(d.query_row, d.feature_idx)
+    ndcg = kind.variant is LossVariant.NDCG
+    gain = 2.0 ** d.relevance - 1.0
+    total = 0.0
+    for k in range(d.num_queries):
+        a, b = d.offsets[k], d.offsets[k + 1]
+        if ndcg and d.ideal_dcg[k] <= 0.0:
+            continue
+        diff = scores[None, a:b] - scores[a:b, None]      # diff[i, j] = h_j - h_i
+        if ndcg:
+            gbar = np.sum(np.maximum(diff + kind.margin, 0.0) ** 2, axis=1)
+            total -= np.sum(gain[a:b] / np.log2(1.0 + gbar)) / d.ideal_dcg[k]
+        else:
+            ghat = np.sum(np.exp(diff), axis=1)
+            total += np.sum(d.label_softmax[a:b] * np.log(ghat))
+    return float(total) / d.total_pairs
 
 
 @dataclass

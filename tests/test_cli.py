@@ -186,6 +186,15 @@ class TestStrictJson:
 
 
 class TestSweepAndStrips:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_strict_repro_requires_seed(self, data_csv, tmp_path, capsys, command):
+        argv = [command, "--data", data_csv, "--out", str(tmp_path / "x"), "--epochs", "0",
+                "--dim", "2"]
+        assert run(["--strict-repro"] + argv) == 1
+        assert "--strict-repro requires an explicit --seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(["--strict-repro"] + argv + ["--seed", "0"]) == 0
+
     def test_sweep_writes_frontier(self, data_csv, tmp_path, strict_json):
         prefix = str(tmp_path / "sweep")
         code = run(["sweep", "--data", data_csv, "--c-grid", "0,10",

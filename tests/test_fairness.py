@@ -249,6 +249,13 @@ class TestG2:
         with pytest.raises(StateError):
             _g2(m, d, batch, 2, fair, short, psi, p)
 
+    def test_scored_batch_without_fair_blocks_is_an_error(self):
+        d, m, batch, p, psi, lam_state = self._setup()
+        scored = ScoredBatch(m, d, batch)
+        with pytest.raises(StateError, match="fair=True"):
+            g2_estimate(scored, d, batch, 2, FairnessState.zeros(d.num_queries), lam_state,
+                        psi, p)
+
     def test_gamma_zero_freezes_direction(self):
         d, m, batch, p, psi, lam_state = self._setup()
         fair = FairnessState.zeros(d.num_queries, 0.0, 0.0, 0.0)
@@ -266,9 +273,9 @@ class TestG2:
         step = 1e-5
         for j in range(len(w)):
             w[j] = w0[j] + step
-            fp = dataset_topk_fairness(m, d, 2, psi, p, tol=1e-12)
+            fp = dataset_topk_fairness(m, d, psi, p, tol=1e-12)
             w[j] = w0[j] - step
-            fm = dataset_topk_fairness(m, d, 2, psi, p, tol=1e-12)
+            fm = dataset_topk_fairness(m, d, psi, p, tol=1e-12)
             w[j] = w0[j]
             fd[j] = (fp - fm) / (2 * step)
         assert np.abs(g2 - fd).max() <= 1e-3 * max(np.abs(fd).max(), 1e-12)

@@ -93,6 +93,18 @@ class TestScore:
         with pytest.raises(LookupError_):
             m.score_many(2, np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("q, items", [(0, [1.7]), (0, [1.0]), (0.0, [1]), (0, [True]),
+                                          (np.array([0.5]), np.array([1]))])
+    def test_non_integer_indices_are_refused(self, q, items):
+        m = FactorizationScorer(2, 3, 2)
+        with pytest.raises(LookupError_, match="integer"):
+            m.score_many(q, items)
+
+    def test_empty_integer_index_is_valid(self):
+        m = FactorizationScorer(2, 3, 2)
+        assert m.score_many(1, np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert m.score_many(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint8)).shape == (0,)
+
     def test_score_many_matches_score(self):
         m = FactorizationScorer(2, 4, 3, seed=1)
         many = m.score_many(1, np.arange(4))

@@ -1,11 +1,12 @@
-"""Exact ranks, surrogate ranks, the two listwise losses and G1."""
+"""The surrogate ranks, the listwise loss ``dataset_loss`` and G1."""
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtopk.data import generate_synthetic, sample_batch
+from fairtopk.data import QueryGroup, generate_synthetic, ideal_dcg, sample_batch
 from fairtopk.errors import ConfigurationError
 from fairtopk.model import FactorizationScorer
 from fairtopk.rank_losses import (
@@ -14,14 +15,12 @@ from fairtopk.rank_losses import (
     RankLossKind,
     ScoredBatch,
     dataset_loss,
-    exact_rank,
-    exp_rank_from_scores,
     g1_estimate,
-    hinge_rank_from_scores,
-    ideal_dcg,
-    listnet_loss,
-    ndcg_loss,
 )
+
+NDCG = RankLossKind(LossVariant.NDCG, 1.0)
+LISTNET = RankLossKind(LossVariant.LISTNET, 1.0)
+
 
 def _g1(m, d, batch, kind, pairs):
     """G1 as a parameter vector, from a ScoredBatch of its own blocks."""
@@ -29,48 +28,70 @@ def _g1(m, d, batch, kind, pairs):
     return scored.dense(g1_estimate(scored, d, batch, kind, pairs))
 
 
+def _one_query(items, labels, row=0):
+    """A dataset of one query, model row ``row``, over item rows ``items``."""
+    items = np.asarray(items, dtype=np.int64)
+    return make_dataset([QueryGroup("q", row, items, items, np.asarray(labels, dtype=float),
+                                    np.zeros(len(items), dtype=np.int8))])
+
+
+def _query_loss(m, d, kind):
+    """L_q of a one-query dataset: its mean loss times N_q."""
+    return dataset_loss(m, d, kind) * d.total_pairs
+
+
+def _surrogate_ranks(scores, kind):
+    """The surrogate ranks G1 tracks for one list scoring ``scores``: with a
+    full batch and gamma 1 the moving average is (surrogate rank) / N_q."""
+    n = len(scores)
+    m = FactorizationScorer(1, n, 1, bound=100.0)
+    m.params.values[:] = 0.0
+    m.item_bias[:] = np.arctanh(np.asarray(scores) / m.score_bound)
+    d = _one_query(np.arange(n), np.ones(n))
+    batch = sample_batch(d, (n, n, n, n), np.random.default_rng(0))
+    pairs = MovingAverage.zeros(1.0, n)
+    g1_estimate(ScoredBatch(m, d, batch), d, batch, kind, pairs)
+    return pairs.values * n
+
+
+def _hinge_rank(scores, i, margin):
+    return _surrogate_ranks(scores, RankLossKind(LossVariant.NDCG, margin))[i]
+
+
+def _exp_rank(scores, i):
+    return _surrogate_ranks(scores, LISTNET)[i]
+
+
 finite_scores = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=12)
 
 
-class TestExactRank:
-    def test_top_item(self):
-        assert exact_rank(np.array([3.0, 1.0, 2.0]), 0) == 1
-
-    def test_bottom_item(self):
-        assert exact_rank(np.array([3.0, 1.0, 2.0]), 1) == 3
-
-    def test_ties_share_the_worse_rank(self):
-        assert exact_rank(np.array([2.0, 2.0]), 0) == 2
-        assert exact_rank(np.array([2.0, 2.0]), 1) == 2
-
-
 class TestSurrogateRanks:
     def test_hinge_two_equal_scores(self):
-        assert hinge_rank_from_scores(np.array([0.0, 0.0]), 0, 1.0) == 2.0
+        assert _hinge_rank(np.array([0.0, 0.0]), 0, 1.0) == 2.0
 
     def test_hinge_margin_saturation(self):
         scores = np.array([5.0, 0.0, 0.5])
-        assert hinge_rank_from_scores(scores, 0, 1.0) == pytest.approx(1.0)
+        assert _hinge_rank(scores, 0, 1.0) == pytest.approx(1.0)
 
     def test_hinge_lower_bound_is_margin_squared(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = rng.normal(0, 2, 6)
-            assert hinge_rank_from_scores(s, 2, 0.7) >= 0.7 ** 2 - 1e-12
+            assert _hinge_rank(s, 2, 0.7) >= 0.7 ** 2 - 1e-12
 
     def test_exp_equal_scores(self):
-        assert exp_rank_from_scores(np.zeros(5), 3) == pytest.approx(5.0)
+        assert _exp_rank(np.zeros(5), 3) == pytest.approx(5.0)
 
     def test_exp_hand_value(self):
-        assert exp_rank_from_scores(np.array([0.0, np.log(2.0)]), 0) == pytest.approx(3.0)
+        assert _exp_rank(np.array([0.0, np.log(2.0)]), 0) == pytest.approx(3.0)
 
     def test_exp_reciprocal_is_scaled_exposure(self, rng):
         s = rng.normal(0, 1, 8)
         e = np.exp(s - s.max())
         e /= e.sum()
         for i in range(8):
-            assert 1.0 / exp_rank_from_scores(s, i) == pytest.approx(e[i], rel=1e-10)
+            assert 1.0 / _exp_rank(s, i) == pytest.approx(e[i], rel=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(finite_scores)
@@ -78,8 +99,8 @@ class TestSurrogateRanks:
         s = np.array(vals)
         bumped = s.copy()
         bumped[0] += 0.5
-        assert hinge_rank_from_scores(bumped, 0, 1.0) <= hinge_rank_from_scores(s, 0, 1.0)
-        assert exp_rank_from_scores(bumped, 0) < exp_rank_from_scores(s, 0)
+        assert _hinge_rank(bumped, 0, 1.0) <= _hinge_rank(s, 0, 1.0)
+        assert _exp_rank(bumped, 0) < _exp_rank(s, 0)
 
 
 class TestLosses:
@@ -89,30 +110,29 @@ class TestLosses:
 
     def test_ndcg_single_item_is_minus_one(self):
         m = FactorizationScorer(1, 1, 2, seed=0)
-        res = ndcg_loss(m, 0, np.array([0]), np.array([1.0]), margin=1.0)
-        assert res.value == pytest.approx(-1.0)
-        assert not res.degenerate
+        d = _one_query([0], [1.0])
+        assert _query_loss(m, d, NDCG) == pytest.approx(-1.0)
+        assert d.ideal_dcg[0] > 0.0
 
     def test_ndcg_all_zero_labels_degenerate(self, small_model):
-        res = ndcg_loss(small_model, 0, np.array([0, 1]), np.zeros(2), margin=1.0)
-        assert res.value == 0.0
-        assert res.degenerate
+        d = _one_query([0, 1], np.zeros(2))
+        assert _query_loss(small_model, d, NDCG) == 0.0
+        assert d.ideal_dcg[0] == 0.0
 
     def test_ndcg_in_unit_interval(self, small_data, small_model):
-        for q in small_data.queries:
-            res = ndcg_loss(small_model, q.query_index, q.feature_idx,
-                            q.relevance, margin=1.0)
-            assert -1.0 <= res.value <= 0.0
+        for a, b in zip(small_data.offsets[:-1], small_data.offsets[1:]):
+            one = small_data.take(np.arange(a, b))
+            assert -1.0 <= _query_loss(small_model, one, NDCG) <= 0.0
 
     def test_listnet_equal_scores(self):
         m = FactorizationScorer(1, 4, 2)
         m.params.values[:] = 0.0
-        val = listnet_loss(m, 0, np.arange(4), np.array([0.0, 1.0, 2.0, 1.0]))
-        assert val == pytest.approx(np.log(4.0))
+        d = _one_query(np.arange(4), [0.0, 1.0, 2.0, 1.0])
+        assert _query_loss(m, d, LISTNET) == pytest.approx(np.log(4.0))
 
     def test_listnet_single_item(self):
         m = FactorizationScorer(1, 1, 2, seed=4)
-        assert listnet_loss(m, 0, np.array([0]), np.array([2.0])) == pytest.approx(0.0)
+        assert _query_loss(m, _one_query([0], [2.0]), LISTNET) == pytest.approx(0.0)
 
     def test_margin_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -121,11 +141,33 @@ class TestLosses:
     def test_improving_an_items_score_improves_its_contribution(self):
         m = FactorizationScorer(1, 3, 2)
         m.params.values[:] = 0.0
-        labels = np.array([2.0, 0.0, 0.0])
-        before = ndcg_loss(m, 0, np.arange(3), labels, 1.0).value
+        d = _one_query(np.arange(3), [2.0, 0.0, 0.0])
+        before = _query_loss(m, d, NDCG)
         m.item_bias[0] = 3.0
-        after = ndcg_loss(m, 0, np.arange(3), labels, 1.0).value
+        after = _query_loss(m, d, NDCG)
         assert after < before
+
+    def test_dataset_loss_scores_every_pair_in_one_call(self, small_data, small_model,
+                                                        monkeypatch):
+        calls = []
+        score_many = small_model.score_many
+        monkeypatch.setattr(small_model, "score_many",
+                            lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
+        for kind in (NDCG, LISTNET):
+            dataset_loss(small_model, small_data, kind)
+        assert len(calls) == 2
+        assert all(len(items) == small_data.total_pairs for _, items in calls)
+
+    def test_ragged_dataset_is_the_sum_of_its_queries(self):
+        g = generate_synthetic(30, 12, 0.3, 1.0, seed=4)
+        rng = np.random.default_rng(5)
+        d = g.take(np.sort(rng.choice(g.total_pairs, g.total_pairs // 3, replace=False)))
+        assert len(set(d.sizes.tolist())) > 1 and np.any(d.ideal_dcg == 0.0)
+        m = FactorizationScorer(g.num_query_rows, g.num_item_rows, 4, seed=2)
+        parts = [d.take(np.arange(a, b)) for a, b in zip(d.offsets[:-1], d.offsets[1:])]
+        for kind in (NDCG, LISTNET, RankLossKind(LossVariant.NDCG, 0.5)):
+            total = sum(_query_loss(m, one, kind) for one in parts)
+            assert dataset_loss(m, d, kind) * d.total_pairs == pytest.approx(total, rel=1e-12)
 
 
 class TestG1:
