@@ -157,6 +157,14 @@ def padded(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
+def along(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(values, order, axis=-1)`` for ``order`` of the same
+    leading shape, as one take at flat positions: faster on many short rows."""
+    lead = order.shape[:-1]
+    rows = np.arange(int(np.prod(lead))).reshape(lead + (1,))
+    return values.reshape(-1)[order + values.shape[-1] * rows]
+
+
 def smallest_keys(keys: np.ndarray, seg: np.ndarray, n: np.ndarray,
                   size: np.ndarray) -> np.ndarray:
     """Indices of the ``n[s]`` smallest ``keys`` (in [0, 1)) of each segment s
@@ -168,6 +176,8 @@ def smallest_keys(keys: np.ndarray, seg: np.ndarray, n: np.ndarray,
     sorted, and a segment the cut leaves short sorts all of its keys; one
     value sort of packed codes orders them (``_smallest_sorted``)."""
     n = np.minimum(n, size)
+    if np.all(n + 4 * np.sqrt(n) + 8 >= size):      # every key is under the cut below
+        return _smallest_sorted(seg, (keys * 2.0 ** 32).astype(np.int64), n, size)
     low = keys < ((n + 4 * np.sqrt(n) + 8) / np.maximum(size, 1))[seg]
     idx = np.flatnonzero(low)
     s = seg[idx]
@@ -181,8 +191,8 @@ def smallest_keys(keys: np.ndarray, seg: np.ndarray, n: np.ndarray,
 def _smallest_sorted(seg: np.ndarray, key32: np.ndarray, n: np.ndarray,
                      count: np.ndarray) -> np.ndarray:
     """Positions of the ``n[s]`` smallest ``key32`` (ints in [0, 2**32)) of each
-    segment s, ordered by segment, key, then position; ``count[s]`` is the
-    number of keys of segment s.
+    segment s, ordered by segment, key, then position; ``count[s]``, at least
+    ``n[s]``, is the number of keys of segment s.
 
     One value sort orders the int64 codes (segment, key, position), packed
     from the high bits down.  Segment and position share the 31 bits beside
@@ -199,8 +209,7 @@ def _smallest_sorted(seg: np.ndarray, key32: np.ndarray, n: np.ndarray,
             lower[_smallest_sorted(seg[lower], key32[lower], n[:half], count[:half])],
             upper[_smallest_sorted(seg[upper] - half, key32[upper], n[half:], count[half:])]])
     code = np.sort(seg.astype(np.int64) << (32 + pos_bits) | key32 << pos_bits | np.arange(m))
-    s = code >> (32 + pos_bits)
-    return (code & ((1 << pos_bits) - 1))[np.arange(m) < (np.cumsum(count) - count + n)[s]]
+    return code[spans(np.cumsum(count) - count, n)] & ((1 << pos_bits) - 1)
 
 
 # one query's sub-batches as positions into its QueryGroup arrays

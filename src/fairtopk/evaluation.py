@@ -7,12 +7,12 @@ first, then items never observed for that query (``Dataset.observed``;
 relevance imputed 0, group from the item table).  Draws are counter-based
 hashes keyed by (seed, query id), so a list depends only on the seed, its
 query id and its candidate item ids.  Blocks of about ``_BLOCK_ENTRIES``
-list entries are drawn, scored and ranked as padded (lists, width)
-matrices.  Empty slots score -inf with label 0 and no group, so they rank
-last and add nothing to any exposure or prefix sum.  NDCG@K and the signed
-top-K gap for every K are row-wise prefix sums along the ranking.  MAE /
-MSE aggregate the gaps over queries, skipping queries where a group is
-absent.
+list entries are drawn anew on every call, scored and ranked as padded
+(lists, width) matrices.  Empty slots score -inf with label 0 and no group,
+so they rank last and add nothing to any exposure or prefix sum.  NDCG@K
+and the signed top-K gap for every K are row-wise prefix sums along the
+first max(K) places of the ranking.  MAE / MSE aggregate the gaps over
+queries, skipping queries where a group is absent.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import GROUP_A, Dataset, padded, smallest_keys, spans
+from .data import GROUP_A, Dataset, along, padded, smallest_keys, spans
 from .errors import ConfigurationError, FairTopKError
 from .fairness import disparity_mae_mse, rank_order, topk_gaps
 from .model import FactorizationScorer
@@ -84,29 +84,31 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     need = np.clip(proto.irrelevant_per_query
                    - np.bincount(own_list[rel == 0], minlength=len(lists)), 0, pool)
     whole, drawn = np.flatnonzero(pool < 4 * need), np.flatnonzero((pool >= 4 * need) & (need > 0))
-    z = _streams(proto.seed, [qids[r] for r in drawn], "/draws")[:, None]
-    k = need.max(initial=0) + 16
-    while True:         # sort draws by (pool index, j); the first of each run is new
-        k *= 2
-        at = (_uniform(z, np.arange(k)) * pool[drawn, None]).astype(np.int64)
-        runs = np.sort(at * k + np.arange(k), axis=1)
-        first = np.ones(runs.shape, dtype=bool)
-        first[:, 1:] = runs[:, 1:] // k != runs[:, :-1] // k
-        if np.all(first.sum(axis=1) >= need[drawn]):
-            break
-    taken = np.zeros(runs.shape, dtype=bool)
-    taken[np.nonzero(first)[0], runs[first] % k] = True
-    taken &= np.cumsum(taken, axis=1) <= need[drawn, None]
     # a whole pool: the positions left free in the list's stretch of one mask
     n_seen = hi[whole] - lo[whole]
     free = np.ones(len(whole) * width, dtype=bool)
     free[d.observed[spans(lo[whole], n_seen)]
          - np.repeat(base[whole] - np.arange(len(whole)) * width, n_seen)] = False
-    # pool index a of a drawn list is vocabulary position a + #{j : p_j - j <= a},
-    # p_j its observed positions in ascending order
-    below = [d.observed[lo[r]:hi[r]] - base[r] - np.arange(hi[r] - lo[r]) for r in drawn]
-    voc = np.concatenate([np.flatnonzero(free) % width] + [
-        a[t] + np.searchsorted(c, a[t], side="right") for c, a, t in zip(below, at, taken)])
+    voc = [np.flatnonzero(free) - np.repeat(np.arange(len(whole)) * width, pool[whole])]
+    if len(drawn):
+        z = _streams(proto.seed, [qids[r] for r in drawn], "/draws")[:, None]
+        k = need.max(initial=0) + 16
+        while True:     # sort draws by (pool index, j); the first of each run is new
+            k *= 2
+            at = (_uniform(z, np.arange(k)) * pool[drawn, None]).astype(np.int64)
+            runs = np.sort(at * k + np.arange(k), axis=1)
+            first = np.ones(runs.shape, dtype=bool)
+            first[:, 1:] = runs[:, 1:] // k != runs[:, :-1] // k
+            if np.all(first.sum(axis=1) >= need[drawn]):
+                break
+        taken = np.zeros(runs.shape, dtype=bool)
+        taken[np.nonzero(first)[0], runs[first] % k] = True
+        taken &= np.cumsum(taken, axis=1) <= need[drawn, None]
+        # pool index a of a drawn list is vocabulary position a + #{j : p_j - j <= a},
+        # p_j its observed positions in ascending order
+        below = [d.observed[lo[r]:hi[r]] - base[r] - np.arange(hi[r] - lo[r]) for r in drawn]
+        voc += [a[t] + np.searchsorted(c, a[t], side="right") for c, a, t in zip(below, at, taken)]
+    voc = np.concatenate(voc)
     cand_list = np.concatenate([own_list, np.repeat(whole, pool[whole]),
                                 np.repeat(drawn, need[drawn])])
     # candidates: own items, then vocabulary positions ``voc``; the last entry fills
@@ -116,22 +118,26 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     # segment 4r: list r's relevant items, 4r + 1 own zeros, + 2 unobserved, + 3 the rest
     seg = 4 * cand_list + np.concatenate([np.where(rel > 0, 0, np.where(rel == 0, 1, 3)),
                                           np.full(len(voc), 2)])
-    quota = np.stack(np.broadcast_arrays(proto.relevant_per_query, proto.irrelevant_per_query,
-                                         need, 0), axis=1).ravel()
+    quota = np.tile([proto.relevant_per_query, proto.irrelevant_per_query, 0, 0], len(lists))
+    quota[2::4] = need
+    count = np.bincount(seg, minlength=len(quota))
     picked = smallest_keys(_uniform(_streams(proto.seed, qids)[cand_list], ids[:-1]), seg, quota,
-                           np.bincount(seg, minlength=len(quota)))
-    sizes = np.bincount(cand_list[picked], minlength=len(lists))
+                           count)
+    sizes = np.minimum(quota, count).reshape(-1, 4).sum(axis=1)     # what smallest_keys takes
     picked = padded(picked, sizes)
     return ids[picked], rows[picked], labels[picked], groups[picked], sizes
 
 
 def ndcg_curve(labels: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """NDCG@1..n of lists ranked by ``order`` along the last axis; each needs a
-    positive label, and label-0 padding ranked last leaves it unchanged."""
-    gains = 2.0 ** labels - 1.0
-    discounts = 1.0 / np.log2(2.0 + np.arange(gains.shape[-1]))
-    ideal = np.sort(gains, axis=-1)[..., ::-1]
-    return (np.cumsum(np.take_along_axis(gains, order, axis=-1) * discounts, axis=-1)
+    """NDCG@1..m of lists ranked by ``order`` along the last axis, m its length
+    (the whole ranking or a prefix of it); each list needs a positive label,
+    and label-0 padding ranked last leaves it unchanged."""
+    gains = np.zeros(np.shape(labels))
+    nonzero = labels != 0           # most labels are 0, whose gain 2 ** 0 - 1 is 0
+    gains[nonzero] = 2.0 ** labels[nonzero] - 1.0
+    discounts = 1.0 / np.log2(2.0 + np.arange(order.shape[-1]))
+    ideal = np.sort(gains, axis=-1)[..., ::-1][..., :order.shape[-1]]
+    return (np.cumsum(along(gains, order) * discounts, axis=-1)
             / np.cumsum(ideal * discounts, axis=-1))
 
 
@@ -177,15 +183,14 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
         filled = np.arange(ids.shape[1]) < sizes[:, None]
         scores = np.full(ids.shape, -np.inf)
         scores[filled] = model.score_many(np.repeat(rows, sizes), feats[filled])
-        order = rank_order(scores, ids)
+        order = rank_order(scores, ids)[:, :ks.max()]      # no K reads further
         ranked = np.any(labels > 0, axis=1)
         ndcg = ndcg_curve(labels[ranked], order[ranked])
-        ndcgs.append(np.take_along_axis(ndcg, np.minimum(ks, sizes[ranked, None]) - 1, axis=1))
+        ndcgs.append(along(ndcg, np.minimum(ks, sizes[ranked, None]) - 1))
         gap = topk_gaps(scores, groups, order)
         both = ~np.isnan(gap[:, 0])
         skipped += len(gap) - np.count_nonzero(both)
-        gaps.append(np.take_along_axis(gap[both], np.minimum(ks, sizes[both, None] - 1) - 1,
-                                       axis=1))
+        gaps.append(along(gap[both], np.minimum(ks, sizes[both, None] - 1) - 1))
 
     ndcgs = np.concatenate(ndcgs or [np.zeros((0, len(ks)))])
     gaps = np.concatenate(gaps or [np.zeros((0, len(ks)))])
@@ -287,10 +292,11 @@ def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: i
     if k < 1:
         raise ConfigurationError("k must be >= 1")
     ranked = []
-    for qg in d.queries:
+    every = model.score_many(d.query_row, d.feature_idx)
+    for qg, start in zip(d.queries, d.offsets):
         if qg.num_items < 2:
             continue
-        scores = model.score_many(qg.query_index, qg.feature_idx)
+        scores = every[start:start + qg.num_items]
         order = rank_order(scores, qg.item_ids)
         gap = abs(topk_gaps(scores, qg.groups, order)[min(k, qg.num_items - 1) - 1])
         if np.isnan(gap):

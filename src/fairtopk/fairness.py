@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup
+from .data import GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup, along
 from .errors import ConfigurationError, StateError
 from .lambda_solver import (
     LambdaState,
@@ -80,7 +80,7 @@ def rank_order(scores: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
     descending, ties broken by ascending item id (a lexsort of the lists with a
     finite tie); the order among -inf padding is unspecified.  Every metric uses it."""
     order = np.argsort(-scores, axis=-1)
-    ranked = np.take_along_axis(scores, order, axis=-1)
+    ranked = along(scores, order)
     tied = np.any((ranked[..., 1:] == ranked[..., :-1]) & np.isfinite(ranked[..., 1:]), axis=-1)
     order[tied] = np.lexsort((item_ids[tied], -scores[tied]))
     return order
@@ -98,7 +98,7 @@ def topk_gaps(scores: np.ndarray, groups: np.ndarray, order: np.ndarray) -> np.n
     n_a, n_b = a.sum(axis=-1, keepdims=True), b.sum(axis=-1, keepdims=True)
     e = exposures(scores)
     w = a * e / np.maximum(n_a, 1) - b * e / np.maximum(n_b, 1)
-    gaps = np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
+    gaps = np.cumsum(along(w, order), axis=-1)
     return np.where((n_a > 0) & (n_b > 0), gaps, np.nan)
 
 
@@ -122,26 +122,30 @@ def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
     """
     if not qg.has_both_groups():
         return None
-    scores = model.score_many(qg.query_index, qg.feature_idx)
+    return _surrogate(model.score_many(qg.query_index, qg.feature_idx), qg.groups, lam, psi)
+
+
+def _surrogate(scores: np.ndarray, groups: np.ndarray, lam: float,
+               psi: SmoothIndicator | None) -> float:
+    """``topk_disparity_surrogate`` of one list of both groups, from its scores."""
     e = np.exp(scores - scores.max())
     w = e if psi is None else psi.value(scores - lam) * e
-    g_a = w[qg.groups == GROUP_A].mean()
-    g_b = w[qg.groups == GROUP_B].mean()
-    return 0.5 * float((g_a - g_b) / (qg.num_items * e.mean())) ** 2
+    g_a = w[groups == GROUP_A].mean()
+    g_b = w[groups == GROUP_B].mean()
+    return 0.5 * float((g_a - g_b) / (len(scores) * e.mean())) ** 2
 
 
 def dataset_topk_fairness(model: FactorizationScorer, d: Dataset,
                           psi: SmoothIndicator, p: SmoothingParams,
                           tol: float = 1e-12) -> float:
     """U(w): mean over queries of the smoothed top-K disparity at K = ``p.k``,
-    with the threshold re-solved per query.  The finite-difference target for G2."""
+    with the threshold re-solved per query, from one score_many call over
+    every pair; queries missing a group add 0.  The finite-difference target for G2."""
+    scores, both = model.score_many(d.query_row, d.feature_idx), d.has_both_groups
     total = 0.0
-    for qg in d.queries:
-        scores = model.score_many(qg.query_index, qg.feature_idx)
-        lam = solve_lambda_exactly_smoothed(scores, p, tol=tol)
-        u = topk_disparity_surrogate(model, qg, p.k, lam, psi)
-        if u is not None:
-            total += u
+    for a, b in zip(d.offsets[:-1][both], d.offsets[1:][both]):
+        s = scores[a:b]
+        total += _surrogate(s, d.groups[a:b], solve_lambda_exactly_smoothed(s, p, tol=tol), psi)
     return total / d.num_queries
 
 

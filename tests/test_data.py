@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
+    along,
     generate_synthetic,
     load_csv,
     sample_batch,
@@ -291,6 +292,17 @@ class TestSmallestKeys:
                 for i in np.flatnonzero(seg == s)[np.argsort(keys[seg == s])][:n[s]]]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segments_of_at_most_8_keys_are_sorted_whole(self, seed):
+        # the cut, (n + 4 sqrt(n) + 8) / size, is 1 or more for every segment
+        rng = np.random.default_rng(seed)
+        seg = rng.permutation(np.repeat(np.arange(30), rng.integers(0, 9, 30)))
+        keys, n = rng.random(len(seg)), rng.integers(0, 10, 30)
+        got = smallest_keys(keys, seg, n, np.bincount(seg, minlength=30))
+        want = [i for s in range(30)
+                for i in np.flatnonzero(seg == s)[np.argsort(keys[seg == s])][:n[s]]]
+        assert got.tolist() == want
+
     def test_codes_wider_than_63_bits_sort_in_parts(self):
         # 2**16 segments and 2**17 kept keys need 16 + 32 + 17 bits; ties in the
         # first 32 bits of a key keep the order of the indices
@@ -303,6 +315,19 @@ class TestSmallestKeys:
         order = np.lexsort((np.arange(len(seg)), keys, seg))
         rank = np.arange(len(seg)) - 2 * seg[order]
         assert np.array_equal(got, order[rank < n[seg[order]]])
+
+
+class TestAlong:
+    @pytest.mark.parametrize("shape", [(7,), (4, 7), (3, 2, 7)])
+    @pytest.mark.parametrize("width", [7, 3, 1])
+    def test_equals_take_along_axis(self, shape, width):
+        # whole orders and prefixes of them, over rows of one or more axes
+        rng = np.random.default_rng(width)
+        values = rng.normal(size=shape)
+        order = np.argsort(rng.random(shape), axis=-1)[..., :width]
+        got = along(values, order)
+        assert got.shape == order.shape
+        assert np.array_equal(got, np.take_along_axis(values, order, axis=-1))
 
 
 class TestSampleBatch:

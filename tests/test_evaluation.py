@@ -28,6 +28,7 @@ from fairtopk.evaluation import (
     evaluate,
     export_ranking_strips,
     ndcg_at_k,
+    ndcg_curve,
     spearman,
     tradeoff_sweep,
 )
@@ -81,6 +82,18 @@ class TestNdcgAtK:
         m = _scored_model([1.0])
         with pytest.raises(ConfigurationError):
             ndcg_at_k(m, 0, np.arange(1), np.ones(1), k=0)
+
+
+class TestNdcgCurve:
+    def test_prefix_of_the_ranking_gives_the_prefix_of_the_curve(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 4, (6, 40)).astype(float)
+        labels[:, 0] = 1.0
+        order = np.argsort(rng.normal(size=labels.shape), axis=-1)
+        full = ndcg_curve(labels, order)
+        for m in (1, 17, 40):
+            assert np.array_equal(ndcg_curve(labels, order[:, :m]), full[:, :m])
+        assert np.array_equal(ndcg_curve(labels[0], order[0, :5]), full[0, :5])
 
 
 class TestBuildEvalList:
@@ -483,6 +496,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
 
+    def test_evaluate_keeps_nothing_once_it_returns(self):
+        # the acceptance test split under the 5+300 protocol: keeping its lists
+        # as int32 indices would hold about 0.25 MB, gathered ids, rows, labels
+        # and groups about 1.5 MB
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
+        _, _, te, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+        model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=1)
+        tracemalloc.start()
+        try:
+            evaluate(model, te, EvalProtocol(5, 300, k_list=(50, 100, 200), seed=0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 ** 19
+
 
 class TestSpearman:
     def test_perfect_monotone(self):
@@ -574,6 +602,17 @@ class TestRankingStrips:
         assert data.startswith(b"P6\n3 1\n255\n")
         pixels = data.split(b"255\n", 1)[1]
         assert len(pixels) == 9
+
+    def test_scores_every_pair_in_one_call(self, tmp_path, monkeypatch):
+        d = generate_synthetic(12, 10, 0.4, 1.0, seed=0)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=0)
+        calls = []
+        score_many = m.score_many
+        monkeypatch.setattr(m, "score_many",
+                            lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
+        export_ranking_strips(m, d, 5, 3, str(tmp_path / "s.csv"), str(tmp_path / "s.ppm"))
+        assert len(calls) == 1 and len(calls[0][1]) == d.total_pairs
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 5
 
     def test_too_many_queries_rejected(self):
         d = generate_synthetic(2, 6, 0.4, 1.0, seed=0)

@@ -203,6 +203,23 @@ class TestSurrogate:
             exact = topk_disparity_exact(m, qg, 2)
             assert abs(np.sqrt(2.0 * u) - abs(exact)) <= 1e-3
 
+    def test_dataset_fairness_scores_every_pair_in_one_call(self, monkeypatch):
+        # queries 0 and 1 lose their group-A items, so they add nothing
+        g = generate_synthetic(20, 50, 0.3, 1.0, seed=6)
+        d = g.take(np.flatnonzero((g.query_of > 1) | (g.groups == GROUP_B)))
+        assert d.num_queries == 20 and d.has_both_groups.tolist().count(False) == 2
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=6)
+        p, psi = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=3), SmoothIndicator(0.2)
+        per_query = [topk_disparity_surrogate(m, qg, p.k, solve_lambda_exactly_smoothed(
+            m.score_many(qg.query_index, qg.feature_idx), p, tol=1e-12), psi) for qg in d.queries]
+        calls = []
+        score_many = m.score_many
+        monkeypatch.setattr(m, "score_many",
+                            lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
+        u = dataset_topk_fairness(m, d, psi, p, tol=1e-12)
+        assert len(calls) == 1 and len(calls[0][1]) == d.total_pairs
+        assert u == sum(v for v in per_query if v is not None) / d.num_queries
+
     def test_single_group_returns_none(self):
         m, qg = _query_with(None, [0.0, 1.0], [GROUP_B, GROUP_B])
         psi = SmoothIndicator(temperature=0.1)
