@@ -18,20 +18,18 @@ thresholds are dense arrays indexed by query position.  Empty slots score
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup, along
 from .errors import ConfigurationError, StateError
-from .lambda_solver import (
-    LambdaState,
-    SmoothingParams,
-    _sigmoid,
-    cross_coeff,
-    solve_lambda_exactly_smoothed,
-)
+from .lambda_solver import SmoothingParams, _sigmoid, cross_coeff, solve_lambda_exactly_smoothed
 from .model import FactorizationScorer
-from .rank_losses import MovingAverage, ScoredBatch
+from .rank_losses import ScoredBatch, blend
+
+if TYPE_CHECKING:
+    from .optimizer import TrainConfig, TrainerState
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,8 @@ def topk_disparity_exact(model: FactorizationScorer, qg: QueryGroup, k: int) -> 
     return None if np.isnan(gap) else float(gap)
 
 
-def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, k: int,
-                             lam: float, psi: SmoothIndicator | None) -> float | None:
+def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, lam: float,
+                             psi: SmoothIndicator | None) -> float | None:
     """Smoothed half-squared top-K gap at threshold lam.
 
     Equals half the square of (mean_A psi*e - mean_B psi*e) with e the
@@ -157,42 +155,27 @@ def disparity_mae_mse(gaps: list[float]) -> tuple[float, float]:
     return float(np.abs(g).mean()), float((g ** 2).mean())
 
 
-@dataclass
-class FairnessState:
-    """Per query: moving averages of the shifted group sums, columns
-    (u_a, u_b, u_g), and the reference shift fixed at the query's first
-    touch."""
-
-    u: MovingAverage
-    shift: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_queries: int, gamma_a: float = 0.2, gamma_b: float = 0.2,
-              gamma_g: float = 0.2) -> "FairnessState":
-        return cls(u=MovingAverage.zeros(np.array([gamma_a, gamma_b, gamma_g]), num_queries, 3),
-                   shift=np.zeros(num_queries))
-
-
-def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, k: int,
-                fair: FairnessState, lam: LambdaState | None,
-                psi: SmoothIndicator | None, p: SmoothingParams,
-                mode: str = "simplified") -> dict:
+def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainConfig,
+                state: TrainerState) -> dict:
     """Stochastic gradient of the top-K fairness regularizer over B_Q, as weights
     on the ``group_a``, ``group_b`` and ``items`` blocks of ``scored``, which
     must be built with ``fair``; rows of queries missing a group weigh 0.
 
-    ``lam`` holds one threshold per query of ``d``.  ``psi = None`` selects
-    the full-list disparity (psi = 1), which needs no threshold.
-    ``simplified`` drops the indicator-derivative terms (the training
-    default); ``full_implicit`` includes them with the implicit-function
-    gradient of the threshold, grad lambda = -cross / s.
+    ``state`` must be bound to ``d``: it holds the moving averages (blended
+    with weights ``cfg.gamma1`` to ``gamma3``), the shifts and, for
+    ``fairness_mode = top_k``, the thresholds ``state.lam``; ``full_list``
+    uses psi = 1 and needs no threshold.  ``g2_mode = simplified`` drops the
+    indicator-derivative terms (the training default); ``full_implicit``
+    includes them with the implicit-function gradient of the threshold,
+    grad lambda = -cross / s.
     """
-    if mode not in ("simplified", "full_implicit"):
-        raise ConfigurationError(f"unknown g2 mode {mode!r}")
+    if cfg.g2_mode not in ("simplified", "full_implicit"):
+        raise ConfigurationError(f"unknown g2 mode {cfg.g2_mode!r}")
     if "group_a" not in scored.scores:
         raise StateError("g2_estimate needs a ScoredBatch built with fair=True")
-    if psi is not None and (lam is None or np.size(lam.lam) != d.num_queries):
-        raise StateError("top-K fairness needs one threshold state per query")
+    if state.lam is None or len(state.lam) != d.num_queries:
+        raise StateError("g2_estimate needs a TrainerState bound to this dataset")
+    psi = SmoothIndicator(cfg.tau_psi) if cfg.fairness_mode == "top_k" else CONSTANT_ONE
     active = ~batch.skipped
     if not active.any():
         return {}
@@ -203,20 +186,22 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, k: int,
     n_a, n_b, n_g = (np.count_nonzero(f, axis=1)[:, None] for f in (
         scored.filled["group_a"], scored.filled["group_b"], scored.filled["items"][active]))
 
-    shift = np.where(fair.u.seen[rows], fair.shift[rows],
+    shift = np.where(state.fair_seen[rows], state.shift[rows],
                      np.maximum(np.maximum(s_a.max(axis=1), s_b.max(axis=1)), s_g.max(axis=1)))
-    fair.shift[rows] = shift
+    state.shift[rows] = shift
     e_a, e_b, e_g = (np.exp(s - shift[:, None]) for s in (s_a, s_b, s_g))
     if psi is None:
         psi_a = psi_b = 1.0
     else:
-        lam_q = lam.lam[rows][:, None]
+        lam_q = state.lam[rows, 0][:, None]
         psi_a = psi.value(s_a - lam_q)
         psi_b = psi.value(s_b - lam_q)
 
-    u = fair.u.update(rows, np.stack([(psi_a * e_a).sum(axis=1) / n_a[:, 0],
-                                      (psi_b * e_b).sum(axis=1) / n_b[:, 0],
-                                      e_g.sum(axis=1) / n_g[:, 0]], axis=1))
+    u = blend(state.fair_u, state.fair_seen, rows,
+              np.stack([(psi_a * e_a).sum(axis=1) / n_a[:, 0],
+                        (psi_b * e_b).sum(axis=1) / n_b[:, 0],
+                        e_g.sum(axis=1) / n_g[:, 0]], axis=1),
+              np.array([cfg.gamma1, cfg.gamma2, cfg.gamma3]))
     u_a, u_b, u_g = u.T
     n_q = d.sizes[rows]
     diff = (u_a - u_b) / (n_q * u_g)
@@ -227,15 +212,16 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, k: int,
     coeff_b = -d1 * psi_b * e_b / n_b * inv_nq
     coeff_g = d3 * e_g / n_g * inv_nq
 
-    if mode == "full_implicit" and psi is not None:
+    if cfg.g2_mode == "full_implicit" and psi is not None:
         extra_a = d1 * psi.derivative(s_a - lam_q) * e_a / n_a * inv_nq
         extra_b = -d1 * psi.derivative(s_b - lam_q) * e_b / n_b * inv_nq
         coeff_a = coeff_a + extra_a
         coeff_b = coeff_b + extra_b
         # the threshold moves with the scores: grad lambda = -cross / s, where
         # cross = sum_j c_j grad h_j over the item sub-batch
-        lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / lam.s[rows]
-        coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(lam.lam[rows], s_g, p)
+        lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / state.lam[rows, 1]
+        coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(state.lam[rows, 0], s_g,
+                                                              cfg.smoothing())
 
     items = np.zeros(batch.items.shape)
     items[active] = coeff_g

@@ -12,14 +12,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, generate_synthetic, sample_batch
-from .fairness import (
-    FairnessState,
-    SmoothIndicator,
-    dataset_topk_fairness,
-    g2_estimate,
-)
+from .fairness import SmoothIndicator, dataset_topk_fairness, g2_estimate
 from .lambda_solver import (
-    LambdaState,
     SmoothingParams,
     implicit_lambda_grad,
     smoothed_grad,
@@ -28,14 +22,8 @@ from .lambda_solver import (
     solve_lambda_exactly_smoothed,
 )
 from .model import FactorizationScorer
-from .rank_losses import (
-    LossVariant,
-    MovingAverage,
-    RankLossKind,
-    ScoredBatch,
-    dataset_loss,
-    g1_estimate,
-)
+from .optimizer import TrainConfig, TrainerState
+from .rank_losses import ScoredBatch, dataset_loss, g1_estimate
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],
@@ -65,6 +53,12 @@ def _full_batch(d: Dataset) -> "object":
     return sample_batch(d, (d.total_pairs, big, big, big), rng)
 
 
+def _bound_state(cfg: TrainConfig, model: FactorizationScorer, d: Dataset) -> TrainerState:
+    state = TrainerState.fresh(cfg, len(model.params.values))
+    state.bind(d)
+    return state
+
+
 def _model_for(d: Dataset, dim: int = 8, seed: int = 0) -> FactorizationScorer:
     return FactorizationScorer(d.num_query_rows, d.num_item_rows, dim, seed=seed)
 
@@ -78,20 +72,19 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
     model = _model_for(d, dim, seed)
     batch = _full_batch(d)
     out = {}
-    for kind in (RankLossKind(LossVariant.NDCG, 1.0),
-                 RankLossKind(LossVariant.LISTNET, 1.0)):
-        pairs = MovingAverage.zeros(1.0, d.total_pairs)
+    for loss in ("ndcg", "listnet"):
+        cfg = TrainConfig(loss=loss, gamma0=1.0)
         scored = ScoredBatch(model, d, batch)
-        g1 = scored.dense(g1_estimate(scored, d, batch, kind, pairs))
+        g1 = scored.dense(g1_estimate(scored, d, batch, cfg, _bound_state(cfg, model, d)))
 
         def loss_of(w):
             model.params.values[:] = w
-            return dataset_loss(model, d, kind)
+            return dataset_loss(model, d, cfg.loss_kind())
 
         w0 = model.params.values.copy()
         fd = finite_difference_gradient(loss_of, model.params.values, step)
         model.params.values[:] = w0
-        out[kind.variant.value] = relative_error(g1, fd)
+        out[loss] = relative_error(g1, fd)
     return out
 
 
@@ -102,21 +95,19 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
     the smoothed top-K disparity with inner threshold re-solves."""
     d = generate_synthetic(num_queries, items_per_query, 0.4, 1.0, seed)
     model = _model_for(d, dim, seed)
-    p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=k)
-    psi = SmoothIndicator(temperature=0.2)
+    cfg = TrainConfig(k=k, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
+                      gamma1=1.0, gamma2=1.0, gamma3=1.0, g2_mode="full_implicit")
+    p, psi = cfg.smoothing(), SmoothIndicator(cfg.tau_psi)
     batch = _full_batch(d)
 
-    lams, hessians = [], []
-    for qg in d.queries:
+    state = _bound_state(cfg, model, d)
+    for q, qg in enumerate(d.queries):
         scores = model.score_many(qg.query_index, qg.feature_idx)
-        lams.append(solve_lambda_exactly_smoothed(scores, p, tol=1e-10))
-        hessians.append(smoothed_hess(lams[-1], scores, p))
-    lam_state = LambdaState(lam=np.array(lams), s=np.array(hessians))
+        lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-10)
+        state.lam[q, :2] = lam, smoothed_hess(lam, scores, p)
 
-    fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
     scored = ScoredBatch(model, d, batch, fair=True)
-    g2 = scored.dense(g2_estimate(scored, d, batch, k, fair, lam_state, psi, p,
-                                  mode="full_implicit"))
+    g2 = scored.dense(g2_estimate(scored, d, batch, cfg, state))
 
     def fairness_of(w):
         model.params.values[:] = w

@@ -162,6 +162,8 @@ class FactorizationScorer:
             nq, ni, dim = dims = [header[k] for k in ("num_queries", "num_items", "dim")]
             if not all(type(n) is int and n > 0 for n in dims):
                 raise ValueError(f"model dimensions {dims} are not positive integers")
+            if not all(type(header[k]) in (int, float) for k in ("bound", "scale")):
+                raise ValueError("bound and scale must be JSON numbers")
             size = 8 * (nq * dim + ni * dim + ni)
             if len(raw) != size:
                 raise CheckpointError(f"{path}: expected {size} parameter bytes, got {len(raw)}")

@@ -20,17 +20,10 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import ConfigurationError, NonFiniteGradientError, StateError
-from .fairness import FairnessState, SmoothIndicator, g2_estimate
+from .fairness import SmoothIndicator, g2_estimate
 from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
-from .rank_losses import (
-    LossVariant,
-    MovingAverage,
-    RankLossKind,
-    ScoredBatch,
-    dataset_loss,
-    g1_estimate,
-)
+from .rank_losses import LossVariant, RankLossKind, ScoredBatch, dataset_loss, g1_estimate
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
 LR_SCHEDULES = ("constant", "step_decay")
@@ -142,48 +135,41 @@ def config_from_file(path: str, base: TrainConfig | None = None) -> TrainConfig:
 
 
 @dataclass
-class MomentumState:
-    z: np.ndarray
-    gamma: float
-
-    def update(self, grad: np.ndarray) -> None:
-        self.z *= 1.0 - self.gamma
-        self.z += self.gamma * grad
-
-
-@dataclass
 class TrainerState:
-    """The momentum buffer plus the estimators' dense state.
+    """The one record a run carries between steps, all plain arrays.
 
-    The estimator arrays are allocated by the first ``bind``, sized for
-    that dataset; binding a dataset of another layout raises StateError.
+    ``z`` is the momentum buffer.  The first ``bind`` allocates the
+    estimators' arrays for its dataset, and binding a dataset of another
+    layout raises StateError: ``pair_u`` / ``pair_seen``, G1's moving average
+    per flat pair; ``fair_u`` (u_a, u_b, u_g), ``fair_seen`` and ``shift``, G2's
+    per query; ``lam`` (lambda, s, v) per query, lambda NaN until the query's
+    first touch sets it, so that a stray read cannot pass as finite.
     """
 
-    momentum: MomentumState
-    pairs: MovingAverage | None = None      # u per (query, item) pair
-    fair: FairnessState | None = None       # (u_a, u_b, u_g) and shift per query
-    lam: LambdaState | None = None          # (lam, s, v) per query
+    z: np.ndarray
     offsets: np.ndarray | None = None       # Dataset.offsets of the bound dataset
+    pair_u: np.ndarray | None = None
+    pair_seen: np.ndarray | None = None
+    fair_u: np.ndarray | None = None
+    fair_seen: np.ndarray | None = None
+    shift: np.ndarray | None = None
+    lam: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, cfg: TrainConfig, num_params: int) -> "TrainerState":
-        return cls(momentum=MomentumState(z=np.zeros(num_params), gamma=cfg.gamma5))
+        return cls(z=np.zeros(num_params))
 
-    def bind(self, d: Dataset, cfg: TrainConfig) -> None:
-        offsets = d.offsets
+    def bind(self, d: Dataset) -> None:
         if self.offsets is not None:
-            if not np.array_equal(self.offsets, offsets):
+            if not np.array_equal(self.offsets, d.offsets):
                 raise StateError("trainer state is sized for a dataset with other "
                                  "query sizes; start a fresh TrainerState")
             return
-        nq = len(offsets) - 1
-        self.offsets = offsets
-        self.pairs = MovingAverage.zeros(cfg.gamma0, int(offsets[-1]))
-        self.fair = FairnessState.zeros(nq, cfg.gamma1, cfg.gamma2, cfg.gamma3)
-        # NaN until a query's first touch sets it: marks the queries still to
-        # warm up, and a stray read cannot pass as finite
-        self.lam = LambdaState(lam=np.full(nq, np.nan), s=np.zeros(nq), v=np.zeros(nq),
-                               gamma=cfg.gamma4, eta=cfg.eta0)
+        nq, pairs = d.num_queries, d.total_pairs
+        self.offsets = d.offsets
+        self.pair_u, self.pair_seen = np.zeros(pairs), np.zeros(pairs, dtype=bool)
+        self.fair_u, self.fair_seen = np.zeros((nq, 3)), np.zeros(nq, dtype=bool)
+        self.shift, self.lam = np.zeros(nq), np.tile([np.nan, 0.0, 0.0], (nq, 1))
 
 
 @dataclass
@@ -217,43 +203,40 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
     """One full iteration: sample, estimate G1 (+ C * G2), momentum, step.
     One ``ScoredBatch`` scores the blocks both estimators weigh and scatters
     G1 + C * G2 on them."""
-    state.bind(d, cfg)
+    state.bind(d)
     batch = sample_batch(
         d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
     scored = ScoredBatch(model, d, batch, fair=cfg.fairness_active())
-    g1 = g1_estimate(scored, d, batch, cfg.loss_kind(), state.pairs)
+    g1 = g1_estimate(scored, d, batch, cfg, state)
     _check_finite(g1.values(), "G1")
 
     estimates = [g1]
     if cfg.fairness_active():
-        smoothing = cfg.smoothing()
-        psi = None                              # full_list: psi = 1, no threshold
-        if cfg.fairness_mode == "top_k":
-            psi = SmoothIndicator(temperature=cfg.tau_psi)
+        top_k = cfg.fairness_mode == "top_k"    # full_list: psi = 1, no threshold
+        if top_k:
+            smoothing = cfg.smoothing()
             active = ~batch.skipped
-            lam, rows = state.lam, batch.queries[active]
+            rows = batch.queries[active]
             s_g = scored.scores["items"][active]  # the item sub-batch of both-group queries
             n_total = d.sizes[rows]
-            fresh = np.isnan(lam.lam[rows])
+            fresh = np.isnan(state.lam[rows, 0])
             if fresh.any():
-                new = rows[fresh]
                 warm = init_lambda_state(s_g[fresh], smoothing, n_total[fresh],
                                          cfg.gamma4, cfg.eta0)
-                lam.lam[new], lam.s[new], lam.v[new] = warm.lam, warm.s, warm.v
-        g2 = g2_estimate(scored, d, batch, cfg.k, state.fair, state.lam, psi,
-                         smoothing, mode=cfg.g2_mode)
+                state.lam[rows[fresh]] = np.stack([warm.lam, warm.s, warm.v], axis=1)
+        g2 = g2_estimate(scored, d, batch, cfg, state)
         _check_finite(g2.values(), "G2")
-        if cfg.fairness_mode == "top_k":
-            st = state_step(LambdaState(lam.lam[rows], lam.s[rows], lam.v[rows], lam.gamma,
-                                        lam.eta), s_g, smoothing, n_total=n_total)
-            lam.lam[rows], lam.s[rows], lam.v[rows] = st.lam, st.s, st.v
+        if top_k:
+            st = state_step(LambdaState(*state.lam[rows].T, cfg.gamma4, cfg.eta0), s_g,
+                            smoothing, n_total=n_total)
+            state.lam[rows] = np.stack([st.lam, st.s, st.v], axis=1)
         estimates.append({name: cfg.fair_weight * w for name, w in g2.items()})
 
-    state.momentum.update(scored.dense(*estimates))
-    _check_finite([state.momentum.z], "momentum z")
-    model.params.values -= cfg.eta1 * lr_mult * state.momentum.z
-    return {"z_norm": float(np.linalg.norm(state.momentum.z)),
-            "num_pairs": batch.num_pairs}
+    state.z *= 1.0 - cfg.gamma5
+    state.z += cfg.gamma5 * scored.dense(*estimates)
+    _check_finite([state.z], "momentum z")
+    model.params.values -= cfg.eta1 * lr_mult * state.z
+    return {"z_norm": float(np.linalg.norm(state.z)), "num_pairs": batch.num_pairs}
 
 
 @dataclass

@@ -24,12 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import BatchSample, Dataset
 from .errors import ConfigurationError, EmptyDatasetError
 from .model import FactorizationScorer
+
+if TYPE_CHECKING:
+    from .optimizer import TrainConfig, TrainerState
 
 _LN2 = np.log(2.0)
 
@@ -72,31 +76,20 @@ def dataset_loss(model: FactorizationScorer, d: Dataset, kind: RankLossKind) -> 
     return float(total) / d.total_pairs
 
 
-@dataclass
-class MovingAverage:
-    """Dense moving averages, one row per (query, item) pair or per query.
+def blend(values: np.ndarray, seen: np.ndarray, idx: np.ndarray, estimate: np.ndarray,
+          gamma) -> np.ndarray:
+    """Fold ``estimate[j]`` into the moving average ``values[idx[j]]`` (distinct
+    rows) and mark the rows ``seen``; returns the new rows.
 
-    An entry's first update sets it to the estimate itself, which avoids
-    the blow-up of the outer derivative near u = 0; later updates blend the
+    A row's first update sets it to the estimate itself, which avoids the
+    blow-up of the outer derivative near u = 0; later updates blend the
     estimate in with weight ``gamma`` (one weight, or one per column).
     """
-
-    gamma: float | np.ndarray
-    values: np.ndarray
-    seen: np.ndarray
-
-    @classmethod
-    def zeros(cls, gamma, *shape: int) -> "MovingAverage":
-        return cls(gamma=gamma, values=np.zeros(shape), seen=np.zeros(shape[0], dtype=bool))
-
-    def update(self, idx: np.ndarray, estimate: np.ndarray) -> np.ndarray:
-        """Fold ``estimate[j]`` into row ``idx[j]`` (distinct rows); returns the new rows."""
-        seen = self.seen[idx].reshape((-1,) + (1,) * (estimate.ndim - 1))
-        blended = self.gamma * estimate + (1.0 - self.gamma) * self.values[idx]
-        new = np.where(seen, blended, estimate)
-        self.values[idx] = new
-        self.seen[idx] = True
-        return new
+    old = seen[idx].reshape((-1,) + (1,) * (estimate.ndim - 1))
+    new = np.where(old, gamma * estimate + (1.0 - gamma) * values[idx], estimate)
+    values[idx] = new
+    seen[idx] = True
+    return new
 
 
 class ScoredBatch:
@@ -156,16 +149,17 @@ def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
 
 
 def g1_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample,
-                kind: RankLossKind, pairs: MovingAverage) -> dict:
-    """Stochastic gradient of the ranking loss over the pair batch, as
-    weights on the ``pairs`` and ``items`` blocks of ``scored``.
+                cfg: TrainConfig, state: TrainerState) -> dict:
+    """Stochastic gradient of the ranking loss ``cfg.loss_kind()`` over the pair
+    batch, as weights on the ``pairs`` and ``items`` blocks of ``scored``.
 
-    Updates the moving averages for every sampled pair first, then
-    assembles G1 with the refreshed values; with full batches and
-    gamma = 1 this reproduces the exact full-batch gradient.
+    Blends every sampled pair into ``state.pair_u`` with weight ``cfg.gamma0``
+    first, then assembles G1 with the refreshed values; with full batches and
+    gamma0 = 1 this reproduces the exact full-batch gradient.
     """
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
+    kind = cfg.loss_kind()
     s_pair, s_inner = scored.scores["pairs"], scored.scores["items"]
     diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
@@ -178,7 +172,8 @@ def g1_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample,
         dell = ell
 
     n_inner = np.count_nonzero(scored.filled["items"], axis=1)[batch.pair_row][:, None]
-    u = pairs.update(batch.pairs, ell.sum(axis=1) / n_inner[:, 0])
+    u = blend(state.pair_u, state.pair_seen, batch.pairs, ell.sum(axis=1) / n_inner[:, 0],
+              cfg.gamma0)
     q = d.query_of[batch.pairs]
     fprime = _outer_derivative(kind, u, d.relevance[batch.pairs], d.ideal_dcg[q],
                                d.sizes[q], d.label_softmax[batch.pairs])

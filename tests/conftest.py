@@ -7,6 +7,7 @@ import pytest
 
 from fairtopk.data import Dataset, Vocabulary, generate_synthetic
 from fairtopk.model import FactorizationScorer
+from fairtopk.optimizer import TrainerState
 
 
 def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
@@ -34,6 +35,13 @@ def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
                    item_ids, feature_idx, cat("relevance", np.float64), groups, vocab,
                    int(rows.max(initial=-1)) + 1 if num_query_rows is None else num_query_rows,
                    codes)
+
+
+def bound_state(cfg, model, d):
+    """A fresh TrainerState for ``model``, bound to ``d``."""
+    state = TrainerState.fresh(cfg, len(model.params.values))
+    state.bind(d)
+    return state
 
 
 @pytest.fixture

@@ -172,7 +172,7 @@ def test_criterion_4_surrogate_exact_consistency():
         p = SmoothingParams(tau1=1e-2, tau2=1e-8, eps=0.25, k=k)
         lam = solve_lambda_exactly_smoothed(m.score_many(0, qg.feature_idx),
                                             p, tol=1e-12)
-        u = topk_disparity_surrogate(m, qg, k, lam, psi)
+        u = topk_disparity_surrogate(m, qg, lam, psi)
         exact = topk_disparity_exact(m, qg, k)
         worst = max(worst, abs(np.sqrt(2.0 * u) - abs(exact)))
     ok = worst <= 1e-3
@@ -222,8 +222,7 @@ def test_criterion_6_mode_reductions():
         if groups.min() == groups.max():
             continue
         m, qg = _scored_query(np.clip(scores, -40, 40).tolist(), groups.tolist())
-        u = topk_disparity_surrogate(m, qg, max(1, n // 2), lam=0.0,
-                                     psi=CONSTANT_ONE)
+        u = topk_disparity_surrogate(m, qg, lam=0.0, psi=CONSTANT_ONE)
         worst = max(worst, abs(u - full_list_disparity(m, qg)))
     reduces = worst <= 1e-12
 

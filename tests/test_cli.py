@@ -113,6 +113,16 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv, "--checkpoint", str(bad)]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_boolean_bound_in_checkpoint_exits_two(self, data_csv, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        FactorizationScorer(12, 32, 2).save(str(path))
+        data = path.read_bytes()
+        end = 16 + int.from_bytes(data[8:16], "little")
+        header = json.dumps({**json.loads(data[16:end]), "bound": True}).encode()
+        path.write_bytes(data[:8] + len(header).to_bytes(8, "little") + header + data[end:])
+        assert run(["eval", "--data", data_csv, "--checkpoint", str(path)]) == 2
+        assert "bound and scale must be JSON numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--relevant", "--irrelevant"])
     def test_negative_list_count_exits_one(self, data_csv, tmp_path, capsys, flag):
         ckpt = tmp_path / "m.ckpt"

@@ -1,7 +1,10 @@
 """Exposure, disparity losses and metrics, and the G2 estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import bound_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,6 @@ from fairtopk.data import (
 from fairtopk.errors import ConfigurationError, StateError
 from fairtopk.fairness import (
     CONSTANT_ONE,
-    FairnessState,
     SmoothIndicator,
     dataset_topk_fairness,
     disparity_mae_mse,
@@ -27,20 +29,16 @@ from fairtopk.fairness import (
     topk_disparity_surrogate,
     topk_gaps,
 )
-from fairtopk.lambda_solver import (
-    LambdaState,
-    SmoothingParams,
-    smoothed_hess,
-    solve_lambda_exactly_smoothed,
-)
+from fairtopk.lambda_solver import SmoothingParams, smoothed_hess, solve_lambda_exactly_smoothed
 from fairtopk.model import FactorizationScorer
-from fairtopk.rank_losses import ScoredBatch
+from fairtopk.optimizer import TrainConfig, TrainerState
+from fairtopk.rank_losses import ScoredBatch, blend
 
 
-def _g2(m, d, batch, *args, **kwargs):
+def _g2(m, d, batch, cfg, state):
     """G2 as a parameter vector, from a ScoredBatch of its own blocks."""
     scored = ScoredBatch(m, d, batch, fair=True)
-    return scored.dense(g2_estimate(scored, d, batch, *args, **kwargs))
+    return scored.dense(g2_estimate(scored, d, batch, cfg, state))
 
 
 def _query_with(scores_model, item_bias, groups, qid="q0"):
@@ -172,7 +170,7 @@ class TestSurrogate:
             scores = rng.normal(0, 1, 8).tolist()
             groups = [GROUP_A] * 3 + [GROUP_B] * 5
             m, qg = _query_with(None, scores, groups)
-            u = topk_disparity_surrogate(m, qg, k=3, lam=0.0, psi=CONSTANT_ONE)
+            u = topk_disparity_surrogate(m, qg, lam=0.0, psi=CONSTANT_ONE)
             full = full_list_disparity(m, qg)
             assert abs(u - full) <= 1e-12
 
@@ -180,7 +178,7 @@ class TestSurrogate:
         m, qg = _query_with(None, [1.0, 1.0, 0.0, 0.0],
                             [GROUP_A, GROUP_B, GROUP_A, GROUP_B])
         psi = SmoothIndicator(temperature=0.1)
-        assert topk_disparity_surrogate(m, qg, 2, lam=0.5, psi=psi) == pytest.approx(
+        assert topk_disparity_surrogate(m, qg, lam=0.5, psi=psi) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_matches_exact_at_small_temperatures(self, rng):
@@ -199,7 +197,7 @@ class TestSurrogate:
             m, qg = _query_with(None, scores.tolist(), groups.tolist())
             lam = solve_lambda_exactly_smoothed(
                 m.score_many(0, qg.feature_idx), p, tol=1e-12)
-            u = topk_disparity_surrogate(m, qg, 2, lam, psi)
+            u = topk_disparity_surrogate(m, qg, lam, psi)
             exact = topk_disparity_exact(m, qg, 2)
             assert abs(np.sqrt(2.0 * u) - abs(exact)) <= 1e-3
 
@@ -210,7 +208,7 @@ class TestSurrogate:
         assert d.num_queries == 20 and d.has_both_groups.tolist().count(False) == 2
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=6)
         p, psi = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=3), SmoothIndicator(0.2)
-        per_query = [topk_disparity_surrogate(m, qg, p.k, solve_lambda_exactly_smoothed(
+        per_query = [topk_disparity_surrogate(m, qg, solve_lambda_exactly_smoothed(
             m.score_many(qg.query_index, qg.feature_idx), p, tol=1e-12), psi) for qg in d.queries]
         calls = []
         score_many = m.score_many
@@ -223,7 +221,7 @@ class TestSurrogate:
     def test_single_group_returns_none(self):
         m, qg = _query_with(None, [0.0, 1.0], [GROUP_B, GROUP_B])
         psi = SmoothIndicator(temperature=0.1)
-        assert topk_disparity_surrogate(m, qg, 1, 0.0, psi) is None
+        assert topk_disparity_surrogate(m, qg, 0.0, psi) is None
 
     def test_indicator_validation(self):
         with pytest.raises(ConfigurationError):
@@ -242,48 +240,48 @@ class TestMaeMse:
 
 
 class TestG2:
-    def _setup(self, seed=5):
+    def _setup(self, seed=5, **overrides):
+        """A full batch and a state bound to its dataset, each query's threshold
+        solved to tolerance and its curvature exact."""
         d = generate_synthetic(3, 6, 0.4, 1.0, seed=seed)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=seed)
         rng = np.random.default_rng(0)
         batch = sample_batch(d, (d.total_pairs, 10, 10, 10), rng)
-        p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=2)
-        psi = SmoothIndicator(temperature=0.2)
-        lams, hessians = [], []
-        for qg in d.queries:
+        cfg = TrainConfig(k=2, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
+                          **overrides)
+        p = cfg.smoothing()
+        state = bound_state(cfg, m, d)
+        for q, qg in enumerate(d.queries):
             scores = m.score_many(qg.query_index, qg.feature_idx)
-            lams.append(solve_lambda_exactly_smoothed(scores, p, tol=1e-10))
-            hessians.append(smoothed_hess(lams[-1], scores, p))
-        lam_state = LambdaState(lam=np.array(lams), s=np.array(hessians))
-        return d, m, batch, p, psi, lam_state
+            lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-10)
+            state.lam[q, :2] = lam, smoothed_hess(lam, scores, p)
+        return d, m, batch, cfg, state
 
     def test_missing_lambda_state_is_an_error(self):
-        d, m, batch, p, psi, lam_state = self._setup()
-        fair = FairnessState.zeros(d.num_queries)
-        with pytest.raises(StateError):
-            _g2(m, d, batch, 2, fair, None, psi, p)
-        short = LambdaState(lam=lam_state.lam[:-1], s=lam_state.s[:-1])
-        with pytest.raises(StateError):
-            _g2(m, d, batch, 2, fair, short, psi, p)
+        d, m, batch, cfg, _ = self._setup()
+        with pytest.raises(StateError, match="bound"):
+            _g2(m, d, batch, cfg, TrainerState.fresh(cfg, len(m.params.values)))
+        fewer = d.take(np.arange(d.offsets[2]))             # the first two queries
+        with pytest.raises(StateError, match="bound"):
+            _g2(m, d, batch, cfg, bound_state(cfg, m, fewer))
 
     def test_scored_batch_without_fair_blocks_is_an_error(self):
-        d, m, batch, p, psi, lam_state = self._setup()
+        d, m, batch, cfg, state = self._setup()
         scored = ScoredBatch(m, d, batch)
         with pytest.raises(StateError, match="fair=True"):
-            g2_estimate(scored, d, batch, 2, FairnessState.zeros(d.num_queries), lam_state,
-                        psi, p)
+            g2_estimate(scored, d, batch, cfg, state)
 
     def test_gamma_zero_freezes_direction(self):
-        d, m, batch, p, psi, lam_state = self._setup()
-        fair = FairnessState.zeros(d.num_queries, 0.0, 0.0, 0.0)
-        g_first = _g2(m, d, batch, 2, fair, lam_state, psi, p)
-        g_second = _g2(m, d, batch, 2, fair, lam_state, psi, p)
+        d, m, batch, cfg, state = self._setup(gamma1=0.0, gamma2=0.0, gamma3=0.0)
+        g_first = _g2(m, d, batch, cfg, state)
+        g_second = _g2(m, d, batch, cfg, state)
         assert np.allclose(g_first, g_second)
 
     def test_full_batch_matches_finite_differences(self):
-        d, m, batch, p, psi, lam_state = self._setup()
-        fair = FairnessState.zeros(d.num_queries, 1.0, 1.0, 1.0)
-        g2 = _g2(m, d, batch, 2, fair, lam_state, psi, p, mode="full_implicit")
+        d, m, batch, cfg, state = self._setup(gamma1=1.0, gamma2=1.0, gamma3=1.0,
+                                              g2_mode="full_implicit")
+        g2 = _g2(m, d, batch, cfg, state)
+        p, psi = cfg.smoothing(), SmoothIndicator(cfg.tau_psi)
         w = m.params.values
         w0 = w.copy()
         fd = np.zeros_like(w)
@@ -298,16 +296,15 @@ class TestG2:
         assert np.abs(g2 - fd).max() <= 1e-3 * max(np.abs(fd).max(), 1e-12)
 
     def test_unknown_mode_rejected(self):
-        d, m, batch, p, psi, lam_state = self._setup()
+        d, m, batch, cfg, state = self._setup()
         with pytest.raises(ConfigurationError):
-            _g2(m, d, batch, 2, FairnessState.zeros(d.num_queries), lam_state,
-                psi, p, mode="bogus")
+            _g2(m, d, batch, replace(cfg, g2_mode="bogus"), state)
 
     def test_moving_average_update_rule(self):
-        fair = FairnessState.zeros(3, gamma_a=0.5, gamma_b=0.5, gamma_g=0.5)
-        first = fair.u.update(np.array([1]), np.array([[1.0, 2.0, 3.0]]))
+        u, seen, gamma = np.zeros((3, 3)), np.zeros(3, dtype=bool), np.array([0.5, 0.25, 1.0])
+        first = blend(u, seen, np.array([1]), np.array([[1.0, 2.0, 3.0]]), gamma)
         assert first.tolist() == [[1.0, 2.0, 3.0]]             # first touch
-        second = fair.u.update(np.array([1]), np.array([[3.0, 4.0, 5.0]]))
-        assert second[0] == pytest.approx([2.0, 3.0, 4.0])
-        assert fair.u.seen.tolist() == [False, True, False]
-        assert np.all(fair.u.values[[0, 2]] == 0.0)
+        second = blend(u, seen, np.array([1]), np.array([[3.0, 4.0, 5.0]]), gamma)
+        assert second[0] == pytest.approx([2.0, 2.5, 5.0])     # one weight per column
+        assert seen.tolist() == [False, True, False]
+        assert np.all(u[[0, 2]] == 0.0)

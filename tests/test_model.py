@@ -247,9 +247,9 @@ class TestCheckpoint:
             FactorizationScorer.load(str(path))
 
     @staticmethod
-    def write_header(path, dims, payload_bytes):
+    def write_header(path, dims, payload_bytes, **fields):
         header = json.dumps(dict(zip(("num_queries", "num_items", "dim"), dims),
-                                 bound=10.0, scale=1.0)).encode()
+                                 **{"bound": 10.0, "scale": 1.0, **fields})).encode()
         path.write_bytes(b"RANKCKP1" + len(header).to_bytes(8, "little") + header
                          + b"\0" * payload_bytes)
 
@@ -261,6 +261,20 @@ class TestCheckpoint:
         self.write_header(path, dims, 64)
         with pytest.raises(CheckpointError):
             FactorizationScorer.load(str(path))
+
+    @pytest.mark.parametrize("field, value", [("bound", True), ("scale", True), ("bound", False),
+                                              ("bound", "10"), ("scale", None), ("scale", [1.0])])
+    def test_header_bound_and_scale_must_be_numbers(self, tmp_path, field, value):
+        path = tmp_path / "h.ckpt"
+        self.write_header(path, (1, 2, 2), 64, **{field: value})
+        with pytest.raises(CheckpointError, match="bound and scale must be JSON numbers"):
+            FactorizationScorer.load(str(path))
+
+    def test_header_bound_and_scale_may_be_json_integers(self, tmp_path):
+        path = tmp_path / "h.ckpt"
+        self.write_header(path, (1, 2, 2), 64, bound=7, scale=2)
+        m = FactorizationScorer.load(str(path))
+        assert (m.score_bound, m.scale) == (7.0, 2.0)
 
     def test_payload_size_checked_before_the_model_is_built(self, tmp_path, monkeypatch):
         path = tmp_path / "s.ckpt"

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_dataset
+from conftest import bound_state, make_dataset
 
 from fairtopk.data import BatchSample, generate_synthetic, load_csv, sample_batch, split
 from fairtopk.errors import ConfigurationError, NonFiniteGradientError, StateError
-from fairtopk.fairness import SmoothIndicator, g2_estimate
+from fairtopk.fairness import g2_estimate
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import (
-    MomentumState,
     TrainConfig,
     TrainerState,
     TrainTrace,
@@ -23,13 +22,7 @@ from fairtopk.optimizer import (
     train,
     train_step,
 )
-from fairtopk.rank_losses import (
-    LossVariant,
-    MovingAverage,
-    RankLossKind,
-    ScoredBatch,
-    g1_estimate,
-)
+from fairtopk.rank_losses import ScoredBatch, g1_estimate
 
 
 def _tiny_setup(seed=0, **overrides):
@@ -96,20 +89,6 @@ class TestConfig:
             config_from_file(str(path))
 
 
-class TestMomentum:
-    def test_exponential_average(self):
-        st = MomentumState(z=np.zeros(2), gamma=0.25)
-        st.update(np.array([4.0, 8.0]))
-        assert np.allclose(st.z, [1.0, 2.0])
-        st.update(np.array([4.0, 8.0]))
-        assert np.allclose(st.z, [1.75, 3.5])
-
-    def test_gamma_one_tracks_gradient(self):
-        st = MomentumState(z=np.array([9.0]), gamma=1.0)
-        st.update(np.array([2.0]))
-        assert st.z[0] == 2.0
-
-
 class TestTrainStep:
     def test_zero_step_size_keeps_params(self):
         d, m, cfg = _tiny_setup(eta1=0.0, gamma5=1.0, fair_weight=10.0)
@@ -117,7 +96,7 @@ class TestTrainStep:
         w0 = m.params.values.copy()
         train_step(m, d, cfg, state, np.random.default_rng(0))
         assert np.array_equal(m.params.values, w0)
-        assert np.linalg.norm(state.momentum.z) > 0.0
+        assert np.linalg.norm(state.z) > 0.0
 
     def test_deterministic_trajectories(self):
         results = []
@@ -164,9 +143,9 @@ class TestTrainStep:
             sampled_pairs |= set(batch.pairs.tolist())
             sampled_queries |= set(batch.queries.tolist())
             train_step(m, d, cfg, state, rng)
-        assert set(np.flatnonzero(state.pairs.seen).tolist()) == sampled_pairs
-        assert set(np.flatnonzero(state.fair.u.seen).tolist()) == sampled_queries
-        assert np.array_equal(~np.isnan(state.lam.lam), state.fair.u.seen)
+        assert set(np.flatnonzero(state.pair_seen).tolist()) == sampled_pairs
+        assert set(np.flatnonzero(state.fair_seen).tolist()) == sampled_queries
+        assert np.array_equal(~np.isnan(state.lam[:, 0]), state.fair_seen)
 
     def test_one_gather_and_one_scatter_per_step(self, monkeypatch):
         calls = []
@@ -224,9 +203,9 @@ class TestNonFiniteGradients:
         batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a,
                                  cfg.batch_b), copy.deepcopy(rng))
         rows = batch.queries[~batch.skipped]
-        seen = rows[state.fair.u.seen[rows]]
+        seen = rows[state.fair_seen[rows]]
         assert seen.size
-        state.fair.u.values[seen[0]] = np.nan
+        state.fair_u[seen[0]] = np.nan
         self._assert_step_raises(m, d, cfg, state, rng, "G2")
 
 
@@ -314,8 +293,7 @@ class TestPinnedTrajectory:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_matches_recorded_parameters(self, tmp_path, name):
         d = self._data(tmp_path)
-        cfg = TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
-                          eta1=0.3, seed=5, **self.CONFIGS[name])
+        cfg = self._config(name)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
         state = TrainerState.fresh(cfg, len(m.params.values))
         rng = np.random.default_rng(cfg.seed)
@@ -324,40 +302,62 @@ class TestPinnedTrajectory:
         expected = np.array(json.loads(self.PINS.read_text())[name])
         np.testing.assert_allclose(m.params.values, expected, rtol=0.0, atol=1e-12)
 
+    def _config(self, name, **overrides):
+        return TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
+                           eta1=0.3, seed=5, **self.CONFIGS[name], **overrides)
+
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_step_moves_momentum_by_g1_plus_c_g2(self, tmp_path, name):
         """The step (one scatter of G1 + C * G2, summed block by block) against
-        one scatter per estimator on the same ScoredBatch."""
+        one scatter per estimator on the same ScoredBatch, blended into the
+        previous z with weight gamma5; at gamma5 = 1, z is that gradient."""
         d = self._data(tmp_path)
-        cfg = TrainConfig(k=2, batch_pairs=10, batch_items=4, batch_a=2, batch_b=3,
-                          eta1=0.3, seed=5, **self.CONFIGS[name])
-        sizes = (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b)
-        psi = SmoothIndicator(cfg.tau_psi) if cfg.fairness_mode == "top_k" else None
-        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
-        state = TrainerState.fresh(cfg, len(m.params.values))
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(5):
-            train_step(m, d, cfg, state, rng)
-        if cfg.fairness_active() and psi is not None:
-            # every query with both groups has its threshold: no warm start below
-            assert not np.isnan(state.lam.lam[d.has_both_groups]).any()
-        skipped_seen = False
-        for _ in range(5):
-            ref_m, ref_state, ref_rng = copy.deepcopy((m, state, rng))
-            train_step(m, d, cfg, state, rng)
-            batch = sample_batch(d, sizes, ref_rng)
-            skipped_seen |= bool(batch.skipped.any())
-            scored = ScoredBatch(ref_m, d, batch, fair=cfg.fairness_active())
-            grad = scored.dense(g1_estimate(scored, d, batch, cfg.loss_kind(),
-                                            ref_state.pairs))
-            if cfg.fairness_active():
-                g2 = g2_estimate(scored, d, batch, cfg.k, ref_state.fair, ref_state.lam, psi,
-                                 cfg.smoothing(), mode=cfg.g2_mode)
-                grad += cfg.fair_weight * scored.dense(g2)
-            ref_state.momentum.update(grad)
-            np.testing.assert_allclose(state.momentum.z, ref_state.momentum.z,
-                                       rtol=0.0, atol=1e-12)
-        assert skipped_seen            # q3 sampled: the skipped-row mask was exercised
+        for gamma5 in (TrainConfig().gamma5, 1.0):
+            cfg = self._config(name, gamma5=gamma5)
+            sizes = (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b)
+            m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
+            state = TrainerState.fresh(cfg, len(m.params.values))
+            rng = np.random.default_rng(cfg.seed)
+            for _ in range(5):
+                train_step(m, d, cfg, state, rng)
+            if cfg.fairness_active() and cfg.fairness_mode == "top_k":
+                # every query with both groups has its threshold: no warm start below
+                assert not np.isnan(state.lam[d.has_both_groups, 0]).any()
+            skipped_seen = False
+            for _ in range(5):
+                ref_m, ref_state, ref_rng = copy.deepcopy((m, state, rng))
+                train_step(m, d, cfg, state, rng)
+                batch = sample_batch(d, sizes, ref_rng)
+                skipped_seen |= bool(batch.skipped.any())
+                scored = ScoredBatch(ref_m, d, batch, fair=cfg.fairness_active())
+                grad = scored.dense(g1_estimate(scored, d, batch, cfg, ref_state))
+                if cfg.fairness_active():
+                    g2 = g2_estimate(scored, d, batch, cfg, ref_state)
+                    grad += cfg.fair_weight * scored.dense(g2)
+                assert np.any(ref_state.z != 0.0)
+                np.testing.assert_allclose(state.z, (1.0 - gamma5) * ref_state.z + gamma5 * grad,
+                                           rtol=0.0, atol=1e-12)
+            assert skipped_seen        # q3 sampled: the skipped-row mask was exercised
+
+    def test_state_resumes_from_plain_arrays(self, tmp_path):
+        """The bound state is plain arrays: saved with np.savez after five steps
+        and loaded without pickle, it continues to the parameters of ten
+        uninterrupted steps."""
+        d = self._data(tmp_path)
+        cfg = self._config("top_k")
+        params = []
+        for resume in (False, True):
+            m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=2)
+            state = TrainerState.fresh(cfg, len(m.params.values))
+            rng = np.random.default_rng(cfg.seed)
+            for step in range(10):
+                if resume and step == 5:
+                    np.savez(tmp_path / "state.npz", **vars(state))
+                    with np.load(tmp_path / "state.npz", allow_pickle=False) as loaded:
+                        state = TrainerState(**loaded)
+                train_step(m, d, cfg, state, rng)
+            params.append(m.params.values)
+        assert np.array_equal(params[0], params[1])
 
 
 class TestNdcgZeroInnerEstimate:
@@ -378,13 +378,13 @@ class TestNdcgZeroInnerEstimate:
                             items=np.array([[1, 2, 3, -1]]), group_a=np.array([[0, 2]]),
                             group_b=np.array([[1, 3]]), skipped=np.array([False]),
                             offsets=d.offsets)
-        pairs = MovingAverage.zeros(0.5, d.total_pairs)
-        kind = RankLossKind(LossVariant.NDCG, margin=1.0)
+        cfg = TrainConfig(loss="ndcg", margin=1.0, gamma0=0.5)
+        state = bound_state(cfg, m, d)
         zero_seen = False
         for _ in range(20):
             scored = ScoredBatch(m, d, batch)
-            m.params.values -= 0.5 * scored.dense(g1_estimate(scored, d, batch, kind, pairs))
-            zero_seen |= bool(pairs.seen[0] and pairs.values[0] == 0.0)
+            m.params.values -= 0.5 * scored.dense(g1_estimate(scored, d, batch, cfg, state))
+            zero_seen |= bool(state.pair_seen[0] and state.pair_u[0] == 0.0)
         assert zero_seen
         assert np.all(np.isfinite(m.params.values))
 

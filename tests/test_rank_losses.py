@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
-from conftest import make_dataset
+from conftest import bound_state, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairtopk.data import QueryGroup, generate_synthetic, ideal_dcg, sample_batch
 from fairtopk.errors import ConfigurationError
 from fairtopk.model import FactorizationScorer
+from fairtopk.optimizer import TrainConfig
 from fairtopk.rank_losses import (
     LossVariant,
-    MovingAverage,
     RankLossKind,
     ScoredBatch,
+    blend,
     dataset_loss,
     g1_estimate,
 )
@@ -22,10 +23,10 @@ NDCG = RankLossKind(LossVariant.NDCG, 1.0)
 LISTNET = RankLossKind(LossVariant.LISTNET, 1.0)
 
 
-def _g1(m, d, batch, kind, pairs):
+def _g1(m, d, batch, cfg, state):
     """G1 as a parameter vector, from a ScoredBatch of its own blocks."""
     scored = ScoredBatch(m, d, batch)
-    return scored.dense(g1_estimate(scored, d, batch, kind, pairs))
+    return scored.dense(g1_estimate(scored, d, batch, cfg, state))
 
 
 def _one_query(items, labels, row=0):
@@ -49,9 +50,10 @@ def _surrogate_ranks(scores, kind):
     m.item_bias[:] = np.arctanh(np.asarray(scores) / m.score_bound)
     d = _one_query(np.arange(n), np.ones(n))
     batch = sample_batch(d, (n, n, n, n), np.random.default_rng(0))
-    pairs = MovingAverage.zeros(1.0, n)
-    g1_estimate(ScoredBatch(m, d, batch), d, batch, kind, pairs)
-    return pairs.values * n
+    cfg = TrainConfig(loss=kind.variant.value, margin=kind.margin, gamma0=1.0)
+    state = bound_state(cfg, m, d)
+    g1_estimate(ScoredBatch(m, d, batch), d, batch, cfg, state)
+    return state.pair_u * n
 
 
 def _hinge_rank(scores, i, margin):
@@ -180,20 +182,20 @@ class TestG1:
 
     def test_gamma_zero_freezes_estimates(self):
         d, m, batch = self._setup()
-        kind = RankLossKind(LossVariant.NDCG, 1.0)
-        pairs = MovingAverage.zeros(0.0, d.total_pairs)
-        g_first = _g1(m, d, batch, kind, pairs)
-        frozen = pairs.values.copy()
-        g_second = _g1(m, d, batch, kind, pairs)
-        assert np.array_equal(pairs.values, frozen)
+        cfg = TrainConfig(loss="ndcg", margin=1.0, gamma0=0.0)
+        state = bound_state(cfg, m, d)
+        g_first = _g1(m, d, batch, cfg, state)
+        frozen = state.pair_u.copy()
+        g_second = _g1(m, d, batch, cfg, state)
+        assert np.array_equal(state.pair_u, frozen)
         assert np.allclose(g_first, g_second)
 
     def test_full_batch_gamma_one_matches_finite_differences(self):
         d, m, batch = self._setup()
-        for variant in (LossVariant.NDCG, LossVariant.LISTNET):
-            kind = RankLossKind(variant, 1.0)
-            pairs = MovingAverage.zeros(1.0, d.total_pairs)
-            g1 = _g1(m, d, batch, kind, pairs)
+        for loss in ("ndcg", "listnet"):
+            cfg = TrainConfig(loss=loss, margin=1.0, gamma0=1.0)
+            kind = cfg.loss_kind()
+            g1 = _g1(m, d, batch, cfg, bound_state(cfg, m, d))
             w0 = m.params.values.copy()
             fd = np.zeros_like(w0)
             step = 1e-5
@@ -207,7 +209,10 @@ class TestG1:
             assert np.abs(g1 - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-9)
 
     def test_moving_average_update_rule(self):
-        pairs = MovingAverage.zeros(0.25, 4)
-        assert pairs.update(np.array([1]), np.array([4.0]))[0] == 4.0   # first touch
-        assert pairs.update(np.array([1, 2]), np.array([8.0, 2.0])).tolist() == \
+        values, seen = np.zeros(4), np.zeros(4, dtype=bool)
+        assert blend(values, seen, np.array([1]), np.array([4.0]), 0.25)[0] == 4.0  # first touch
+        assert blend(values, seen, np.array([1, 2]), np.array([8.0, 2.0]), 0.25).tolist() == \
             pytest.approx([0.25 * 8.0 + 0.75 * 4.0, 2.0])
+        assert values[1:3].tolist() == pytest.approx([0.25 * 8.0 + 0.75 * 4.0, 2.0])
+        assert seen.tolist() == [False, True, True, False]     # untouched rows stay unseen
+        assert np.all(values[[0, 3]] == 0.0)

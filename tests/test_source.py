@@ -1,0 +1,61 @@
+"""Checks on the package source itself, made with the standard library's ``ast``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fairtopk"
+
+# (file, qualified function name, parameter) -> why it stays unread
+UNUSED_ALLOWED = {
+    ("optimizer.py", "TrainerState.fresh", "cfg"):
+        "bench/run.py calls TrainerState.fresh(cfg, num_params)",
+}
+
+
+def _functions(tree):
+    """(qualified name, node) of every ``def``, nested ones included.  Lambdas
+    are left out: a callback's parameters are its caller's to choose."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                yield name, child
+                yield from walk(child, f"{name}.")
+            else:
+                yield from walk(child, prefix)
+    return walk(tree, "")
+
+
+def unused_parameters(path: Path) -> list[tuple[str, str, str]]:
+    """(file, function, parameter) for every parameter its function never reads."""
+    out = []
+    for name, fn in _functions(ast.parse(path.read_text())):
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(path.name, name, p) for p in params
+                if p not in ("self", "cls") and p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_parameters(path)]
+    assert sorted(set(found) - set(UNUSED_ALLOWED)) == []
+    assert sorted(set(UNUSED_ALLOWED) - set(found)) == []      # no stale entry
+
+
+def test_the_scan_sees_an_unread_parameter(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("class A:\n"
+                    "    def f(self, a, b, *c, d, **e):\n"
+                    "        def g(x, y):\n"
+                    "            return x + a\n"
+                    "        b = 1\n"
+                    "        return d + g(1, 2) + len(e)\n")
+    # a is read by the nested g; b is only written
+    assert unused_parameters(path) == [("m.py", "A.f", "b"), ("m.py", "A.f", "c"),
+                                       ("m.py", "A.f.g", "y")]
