@@ -20,13 +20,11 @@ from .fairness import (
     topk_disparity_surrogate,
 )
 from .lambda_solver import (
-    LambdaState,
     SmoothingParams,
     exact_lambda,
     solve_lambda_exactly_smoothed,
 )
 from .model import FactorizationScorer, ParamVector
 from .optimizer import TrainConfig, TrainResult, train, train_step
-from .rank_losses import LossVariant, RankLossKind
 
 __version__ = "0.1.0"

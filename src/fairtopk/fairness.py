@@ -171,6 +171,8 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainC
     """
     if cfg.g2_mode not in ("simplified", "full_implicit"):
         raise ConfigurationError(f"unknown g2 mode {cfg.g2_mode!r}")
+    if cfg.fairness_mode not in ("none", "full_list", "top_k"):
+        raise ConfigurationError(f"unknown fairness_mode {cfg.fairness_mode!r}")
     if "group_a" not in scored.scores:
         raise StateError("g2_estimate needs a ScoredBatch built with fair=True")
     if state.lam is None or len(state.lam) != d.num_queries:

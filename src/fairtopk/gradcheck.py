@@ -79,7 +79,7 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
 
         def loss_of(w):
             model.params.values[:] = w
-            return dataset_loss(model, d, cfg.loss_kind())
+            return dataset_loss(model, d, cfg)
 
         w0 = model.params.values.copy()
         fd = finite_difference_gradient(loss_of, model.params.values, step)

@@ -10,7 +10,9 @@ curvature term, so its second derivative is bounded below by tau2 > 0.
 The online functions (``smoothed_grad``, ``smoothed_hess``, ``state_step``,
 ``init_lambda_state``) take one query's scores as a vector, or many
 queries' as a (queries, slots) matrix with -inf in empty slots and one
-threshold per row; a -inf score adds nothing to any batch sum.
+threshold per row; a -inf score adds nothing to any batch sum.  A query's
+online state is a row (lambda, s, v): the threshold, its curvature estimate
+and its gradient estimate; many queries' rows form a (queries, 3) array.
 """
 
 from __future__ import annotations
@@ -60,19 +62,6 @@ class SmoothingParams:
             raise ConfigurationError("k must be >= 1")
 
 
-@dataclass
-class LambdaState:
-    """Online threshold state: lam tracks the smoothed threshold, s its
-    curvature estimate and v its gradient estimate.  The fields are floats
-    for one query or arrays with one entry per query."""
-
-    lam: float
-    s: float
-    v: float = 0.0
-    gamma: float = 0.5    # moving-average weight for s and v
-    eta: float = 1e-3     # step size applied to lam
-
-
 def exact_lambda(scores: np.ndarray, k: int) -> float:
     """The (k+1)-th largest score, duplicates counted with multiplicity."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -88,15 +77,9 @@ def smoothed_objective(lam: float, scores: np.ndarray, p: SmoothingParams) -> fl
     return (p.k + p.eps) / len(scores) * lam + 0.5 * p.tau2 * lam ** 2 + soft.mean()
 
 
-def smoothed_grad(lam: float, scores: np.ndarray, p: SmoothingParams,
-                  n_total: int | None = None) -> float:
-    """d/d lambda of the smoothed objective; strictly increasing in lambda.
-
-    ``n_total`` is the true list size N_q when ``scores`` is a mini-batch;
-    the batch average then stands in for the full average while the
-    (K + eps) / N_q term keeps the true N_q.
-    """
-    return _grad(lam, *_slopes(lam, scores, p), p, n_total)
+def smoothed_grad(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
+    """d/d lambda of the smoothed objective; strictly increasing in lambda."""
+    return _grad(lam, *_slopes(lam, scores, p), p, None)
 
 
 def smoothed_hess(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
@@ -108,9 +91,8 @@ def cross_coeff(lam: float | np.ndarray, scores: np.ndarray, p: SmoothingParams)
     """Per-score coefficients c_j = -sig_j (1 - sig_j) / (|B| tau1) of the
     mixed second derivative d^2 G / (d lambda d h_j), sig_j the softplus
     slope at h_j; -inf slots get 0 and do not count in |B|."""
-    sig = _sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1)
-    n = np.count_nonzero(scores > -np.inf, axis=-1, keepdims=True)
-    return -sig * (1.0 - sig) / (n * p.tau1)
+    sig, n = _slopes(lam, scores, p)
+    return -sig * (1.0 - sig) / (np.expand_dims(n, -1) * p.tau1)
 
 
 def cross_grad(lam: float, model: FactorizationScorer, q: int, item_idx: np.ndarray,
@@ -167,24 +149,29 @@ def solve_lambda_exactly_smoothed(scores: np.ndarray, p: SmoothingParams,
     return lam
 
 
-def state_step(st: LambdaState, scores: np.ndarray, p: SmoothingParams,
-               n_total: int | None = None) -> LambdaState:
-    """One online update of (s, v, lambda) from a mini-batch of scores: s
-    blends in ``smoothed_hess`` and v ``smoothed_grad`` at the current
-    lambda, both from one evaluation of the softplus slopes."""
-    sig, n = _slopes(st.lam, scores, p)
-    st.s = (1.0 - st.gamma) * st.s + st.gamma * _hess(sig, n, p)
-    st.v = (1.0 - st.gamma) * st.v + st.gamma * _grad(st.lam, sig, n, p, n_total)
-    st.lam = st.lam - st.eta * st.v
-    return st
+def state_step(state: np.ndarray, scores: np.ndarray, p: SmoothingParams, gamma: float,
+               eta: float, n_total: int | None = None) -> np.ndarray:
+    """One online update of the (lambda, s, v) rows ``state`` from a mini-batch
+    of scores: s and v blend in ``smoothed_hess`` and ``smoothed_grad`` at the
+    current lambda with weight ``gamma``, both from one evaluation of the
+    softplus slopes, and lambda steps by ``eta`` along v.  Returns the new rows.
+
+    ``n_total`` is the true list size N_q when ``scores`` is a mini-batch;
+    the batch average then stands in for the full average while the
+    (K + eps) / N_q term keeps the true N_q.
+    """
+    lam, s, v = state.T
+    sig, n = _slopes(lam, scores, p)
+    s = (1.0 - gamma) * s + gamma * _hess(sig, n, p)
+    v = (1.0 - gamma) * v + gamma * _grad(lam, sig, n, p, n_total)
+    return np.stack([lam - eta * v, s, v], axis=-1)
 
 
-def init_lambda_state(scores: np.ndarray, p: SmoothingParams, n_total: int,
-                      gamma: float, eta: float) -> LambdaState:
-    """Warm-started state for a query's first touch.
+def init_lambda_state(scores: np.ndarray, p: SmoothingParams, n_total: int) -> np.ndarray:
+    """Warm-started (lambda, s, v) rows for the queries' first touch.
 
     The threshold starts at the batch order statistic matching the K / N_q
-    quantile; s starts at the softplus curvature midpoint bound.
+    quantile; s starts at the softplus curvature midpoint bound and v at 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = np.count_nonzero(scores > -np.inf, axis=-1)
@@ -193,5 +180,5 @@ def init_lambda_state(scores: np.ndarray, p: SmoothingParams, n_total: int,
     ranked = np.sort(scores, axis=-1)       # empty slots (-inf) sort first
     lam0 = np.take_along_axis(ranked, np.expand_dims(scores.shape[-1] - 1 - k_batch, -1),
                               axis=-1)[..., 0]
-    return LambdaState(lam=lam0, s=np.full_like(lam0, p.tau2 + 0.25 / p.tau1),
-                       v=np.zeros_like(lam0), gamma=gamma, eta=eta)
+    return np.stack([lam0, np.full_like(lam0, p.tau2 + 0.25 / p.tau1), np.zeros_like(lam0)],
+                    axis=-1)

@@ -21,9 +21,9 @@ import numpy as np
 from .data import Dataset, sample_batch
 from .errors import ConfigurationError, NonFiniteGradientError, StateError
 from .fairness import SmoothIndicator, g2_estimate
-from .lambda_solver import LambdaState, SmoothingParams, init_lambda_state, state_step
+from .lambda_solver import SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
-from .rank_losses import LossVariant, RankLossKind, ScoredBatch, dataset_loss, g1_estimate
+from .rank_losses import ScoredBatch, check_loss, dataset_loss, g1_estimate
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
 LR_SCHEDULES = ("constant", "step_decay")
@@ -67,8 +67,7 @@ class TrainConfig:
             raise ConfigurationError(f"unknown fairness_mode {self.fairness_mode!r}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigurationError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.loss not in ("ndcg", "listnet"):
-            raise ConfigurationError(f"unknown loss {self.loss!r}")
+        check_loss(self)
         if self.g2_mode not in ("simplified", "full_implicit"):
             raise ConfigurationError(f"unknown g2_mode {self.g2_mode!r}")
         if self.fairness_mode == "none" and self.fair_weight > 0:
@@ -88,12 +87,8 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.log_every < 1:
             raise ConfigurationError("log_every must be >= 1")
-        # the loss, smoothing (k >= 1 included) and indicator types check their own ranges
-        self.loss_kind(), self.smoothing(), SmoothIndicator(temperature=self.tau_psi)
-
-    def loss_kind(self) -> RankLossKind:
-        variant = LossVariant.NDCG if self.loss == "ndcg" else LossVariant.LISTNET
-        return RankLossKind(variant=variant, margin=self.margin)
+        # the smoothing (k >= 1 included) and indicator types check their own ranges
+        self.smoothing(), SmoothIndicator(temperature=self.tau_psi)
 
     def smoothing(self) -> SmoothingParams:
         return SmoothingParams(tau1=self.tau1, tau2=self.tau2, eps=self.eps, k=self.k)
@@ -221,15 +216,12 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
             n_total = d.sizes[rows]
             fresh = np.isnan(state.lam[rows, 0])
             if fresh.any():
-                warm = init_lambda_state(s_g[fresh], smoothing, n_total[fresh],
-                                         cfg.gamma4, cfg.eta0)
-                state.lam[rows[fresh]] = np.stack([warm.lam, warm.s, warm.v], axis=1)
+                state.lam[rows[fresh]] = init_lambda_state(s_g[fresh], smoothing, n_total[fresh])
         g2 = g2_estimate(scored, d, batch, cfg, state)
         _check_finite(g2.values(), "G2")
         if top_k:
-            st = state_step(LambdaState(*state.lam[rows].T, cfg.gamma4, cfg.eta0), s_g,
-                            smoothing, n_total=n_total)
-            state.lam[rows] = np.stack([st.lam, st.s, st.v], axis=1)
+            state.lam[rows] = state_step(state.lam[rows], s_g, smoothing, cfg.gamma4, cfg.eta0,
+                                         n_total=n_total)
         estimates.append({name: cfg.fair_weight * w for name, w in g2.items()})
 
     state.z *= 1.0 - cfg.gamma5
@@ -274,7 +266,7 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
 
         if step % cfg.log_every == 0 or step == total_steps - 1:
             record = {"step": step, "epoch": epoch, "z_norm": metrics["z_norm"],
-                      "train_loss": dataset_loss(model, loss_probe, cfg.loss_kind()),
+                      "train_loss": dataset_loss(model, loss_probe, cfg),
                       "valid_ndcg": float("nan"),
                       "valid_mae": float("nan"), "valid_mse": float("nan"),
                       "wall_time": time.perf_counter() - t0}

@@ -22,14 +22,12 @@ rows.  Empty slots score -inf, which zeroes their hinge and exp terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import BatchSample, Dataset
-from .errors import ConfigurationError, EmptyDatasetError
+from .errors import ConfigurationError, EmptyDatasetError, StateError
 from .model import FactorizationScorer
 
 if TYPE_CHECKING:
@@ -38,28 +36,23 @@ if TYPE_CHECKING:
 _LN2 = np.log(2.0)
 
 
-class LossVariant(Enum):
-    NDCG = "ndcg"
-    LISTNET = "listnet"
+def check_loss(cfg: TrainConfig) -> None:
+    """Refuse a loss other than ndcg and listnet, and an NDCG hinge margin <= 0."""
+    if cfg.loss not in ("ndcg", "listnet"):
+        raise ConfigurationError(f"unknown loss {cfg.loss!r}")
+    if cfg.loss == "ndcg" and cfg.margin <= 0:
+        raise ConfigurationError("hinge margin must be positive")
 
 
-@dataclass(frozen=True)
-class RankLossKind:
-    variant: LossVariant = LossVariant.NDCG
-    margin: float = 1.0
-
-    def __post_init__(self):
-        if self.variant is LossVariant.NDCG and self.margin <= 0:
-            raise ConfigurationError("hinge margin must be positive")
-
-
-def dataset_loss(model: FactorizationScorer, d: Dataset, kind: RankLossKind) -> float:
-    """L(w) = (1 / |S|) * sum_q L_q(w), the finite-difference target for G1, from
-    one score_many call over every pair.  NDCG: L_q = -(1/Z_q) sum_i (2^y_i - 1)
-    / log2(1 + hinge_rank_i), 0 when every label is 0 (Z_q = 0).  ListNet:
-    L_q = sum_i softmax(y)_i * log(exp_rank_i)."""
+def dataset_loss(model: FactorizationScorer, d: Dataset, cfg: TrainConfig) -> float:
+    """L(w) = (1 / |S|) * sum_q L_q(w) for the loss ``cfg.loss`` and margin
+    ``cfg.margin``, the finite-difference target for G1, from one score_many
+    call over every pair.  NDCG: L_q = -(1/Z_q) sum_i (2^y_i - 1) / log2(1 +
+    hinge_rank_i), 0 when every label is 0 (Z_q = 0).  ListNet: L_q = sum_i
+    softmax(y)_i * log(exp_rank_i)."""
+    check_loss(cfg)
     scores = model.score_many(d.query_row, d.feature_idx)
-    ndcg = kind.variant is LossVariant.NDCG
+    ndcg = cfg.loss == "ndcg"
     gain = 2.0 ** d.relevance - 1.0
     total = 0.0
     for k in range(d.num_queries):
@@ -68,7 +61,7 @@ def dataset_loss(model: FactorizationScorer, d: Dataset, kind: RankLossKind) -> 
             continue
         diff = scores[None, a:b] - scores[a:b, None]      # diff[i, j] = h_j - h_i
         if ndcg:
-            gbar = np.sum(np.maximum(diff + kind.margin, 0.0) ** 2, axis=1)
+            gbar = np.sum(np.maximum(diff + cfg.margin, 0.0) ** 2, axis=1)
             total -= np.sum(gain[a:b] / np.log2(1.0 + gbar)) / d.ideal_dcg[k]
         else:
             ghat = np.sum(np.exp(diff), axis=1)
@@ -134,15 +127,15 @@ class ScoredBatch:
         return out
 
 
-def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
+def _outer_derivative(cfg: TrainConfig, u: np.ndarray, labels: np.ndarray,
                       z: np.ndarray, n_q: np.ndarray, target: np.ndarray) -> np.ndarray:
     """df/dg evaluated at the tracked inner estimates u."""
-    if kind.variant is LossVariant.NDCG:
+    if cfg.loss == "ndcg":
         # a query whose labels are all zero (z = 0) gets no ranking gradient
         gain = (2.0 ** labels - 1.0) / np.where(z > 0.0, z, np.inf)
         # the exact surrogate rank counts the item itself, so N_q g >= margin^2;
         # an inner sub-batch that misses every item near i can still give u = 0
-        arg = np.maximum(n_q * u, kind.margin ** 2) + 1.0
+        arg = np.maximum(n_q * u, cfg.margin ** 2) + 1.0
         return gain * n_q / (arg * _LN2 * np.log2(arg) ** 2)
     # ListNet: f(g) = p_i log(N_q g) => f'(g) = p_i / g, p the label softmax
     return target / u
@@ -150,21 +143,24 @@ def _outer_derivative(kind: RankLossKind, u: np.ndarray, labels: np.ndarray,
 
 def g1_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample,
                 cfg: TrainConfig, state: TrainerState) -> dict:
-    """Stochastic gradient of the ranking loss ``cfg.loss_kind()`` over the pair
-    batch, as weights on the ``pairs`` and ``items`` blocks of ``scored``.
+    """Stochastic gradient of the ranking loss ``cfg.loss`` over the pair batch,
+    as weights on the ``pairs`` and ``items`` blocks of ``scored``.
 
-    Blends every sampled pair into ``state.pair_u`` with weight ``cfg.gamma0``
-    first, then assembles G1 with the refreshed values; with full batches and
-    gamma0 = 1 this reproduces the exact full-batch gradient.
+    ``state`` must be bound to ``d``.  Blends every sampled pair into
+    ``state.pair_u`` with weight ``cfg.gamma0`` first, then assembles G1 with
+    the refreshed values; with full batches and gamma0 = 1 this reproduces the
+    exact full-batch gradient.
     """
+    check_loss(cfg)
+    if state.pair_u is None or len(state.pair_u) != d.total_pairs:
+        raise StateError("g1_estimate needs a TrainerState bound to this dataset")
     if batch.num_pairs == 0:
         raise EmptyDatasetError("empty pair batch")
-    kind = cfg.loss_kind()
     s_pair, s_inner = scored.scores["pairs"], scored.scores["items"]
     diff = s_inner[batch.pair_row] - s_pair[:, None]     # (pairs, inner slots)
 
-    if kind.variant is LossVariant.NDCG:
-        hinge = np.maximum(diff + kind.margin, 0.0)
+    if cfg.loss == "ndcg":
+        hinge = np.maximum(diff + cfg.margin, 0.0)
         ell = hinge ** 2
         dell = 2.0 * hinge
     else:
@@ -175,7 +171,7 @@ def g1_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample,
     u = blend(state.pair_u, state.pair_seen, batch.pairs, ell.sum(axis=1) / n_inner[:, 0],
               cfg.gamma0)
     q = d.query_of[batch.pairs]
-    fprime = _outer_derivative(kind, u, d.relevance[batch.pairs], d.ideal_dcg[q],
+    fprime = _outer_derivative(cfg, u, d.relevance[batch.pairs], d.ideal_dcg[q],
                                d.sizes[q], d.label_softmax[batch.pairs])
 
     # d ghat / dw = (1/|inner|) sum_j dell(h_j - h_i) (grad h_j - grad h_i)

@@ -30,7 +30,6 @@ from fairtopk.fairness import (
 )
 from fairtopk.gradcheck import check_fairness, check_rank_losses
 from fairtopk.lambda_solver import (
-    LambdaState,
     SmoothingParams,
     exact_lambda,
     smoothed_grad,
@@ -137,13 +136,13 @@ def test_criterion_3_lambda_solver():
     scores = rng.normal(0.0, 1.0, 40)
     pk = SmoothingParams(tau1=1e-3, tau2=1e-6, eps=0.5, k=5)
     lam_star = solve_lambda_exactly_smoothed(scores, pk, tol=1e-12)
-    st = LambdaState(lam=float(scores.mean()), s=1.0, v=0.0, gamma=1.0,
-                     eta=1.0 / (pk.tau2 + 0.25 / pk.tau1))
+    st = np.array([float(scores.mean()), 1.0, 0.0])       # (lambda, s, v)
+    eta = 1.0 / (pk.tau2 + 0.25 / pk.tau1)
     for _ in range(200_000):
-        state_step(st, scores, pk)
-        if abs(st.v) <= 1e-13:
+        st = state_step(st, scores, pk, gamma=1.0, eta=eta)
+        if abs(st[2]) <= 1e-13:
             break
-    online_err = abs(st.lam - lam_star)
+    online_err = abs(st[0] - lam_star)
     online_ok = online_err <= 1e-6
 
     ok = offline_ok and online_ok

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fairtopk.errors import ConfigurationError
 from fairtopk.lambda_solver import (
-    LambdaState,
     SmoothingParams,
     cross_grad,
     exact_lambda,
@@ -125,21 +124,19 @@ class TestSolver:
 class TestStateStep:
     def test_zero_eta_keeps_lambda(self):
         p = SmoothingParams(k=1)
-        st_ = LambdaState(lam=0.3, s=1.0, v=0.0, gamma=0.5, eta=0.0)
         s = np.array([0.0, 1.0, 2.0])
-        state_step(st_, s, p)
-        assert st_.lam == 0.3
-        assert st_.v != 0.0
-        assert st_.s != 1.0
+        lam, s_, v = state_step(np.array([0.3, 1.0, 0.0]), s, p, gamma=0.5, eta=0.0)
+        assert lam == 0.3
+        assert v != 0.0
+        assert s_ != 1.0
 
     def test_fixed_point_at_solution(self):
         p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=2)
         s = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         lam_star = solve_lambda_exactly_smoothed(s, p, tol=1e-14)
-        st_ = LambdaState(lam=lam_star, s=smoothed_hess(lam_star, s, p),
-                          v=0.0, gamma=1.0, eta=1e-2)
-        state_step(st_, s, p)
-        assert st_.lam == pytest.approx(lam_star, abs=1e-12)
+        st_ = state_step(np.array([lam_star, smoothed_hess(lam_star, s, p), 0.0]), s, p,
+                         gamma=1.0, eta=1e-2)
+        assert st_[0] == pytest.approx(lam_star, abs=1e-12)
 
     def test_full_batch_iteration_converges(self, rng):
         p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=3)
@@ -147,21 +144,41 @@ class TestStateStep:
         lam_star = solve_lambda_exactly_smoothed(s, p, tol=1e-12)
         # fixed step below 2 / max-curvature keeps the scalar descent stable
         eta = 1.0 / (p.tau2 + 0.25 / p.tau1)
-        st_ = LambdaState(lam=float(s.mean()), s=1.0, v=0.0, gamma=1.0, eta=eta)
+        st_ = np.array([float(s.mean()), 1.0, 0.0])
         for _ in range(100_000):
-            state_step(st_, s, p)
-            if abs(st_.v) <= 1e-12:
+            st_ = state_step(st_, s, p, gamma=1.0, eta=eta)
+            if abs(st_[2]) <= 1e-12:
                 break
-        assert abs(st_.lam - lam_star) <= 1e-6
+        assert abs(st_[0] - lam_star) <= 1e-6
 
     def test_init_warm_start_scaling(self):
         p = SmoothingParams(k=4)
         scores = np.arange(10.0)
-        st_ = init_lambda_state(scores, p, n_total=20, gamma=0.5, eta=1e-3)
+        lam, s_, v = init_lambda_state(scores, p, n_total=20)
         # batch covers half the list, so the warm start is the batch's
         # K/2-quantile order statistic
-        assert st_.lam == exact_lambda(scores, 2)
-        assert st_.s == pytest.approx(p.tau2 + 0.25 / p.tau1)
+        assert lam == exact_lambda(scores, 2)
+        assert s_ == pytest.approx(p.tau2 + 0.25 / p.tau1)
+        assert v == 0.0
+
+    def test_padded_rows_match_one_row_calls(self, rng):
+        p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
+        sizes, n_total = [7, 1, 4, 9], np.array([30, 12, 8, 40])
+        scores = np.full((len(sizes), max(sizes)), -np.inf)
+        for r, n in enumerate(sizes):       # the size-1 row has k_batch = 0
+            scores[r, :n] = rng.normal(0, 1, n)
+        state = np.stack([rng.normal(0, 1, 4), rng.uniform(1, 2, 4), rng.normal(0, 1, 4)],
+                         axis=1)
+        warm = init_lambda_state(scores, p, n_total)
+        stepped = state_step(state, scores, p, 0.3, 1e-2, n_total=n_total)
+        assert warm.shape == stepped.shape == (4, 3)
+        for r, n in enumerate(sizes):
+            np.testing.assert_allclose(warm[r], init_lambda_state(scores[r, :n], p, n_total[r]),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(
+                stepped[r], state_step(state[r], scores[r, :n], p, 0.3, 1e-2,
+                                       n_total=n_total[r]), rtol=1e-12)
+        assert warm[1, 0] == scores[1, 0]
 
 
 class TestImplicitGradient:

@@ -109,7 +109,7 @@ class TestTrainStep:
     def test_descends_on_convex_toy(self):
         # one query, NDCG loss: repeated full-batch steps with gamma = 1
         # must reduce the loss for a conservative step size
-        from fairtopk.rank_losses import RankLossKind, LossVariant, dataset_loss
+        from fairtopk.rank_losses import dataset_loss
 
         d = generate_synthetic(1, 8, 0.4, 1.0, seed=1)
         m = FactorizationScorer(1, d.num_item_rows, 2, seed=1)
@@ -117,12 +117,11 @@ class TestTrainStep:
                           batch_a=1000, batch_b=1000, gamma0=1.0, gamma5=1.0,
                           eta1=1.0, seed=1)
         state = TrainerState.fresh(cfg, len(m.params.values))
-        kind = RankLossKind(LossVariant.NDCG, 1.0)
-        before = dataset_loss(m, d, kind)
+        before = dataset_loss(m, d, cfg)
         rng = np.random.default_rng(1)
         for _ in range(30):
             train_step(m, d, cfg, state, rng)
-        assert dataset_loss(m, d, kind) < before
+        assert dataset_loss(m, d, cfg) < before
 
     def test_fairness_none_equals_c_zero(self):
         trajectories = []
@@ -415,3 +414,29 @@ class TestStateReuse:
         assert other.total_pairs == d.total_pairs
         with pytest.raises(StateError):
             train_step(m, other, cfg, state, np.random.default_rng(0))
+
+    def test_g1_needs_a_state_bound_to_its_dataset(self):
+        d, m, cfg = _tiny_setup()
+        batch = sample_batch(d, (8, 4, 2, 2), np.random.default_rng(0))
+        scored = ScoredBatch(m, d, batch)
+        with pytest.raises(StateError, match="bound"):
+            g1_estimate(scored, d, batch, cfg, TrainerState.fresh(cfg, len(m.params.values)))
+        first = d.take(np.arange(d.offsets[1]))             # the first query only
+        with pytest.raises(StateError, match="bound"):
+            g1_estimate(scored, d, batch, cfg, bound_state(cfg, m, first))
+
+
+class TestUnknownModes:
+    """A mode string train_step does not know is refused, not trained as another mode."""
+
+    def test_unknown_loss_is_refused(self):
+        d, m, cfg = _tiny_setup(loss="bogus")
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        with pytest.raises(ConfigurationError, match="loss"):
+            train_step(m, d, cfg, state, np.random.default_rng(0))
+
+    def test_unknown_fairness_mode_is_refused(self):
+        d, m, cfg = _tiny_setup(fairness_mode="bogus", fair_weight=5.0)
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        with pytest.raises(ConfigurationError, match="fairness_mode"):
+            train_step(m, d, cfg, state, np.random.default_rng(0))

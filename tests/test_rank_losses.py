@@ -1,5 +1,7 @@
 """The surrogate ranks, the listwise loss ``dataset_loss`` and G1."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import bound_state, make_dataset
@@ -10,17 +12,10 @@ from fairtopk.data import QueryGroup, generate_synthetic, ideal_dcg, sample_batc
 from fairtopk.errors import ConfigurationError
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainConfig
-from fairtopk.rank_losses import (
-    LossVariant,
-    RankLossKind,
-    ScoredBatch,
-    blend,
-    dataset_loss,
-    g1_estimate,
-)
+from fairtopk.rank_losses import ScoredBatch, blend, dataset_loss, g1_estimate
 
-NDCG = RankLossKind(LossVariant.NDCG, 1.0)
-LISTNET = RankLossKind(LossVariant.LISTNET, 1.0)
+NDCG = TrainConfig(loss="ndcg", margin=1.0)
+LISTNET = TrainConfig(loss="listnet", margin=1.0)
 
 
 def _g1(m, d, batch, cfg, state):
@@ -36,12 +31,12 @@ def _one_query(items, labels, row=0):
                                     np.zeros(len(items), dtype=np.int8))])
 
 
-def _query_loss(m, d, kind):
+def _query_loss(m, d, cfg):
     """L_q of a one-query dataset: its mean loss times N_q."""
-    return dataset_loss(m, d, kind) * d.total_pairs
+    return dataset_loss(m, d, cfg) * d.total_pairs
 
 
-def _surrogate_ranks(scores, kind):
+def _surrogate_ranks(scores, loss_cfg):
     """The surrogate ranks G1 tracks for one list scoring ``scores``: with a
     full batch and gamma 1 the moving average is (surrogate rank) / N_q."""
     n = len(scores)
@@ -50,14 +45,14 @@ def _surrogate_ranks(scores, kind):
     m.item_bias[:] = np.arctanh(np.asarray(scores) / m.score_bound)
     d = _one_query(np.arange(n), np.ones(n))
     batch = sample_batch(d, (n, n, n, n), np.random.default_rng(0))
-    cfg = TrainConfig(loss=kind.variant.value, margin=kind.margin, gamma0=1.0)
+    cfg = replace(loss_cfg, gamma0=1.0)
     state = bound_state(cfg, m, d)
     g1_estimate(ScoredBatch(m, d, batch), d, batch, cfg, state)
     return state.pair_u * n
 
 
 def _hinge_rank(scores, i, margin):
-    return _surrogate_ranks(scores, RankLossKind(LossVariant.NDCG, margin))[i]
+    return _surrogate_ranks(scores, TrainConfig(loss="ndcg", margin=margin))[i]
 
 
 def _exp_rank(scores, i):
@@ -137,8 +132,18 @@ class TestLosses:
         assert _query_loss(m, _one_query([0], [2.0]), LISTNET) == pytest.approx(0.0)
 
     def test_margin_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            RankLossKind(LossVariant.NDCG, margin=0.0)
+        with pytest.raises(ConfigurationError, match="hinge margin must be positive"):
+            TrainConfig(loss="ndcg", margin=0.0).validate()
+        TrainConfig(loss="listnet", margin=0.0).validate()   # ListNet has no hinge
+
+    def test_loss_and_g1_refuse_a_non_positive_margin(self, small_data, small_model):
+        # train_step does not call validate, so the estimator checks the margin itself
+        cfg = TrainConfig(loss="ndcg", margin=-1.0)
+        with pytest.raises(ConfigurationError, match="margin"):
+            dataset_loss(small_model, small_data, cfg)
+        batch = sample_batch(small_data, (8, 4, 2, 2), np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="margin"):
+            _g1(small_model, small_data, batch, cfg, bound_state(cfg, small_model, small_data))
 
     def test_improving_an_items_score_improves_its_contribution(self):
         m = FactorizationScorer(1, 3, 2)
@@ -155,8 +160,8 @@ class TestLosses:
         score_many = small_model.score_many
         monkeypatch.setattr(small_model, "score_many",
                             lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
-        for kind in (NDCG, LISTNET):
-            dataset_loss(small_model, small_data, kind)
+        for cfg in (NDCG, LISTNET):
+            dataset_loss(small_model, small_data, cfg)
         assert len(calls) == 2
         assert all(len(items) == small_data.total_pairs for _, items in calls)
 
@@ -167,9 +172,9 @@ class TestLosses:
         assert len(set(d.sizes.tolist())) > 1 and np.any(d.ideal_dcg == 0.0)
         m = FactorizationScorer(g.num_query_rows, g.num_item_rows, 4, seed=2)
         parts = [d.take(np.arange(a, b)) for a, b in zip(d.offsets[:-1], d.offsets[1:])]
-        for kind in (NDCG, LISTNET, RankLossKind(LossVariant.NDCG, 0.5)):
-            total = sum(_query_loss(m, one, kind) for one in parts)
-            assert dataset_loss(m, d, kind) * d.total_pairs == pytest.approx(total, rel=1e-12)
+        for cfg in (NDCG, LISTNET, TrainConfig(loss="ndcg", margin=0.5)):
+            total = sum(_query_loss(m, one, cfg) for one in parts)
+            assert dataset_loss(m, d, cfg) * d.total_pairs == pytest.approx(total, rel=1e-12)
 
 
 class TestG1:
@@ -194,16 +199,15 @@ class TestG1:
         d, m, batch = self._setup()
         for loss in ("ndcg", "listnet"):
             cfg = TrainConfig(loss=loss, margin=1.0, gamma0=1.0)
-            kind = cfg.loss_kind()
             g1 = _g1(m, d, batch, cfg, bound_state(cfg, m, d))
             w0 = m.params.values.copy()
             fd = np.zeros_like(w0)
             step = 1e-5
             for j in range(len(w0)):
                 m.params.values[j] = w0[j] + step
-                fp = dataset_loss(m, d, kind)
+                fp = dataset_loss(m, d, cfg)
                 m.params.values[j] = w0[j] - step
-                fm = dataset_loss(m, d, kind)
+                fm = dataset_loss(m, d, cfg)
                 m.params.values[j] = w0[j]
                 fd[j] = (fp - fm) / (2 * step)
             assert np.abs(g1 - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-9)

@@ -42,6 +42,25 @@ def unused_parameters(path: Path) -> list[tuple[str, str, str]]:
     return out
 
 
+def unused_imports(path: Path) -> list[tuple[str, str]]:
+    """(file, name) for every name an import binds that the module never reads;
+    a name read in an annotation, quoted or not, counts as read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    notes = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    notes += [n.returns for n in ast.walk(tree)
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    quoted = [ast.parse(n.value, mode="eval") for n in notes
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    read = {n.id for root in [tree] + quoted for n in ast.walk(root) if isinstance(n, ast.Name)}
+    return [(path.name, name) for name in sorted(bound, key=bound.get) if name not in read]
+
+
 def test_every_parameter_is_read():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_parameters(path)]
     assert sorted(set(found) - set(UNUSED_ALLOWED)) == []
@@ -59,3 +78,25 @@ def test_the_scan_sees_an_unread_parameter(tmp_path):
     # a is read by the nested g; b is only written
     assert unused_parameters(path) == [("m.py", "A.f", "b"), ("m.py", "A.f", "c"),
                                        ("m.py", "A.f.g", "y")]
+
+
+def test_every_import_is_read():
+    # __init__.py imports to re-export
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+            for hit in unused_imports(path)] == []
+
+
+def test_the_scan_sees_an_unread_import(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\n"
+                    "import numpy as np\n"
+                    "from enum import Enum\n"
+                    "from typing import TYPE_CHECKING\n"
+                    "from dataclasses import dataclass, field\n"
+                    "if TYPE_CHECKING:\n"
+                    "    from x import A, B\n"
+                    "def f(a: A) -> \"B\":\n"
+                    "    return np.zeros(1), os.sep\n")
+    # annotations read A and B, the body np and os; Enum, dataclass and field go unread
+    assert unused_imports(path) == [("m.py", "Enum"), ("m.py", "dataclass"), ("m.py", "field")]
