@@ -54,17 +54,9 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> TrainConfig:
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        cfg = config_from_file(args.config, base=cfg)
-    overrides = {}
-    for f in fields(TrainConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides[f.name] = val
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    cfg = config_from_file(args.config) if getattr(args, "config", None) else TrainConfig()
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def build_parser() -> _Parser:

@@ -278,6 +278,17 @@ def _build_dataset(names, query_of, item_ids, relevance, groups) -> Dataset:
                    groups[flat], Vocabulary(ids, rows, groups[where]), len(names))
 
 
+def _csv_rows(fh, path: str):
+    """The rows of ``csv.reader(fh)``; bad UTF-8 or a csv error ends in ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path: str) -> Dataset:
     """Load ``query_id,item_id,relevance,group`` rows; header auto-detected.
 
@@ -286,9 +297,8 @@ def load_csv(path: str) -> Dataset:
     """
     first: dict[str, int] = {}
     query_of, item_ids, relevance, groups = array("q"), array("q"), array("d"), array("b")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, parts in enumerate(reader, start=1):
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, parts in enumerate(_csv_rows(fh, path), start=1):
             if not parts or (len(parts) == 1 and not parts[0].strip()):
                 continue
             if lineno == 1 and len(parts) == 4:
@@ -327,7 +337,7 @@ def load_csv(path: str) -> Dataset:
 
 def save_csv(d: Dataset, path: str) -> None:
     """Serialize back to the load_csv format (with header)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "item_id", "relevance", "group"])
         writer.writerows(zip(d.query_ids[d.query_of].tolist(), d.item_ids.tolist(),

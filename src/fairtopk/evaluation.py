@@ -241,10 +241,9 @@ def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Da
         proto = EvalProtocol(k_list=tuple(k_list), seed=base_cfg.seed)
     report = TradeoffReport()
     for c in c_grid:
-        cfg = replace(base_cfg, fair_weight=float(c))
         model = init_model.clone()
         try:
-            cfg.validate()
+            cfg = replace(base_cfg, fair_weight=float(c))
             train(model, train_d, cfg)
             per_k = evaluate(model, test_d, proto)
             for k in k_list:

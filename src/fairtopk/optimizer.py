@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv as _csv
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,14 +24,16 @@ from .errors import ConfigurationError, NonFiniteGradientError, StateError
 from .fairness import SmoothIndicator, g2_estimate
 from .lambda_solver import SmoothingParams, init_lambda_state, state_step
 from .model import FactorizationScorer
-from .rank_losses import ScoredBatch, check_loss, dataset_loss, g1_estimate
+from .rank_losses import ScoredBatch, dataset_loss, g1_estimate
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
 LR_SCHEDULES = ("constant", "step_decay")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The settings of one run; building one with an invalid value raises ConfigurationError."""
+
     k: int = 10
     fair_weight: float = 0.0           # the accuracy/fairness trade-off C
     loss: str = "ndcg"                 # "ndcg" | "listnet"
@@ -58,16 +61,23 @@ class TrainConfig:
     g2_mode: str = "simplified"        # "simplified" | "full_implicit"
     log_every: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            value, kind = getattr(self, f.name), type(f.default)
+            # an int field takes any integer, a float field any real number; never a bool
+            if isinstance(value, bool) or not isinstance(
+                    value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind)):
+                raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.fairness_mode not in FAIRNESS_MODES:
             raise ConfigurationError(f"unknown fairness_mode {self.fairness_mode!r}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigurationError(f"unknown lr_schedule {self.lr_schedule!r}")
-        check_loss(self)
+        if self.loss not in ("ndcg", "listnet"):
+            raise ConfigurationError(f"unknown loss {self.loss!r}")
+        if self.loss == "ndcg" and self.margin <= 0:
+            raise ConfigurationError("hinge margin must be positive")
         if self.g2_mode not in ("simplified", "full_implicit"):
             raise ConfigurationError(f"unknown g2_mode {self.g2_mode!r}")
         if self.fairness_mode == "none" and self.fair_weight > 0:
@@ -75,8 +85,7 @@ class TrainConfig:
         if self.fair_weight < 0:
             raise ConfigurationError("fair_weight must be >= 0")
         for name in ("gamma0", "gamma1", "gamma2", "gamma3", "gamma4", "gamma5"):
-            g = getattr(self, name)
-            if not 0.0 <= g <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
         if self.eta0 < 0 or self.eta1 < 0:
             raise ConfigurationError("step sizes must be >= 0")
@@ -99,34 +108,35 @@ class TrainConfig:
 
 
 def config_to_file(cfg: TrainConfig, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for f in fields(cfg):
             fh.write(f"{f.name}={getattr(cfg, f.name)}\n")
 
 
-def config_from_file(path: str, base: TrainConfig | None = None) -> TrainConfig:
+def config_from_file(path: str) -> TrainConfig:
     """Parse the flat key=value config format; unknown keys are errors."""
-    cfg = base if base is not None else TrainConfig()
-    casts = {f.name: type(getattr(cfg, f.name)) for f in fields(TrainConfig)}
+    casts = {f.name: type(f.default) for f in fields(TrainConfig)}
     overrides = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in casts:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                overrides[key] = casts[key](raw.strip())
-            except ValueError:
-                raise ConfigurationError(f"{path}:{lineno}: bad value for {key}")
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in casts:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            overrides[key] = casts[key](raw.strip())
+        except ValueError:
+            raise ConfigurationError(f"{path}:{lineno}: bad value for {key}")
+    return TrainConfig(**overrides)
 
 
 @dataclass
@@ -245,7 +255,6 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
     parameter snapshot and the logged trace."""
     from .evaluation import EvalProtocol, evaluate  # local import avoids a cycle
 
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     state = TrainerState.fresh(cfg, len(model.params.values))
     steps_per_epoch = max(1, math.ceil(train_d.total_pairs / cfg.batch_pairs))

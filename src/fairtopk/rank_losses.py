@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import BatchSample, Dataset
-from .errors import ConfigurationError, EmptyDatasetError, StateError
+from .errors import EmptyDatasetError, StateError
 from .model import FactorizationScorer
 
 if TYPE_CHECKING:
@@ -36,21 +36,12 @@ if TYPE_CHECKING:
 _LN2 = np.log(2.0)
 
 
-def check_loss(cfg: TrainConfig) -> None:
-    """Refuse a loss other than ndcg and listnet, and an NDCG hinge margin <= 0."""
-    if cfg.loss not in ("ndcg", "listnet"):
-        raise ConfigurationError(f"unknown loss {cfg.loss!r}")
-    if cfg.loss == "ndcg" and cfg.margin <= 0:
-        raise ConfigurationError("hinge margin must be positive")
-
-
 def dataset_loss(model: FactorizationScorer, d: Dataset, cfg: TrainConfig) -> float:
     """L(w) = (1 / |S|) * sum_q L_q(w) for the loss ``cfg.loss`` and margin
     ``cfg.margin``, the finite-difference target for G1, from one score_many
     call over every pair.  NDCG: L_q = -(1/Z_q) sum_i (2^y_i - 1) / log2(1 +
     hinge_rank_i), 0 when every label is 0 (Z_q = 0).  ListNet: L_q = sum_i
     softmax(y)_i * log(exp_rank_i)."""
-    check_loss(cfg)
     scores = model.score_many(d.query_row, d.feature_idx)
     ndcg = cfg.loss == "ndcg"
     gain = 2.0 ** d.relevance - 1.0
@@ -151,7 +142,6 @@ def g1_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample,
     the refreshed values; with full batches and gamma0 = 1 this reproduces the
     exact full-batch gradient.
     """
-    check_loss(cfg)
     if state.pair_u is None or len(state.pair_u) != d.total_pairs:
         raise StateError("g1_estimate needs a TrainerState bound to this dataset")
     if batch.num_pairs == 0:

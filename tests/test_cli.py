@@ -169,6 +169,27 @@ class TestTrainEval:
         assert run(["train", "--data", str(data), "--out", str(tmp_path / "x")]) == 2
         assert "line 2: item id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--data", "{data}", "--config", "{bad}", "--out", "{out}/x"], 1),
+        (["train", "--data", "{bad}", "--out", "{out}/x", "--epochs", "1"], 2),
+        (["eval", "--data", "{bad}", "--checkpoint", "{out}/m.ckpt"], 2),
+    ])
+    def test_non_utf8_input_is_a_typed_error(self, data_csv, tmp_path, capsys, argv, code):
+        bad = tmp_path / "binary.bin"
+        bad.write_bytes(b"q0,1,1,0\n\xff\xfe\x81\x00" * 64)
+        FactorizationScorer(12, 32, 2).save(str(tmp_path / "m.ckpt"))
+        assert run([a.format(data=data_csv, bad=bad, out=tmp_path) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_oversized_csv_field_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("q0,1,1,0\nq0,2," + "1" * 200_000 + ",1\n")
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: line 2: field larger than field limit" in err
+        assert "Traceback" not in err
+
 
 class TestStrictJson:
     """Every JSON file or report the CLI writes parses as strict JSON; a value

@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,27 +37,63 @@ def _tiny_setup(seed=0, **overrides):
 
 class TestConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_mode_conflict(self):
-        cfg = TrainConfig(fairness_mode="none", fair_weight=100.0)
         with pytest.raises(ConfigurationError):
-            cfg.validate()
+            TrainConfig(fairness_mode="none", fair_weight=100.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(fairness_mode="bogus").validate()
+            TrainConfig(fairness_mode="bogus")
 
     def test_gamma_range(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(gamma0=1.5).validate()
+            TrainConfig(gamma0=1.5)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)
                                       if isinstance(f.default, float)])
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-            replace(TrainConfig(), **{name: value}).validate()
+            replace(TrainConfig(), **{name: value})
+
+    @pytest.mark.parametrize("overrides", [
+        {"gamma0": 2.0},
+        {"gamma4": -1.0, "fair_weight": 5.0},
+        {"eta1": -1.0},
+        {"fairness_mode": "none", "fair_weight": 5.0},
+    ])
+    def test_invalid_config_cannot_be_built(self, overrides):
+        # train_step does not check its config, so none of these may exist
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**overrides)
+        with pytest.raises(ConfigurationError):
+            replace(TrainConfig(), **overrides)
+
+    def test_fields_are_read_only(self):
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.fair_weight = 5.0
+
+    @pytest.mark.parametrize("name, value, ok", [
+        ("epochs", 1.5, False),
+        ("batch_pairs", 2.5, False),
+        ("seed", 1.5, False),
+        ("fair_weight", "5", False),
+        ("k", "3", False),
+        ("epochs", True, False),
+        ("batch_items", True, False),
+        ("k", 2.0, False),
+        ("fair_weight", 5, True),
+        ("seed", np.int64(3), True),
+    ])
+    def test_field_types(self, name, value, ok):
+        if ok:
+            assert getattr(TrainConfig(**{name: value}), name) == value
+        else:
+            with pytest.raises(ConfigurationError, match=name):
+                TrainConfig(**{name: value})
 
     def test_file_round_trip(self, tmp_path):
         cfg = TrainConfig(k=7, fair_weight=123.0, loss="listnet", gamma0=0.9)
@@ -239,7 +275,7 @@ class TestTrain:
         d, m, cfg = _tiny_setup(lr_schedule="step_decay", epochs=2)
         train(m, d, cfg, valid_d=None)
         with pytest.raises(ConfigurationError):
-            TrainConfig(lr_schedule="bogus").validate()
+            TrainConfig(lr_schedule="bogus")
 
 
 class TestTrainTrace:
@@ -427,16 +463,13 @@ class TestStateReuse:
 
 
 class TestUnknownModes:
-    """A mode string train_step does not know is refused, not trained as another mode."""
+    """A mode string train_step does not know is refused when the config is
+    built, so it can never be trained as another mode."""
 
     def test_unknown_loss_is_refused(self):
-        d, m, cfg = _tiny_setup(loss="bogus")
-        state = TrainerState.fresh(cfg, len(m.params.values))
         with pytest.raises(ConfigurationError, match="loss"):
-            train_step(m, d, cfg, state, np.random.default_rng(0))
+            _tiny_setup(loss="bogus")
 
     def test_unknown_fairness_mode_is_refused(self):
-        d, m, cfg = _tiny_setup(fairness_mode="bogus", fair_weight=5.0)
-        state = TrainerState.fresh(cfg, len(m.params.values))
         with pytest.raises(ConfigurationError, match="fairness_mode"):
-            train_step(m, d, cfg, state, np.random.default_rng(0))
+            _tiny_setup(fairness_mode="bogus", fair_weight=5.0)

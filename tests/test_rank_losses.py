@@ -1,6 +1,6 @@
 """The surrogate ranks, the listwise loss ``dataset_loss`` and G1."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -132,18 +132,25 @@ class TestLosses:
         assert _query_loss(m, _one_query([0], [2.0]), LISTNET) == pytest.approx(0.0)
 
     def test_margin_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="hinge margin must be positive"):
-            TrainConfig(loss="ndcg", margin=0.0).validate()
-        TrainConfig(loss="listnet", margin=0.0).validate()   # ListNet has no hinge
+        # refused when built, so dataset_loss and G1 never see such a margin
+        for margin in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="hinge margin must be positive"):
+                TrainConfig(loss="ndcg", margin=margin)
+            TrainConfig(loss="listnet", margin=margin)   # ListNet has no hinge
 
     def test_loss_and_g1_refuse_a_non_positive_margin(self, small_data, small_model):
-        # train_step does not call validate, so the estimator checks the margin itself
-        cfg = TrainConfig(loss="ndcg", margin=-1.0)
-        with pytest.raises(ConfigurationError, match="margin"):
-            dataset_loss(small_model, small_data, cfg)
+        # dataset_loss and G1 read cfg.margin unchecked: no path may hand them margin <= 0
+        with pytest.raises(ConfigurationError, match="hinge margin must be positive"):
+            replace(NDCG, margin=-1.0)
+        with pytest.raises(ConfigurationError, match="hinge margin must be positive"):
+            replace(LISTNET, loss="ndcg", margin=-1.0)
+        with pytest.raises(FrozenInstanceError):
+            NDCG.margin = -1.0
+        assert NDCG.margin == 1.0
         batch = sample_batch(small_data, (8, 4, 2, 2), np.random.default_rng(0))
-        with pytest.raises(ConfigurationError, match="margin"):
-            _g1(small_model, small_data, batch, cfg, bound_state(cfg, small_model, small_data))
+        assert np.isfinite(dataset_loss(small_model, small_data, NDCG))
+        g1 = _g1(small_model, small_data, batch, NDCG, bound_state(NDCG, small_model, small_data))
+        assert np.all(np.isfinite(g1))
 
     def test_improving_an_items_score_improves_its_contribution(self):
         m = FactorizationScorer(1, 3, 2)
