@@ -13,14 +13,12 @@ from .data import (
 )
 from .evaluation import EvalProtocol, TradeoffReport, evaluate, tradeoff_sweep
 from .fairness import (
-    SmoothIndicator,
     exposures,
     full_list_disparity,
     topk_disparity_exact,
     topk_disparity_surrogate,
 )
 from .lambda_solver import (
-    SmoothingParams,
     exact_lambda,
     solve_lambda_exactly_smoothed,
 )

@@ -26,6 +26,7 @@ import numpy as np
 from .data import GROUP_A, Dataset, along, padded, smallest_keys, spans
 from .errors import ConfigurationError, FairTopKError
 from .fairness import disparity_mae_mse, rank_order, topk_gaps
+from .lambda_solver import k_per_query
 from .model import FactorizationScorer
 
 
@@ -161,7 +162,7 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
     """Per-K report: NDCG mean/std, disparity MAE/MSE, skip counts.
 
     NDCG@K is truncated at the list length and the top-K gap at one less,
-    so that it never covers a whole list.
+    K_q = min(K, N_q - 1) as in training, so that it never covers a whole list.
     """
     if d.num_queries == 0:
         raise FairTopKError("cannot evaluate an empty dataset")
@@ -190,7 +191,7 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
         gap = topk_gaps(scores, groups, order)
         both = ~np.isnan(gap[:, 0])
         skipped += len(gap) - np.count_nonzero(both)
-        gaps.append(along(gap[both], np.minimum(ks, sizes[both, None] - 1) - 1))
+        gaps.append(along(gap[both], k_per_query(ks, sizes[both, None]) - 1))
 
     ndcgs = np.concatenate(ndcgs or [np.zeros((0, len(ks)))])
     gaps = np.concatenate(gaps or [np.zeros((0, len(ks)))])
@@ -297,7 +298,7 @@ def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: i
             continue
         scores = every[start:start + qg.num_items]
         order = rank_order(scores, qg.item_ids)
-        gap = abs(topk_gaps(scores, qg.groups, order)[min(k, qg.num_items - 1) - 1])
+        gap = abs(topk_gaps(scores, qg.groups, order)[k_per_query(k, qg.num_items) - 1])
         if np.isnan(gap):
             gap = -1.0
         ranked.append((gap, qg.groups[order]))

@@ -17,42 +17,18 @@ thresholds are dense arrays indexed by query position.  Empty slots score
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup, along
 from .errors import ConfigurationError, StateError
-from .lambda_solver import SmoothingParams, _sigmoid, cross_coeff, solve_lambda_exactly_smoothed
+from .lambda_solver import _sigmoid, cross_coeff, solve_lambda_exactly_smoothed
 from .model import FactorizationScorer
 from .rank_losses import ScoredBatch, blend
 
 if TYPE_CHECKING:
     from .optimizer import TrainConfig, TrainerState
-
-
-@dataclass(frozen=True)
-class SmoothIndicator:
-    """Sigmoid step surrogate with temperature tau: psi(x) = sigmoid(x / tau)."""
-
-    temperature: float = 0.1
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigurationError("indicator temperature must be positive")
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(np.asarray(x, dtype=np.float64) / self.temperature)
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        v = self.value(x)
-        return v * (1.0 - v) / self.temperature
-
-
-# psi = None stands for the constant indicator psi = 1, which turns the top-K
-# disparity into the full-list one
-CONSTANT_ONE = None
 
 
 def exposures(scores: np.ndarray) -> np.ndarray:
@@ -111,39 +87,38 @@ def topk_disparity_exact(model: FactorizationScorer, qg: QueryGroup, k: int) -> 
 
 
 def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, lam: float,
-                             psi: SmoothIndicator | None) -> float | None:
+                             cfg: TrainConfig) -> float | None:
     """Smoothed half-squared top-K gap at threshold lam.
 
     Equals half the square of (mean_A psi*e - mean_B psi*e) with e the
-    softmax exposures; the shift cancels in the ratio.  ``psi = None``
-    (``CONSTANT_ONE``) gives the full-list disparity.
+    softmax exposures; the shift cancels in the ratio.  psi is the indicator
+    sigmoid(x / ``cfg.tau_psi``) for ``fairness_mode = top_k`` and 1 otherwise,
+    which gives the full-list disparity.
     """
     if not qg.has_both_groups():
         return None
-    return _surrogate(model.score_many(qg.query_index, qg.feature_idx), qg.groups, lam, psi)
+    return _surrogate(model.score_many(qg.query_index, qg.feature_idx), qg.groups, lam, cfg)
 
 
-def _surrogate(scores: np.ndarray, groups: np.ndarray, lam: float,
-               psi: SmoothIndicator | None) -> float:
+def _surrogate(scores: np.ndarray, groups: np.ndarray, lam: float, cfg: TrainConfig) -> float:
     """``topk_disparity_surrogate`` of one list of both groups, from its scores."""
     e = np.exp(scores - scores.max())
-    w = e if psi is None else psi.value(scores - lam) * e
+    w = _sigmoid((scores - lam) / cfg.tau_psi) * e if cfg.fairness_mode == "top_k" else e
     g_a = w[groups == GROUP_A].mean()
     g_b = w[groups == GROUP_B].mean()
     return 0.5 * float((g_a - g_b) / (len(scores) * e.mean())) ** 2
 
 
-def dataset_topk_fairness(model: FactorizationScorer, d: Dataset,
-                          psi: SmoothIndicator, p: SmoothingParams,
+def dataset_topk_fairness(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
                           tol: float = 1e-12) -> float:
-    """U(w): mean over queries of the smoothed top-K disparity at K = ``p.k``,
+    """U(w): mean over queries of the smoothed top-K disparity at K = ``cfg.k``,
     with the threshold re-solved per query, from one score_many call over
     every pair; queries missing a group add 0.  The finite-difference target for G2."""
     scores, both = model.score_many(d.query_row, d.feature_idx), d.has_both_groups
     total = 0.0
     for a, b in zip(d.offsets[:-1][both], d.offsets[1:][both]):
         s = scores[a:b]
-        total += _surrogate(s, d.groups[a:b], solve_lambda_exactly_smoothed(s, p, tol=tol), psi)
+        total += _surrogate(s, d.groups[a:b], solve_lambda_exactly_smoothed(s, cfg, tol=tol), cfg)
     return total / d.num_queries
 
 
@@ -173,7 +148,6 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainC
         raise StateError("g2_estimate needs a ScoredBatch built with fair=True")
     if state.lam is None or len(state.lam) != d.num_queries:
         raise StateError("g2_estimate needs a TrainerState bound to this dataset")
-    psi = SmoothIndicator(cfg.tau_psi) if cfg.fairness_mode == "top_k" else CONSTANT_ONE
     active = ~batch.skipped
     if not active.any():
         return {}
@@ -188,12 +162,12 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainC
                      np.maximum(np.maximum(s_a.max(axis=1), s_b.max(axis=1)), s_g.max(axis=1)))
     state.shift[rows] = shift
     e_a, e_b, e_g = (np.exp(s - shift[:, None]) for s in (s_a, s_b, s_g))
-    if psi is None:
-        psi_a = psi_b = 1.0
-    else:
+    top_k = cfg.fairness_mode == "top_k"     # full_list: psi = 1
+    if top_k:
         lam_q = state.lam[rows, 0][:, None]
-        psi_a = psi.value(s_a - lam_q)
-        psi_b = psi.value(s_b - lam_q)
+        psi_a, psi_b = (_sigmoid((s - lam_q) / cfg.tau_psi) for s in (s_a, s_b))
+    else:
+        psi_a = psi_b = 1.0
 
     u = blend(state.fair_u, state.fair_seen, rows,
               np.stack([(psi_a * e_a).sum(axis=1) / n_a[:, 0],
@@ -210,16 +184,15 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainC
     coeff_b = -d1 * psi_b * e_b / n_b * inv_nq
     coeff_g = d3 * e_g / n_g * inv_nq
 
-    if cfg.g2_mode == "full_implicit" and psi is not None:
-        extra_a = d1 * psi.derivative(s_a - lam_q) * e_a / n_a * inv_nq
-        extra_b = -d1 * psi.derivative(s_b - lam_q) * e_b / n_b * inv_nq
+    if cfg.g2_mode == "full_implicit" and top_k:
+        extra_a = d1 * (psi_a * (1 - psi_a) / cfg.tau_psi) * e_a / n_a * inv_nq
+        extra_b = -d1 * (psi_b * (1 - psi_b) / cfg.tau_psi) * e_b / n_b * inv_nq
         coeff_a = coeff_a + extra_a
         coeff_b = coeff_b + extra_b
         # the threshold moves with the scores: grad lambda = -cross / s, where
         # cross = sum_j c_j grad h_j over the item sub-batch
         lam_weight = (extra_a.sum(axis=1) + extra_b.sum(axis=1)) / state.lam[rows, 1]
-        coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(state.lam[rows, 0], s_g,
-                                                              cfg.smoothing())
+        coeff_g = coeff_g + lam_weight[:, None] * cross_coeff(state.lam[rows, 0], s_g, cfg)
 
     items = np.zeros(batch.items.shape)
     items[active] = coeff_g

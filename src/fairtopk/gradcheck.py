@@ -12,9 +12,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, generate_synthetic, sample_batch
-from .fairness import SmoothIndicator, dataset_topk_fairness, g2_estimate
+from .fairness import dataset_topk_fairness, g2_estimate
 from .lambda_solver import (
-    SmoothingParams,
     implicit_lambda_grad,
     smoothed_grad,
     smoothed_hess,
@@ -97,21 +96,20 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
     model = _model_for(d, dim, seed)
     cfg = TrainConfig(k=k, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
                       gamma1=1.0, gamma2=1.0, gamma3=1.0, g2_mode="full_implicit")
-    p, psi = cfg.smoothing(), SmoothIndicator(cfg.tau_psi)
     batch = _full_batch(d)
 
     state = _bound_state(cfg, model, d)
     for q, qg in enumerate(d.queries):
         scores = model.score_many(qg.query_index, qg.feature_idx)
-        lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-10)
-        state.lam[q, :2] = lam, smoothed_hess(lam, scores, p)
+        lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-10)
+        state.lam[q, :2] = lam, smoothed_hess(lam, scores, cfg)
 
     scored = ScoredBatch(model, d, batch, fair=True)
     g2 = scored.dense(g2_estimate(scored, d, batch, cfg, state))
 
     def fairness_of(w):
         model.params.values[:] = w
-        return dataset_topk_fairness(model, d, psi, p, tol=1e-12)
+        return dataset_topk_fairness(model, d, cfg, tol=1e-12)
 
     w0 = model.params.values.copy()
     fd = finite_difference_gradient(fairness_of, model.params.values, step)
@@ -124,20 +122,20 @@ def check_lambda(seed: int = 0, trials: int = 50) -> dict[str, float]:
     vs finite differences, plus the assembled implicit gradient vs central
     differences with inner re-solves."""
     rng = np.random.default_rng(seed)
-    p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
+    cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
     max_grad = max_hess = 0.0
     for _ in range(trials):
         n = int(rng.integers(5, 40))
         scores = rng.normal(0.0, 2.0, n)
         lam = float(rng.normal(0.0, 1.0))
         h = 1e-6
-        fd_g = (smoothed_objective(lam + h, scores, p)
-                - smoothed_objective(lam - h, scores, p)) / (2 * h)
-        fd_h = (smoothed_grad(lam + h, scores, p)
-                - smoothed_grad(lam - h, scores, p)) / (2 * h)
-        max_grad = max(max_grad, abs(smoothed_grad(lam, scores, p) - fd_g)
+        fd_g = (smoothed_objective(lam + h, scores, cfg)
+                - smoothed_objective(lam - h, scores, cfg)) / (2 * h)
+        fd_h = (smoothed_grad(lam + h, scores, cfg)
+                - smoothed_grad(lam - h, scores, cfg)) / (2 * h)
+        max_grad = max(max_grad, abs(smoothed_grad(lam, scores, cfg) - fd_g)
                        / max(abs(fd_g), 1e-12))
-        max_hess = max(max_hess, abs(smoothed_hess(lam, scores, p) - fd_h)
+        max_hess = max(max_hess, abs(smoothed_hess(lam, scores, cfg) - fd_h)
                        / max(abs(fd_h), 1e-12))
 
     # implicit gradient of the solved threshold, small model
@@ -145,13 +143,13 @@ def check_lambda(seed: int = 0, trials: int = 50) -> dict[str, float]:
     model = _model_for(d, 2, seed)
     qg = d.query(0)
     scores = model.score_many(qg.query_index, qg.feature_idx)
-    lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-12)
-    analytic = implicit_lambda_grad(lam, model, qg.query_index, qg.feature_idx, p)
+    lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-12)
+    analytic = implicit_lambda_grad(lam, model, qg.query_index, qg.feature_idx, cfg)
 
     def lam_of(w):
         model.params.values[:] = w
         s = model.score_many(qg.query_index, qg.feature_idx)
-        return solve_lambda_exactly_smoothed(s, p, tol=1e-12)
+        return solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
 
     w0 = model.params.values.copy()
     fd = finite_difference_gradient(lam_of, model.params.values, step=1e-5)

@@ -17,49 +17,42 @@ and its gradient estimate; many queries' rows form a (queries, 3) array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, FairTopKError
 from .model import FactorizationScorer
 
+if TYPE_CHECKING:
+    from .optimizer import TrainConfig
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(x / 2))
 
 
-def _slopes(lam, scores: np.ndarray, p: SmoothingParams) -> tuple[np.ndarray, np.ndarray]:
+def k_per_query(k, n):
+    """K_q = min(K, N_q - 1), the K a list of N_q items is ranked with: its
+    threshold must leave at least one item below, so a larger K counts as N_q - 1."""
+    return np.minimum(k, n - 1)
+
+
+def _slopes(lam, scores: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """The softplus slopes sigmoid((h - lambda) / tau1) of the scores and the
     number of finite scores, over the last axis."""
     scores = np.asarray(scores, dtype=np.float64)
-    return (_sigmoid((scores - np.expand_dims(lam, -1)) / p.tau1),
+    return (_sigmoid((scores - np.expand_dims(lam, -1)) / cfg.tau1),
             np.count_nonzero(scores > -np.inf, axis=-1))
 
 
-def _grad(lam, sig: np.ndarray, n: np.ndarray, p: SmoothingParams, n_total):
+def _grad(lam, sig: np.ndarray, n: np.ndarray, cfg: TrainConfig, n_total):
     n_q = n if n_total is None else n_total
-    return (p.k + p.eps) / n_q + p.tau2 * lam - sig.sum(axis=-1) / n
+    return (k_per_query(cfg.k, n_q) + cfg.eps) / n_q + cfg.tau2 * lam - sig.sum(axis=-1) / n
 
 
-def _hess(sig: np.ndarray, n: np.ndarray, p: SmoothingParams):
-    return p.tau2 + (sig * (1.0 - sig)).sum(axis=-1) / n / p.tau1
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    tau1: float = 1e-2
-    tau2: float = 1e-4
-    eps: float = 0.5
-    k: int = 10
-
-    def __post_init__(self):
-        if self.tau1 <= 0 or self.tau2 <= 0:
-            raise ConfigurationError("tau1 and tau2 must be positive")
-        if not (0.0 < self.eps < 1.0):
-            raise ConfigurationError("eps must lie strictly in (0, 1)")
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
+def _hess(sig: np.ndarray, n: np.ndarray, cfg: TrainConfig):
+    return cfg.tau2 + (sig * (1.0 - sig)).sum(axis=-1) / n / cfg.tau1
 
 
 def exact_lambda(scores: np.ndarray, k: int) -> float:
@@ -71,77 +64,72 @@ def exact_lambda(scores: np.ndarray, k: int) -> float:
     return float(np.partition(scores, idx)[idx])
 
 
-def smoothed_objective(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
+def smoothed_objective(lam: float, scores: np.ndarray, cfg: TrainConfig) -> float:
     scores = np.asarray(scores, dtype=np.float64)
-    soft = p.tau1 * np.logaddexp(0.0, (scores - lam) / p.tau1)     # softplus
-    return (p.k + p.eps) / len(scores) * lam + 0.5 * p.tau2 * lam ** 2 + soft.mean()
+    soft = cfg.tau1 * np.logaddexp(0.0, (scores - lam) / cfg.tau1)     # softplus
+    k_q = k_per_query(cfg.k, len(scores))
+    return (k_q + cfg.eps) / len(scores) * lam + 0.5 * cfg.tau2 * lam ** 2 + soft.mean()
 
 
-def smoothed_grad(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
+def smoothed_grad(lam: float, scores: np.ndarray, cfg: TrainConfig) -> float:
     """d/d lambda of the smoothed objective; strictly increasing in lambda."""
-    return _grad(lam, *_slopes(lam, scores, p), p, None)
+    return _grad(lam, *_slopes(lam, scores, cfg), cfg, None)
 
 
-def smoothed_hess(lam: float, scores: np.ndarray, p: SmoothingParams) -> float:
+def smoothed_hess(lam: float, scores: np.ndarray, cfg: TrainConfig) -> float:
     """Second derivative; bounded below by tau2."""
-    return _hess(*_slopes(lam, scores, p), p)
+    return _hess(*_slopes(lam, scores, cfg), cfg)
 
 
-def cross_coeff(lam: float | np.ndarray, scores: np.ndarray, p: SmoothingParams) -> np.ndarray:
+def cross_coeff(lam: float | np.ndarray, scores: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Per-score coefficients c_j = -sig_j (1 - sig_j) / (|B| tau1) of the
     mixed second derivative d^2 G / (d lambda d h_j), sig_j the softplus
     slope at h_j; -inf slots get 0 and do not count in |B|."""
-    sig, n = _slopes(lam, scores, p)
-    return -sig * (1.0 - sig) / (np.expand_dims(n, -1) * p.tau1)
-
-
-def cross_grad(lam: float, model: FactorizationScorer, q: int, item_idx: np.ndarray,
-               p: SmoothingParams) -> np.ndarray:
-    """Mixed second derivative d^2 G / (d lambda d w) over the batch:
-    sum_i c_i grad_w h_i with the ``cross_coeff`` coefficients."""
-    q_idx, kept = np.full(len(item_idx), q), {}
-    coeff = cross_coeff(lam, model.score_many(q_idx, item_idx, keep=kept), p)
-    out = np.zeros(len(model.params.values))
-    model.add_weighted_grads(q_idx, item_idx, coeff, out, kept=kept)
-    return out
+    sig, n = _slopes(lam, scores, cfg)
+    return -sig * (1.0 - sig) / (np.expand_dims(n, -1) * cfg.tau1)
 
 
 def implicit_lambda_grad(lam: float, model: FactorizationScorer, q: int,
-                         item_idx: np.ndarray, p: SmoothingParams) -> np.ndarray:
-    """grad_w of the smoothed threshold via the implicit function theorem."""
-    scores = model.score_many(q, np.asarray(item_idx, dtype=np.int64))
-    hess = smoothed_hess(lam, scores, p)
-    return -cross_grad(lam, model, q, item_idx, p) / hess
+                         item_idx: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """grad_w of the smoothed threshold via the implicit function theorem:
+    -cross / G'', where cross = sum_i c_i grad_w h_i with the ``cross_coeff``
+    coefficients is the mixed second derivative d^2 G / (d lambda d w)."""
+    q_idx, kept = np.full(len(item_idx), q), {}
+    scores = model.score_many(q_idx, item_idx, keep=kept)
+    cross = np.zeros(len(model.params.values))
+    model.add_weighted_grads(q_idx, item_idx, cross_coeff(lam, scores, cfg), cross, kept=kept)
+    return -cross / smoothed_hess(lam, scores, cfg)
 
 
-def solve_lambda_exactly_smoothed(scores: np.ndarray, p: SmoothingParams,
+def solve_lambda_exactly_smoothed(scores: np.ndarray, cfg: TrainConfig,
                                   tol: float = 1e-10) -> float:
     """Safeguarded Newton (bisection fallback) on the smoothed gradient."""
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     scores = np.asarray(scores, dtype=np.float64)
     lo = float(scores.min()) - 1.0
-    hi = float(scores.max()) + (p.k + p.eps) / (p.tau2 * len(scores)) + 1.0
-    glo = smoothed_grad(lo, scores, p)
-    ghi = smoothed_grad(hi, scores, p)
+    hi = (float(scores.max()) + (k_per_query(cfg.k, len(scores)) + cfg.eps)
+          / (cfg.tau2 * len(scores)) + 1.0)
+    glo = smoothed_grad(lo, scores, cfg)
+    ghi = smoothed_grad(hi, scores, cfg)
     for _ in range(200):
         if glo < 0.0:
             break
         lo -= max(1.0, hi - lo)
-        glo = smoothed_grad(lo, scores, p)
+        glo = smoothed_grad(lo, scores, cfg)
     if glo >= 0.0 or ghi <= 0.0:
         raise FairTopKError("threshold bracket failure")  # cannot happen for valid inputs
 
     lam = 0.5 * (lo + hi)
     for _ in range(200):
-        g = smoothed_grad(lam, scores, p)
+        g = smoothed_grad(lam, scores, cfg)
         if abs(g) <= tol:
             return lam
         if g > 0.0:
             hi = lam
         else:
             lo = lam
-        step = g / smoothed_hess(lam, scores, p)
+        step = g / smoothed_hess(lam, scores, cfg)
         cand = lam - step
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)
@@ -149,7 +137,7 @@ def solve_lambda_exactly_smoothed(scores: np.ndarray, p: SmoothingParams,
     return lam
 
 
-def state_step(state: np.ndarray, scores: np.ndarray, p: SmoothingParams, gamma: float,
+def state_step(state: np.ndarray, scores: np.ndarray, cfg: TrainConfig, gamma: float,
                eta: float, n_total: int | None = None) -> np.ndarray:
     """One online update of the (lambda, s, v) rows ``state`` from a mini-batch
     of scores: s and v blend in ``smoothed_hess`` and ``smoothed_grad`` at the
@@ -161,24 +149,25 @@ def state_step(state: np.ndarray, scores: np.ndarray, p: SmoothingParams, gamma:
     (K + eps) / N_q term keeps the true N_q.
     """
     lam, s, v = state.T
-    sig, n = _slopes(lam, scores, p)
-    s = (1.0 - gamma) * s + gamma * _hess(sig, n, p)
-    v = (1.0 - gamma) * v + gamma * _grad(lam, sig, n, p, n_total)
+    sig, n = _slopes(lam, scores, cfg)
+    s = (1.0 - gamma) * s + gamma * _hess(sig, n, cfg)
+    v = (1.0 - gamma) * v + gamma * _grad(lam, sig, n, cfg, n_total)
     return np.stack([lam - eta * v, s, v], axis=-1)
 
 
-def init_lambda_state(scores: np.ndarray, p: SmoothingParams, n_total: int) -> np.ndarray:
+def init_lambda_state(scores: np.ndarray, cfg: TrainConfig, n_total: int) -> np.ndarray:
     """Warm-started (lambda, s, v) rows for the queries' first touch.
 
-    The threshold starts at the batch order statistic matching the K / N_q
-    quantile; s starts at the softplus curvature midpoint bound and v at 0.
+    The threshold starts at the batch order statistic matching the K_q / N_q
+    quantile (``k_per_query``); s starts at the softplus curvature midpoint bound and v at 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = np.count_nonzero(scores > -np.inf, axis=-1)
     # k_batch in [1, n - 1]; a single sampled score gives k_batch = 0, the score itself
-    k_batch = np.minimum(np.maximum(np.rint(p.k * n / n_total), 1), n - 1).astype(np.int64)
+    k_batch = np.rint(k_per_query(cfg.k, n_total) * n / n_total)
+    k_batch = np.minimum(np.maximum(k_batch, 1), n - 1).astype(np.int64)
     ranked = np.sort(scores, axis=-1)       # empty slots (-inf) sort first
     lam0 = np.take_along_axis(ranked, np.expand_dims(scores.shape[-1] - 1 - k_batch, -1),
                               axis=-1)[..., 0]
-    return np.stack([lam0, np.full_like(lam0, p.tau2 + 0.25 / p.tau1), np.zeros_like(lam0)],
+    return np.stack([lam0, np.full_like(lam0, cfg.tau2 + 0.25 / cfg.tau1), np.zeros_like(lam0)],
                     axis=-1)

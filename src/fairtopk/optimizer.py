@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import ConfigurationError, NonFiniteGradientError, StateError
-from .fairness import SmoothIndicator, g2_estimate
-from .lambda_solver import SmoothingParams, init_lambda_state, state_step
+from .fairness import g2_estimate
+from .lambda_solver import init_lambda_state, state_step
 from .model import FactorizationScorer
 from .rank_losses import ScoredBatch, dataset_loss, g1_estimate
 
@@ -96,11 +96,12 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.log_every < 1:
             raise ConfigurationError("log_every must be >= 1")
-        # the smoothing (k >= 1 included) and indicator types check their own ranges
-        self.smoothing(), SmoothIndicator(temperature=self.tau_psi)
-
-    def smoothing(self) -> SmoothingParams:
-        return SmoothingParams(tau1=self.tau1, tau2=self.tau2, eps=self.eps, k=self.k)
+        if self.k < 1:
+            raise ConfigurationError("k must be >= 1")
+        if self.tau1 <= 0 or self.tau2 <= 0 or self.tau_psi <= 0:
+            raise ConfigurationError("tau1, tau2 and tau_psi must be positive")
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigurationError("eps must lie strictly in (0, 1)")
 
     def fairness_active(self) -> bool:
         # C = 0 skips the whole fairness machinery, whatever the mode says.
@@ -219,18 +220,17 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
     if cfg.fairness_active():
         top_k = cfg.fairness_mode == "top_k"    # full_list: psi = 1, no threshold
         if top_k:
-            smoothing = cfg.smoothing()
             active = ~batch.skipped
             rows = batch.queries[active]
             s_g = scored.scores["items"][active]  # the item sub-batch of both-group queries
             n_total = d.sizes[rows]
             fresh = np.isnan(state.lam[rows, 0])
             if fresh.any():
-                state.lam[rows[fresh]] = init_lambda_state(s_g[fresh], smoothing, n_total[fresh])
+                state.lam[rows[fresh]] = init_lambda_state(s_g[fresh], cfg, n_total[fresh])
         g2 = g2_estimate(scored, d, batch, cfg, state)
         _check_finite(g2.values(), "G2")
         if top_k:
-            state.lam[rows] = state_step(state.lam[rows], s_g, smoothing, cfg.gamma4, cfg.eta0,
+            state.lam[rows] = state_step(state.lam[rows], s_g, cfg, cfg.gamma4, cfg.eta0,
                                          n_total=n_total)
         estimates.append({name: cfg.fair_weight * w for name, w in g2.items()})
 

@@ -22,15 +22,12 @@ from fairtopk.data import (
 )
 from fairtopk.evaluation import EvalProtocol, evaluate, spearman, tradeoff_sweep
 from fairtopk.fairness import (
-    CONSTANT_ONE,
-    SmoothIndicator,
     full_list_disparity,
     topk_disparity_exact,
     topk_disparity_surrogate,
 )
 from fairtopk.gradcheck import check_fairness, check_rank_losses
 from fairtopk.lambda_solver import (
-    SmoothingParams,
     exact_lambda,
     smoothed_grad,
     solve_lambda_exactly_smoothed,
@@ -117,7 +114,7 @@ def test_criterion_2_fairness_gradient():
 
 def test_criterion_3_lambda_solver():
     rng = np.random.default_rng(7)
-    p = SmoothingParams(tau1=1e-3, tau2=1e-6, eps=0.5, k=1)
+    p = TrainConfig(tau1=1e-3, tau2=1e-6, eps=0.5, k=1)
     worst_ratio = 0.0
     for _ in range(1000):
         n = int(rng.integers(5, 1001))
@@ -125,7 +122,7 @@ def test_criterion_3_lambda_solver():
         while len(np.unique(scores)) < n:
             scores = rng.normal(0.0, 2.0, n)
         k = int(rng.integers(1, min(n - 1, 50) + 1))
-        pk = SmoothingParams(tau1=p.tau1, tau2=p.tau2, eps=p.eps, k=k)
+        pk = TrainConfig(tau1=p.tau1, tau2=p.tau2, eps=p.eps, k=k)
         lam = solve_lambda_exactly_smoothed(scores, pk, tol=1e-10)
         target = exact_lambda(scores, k)
         worst_ratio = max(worst_ratio,
@@ -134,7 +131,7 @@ def test_criterion_3_lambda_solver():
 
     # online iteration, full batch, gamma4 = 1, conservative fixed step
     scores = rng.normal(0.0, 1.0, 40)
-    pk = SmoothingParams(tau1=1e-3, tau2=1e-6, eps=0.5, k=5)
+    pk = TrainConfig(tau1=1e-3, tau2=1e-6, eps=0.5, k=5)
     lam_star = solve_lambda_exactly_smoothed(scores, pk, tol=1e-12)
     st = np.array([float(scores.mean()), 1.0, 0.0])       # (lambda, s, v)
     eta = 1.0 / (pk.tau2 + 0.25 / pk.tau1)
@@ -156,7 +153,6 @@ def test_criterion_4_surrogate_exact_consistency():
     # and (K+1)-th scores; well-separated tie-free scores then let the
     # sharp indicator reproduce the exact top-K selection.
     rng = np.random.default_rng(11)
-    psi = SmoothIndicator(temperature=1e-3)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(6, 14))
@@ -168,10 +164,10 @@ def test_criterion_4_surrogate_exact_consistency():
         groups = np.array([GROUP_A] * (n // 2) + [GROUP_B] * (n - n // 2))[perm]
         k = int(rng.integers(2, n - 1))
         m, qg = _scored_query(scores.tolist(), groups.tolist())
-        p = SmoothingParams(tau1=1e-2, tau2=1e-8, eps=0.25, k=k)
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-8, eps=0.25, k=k, tau_psi=1e-3)
         lam = solve_lambda_exactly_smoothed(m.score_many(0, qg.feature_idx),
-                                            p, tol=1e-12)
-        u = topk_disparity_surrogate(m, qg, lam, psi)
+                                            cfg, tol=1e-12)
+        u = topk_disparity_surrogate(m, qg, lam, cfg)
         exact = topk_disparity_exact(m, qg, k)
         worst = max(worst, abs(np.sqrt(2.0 * u) - abs(exact)))
     ok = worst <= 1e-3
@@ -221,7 +217,7 @@ def test_criterion_6_mode_reductions():
         if groups.min() == groups.max():
             continue
         m, qg = _scored_query(np.clip(scores, -40, 40).tolist(), groups.tolist())
-        u = topk_disparity_surrogate(m, qg, lam=0.0, psi=CONSTANT_ONE)
+        u = topk_disparity_surrogate(m, qg, lam=0.0, cfg=TrainConfig(fairness_mode="full_list"))
         worst = max(worst, abs(u - full_list_disparity(m, qg)))
     reduces = worst <= 1e-12
 

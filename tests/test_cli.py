@@ -130,7 +130,7 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv, "--checkpoint", str(ckpt), flag, "-1"]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--log-every", "--tau1"])
+    @pytest.mark.parametrize("flag", ["--log-every", "--tau1", "--tau-psi"])
     def test_out_of_range_config_flag_exits_one(self, data_csv, tmp_path, capsys, flag):
         assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"), flag, "0"]) == 1
         assert "invalid configuration:" in capsys.readouterr().err

@@ -17,8 +17,6 @@ from fairtopk.data import (
 )
 from fairtopk.errors import ConfigurationError, StateError
 from fairtopk.fairness import (
-    CONSTANT_ONE,
-    SmoothIndicator,
     dataset_topk_fairness,
     disparity_mae_mse,
     exposures,
@@ -29,7 +27,7 @@ from fairtopk.fairness import (
     topk_disparity_surrogate,
     topk_gaps,
 )
-from fairtopk.lambda_solver import SmoothingParams, smoothed_hess, solve_lambda_exactly_smoothed
+from fairtopk.lambda_solver import smoothed_hess, solve_lambda_exactly_smoothed
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainConfig, TrainerState
 from fairtopk.rank_losses import ScoredBatch, blend
@@ -170,23 +168,23 @@ class TestSurrogate:
             scores = rng.normal(0, 1, 8).tolist()
             groups = [GROUP_A] * 3 + [GROUP_B] * 5
             m, qg = _query_with(None, scores, groups)
-            u = topk_disparity_surrogate(m, qg, lam=0.0, psi=CONSTANT_ONE)
+            u = topk_disparity_surrogate(m, qg, lam=0.0,
+                                         cfg=TrainConfig(fairness_mode="full_list"))
             full = full_list_disparity(m, qg)
             assert abs(u - full) <= 1e-12
 
     def test_identical_compositions_zero(self):
         m, qg = _query_with(None, [1.0, 1.0, 0.0, 0.0],
                             [GROUP_A, GROUP_B, GROUP_A, GROUP_B])
-        psi = SmoothIndicator(temperature=0.1)
-        assert topk_disparity_surrogate(m, qg, lam=0.5, psi=psi) == pytest.approx(
+        cfg = TrainConfig(tau_psi=0.1)
+        assert topk_disparity_surrogate(m, qg, lam=0.5, cfg=cfg) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_matches_exact_at_small_temperatures(self, rng):
         # eps < 0.5 puts the converged threshold strictly between the K-th
         # and (K+1)-th scores; with well-separated scores and a sharp
         # indicator the surrogate then reproduces the exact selection.
-        p = SmoothingParams(tau1=2e-2, tau2=1e-8, eps=0.25, k=2)
-        psi = SmoothIndicator(temperature=1e-3)
+        cfg = TrainConfig(tau1=2e-2, tau2=1e-8, eps=0.25, k=2, tau_psi=1e-3)
         for _ in range(20):
             gaps = rng.uniform(0.5, 1.5, 5)
             scores = np.cumsum(np.concatenate([[0.0], gaps]))[::-1].copy()
@@ -196,8 +194,8 @@ class TestSurrogate:
             groups = np.array([GROUP_A] * 3 + [GROUP_B] * 3)[perm]
             m, qg = _query_with(None, scores.tolist(), groups.tolist())
             lam = solve_lambda_exactly_smoothed(
-                m.score_many(0, qg.feature_idx), p, tol=1e-12)
-            u = topk_disparity_surrogate(m, qg, lam, psi)
+                m.score_many(0, qg.feature_idx), cfg, tol=1e-12)
+            u = topk_disparity_surrogate(m, qg, lam, cfg)
             exact = topk_disparity_exact(m, qg, 2)
             assert abs(np.sqrt(2.0 * u) - abs(exact)) <= 1e-3
 
@@ -207,25 +205,21 @@ class TestSurrogate:
         d = g.take(np.flatnonzero((g.query_of > 1) | (g.groups == GROUP_B)))
         assert d.num_queries == 20 and d.has_both_groups.tolist().count(False) == 2
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=6)
-        p, psi = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=3), SmoothIndicator(0.2)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3, tau_psi=0.2)
         per_query = [topk_disparity_surrogate(m, qg, solve_lambda_exactly_smoothed(
-            m.score_many(qg.query_index, qg.feature_idx), p, tol=1e-12), psi) for qg in d.queries]
+            m.score_many(qg.query_index, qg.feature_idx), cfg, tol=1e-12), cfg)
+            for qg in d.queries]
         calls = []
         score_many = m.score_many
         monkeypatch.setattr(m, "score_many",
                             lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
-        u = dataset_topk_fairness(m, d, psi, p, tol=1e-12)
+        u = dataset_topk_fairness(m, d, cfg, tol=1e-12)
         assert len(calls) == 1 and len(calls[0][1]) == d.total_pairs
         assert u == sum(v for v in per_query if v is not None) / d.num_queries
 
     def test_single_group_returns_none(self):
         m, qg = _query_with(None, [0.0, 1.0], [GROUP_B, GROUP_B])
-        psi = SmoothIndicator(temperature=0.1)
-        assert topk_disparity_surrogate(m, qg, 0.0, psi) is None
-
-    def test_indicator_validation(self):
-        with pytest.raises(ConfigurationError):
-            SmoothIndicator(temperature=0.0)
+        assert topk_disparity_surrogate(m, qg, 0.0, TrainConfig(tau_psi=0.1)) is None
 
 
 class TestMaeMse:
@@ -249,12 +243,11 @@ class TestG2:
         batch = sample_batch(d, (d.total_pairs, 10, 10, 10), rng)
         cfg = TrainConfig(k=2, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
                           **overrides)
-        p = cfg.smoothing()
         state = bound_state(cfg, m, d)
         for q, qg in enumerate(d.queries):
             scores = m.score_many(qg.query_index, qg.feature_idx)
-            lam = solve_lambda_exactly_smoothed(scores, p, tol=1e-10)
-            state.lam[q, :2] = lam, smoothed_hess(lam, scores, p)
+            lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-10)
+            state.lam[q, :2] = lam, smoothed_hess(lam, scores, cfg)
         return d, m, batch, cfg, state
 
     def test_missing_lambda_state_is_an_error(self):
@@ -281,16 +274,15 @@ class TestG2:
         d, m, batch, cfg, state = self._setup(gamma1=1.0, gamma2=1.0, gamma3=1.0,
                                               g2_mode="full_implicit")
         g2 = _g2(m, d, batch, cfg, state)
-        p, psi = cfg.smoothing(), SmoothIndicator(cfg.tau_psi)
         w = m.params.values
         w0 = w.copy()
         fd = np.zeros_like(w)
         step = 1e-5
         for j in range(len(w)):
             w[j] = w0[j] + step
-            fp = dataset_topk_fairness(m, d, psi, p, tol=1e-12)
+            fp = dataset_topk_fairness(m, d, cfg, tol=1e-12)
             w[j] = w0[j] - step
-            fm = dataset_topk_fairness(m, d, psi, p, tol=1e-12)
+            fm = dataset_topk_fairness(m, d, cfg, tol=1e-12)
             w[j] = w0[j]
             fd[j] = (fp - fm) / (2 * step)
         assert np.abs(g2 - fd).max() <= 1e-3 * max(np.abs(fd).max(), 1e-12)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from fairtopk.errors import ConfigurationError
 from fairtopk.lambda_solver import (
-    SmoothingParams,
-    cross_grad,
     exact_lambda,
     implicit_lambda_grad,
     init_lambda_state,
@@ -20,6 +18,7 @@ from fairtopk.lambda_solver import (
     state_step,
 )
 from fairtopk.model import FactorizationScorer
+from fairtopk.optimizer import TrainConfig
 
 
 class TestExactLambda:
@@ -43,140 +42,139 @@ class TestExactLambda:
 
 class TestSmoothedDerivatives:
     def test_grad_positive_for_large_lambda(self):
-        p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=2)
-        assert smoothed_grad(1e6, np.array([0.0, 1.0, 2.0]), p) > 0.0
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=2)
+        assert smoothed_grad(1e6, np.array([0.0, 1.0, 2.0]), cfg) > 0.0
 
     def test_symmetric_two_point_root(self):
         # two equal scores, K=1, eps=0.5: sigma(-lam/tau1) = 0.75 at the root,
         # so lam = -tau1 * ln 3 (the tau2 term is negligible at tau2 -> 0)
-        p = SmoothingParams(tau1=5e-2, tau2=1e-12, eps=0.5, k=1)
-        root = -p.tau1 * np.log(3.0)
-        assert smoothed_grad(root, np.zeros(2), p) == pytest.approx(0.0, abs=1e-9)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-12, eps=0.5, k=1)
+        root = -cfg.tau1 * np.log(3.0)
+        assert smoothed_grad(root, np.zeros(2), cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_grad_matches_objective_fd(self, rng):
-        p = SmoothingParams(tau1=3e-2, tau2=1e-3, eps=0.5, k=3)
+        cfg = TrainConfig(tau1=3e-2, tau2=1e-3, eps=0.5, k=3)
         for _ in range(30):
             s = rng.normal(0, 2, int(rng.integers(4, 20)))
             lam = float(rng.normal(0, 1))
             h = 1e-6
-            fd = (smoothed_objective(lam + h, s, p)
-                  - smoothed_objective(lam - h, s, p)) / (2 * h)
-            assert smoothed_grad(lam, s, p) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            fd = (smoothed_objective(lam + h, s, cfg)
+                  - smoothed_objective(lam - h, s, cfg)) / (2 * h)
+            assert smoothed_grad(lam, s, cfg) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_hess_matches_grad_fd(self, rng):
-        p = SmoothingParams(tau1=3e-2, tau2=1e-3, eps=0.5, k=3)
+        cfg = TrainConfig(tau1=3e-2, tau2=1e-3, eps=0.5, k=3)
         for _ in range(30):
             s = rng.normal(0, 2, int(rng.integers(4, 20)))
             lam = float(rng.normal(0, 1))
             h = 1e-6
-            fd = (smoothed_grad(lam + h, s, p)
-                  - smoothed_grad(lam - h, s, p)) / (2 * h)
-            assert smoothed_hess(lam, s, p) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            fd = (smoothed_grad(lam + h, s, cfg)
+                  - smoothed_grad(lam - h, s, cfg)) / (2 * h)
+            assert smoothed_hess(lam, s, cfg) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_hess_lower_bound(self, rng):
-        p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=1)
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=1)
         for _ in range(50):
             s = rng.normal(0, 3, 10)
-            assert smoothed_hess(float(rng.normal(0, 5)), s, p) >= p.tau2
+            assert smoothed_hess(float(rng.normal(0, 5)), s, cfg) >= cfg.tau2
 
     def test_hess_saturates_to_tau2(self):
-        p = SmoothingParams(tau1=1e-3, tau2=1e-4, eps=0.5, k=1)
+        cfg = TrainConfig(tau1=1e-3, tau2=1e-4, eps=0.5, k=1)
         # lambda far below every score: all sigmoids saturate at 1
-        assert smoothed_hess(-100.0, np.array([0.0, 1.0]), p) == pytest.approx(
-            p.tau2, abs=1e-9)
-
-    def test_param_validation(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingParams(tau1=0.0)
-        with pytest.raises(ConfigurationError):
-            SmoothingParams(eps=1.5)
-        with pytest.raises(ConfigurationError):
-            SmoothingParams(k=0)
+        assert smoothed_hess(-100.0, np.array([0.0, 1.0]), cfg) == pytest.approx(
+            cfg.tau2, abs=1e-9)
 
 
 class TestSolver:
     def test_solution_has_small_grad(self, rng):
-        p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=3)
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=3)
         for _ in range(20):
             s = rng.normal(0, 2, 12)
-            lam = solve_lambda_exactly_smoothed(s, p, tol=1e-10)
-            assert abs(smoothed_grad(lam, s, p)) <= 1e-10
-            assert smoothed_hess(lam, s, p) > 0.0
+            lam = solve_lambda_exactly_smoothed(s, cfg, tol=1e-10)
+            assert abs(smoothed_grad(lam, s, cfg)) <= 1e-10
+            assert smoothed_hess(lam, s, cfg) > 0.0
 
     def test_symmetric_two_point_case(self):
-        p = SmoothingParams(tau1=5e-2, tau2=1e-12, eps=0.5, k=1)
-        lam = solve_lambda_exactly_smoothed(np.zeros(2), p, tol=1e-12)
-        assert lam == pytest.approx(-p.tau1 * np.log(3.0), abs=1e-8)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-12, eps=0.5, k=1)
+        lam = solve_lambda_exactly_smoothed(np.zeros(2), cfg, tol=1e-12)
+        assert lam == pytest.approx(-cfg.tau1 * np.log(3.0), abs=1e-8)
 
     def test_tracks_order_statistic_at_small_smoothing(self, rng):
-        p = SmoothingParams(tau1=1e-3, tau2=1e-6, eps=0.5, k=4)
+        cfg = TrainConfig(tau1=1e-3, tau2=1e-6, eps=0.5, k=4)
         for _ in range(30):
             s = rng.normal(0, 2, 20)
-            lam = solve_lambda_exactly_smoothed(s, p, tol=1e-10)
+            lam = solve_lambda_exactly_smoothed(s, cfg, tol=1e-10)
             target = exact_lambda(s, 4)
             assert abs(lam - target) <= 1e-2 * (s.max() - s.min())
 
+    def test_k_beyond_the_list_counts_as_n_minus_1(self, rng):
+        s = rng.normal(0, 2, 8)
+        wide, fit = TrainConfig(k=50), TrainConfig(k=7)
+        assert solve_lambda_exactly_smoothed(s, wide) == solve_lambda_exactly_smoothed(s, fit)
+        assert smoothed_objective(0.3, s, wide) == smoothed_objective(0.3, s, fit)
+        assert init_lambda_state(s, wide, 8)[0] == init_lambda_state(s, fit, 8)[0]
+
     def test_bad_tol(self):
         with pytest.raises(ConfigurationError):
-            solve_lambda_exactly_smoothed(np.zeros(3), SmoothingParams(), tol=0.0)
+            solve_lambda_exactly_smoothed(np.zeros(3), TrainConfig(), tol=0.0)
 
 
 class TestStateStep:
     def test_zero_eta_keeps_lambda(self):
-        p = SmoothingParams(k=1)
+        cfg = TrainConfig(k=1)
         s = np.array([0.0, 1.0, 2.0])
-        lam, s_, v = state_step(np.array([0.3, 1.0, 0.0]), s, p, gamma=0.5, eta=0.0)
+        lam, s_, v = state_step(np.array([0.3, 1.0, 0.0]), s, cfg, gamma=0.5, eta=0.0)
         assert lam == 0.3
         assert v != 0.0
         assert s_ != 1.0
 
     def test_fixed_point_at_solution(self):
-        p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=2)
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=2)
         s = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-        lam_star = solve_lambda_exactly_smoothed(s, p, tol=1e-14)
-        st_ = state_step(np.array([lam_star, smoothed_hess(lam_star, s, p), 0.0]), s, p,
+        lam_star = solve_lambda_exactly_smoothed(s, cfg, tol=1e-14)
+        st_ = state_step(np.array([lam_star, smoothed_hess(lam_star, s, cfg), 0.0]), s, cfg,
                          gamma=1.0, eta=1e-2)
         assert st_[0] == pytest.approx(lam_star, abs=1e-12)
 
     def test_full_batch_iteration_converges(self, rng):
-        p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=3)
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=3)
         s = rng.normal(0, 1, 15)
-        lam_star = solve_lambda_exactly_smoothed(s, p, tol=1e-12)
+        lam_star = solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
         # fixed step below 2 / max-curvature keeps the scalar descent stable
-        eta = 1.0 / (p.tau2 + 0.25 / p.tau1)
+        eta = 1.0 / (cfg.tau2 + 0.25 / cfg.tau1)
         st_ = np.array([float(s.mean()), 1.0, 0.0])
         for _ in range(100_000):
-            st_ = state_step(st_, s, p, gamma=1.0, eta=eta)
+            st_ = state_step(st_, s, cfg, gamma=1.0, eta=eta)
             if abs(st_[2]) <= 1e-12:
                 break
         assert abs(st_[0] - lam_star) <= 1e-6
 
     def test_init_warm_start_scaling(self):
-        p = SmoothingParams(k=4)
+        cfg = TrainConfig(k=4)
         scores = np.arange(10.0)
-        lam, s_, v = init_lambda_state(scores, p, n_total=20)
+        lam, s_, v = init_lambda_state(scores, cfg, n_total=20)
         # batch covers half the list, so the warm start is the batch's
         # K/2-quantile order statistic
         assert lam == exact_lambda(scores, 2)
-        assert s_ == pytest.approx(p.tau2 + 0.25 / p.tau1)
+        assert s_ == pytest.approx(cfg.tau2 + 0.25 / cfg.tau1)
         assert v == 0.0
 
     def test_padded_rows_match_one_row_calls(self, rng):
-        p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
         sizes, n_total = [7, 1, 4, 9], np.array([30, 12, 8, 40])
         scores = np.full((len(sizes), max(sizes)), -np.inf)
         for r, n in enumerate(sizes):       # the size-1 row has k_batch = 0
             scores[r, :n] = rng.normal(0, 1, n)
         state = np.stack([rng.normal(0, 1, 4), rng.uniform(1, 2, 4), rng.normal(0, 1, 4)],
                          axis=1)
-        warm = init_lambda_state(scores, p, n_total)
-        stepped = state_step(state, scores, p, 0.3, 1e-2, n_total=n_total)
+        warm = init_lambda_state(scores, cfg, n_total)
+        stepped = state_step(state, scores, cfg, 0.3, 1e-2, n_total=n_total)
         assert warm.shape == stepped.shape == (4, 3)
         for r, n in enumerate(sizes):
-            np.testing.assert_allclose(warm[r], init_lambda_state(scores[r, :n], p, n_total[r]),
+            np.testing.assert_allclose(warm[r], init_lambda_state(scores[r, :n], cfg, n_total[r]),
                                        rtol=1e-12)
             np.testing.assert_allclose(
-                stepped[r], state_step(state[r], scores[r, :n], p, 0.3, 1e-2,
+                stepped[r], state_step(state[r], scores[r, :n], cfg, 0.3, 1e-2,
                                        n_total=n_total[r]), rtol=1e-12)
         assert warm[1, 0] == scores[1, 0]
 
@@ -184,45 +182,51 @@ class TestStateStep:
 class TestImplicitGradient:
     def _setup(self):
         m = FactorizationScorer(2, 5, 2, seed=6)
-        p = SmoothingParams(tau1=5e-2, tau2=1e-3, eps=0.5, k=2)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=2)
         items = np.arange(5)
-        return m, p, items
+        return m, cfg, items
+
+    def _cross(self, lam, m, items, cfg):
+        """The mixed derivative d^2 G / (d lambda d w): the implicit gradient
+        times -G''."""
+        return -implicit_lambda_grad(lam, m, 0, items, cfg) * smoothed_hess(
+            lam, m.score_many(0, items), cfg)
 
     def test_cross_grad_saturation(self):
-        m, p, items = self._setup()
-        g = cross_grad(-1e6, m, 0, items, p)
+        m, cfg, items = self._setup()
+        g = self._cross(-1e6, m, items, cfg)
         assert np.linalg.norm(g) <= 1e-9
 
     def test_cross_grad_matches_fd_of_smoothed_grad(self):
-        m, p, items = self._setup()
+        m, cfg, items = self._setup()
         lam = 0.05
-        analytic = cross_grad(lam, m, 0, items, p)
+        analytic = self._cross(lam, m, items, cfg)
         w = m.params.values
         fd = np.zeros_like(w)
         step = 1e-6
         for j in range(len(w)):
             orig = w[j]
             w[j] = orig + step
-            fp = smoothed_grad(lam, m.score_many(0, items), p)
+            fp = smoothed_grad(lam, m.score_many(0, items), cfg)
             w[j] = orig - step
-            fm = smoothed_grad(lam, m.score_many(0, items), p)
+            fm = smoothed_grad(lam, m.score_many(0, items), cfg)
             w[j] = orig
             fd[j] = (fp - fm) / (2 * step)
         assert np.abs(analytic - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
 
     def test_implicit_grad_matches_resolve_fd(self):
-        m, p, items = self._setup()
-        lam = solve_lambda_exactly_smoothed(m.score_many(0, items), p, tol=1e-13)
-        analytic = implicit_lambda_grad(lam, m, 0, items, p)
+        m, cfg, items = self._setup()
+        lam = solve_lambda_exactly_smoothed(m.score_many(0, items), cfg, tol=1e-13)
+        analytic = implicit_lambda_grad(lam, m, 0, items, cfg)
         w = m.params.values
         fd = np.zeros_like(w)
         step = 1e-5
         for j in range(len(w)):
             orig = w[j]
             w[j] = orig + step
-            fp = solve_lambda_exactly_smoothed(m.score_many(0, items), p, tol=1e-13)
+            fp = solve_lambda_exactly_smoothed(m.score_many(0, items), cfg, tol=1e-13)
             w[j] = orig - step
-            fm = solve_lambda_exactly_smoothed(m.score_many(0, items), p, tol=1e-13)
+            fm = solve_lambda_exactly_smoothed(m.score_many(0, items), cfg, tol=1e-13)
             w[j] = orig
             fd[j] = (fp - fm) / (2 * step)
         assert np.abs(analytic - fd).max() <= 1e-3 * max(np.abs(fd).max(), 1e-12)
@@ -232,8 +236,8 @@ class TestImplicitGradient:
 @given(st.lists(st.floats(min_value=-4, max_value=4), min_size=3, max_size=15),
        st.integers(min_value=1, max_value=5))
 def test_solver_bracket_always_holds(vals, k):
-    p = SmoothingParams(tau1=1e-2, tau2=1e-4, eps=0.5, k=k)
+    cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=k)
     s = np.array(vals)
-    lam = solve_lambda_exactly_smoothed(s, p, tol=1e-8)
+    lam = solve_lambda_exactly_smoothed(s, cfg, tol=1e-8)
     assert np.isfinite(lam)
-    assert abs(smoothed_grad(lam, s, p)) <= 1e-8
+    assert abs(smoothed_grad(lam, s, cfg)) <= 1e-8

@@ -63,6 +63,9 @@ class TestConfig:
         {"gamma4": -1.0, "fair_weight": 5.0},
         {"eta1": -1.0},
         {"fairness_mode": "none", "fair_weight": 5.0},
+        # the threshold objective and the indicator check no settings of their own
+        {"tau1": 0.0}, {"tau2": 0.0}, {"tau_psi": 0.0},
+        {"eps": 0.0}, {"eps": 1.0}, {"eps": 1.5}, {"k": 0},
     ])
     def test_invalid_config_cannot_be_built(self, overrides):
         # train_step does not check its config, so none of these may exist
@@ -166,6 +169,20 @@ class TestTrainStep:
             train(m, d, cfg, valid_d=None)
             trajectories.append(m.params.values.copy())
         assert np.array_equal(trajectories[0], trajectories[1])
+
+    def test_k_beyond_the_lists_trains_as_k_per_query(self):
+        # every list holds 8 items, so K = 50 ranks each with K_q = 7
+        runs = []
+        for k in (50, 7):
+            d, m, cfg = _tiny_setup(k=k, fair_weight=5.0)
+            state = TrainerState.fresh(cfg, len(m.params.values))
+            rng = np.random.default_rng(0)
+            for _ in range(8):
+                train_step(m, d, cfg, state, rng)
+            runs.append((m.params.values, state.lam))
+        assert (d.sizes == 8).all()
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     def test_only_batched_state_touched(self):
         d, m, cfg = _tiny_setup(fair_weight=10.0, batch_pairs=2)

@@ -12,6 +12,16 @@ UNUSED_ALLOWED = {
 }
 
 
+# (file, qualified name) -> why it stays though nothing in src/ reads it
+UNREAD_ALLOWED = {
+    ("cli.py", "_Parser.error"): "argparse.ArgumentParser calls it on a usage error",
+    ("data.py", "BatchSample.per_query"): "bench/run.py counts the sampled queries with it",
+    ("evaluation.py", "ndcg_at_k"): "bench/run.py wraps it as a layer",
+    ("evaluation.py", "spearman"): "acceptance criterion 5 ranks MAE against C with it",
+    ("optimizer.py", "config_to_file"): "the run manifest of ROADMAP item 3 writes with it",
+}
+
+
 def _functions(tree):
     """(qualified name, node) of every ``def``, nested ones included.  Lambdas
     are left out: a callback's parameters are its caller's to choose."""
@@ -59,6 +69,61 @@ def unused_imports(path: Path) -> list[tuple[str, str]]:
               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     read = {n.id for root in [tree] + quoted for n in ast.walk(root) if isinstance(n, ast.Name)}
     return [(path.name, name) for name in sorted(bound, key=bound.get) if name not in read]
+
+
+def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
+    """(file, qualified name) of every top-level ``def`` or ``class``, and every
+    method, whose name no module in ``paths`` reads: as a name, as an attribute
+    or in a ``from`` import, so that a re-export from ``__init__`` counts.
+    Methods named with a leading ``__`` are left out: Python calls the dunders."""
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for name, tree in trees.items():
+        for node in (n for n in tree.body if isinstance(n, kinds)):
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                         if isinstance(m, kinds[:2]) and not m.name.startswith("__")]
+            out += [(name, qualified) for qualified, bare in defs if bare not in read]
+    return out
+
+
+def test_every_definition_is_read():
+    found = unread_definitions(sorted(SRC.glob("*.py")))
+    assert sorted(set(found) - set(UNREAD_ALLOWED)) == []
+    assert sorted(set(UNREAD_ALLOWED) - set(found)) == []      # no stale entry
+
+
+def test_the_scan_sees_an_unread_definition(tmp_path):
+    (tmp_path / "a.py").write_text("class A:\n"
+                                   "    def __len__(self):\n"
+                                   "        return 0\n"
+                                   "    def used(self):\n"
+                                   "        def nested():\n"
+                                   "            return 1\n"
+                                   "        return 1\n"
+                                   "    def unused(self):\n"
+                                   "        return 2\n"
+                                   "def f():\n"
+                                   "    return A().used()\n"
+                                   "def g():\n"
+                                   "    return 3\n"
+                                   "class B:\n"
+                                   "    pass\n")
+    (tmp_path / "__init__.py").write_text("from .a import A, f\n")
+    # the import reads A and f, f reads used; nested defs and dunders are not scanned
+    assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", "A.unused"), ("a.py", "g"), ("a.py", "B")]
 
 
 def test_every_parameter_is_read():
