@@ -444,11 +444,12 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     the pair batch, then one call gives every item of the sampled queries
     two uniform keys for ``smallest_keys``: one per query, one per query and
     group.  A query missing a group draws nothing for it and is marked
-    ``skipped``.
+    ``skipped``.  Group sizes (0, 0) select no group rows, yet every key is
+    drawn: the rest of the batch and the generator state do not depend on them.
     """
     n_pairs, n_q, n_a, n_b = sizes
-    if min(sizes) < 1:
-        raise ConfigurationError("batch sizes must be >= 1")
+    if min(n_pairs, n_q) < 1 or min(n_a, n_b) < 0:
+        raise ConfigurationError("pair and item batch sizes must be >= 1, group sizes >= 0")
     total = d.total_pairs
     if total == 0:
         raise EmptyDatasetError("cannot sample from an empty dataset")
@@ -459,12 +460,14 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     row = np.repeat(np.arange(len(queries)), counts)
     keys = rng.random(2 * len(pos))
     items = pos[smallest_keys(keys[:len(pos)], row, np.full(len(queries), n_q), counts)]
-    seg = 2 * row + d.groups[pos]        # GROUP_A even, GROUP_B odd
-    picked = smallest_keys(keys[len(pos):], seg, np.tile([n_a, n_b], len(queries)),
-                           np.stack([counts_a, counts - counts_a], axis=1).ravel())
-    in_a = seg[picked] % 2 == GROUP_A
-    group_a = padded(pos[picked[in_a]], np.minimum(counts_a, n_a))
-    group_b = padded(pos[picked[~in_a]], np.minimum(counts - counts_a, n_b))
+    group_a = group_b = np.full((len(queries), 0), -1)
+    if n_a or n_b:
+        seg = 2 * row + d.groups[pos]        # GROUP_A even, GROUP_B odd
+        picked = smallest_keys(keys[len(pos):], seg, np.tile([n_a, n_b], len(queries)),
+                               np.stack([counts_a, counts - counts_a], axis=1).ravel())
+        in_a = seg[picked] % 2 == GROUP_A
+        group_a = padded(pos[picked[in_a]], np.minimum(counts_a, n_a))
+        group_b = padded(pos[picked[~in_a]], np.minimum(counts - counts_a, n_b))
     return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
                        items=padded(items, np.minimum(counts, n_q)), group_a=group_a,
                        group_b=group_b, skipped=~d.has_both_groups[queries],

@@ -63,8 +63,9 @@ def _uniform(z: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
-    """The sampled lists of the queries at positions ``queries``: left-aligned,
-    -1 padded (lists, width) item ids, feature rows, labels, groups; sizes.
+    """The sampled lists of the queries at positions ``queries``: left-aligned
+    (lists, width) item ids, feature rows, labels and groups, padded with 0,
+    0, 0 and -1; sizes.
 
     Own relevant and own zero-relevance items are keyed by item id, the
     smallest keys taken.  The unobserved items a list still lacks come from
@@ -181,9 +182,9 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
             continue
         ids, feats, labels, groups, sizes = (a[kept] for a in (ids, feats, labels, groups, sizes))
         rows = d.query_index[block[kept]]
-        filled = np.arange(ids.shape[1]) < sizes[:, None]
-        scores = np.full(ids.shape, -np.inf)
-        scores[filled] = model.score_many(np.repeat(rows, sizes), feats[filled])
+        # one query embedding per list; empty slots hold feature row 0, then score -inf
+        scores = model.score_many(rows[:, None], feats)
+        scores[np.arange(ids.shape[1]) >= sizes[:, None]] = -np.inf
         order = rank_order(scores, ids)[:, :ks.max()]      # no K reads further
         ranked = np.any(labels > 0, axis=1)
         ndcg = ndcg_curve(labels[ranked], order[ranked])

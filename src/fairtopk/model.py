@@ -79,11 +79,12 @@ class FactorizationScorer:
         return self.params.segment("item_bias")
 
     def score_many(self, q, items, keep: dict | None = None) -> np.ndarray:
-        """Scores of ``items`` for query row ``q``; when ``q`` is an array,
-        item j is scored for query row ``q[j]``.  The one place indices are
-        type- and range-checked.  ``keep``, when given, receives the embedding
-        rows and tanh values gathered, for an ``add_weighted_grads`` call on
-        the same pairs."""
+        """Scores of ``items`` for query rows ``q`` broadcast against them: one
+        row, one per item, or one per row of an item matrix (shape (lists, 1)).
+        The one place indices are type- and range-checked.  ``keep``, when
+        given, receives the embedding rows and tanh values gathered, for an
+        ``add_weighted_grads`` call on the same pairs; it needs one query row
+        per item."""
         q, items = np.asarray(q), np.asarray(items)
         for idx, size, what in ((items, self.num_items, "item"), (q, self.num_queries, "query")):
             if idx.dtype.kind not in "iu":
@@ -91,8 +92,8 @@ class FactorizationScorer:
             if idx.size and (idx.min() < 0 or idx.max() >= size):
                 raise LookupError_(f"{what} index out of range")
         emb_i = np.take(self.item_emb, items, axis=0)
-        emb_q = np.take(self.query_emb, np.broadcast_to(q, items.shape), axis=0)
-        logits = np.einsum("ij,ij->i", emb_i, emb_q) + np.take(self.item_bias, items)
+        emb_q = np.take(self.query_emb, q, axis=0)
+        logits = np.einsum("...j,...j->...", emb_i, emb_q) + np.take(self.item_bias, items)
         tanh = np.tanh(logits / self.scale)
         if keep is not None:
             keep.update(emb_i=emb_i, emb_q=emb_q, tanh=tanh)

@@ -210,14 +210,15 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
     One ``ScoredBatch`` scores the blocks both estimators weigh and scatters
     G1 + C * G2 on them."""
     state.bind(d)
-    batch = sample_batch(
-        d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b), rng)
-    scored = ScoredBatch(model, d, batch, fair=cfg.fairness_active())
+    fair = cfg.fairness_active()
+    groups = (cfg.batch_a, cfg.batch_b) if fair else (0, 0)     # no fairness term reads them
+    batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, *groups), rng)
+    scored = ScoredBatch(model, d, batch, fair=fair)
     g1 = g1_estimate(scored, d, batch, cfg, state)
     _check_finite(g1.values(), "G1")
 
     estimates = [g1]
-    if cfg.fairness_active():
+    if fair:
         top_k = cfg.fairness_mode == "top_k"    # full_list: psi = 1, no threshold
         if top_k:
             active = ~batch.skipped

@@ -414,6 +414,25 @@ class TestSampleBatch:
         for name in ("pairs", "items", "group_a", "group_b"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    def test_group_sizes_zero_draw_the_same_batch_and_stream(self, tmp_path):
+        # fairness off asks for (p, q, 0, 0): every key is still drawn, so every
+        # C point of a sweep trains on the same batch sequence
+        rows = [f"q0,{i},{i % 3},{i % 2}" for i in range(7)]
+        rows += [f"q1,{2 * i + 1},1,1" for i in range(3)]    # group B only
+        rows += [f"q2,{i},{i % 2},{i % 2}" for i in range(12)]
+        bench = split(generate_synthetic(200, 305, 0.3, 2.0, seed=1), (0.8, 0.1, 0.1), seed=0)[0]
+        for d, sizes in ((bench, (256, 32, 16, 16)),
+                         (load_csv(_write(tmp_path, "\n".join(rows) + "\n")), (9, 5, 2, 3))):
+            rng_full, rng_none = np.random.default_rng(7), np.random.default_rng(7)
+            for _ in range(5):
+                full = sample_batch(d, sizes, rng_full)
+                none = sample_batch(d, sizes[:2] + (0, 0), rng_none)
+                for name in ("pairs", "pair_row", "queries", "items", "skipped"):
+                    assert np.array_equal(getattr(full, name), getattr(none, name)), name
+                assert none.group_a.shape == none.group_b.shape == (len(none.queries), 0)
+                assert rng_full.bit_generator.state == rng_none.bit_generator.state
+            assert full.skipped.any() == (d is not bench)
+
     def test_per_query_view_matches_flat_arrays(self, tmp_path, rng):
         rows = [f"q0,{i},{i % 3},{i % 2}" for i in range(7)]
         rows += [f"q1,{2 * i + 1},1,1" for i in range(3)]    # group B only
@@ -440,8 +459,9 @@ class TestSampleBatch:
             sample_batch(empty, (1, 1, 1, 1), rng)
 
     def test_bad_sizes_rejected(self, small_data, rng):
-        with pytest.raises(ConfigurationError):
-            sample_batch(small_data, (0, 1, 1, 1), rng)
+        for sizes in ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)):
+            with pytest.raises(ConfigurationError):
+                sample_batch(small_data, sizes, rng)
 
 
 @settings(max_examples=25, deadline=None)

@@ -112,6 +112,7 @@ class TestBuildEvalList:
             assert feats[row, :n].tolist() == d.vocab.rows[at].tolist()
             assert groups[row, :n].tolist() == d.vocab.groups[at].tolist()
             assert np.all(groups[row, n:] == -1) and np.all(labels[row, n:] == 0.0)
+            assert np.all(feats[row, n:] == 0)      # a valid row, which evaluate() scores
 
     def test_pads_with_unobserved_items(self):
         d = generate_synthetic(10, 8, 0.3, 1.0, seed=1)
@@ -297,7 +298,7 @@ class TestEvaluate:
         original = FactorizationScorer.score_many
 
         def recorded(self, q, items):
-            calls.append((np.broadcast_to(q, np.shape(items)).copy(), np.asarray(items)))
+            calls.append((np.asarray(q), np.asarray(items)))
             return original(self, q, items)
 
         monkeypatch.setattr(FactorizationScorer, "score_many", recorded)
@@ -305,12 +306,14 @@ class TestEvaluate:
         _, feats, _, _, sizes = build_eval_list(d, np.arange(d.num_queries), proto)
         lists = [(qg.query_index, feats[k, :n]) for k, (qg, n) in enumerate(zip(d.queries, sizes))
                  if n >= 2]
-        # every list of 2+ items in query order, each once; "short" is never scored
+        # every list of 2+ items in query order, each once, as one row of a
+        # block scored against one query row per list; "short" is never scored
         assert len(lists) == d.num_queries - 1
-        np.testing.assert_array_equal(np.concatenate([q for q, _ in calls]),
-                                      np.concatenate([np.full(len(f), q) for q, f in lists]))
-        np.testing.assert_array_equal(np.concatenate([items for _, items in calls]),
-                                      np.concatenate([f for _, f in lists]))
+        assert all(q.shape == (len(items), 1) for q, items in calls)
+        rows = [(int(q[r, 0]), items[r]) for q, items in calls for r in range(len(items))]
+        assert [q for q, _ in rows] == [q for q, _ in lists]
+        for (_, got), (_, want) in zip(rows, lists):
+            np.testing.assert_array_equal(got[:len(want)], want)
         assert len(calls) < len(lists)
 
     def test_makes_no_random_draws(self, monkeypatch, counting_rng):

@@ -12,7 +12,7 @@ def test_check_lambda_errors_are_small():
     assert all(0.0 <= e <= 1e-5 for e in errs.values())
 
 
-@pytest.mark.parametrize("worst, code", [(5e-4, 0), (1e-3, 0), (2e-3, 2)])
+@pytest.mark.parametrize("worst, code", [(5e-4, 0), (1e-3, 0), (2e-3, 2), (float("nan"), 2)])
 def test_grad_check_exit_code_follows_the_worst_error(monkeypatch, capsys, worst, code):
     errs = {"rank_losses.ndcg": 1e-8, "fairness.g2_full_implicit": worst,
             "lambda.implicit_lambda": 2e-7}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import bound_state, make_dataset
 
+from fairtopk import data as data_module
 from fairtopk.data import BatchSample, generate_synthetic, load_csv, sample_batch, split
 from fairtopk.errors import ConfigurationError, NonFiniteGradientError, StateError
 from fairtopk.fairness import g2_estimate
@@ -229,6 +230,19 @@ class TestTrainStep:
                 batch.pairs, batch.items, batch.group_a[active], batch.group_b[active]))
             assert calls == [("score_many", filled), ("item_emb", "read"),
                              ("query_emb", "read"), ("add_weighted_grads", filled)]
+
+    def test_group_rows_are_selected_only_with_fairness_on(self, monkeypatch):
+        # the item sub-batch takes one smallest_keys call, the group rows a second
+        calls = []
+        original = data_module.smallest_keys
+        monkeypatch.setattr(data_module, "smallest_keys",
+                            lambda *a: calls.append(a) or original(*a))
+        for c, count in ((0.0, 1), (10.0, 2)):
+            d, m, cfg = _tiny_setup(fair_weight=c)
+            calls.clear()
+            train_step(m, d, cfg, TrainerState.fresh(cfg, len(m.params.values)),
+                       np.random.default_rng(3))
+            assert len(calls) == count
 
 
 class TestNonFiniteGradients:

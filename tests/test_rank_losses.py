@@ -1,5 +1,7 @@
 """The surrogate ranks, the listwise loss ``dataset_loss`` and G1."""
 
+import itertools
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -34,6 +36,23 @@ def _one_query(items, labels, row=0):
 def _query_loss(m, d, cfg):
     """L_q of a one-query dataset: its mean loss times N_q."""
     return dataset_loss(m, d, cfg) * d.total_pairs
+
+
+def _pairwise_loss(m, d, cfg):
+    """dataset_loss from one (N_q x N_q) matrix of score differences per query,
+    the brute-force reference."""
+    scores = m.score_many(d.query_row, d.feature_idx)
+    gain = 2.0 ** d.relevance - 1.0
+    total = 0.0
+    for k in range(d.num_queries):
+        a, b = d.offsets[k], d.offsets[k + 1]
+        diff = scores[None, a:b] - scores[a:b, None]      # diff[i, j] = h_j - h_i
+        if cfg.loss == "listnet":
+            total += np.sum(d.label_softmax[a:b] * np.log(np.sum(np.exp(diff), axis=1)))
+        elif d.ideal_dcg[k] > 0.0:
+            gbar = np.sum(np.maximum(diff + cfg.margin, 0.0) ** 2, axis=1)
+            total -= np.sum(gain[a:b] / np.log2(1.0 + gbar)) / d.ideal_dcg[k]
+    return total / d.total_pairs
 
 
 def _surrogate_ranks(scores, loss_cfg):
@@ -182,6 +201,32 @@ class TestLosses:
         for cfg in (NDCG, LISTNET, TrainConfig(loss="ndcg", margin=0.5)):
             total = sum(_query_loss(m, one, cfg) for one in parts)
             assert dataset_loss(m, d, cfg) * d.total_pairs == pytest.approx(total, rel=1e-12)
+
+    def test_matches_the_pairwise_reference(self):
+        crit1 = generate_synthetic(20, 50, 0.3, 1.0, seed=0)     # criterion 1's data
+        g = generate_synthetic(30, 12, 0.3, 1.0, seed=4)
+        ragged = g.take(np.sort(np.random.default_rng(5).choice(g.total_pairs, 120,
+                                                                replace=False)))
+        flat = FactorizationScorer(1, 6, 2)
+        flat.params.values[:] = 0.0                     # every score ties
+        cases = [(crit1, FactorizationScorer(crit1.num_query_rows, crit1.num_item_rows, 8)),
+                 (ragged, FactorizationScorer(g.num_query_rows, g.num_item_rows, 4, seed=2)),
+                 (_one_query(np.arange(6), [3.0, 0.0, 1.0, 0.0, 2.0, 1.0]), flat)]
+        for (d, m), cfg in itertools.product(cases, (NDCG, LISTNET, replace(NDCG, margin=0.3))):
+            assert dataset_loss(m, d, cfg) == pytest.approx(_pairwise_loss(m, d, cfg), rel=1e-12)
+
+    def test_memory_follows_the_pairs(self):
+        # one query of 20,000 items: its (N_q x N_q) matrix would take 3.2 GB
+        d = generate_synthetic(1, 20_000, 0.3, 1.0, seed=0)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=0)
+        for cfg in (NDCG, LISTNET):
+            tracemalloc.start()
+            try:
+                dataset_loss(m, d, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * 8 * d.total_pairs      # 32 float64 per pair
 
 
 class TestG1:
