@@ -158,7 +158,7 @@ def _cmd_train(args) -> int:
     best.params.values[:] = result.best_params
     best.save(args.out + ".best.ckpt")
     result.trace.to_csv(args.out + ".trace.csv")
-    with open(args.out + ".meta.json", "w") as fh:
+    with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(finite_or_null({"finished_at": time.time(),
                                   "best_valid_ndcg": result.best_valid_ndcg}), fh)
     print(f"trained {cfg.epochs} epochs; checkpoints at {args.out}.ckpt")
@@ -175,7 +175,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, d, proto)
     text = json.dumps(finite_or_null({str(k): v for k, v in report.items()}), indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         print(text)

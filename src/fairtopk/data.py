@@ -148,10 +148,10 @@ def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def padded(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def padded(values: np.ndarray, sizes: np.ndarray, width: int | None = None) -> np.ndarray:
     """Consecutive runs of ``values``, ``sizes[r]`` long, as the rows of a
-    matrix padded with -1."""
-    filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    matrix padded with -1, ``width`` wide (default: the longest run)."""
+    filled = np.arange(sizes.max(initial=0) if width is None else width) < sizes[:, None]
     out = np.full(filled.shape, -1, dtype=np.int64)
     out[filled] = values
     return out

@@ -8,11 +8,12 @@ relevance imputed 0, group from the item table).  Draws are counter-based
 hashes keyed by (seed, query id), so a list depends only on the seed, its
 query id and its candidate item ids.  Blocks of about ``_BLOCK_ENTRIES``
 list entries are drawn anew on every call, scored and ranked as padded
-(lists, width) matrices.  Empty slots score -inf with label 0 and no group,
-so they rank last and add nothing to any exposure or prefix sum.  NDCG@K
-and the signed top-K gap for every K are row-wise prefix sums along the
-first max(K) places of the ranking.  MAE / MSE aggregate the gaps over
-queries, skipping queries where a group is absent.
+matrices as wide as the longest list can be (``build_eval_list``), so that
+no figure depends on the lists a block holds.  Empty slots score -inf with
+label 0 and no group, so they rank last and add nothing to any exposure or
+prefix sum.  NDCG@K and the signed top-K gap for every K are row-wise prefix
+sums along the first max(K) places of the ranking.  MAE / MSE aggregate the
+gaps over queries, skipping queries where a group is absent.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class EvalProtocol:
             raise ConfigurationError("list counts must be >= 0 and k_list nonempty, every k >= 1")
 
 
-_BLOCK_ENTRIES = 8192       # list entries per block of evaluate(): a few MB of temporaries
+# list entries per block of evaluate(): 3.5 MB traced peak on the bench test split
+_BLOCK_ENTRIES = 32768
 
 
 def _streams(seed: int, query_ids: list[str], tag: str = "") -> np.ndarray:
@@ -56,16 +58,21 @@ def _streams(seed: int, query_ids: list[str], tag: str = "") -> np.ndarray:
 def _uniform(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A uniform [0, 1) key for counter ``x`` in stream ``z``: splitmix64 of
     the stream offset by x, a counter-based draw (Salmon et al., SC 2011)."""
-    z = z + x.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = x.astype(np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    z = z + x           # in place from here: each step consumes the last
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
-    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -53
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53
 
 
 def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     """The sampled lists of the queries at positions ``queries``: left-aligned
-    (lists, width) item ids, feature rows, labels and groups, padded with 0,
-    0, 0 and -1; sizes.
+    (lists, min(relevant + irrelevant, vocabulary size)) item ids, feature
+    rows, labels and int8 groups, padded with 0, 0, 0 and -1; sizes.
 
     Own relevant and own zero-relevance items are keyed by item id, the
     smallest keys taken.  The unobserved items a list still lacks come from
@@ -116,7 +123,7 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     # candidates: own items, then vocabulary positions ``voc``; the last entry fills
     ids, rows, labels, groups = (np.concatenate([own_v, voc_v, [fill]]) for own_v, voc_v, fill in (
         (d.item_ids[own], vocab.ids[voc], 0), (d.feature_idx[own], vocab.rows[voc], 0),
-        (rel, np.zeros(len(voc)), 0.0), (d.groups[own], vocab.groups[voc], -1)))
+        (rel, np.zeros(len(voc)), 0.0), (d.groups[own], vocab.groups[voc], np.int8(-1))))
     # segment 4r: list r's relevant items, 4r + 1 own zeros, + 2 unobserved, + 3 the rest
     seg = 4 * cand_list + np.concatenate([np.where(rel > 0, 0, np.where(rel == 0, 1, 3)),
                                           np.full(len(voc), 2)])
@@ -126,7 +133,8 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
     picked = smallest_keys(_uniform(_streams(proto.seed, qids)[cand_list], ids[:-1]), seg, quota,
                            count)
     sizes = np.minimum(quota, count).reshape(-1, 4).sum(axis=1)     # what smallest_keys takes
-    picked = padded(picked, sizes)
+    picked = padded(picked, sizes,      # as wide as the longest list can be
+                    min(proto.relevant_per_query + proto.irrelevant_per_query, width))
     return ids[picked], rows[picked], labels[picked], groups[picked], sizes
 
 
@@ -159,6 +167,30 @@ def ndcg_at_k(model: FactorizationScorer, q: int, eval_items: np.ndarray,
     return float(ndcg_curve(labels, rank_order(scores, item_ids))[min(k, len(scores)) - 1])
 
 
+def _evaluate_block(model: FactorizationScorer, d: Dataset, block: np.ndarray,
+                    proto: EvalProtocol, ks: np.ndarray):
+    """NDCG rows, gap rows and skip count of the queries at positions ``block``;
+    its lists and their scores are freed when it returns."""
+    ids, feats, labels, groups, sizes = build_eval_list(d, block, proto)
+    kept = sizes >= 2
+    skipped = len(block) - np.count_nonzero(kept)
+    if not kept.any():
+        return np.zeros((0, len(ks))), np.zeros((0, len(ks))), skipped
+    ids, feats, labels, groups, sizes = (a[kept] for a in (ids, feats, labels, groups, sizes))
+    rows = d.query_index[block[kept]]
+    # one query embedding per list; empty slots hold feature row 0, then score -inf
+    scores = model.score_many(rows[:, None], feats)
+    scores[np.arange(ids.shape[1]) >= sizes[:, None]] = -np.inf
+    order = rank_order(scores, ids)[:, :ks.max()]      # no K reads further
+    ranked = np.any(labels > 0, axis=1)
+    ndcg = ndcg_curve(labels[ranked], order[ranked])
+    gap = topk_gaps(scores, groups, order)
+    both = ~np.isnan(gap[:, 0])
+    return (along(ndcg, np.minimum(ks, sizes[ranked, None]) - 1),
+            along(gap[both], k_per_query(ks, sizes[both, None]) - 1),
+            skipped + len(gap) - np.count_nonzero(both))
+
+
 def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dict:
     """Per-K report: NDCG mean/std, disparity MAE/MSE, skip counts.
 
@@ -170,32 +202,9 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
     ks = np.array(proto.k_list, dtype=np.int64)
     per_block = max(1, _BLOCK_ENTRIES // max(1, proto.relevant_per_query
                                              + proto.irrelevant_per_query))
-    ndcgs, gaps = [], []
-    skipped = 0
-
-    for start in range(0, d.num_queries, per_block):
-        block = np.arange(start, min(start + per_block, d.num_queries))
-        ids, feats, labels, groups, sizes = build_eval_list(d, block, proto)
-        kept = sizes >= 2
-        skipped += len(block) - np.count_nonzero(kept)
-        if not kept.any():
-            continue
-        ids, feats, labels, groups, sizes = (a[kept] for a in (ids, feats, labels, groups, sizes))
-        rows = d.query_index[block[kept]]
-        # one query embedding per list; empty slots hold feature row 0, then score -inf
-        scores = model.score_many(rows[:, None], feats)
-        scores[np.arange(ids.shape[1]) >= sizes[:, None]] = -np.inf
-        order = rank_order(scores, ids)[:, :ks.max()]      # no K reads further
-        ranked = np.any(labels > 0, axis=1)
-        ndcg = ndcg_curve(labels[ranked], order[ranked])
-        ndcgs.append(along(ndcg, np.minimum(ks, sizes[ranked, None]) - 1))
-        gap = topk_gaps(scores, groups, order)
-        both = ~np.isnan(gap[:, 0])
-        skipped += len(gap) - np.count_nonzero(both)
-        gaps.append(along(gap[both], k_per_query(ks, sizes[both, None]) - 1))
-
-    ndcgs = np.concatenate(ndcgs or [np.zeros((0, len(ks)))])
-    gaps = np.concatenate(gaps or [np.zeros((0, len(ks)))])
+    blocks = np.split(np.arange(d.num_queries), range(per_block, d.num_queries, per_block))
+    ndcgs, gaps, skipped = zip(*(_evaluate_block(model, d, b, proto, ks) for b in blocks))
+    ndcgs, gaps, skipped = np.concatenate(ndcgs), np.concatenate(gaps), sum(skipped)
     report = {}
     for j, k in enumerate(proto.k_list):
         n = ndcgs[:, j]
@@ -215,13 +224,13 @@ class TradeoffReport:
     def to_csv(self, path: str) -> None:
         import csv as _csv
         keys = ["C", "K", "ndcg_mean", "ndcg_std", "mae", "mse", "skipped", "failed", "error"]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = _csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
             writer.writerows(self.rows)
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(finite_or_null(self.rows), fh, indent=2)
 
 
@@ -307,7 +316,7 @@ def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: i
     rows = [["A" if g == GROUP_A else "B" for g in groups]
             for _, groups in ranked[:num_queries]]
 
-    with open(csv_path, "w") as fh:
+    with open(csv_path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(",".join(row) + "\n")
 

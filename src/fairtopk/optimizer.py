@@ -192,7 +192,7 @@ class TrainTrace:
 
     def to_csv(self, path: str) -> None:
         keys = list(self.records[0]) if self.records else self.FIELDS
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = _csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
             writer.writerows(self.records)

@@ -46,8 +46,9 @@ def dataset_loss(model: FactorizationScorer, d: Dataset, cfg: TrainConfig) -> fl
     O(N log N) time and O(N) memory for N = |S|.  An exp rank is exp(m_q - h_i)
     times its query's sum of exp(h_j - m_q), m_q the query's top score.  A hinge
     rank sum_{h_j > h_i - c} (h_j - h_i + c)^2 comes from prefix sums of h and
-    h^2 over the scores sorted within each query, which cancel: it is off by at
-    most about 4 eps N (B + c)^2, B = ``model.score_bound``, and is kept >= c^2.
+    h^2 over the scores sorted within each query, centered on the query's means
+    so that they stay of the query's size; the sums cancel, so it is off by at
+    most about 4 eps N_q (B + c)^2, B = ``model.score_bound``, and is kept >= c^2.
     """
     scores, q, start = model.score_many(d.query_row, d.feature_idx), d.query_of, d.offsets[:-1]
     if cfg.loss == "listnet":
@@ -60,9 +61,12 @@ def dataset_loss(model: FactorizationScorer, d: Dataset, cfg: TrainConfig) -> fl
     order = np.argsort(key)
     h, key = scores[order], key[order]
     cut, end = np.searchsorted(key, key - c, side="right"), d.offsets[1:][q]
-    s1, s2 = (np.concatenate([[0.0], np.cumsum(v)]) for v in (h, h * h))
-    rank = np.maximum(s2[end] - s2[cut] + 2.0 * (c - h) * (s1[end] - s1[cut])
-                      + (end - cut) * (c - h) ** 2, c * c)      # the self term alone is c^2
+    # sums of h and h^2 over (cut, end]: prefix sums centered on the query means
+    n = end - cut
+    m1, m2 = ((np.add.reduceat(v, start) / d.sizes)[q] for v in (h, h * h))
+    s1, s2 = (np.concatenate([[0.0], np.cumsum(v - m)]) for v, m in ((h, m1), (h * h, m2)))
+    rank = np.maximum(s2[end] - s2[cut] + n * m2 + 2.0 * (c - h) * (s1[end] - s1[cut] + n * m1)
+                      + n * (c - h) ** 2, c * c)      # the self term alone is c^2
     gain = (2.0 ** d.relevance[order] - 1.0) / np.where(d.ideal_dcg > 0.0, d.ideal_dcg, np.inf)[q]
     return -float(np.sum(gain / np.log2(1.0 + rank))) / d.total_pairs
 

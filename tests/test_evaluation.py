@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_dataset
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtopk.data import (
@@ -102,8 +102,9 @@ class TestBuildEvalList:
         tr, va, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
         proto = EvalProtocol(relevant_per_query=3, irrelevant_per_query=12, seed=0)
         ids, feats, labels, groups, sizes = build_eval_list(te, np.arange(te.num_queries), proto)
-        assert ids.shape == feats.shape == labels.shape == groups.shape == (te.num_queries,
-                                                                            sizes.max())
+        # as wide as the longest list can be (3 + 12 < 39 items), whatever the lists drawn
+        assert ids.shape == feats.shape == labels.shape == groups.shape == (te.num_queries, 15)
+        assert sizes.max() < 15
         for row, n in enumerate(sizes):
             assert len(set(ids[row, :n].tolist())) == n
             assert (labels[row, :n] > 0).sum() <= 3
@@ -401,20 +402,25 @@ def _reference_report(model, d, proto):
             for j, k in enumerate(proto.k_list)}
 
 
+# lists per block under the 5+300 protocol, and enough queries for three blocks
+_PER_BLOCK = evaluation._BLOCK_ENTRIES // 305
+_BLOCK_CASE_QUERIES = 2 * _PER_BLOCK + 16
+
+
 def _block_case(num_queries):
     """The first ``num_queries`` of a test split with odd lists spliced in:
     a list shorter than 2, a one-group list and a list with no positive
     label, each once at a block edge and once mid-block under the 5+300
     protocol; the protocol and a model come with it."""
-    d = generate_synthetic(70, 16, 0.3, 1.0, seed=5)
+    d = generate_synthetic(_BLOCK_CASE_QUERIES - 6, 16, 0.3, 1.0, seed=5)
     _, _, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
     vocab = d.vocab.ids
     b_items = vocab[d.vocab.groups == GROUP_B]
     proto = EvalProtocol(5, 300, k_list=(1, 4, 10, 50), seed=3)
-    per_block = evaluation._BLOCK_ENTRIES // 305
     odd = {"short": (vocab[4:5], [2]),
            "one_group": (b_items[:7], [3, 0, 1, 0, 0, 2, 0]),
            "no_positive": (vocab[10:16], [0] * 6)}
+    per_block = _PER_BLOCK
     where = {per_block - 1: "short", per_block: "one_group", 2 * per_block - 1: "no_positive",
              per_block // 2: "short", per_block + per_block // 2: "one_group",
              2 * per_block + 3: "no_positive"}
@@ -447,16 +453,29 @@ class TestBlocks:
                                            rtol=0.0, atol=1e-12)
 
     def test_odd_lists_at_block_edges_and_mid_block(self):
-        model, d, proto = _block_case(10_000)
-        per_block = evaluation._BLOCK_ENTRIES // 305
-        assert d.num_queries > 2 * per_block + 3          # at least three blocks
+        model, d, proto = _block_case(_BLOCK_CASE_QUERIES)
+        assert d.num_queries == _BLOCK_CASE_QUERIES > 2 * _PER_BLOCK + 3   # three blocks
         lengths = build_eval_list(d, np.arange(d.num_queries), proto)[4]
         assert len(set(lengths.tolist())) > 2             # uneven list lengths
         self._assert_same(model, d, proto)
         assert evaluate(model, d, proto)[1]["skipped"] == 4   # 2 short + 2 one-group
 
+    @pytest.mark.parametrize("entries", [305, 8192, 32768])
+    def test_block_size_never_changes_the_report(self, monkeypatch, entries):
+        # the bench test split: one list per block, the former and the present block size
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
+        _, _, te, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+        model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=1)
+        proto = EvalProtocol(5, 300, k_list=(50, 100, 200), seed=0)
+        expected = evaluate(model, te, proto)
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", entries)
+        assert evaluate(model, te, proto) == expected
+        assert build_eval_list(te, np.arange(3), proto)[3].dtype == np.int8
+
     @settings(max_examples=20, deadline=None)
-    @given(num_queries=st.integers(1, 90))
+    @given(num_queries=st.integers(1, _BLOCK_CASE_QUERIES))
+    @example(num_queries=2 * _PER_BLOCK)          # ends on the second edge
+    @example(num_queries=2 * _PER_BLOCK + 1)      # one list past it
     def test_any_number_of_queries(self, num_queries):
         self._assert_same(*_block_case(num_queries))
 

@@ -215,6 +215,17 @@ class TestLosses:
         for (d, m), cfg in itertools.product(cases, (NDCG, LISTNET, replace(NDCG, margin=0.3))):
             assert dataset_loss(m, d, cfg) == pytest.approx(_pairwise_loss(m, d, cfg), rel=1e-12)
 
+    def test_hinge_rank_error_follows_the_query_not_the_dataset(self):
+        # 120,000 pairs with scores pushed toward the bound: prefix sums over
+        # the whole dataset read about 1.5e-11 here, sums kept of the query's
+        # size about 2e-15
+        d = generate_synthetic(400, 300, 0.3, 2.0, seed=1)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=1)
+        m.params.values[:] *= 30.0
+        cfg = replace(NDCG, margin=0.3)
+        assert dataset_loss(m, d, cfg) == pytest.approx(_pairwise_loss(m, d, cfg), rel=1e-13,
+                                                        abs=0.0)
+
     def test_memory_follows_the_pairs(self):
         # one query of 20,000 items: its (N_q x N_q) matrix would take 3.2 GB
         d = generate_synthetic(1, 20_000, 0.3, 1.0, seed=0)

@@ -165,3 +165,38 @@ def test_the_scan_sees_an_unread_import(tmp_path):
                     "    return np.zeros(1), os.sep\n")
     # annotations read A and B, the body np and os; Enum, dataclass and field go unread
     assert unused_imports(path) == [("m.py", "Enum"), ("m.py", "dataclass"), ("m.py", "field")]
+
+
+def text_opens_without_encoding(path: Path) -> list[tuple[str, int]]:
+    """(file, line) of every ``open()`` in text mode, the default, that names
+    no encoding: the locale would choose one, so a file written on one machine
+    could fail to read on another.  A mode that is not a literal counts as text."""
+    out = []
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in n.keywords}
+        mode = n.args[1] if len(n.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and "encoding" not in keywords and len(n.args) < 4:
+            out.append((path.name, n.lineno))
+    return out
+
+
+def test_every_text_file_names_its_encoding():
+    assert [hit for path in sorted(SRC.glob("*.py"))
+            for hit in text_opens_without_encoding(path)] == []
+
+
+def test_the_scan_sees_an_open_without_encoding(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("open('a')\n"
+                    "open('a', 'w', newline='')\n"
+                    "open('a', mode='rb')\n"
+                    "open('a', 'wb')\n"
+                    "open('a', 'r', -1, 'utf-8')\n"
+                    "open('a', encoding='utf-8')\n"
+                    "open('a', mode)\n"
+                    "fh.open('a')\n")
+    # binary modes and a named encoding pass; a mode not written out counts as text
+    assert text_opens_without_encoding(path) == [("m.py", 1), ("m.py", 2), ("m.py", 7)]
