@@ -240,16 +240,14 @@ def finite_or_null(value):
 
 
 def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Dataset,
-                   base_cfg, c_grid, k_list, proto: EvalProtocol | None = None) -> TradeoffReport:
+                   base_cfg, c_grid, proto: EvalProtocol) -> TradeoffReport:
     """Train one model per C (identical seed and budget) and report one
-    frontier row per (C, K) on the test split.  Failed runs are marked
-    and the sweep continues."""
+    frontier row per (C, K in ``proto.k_list``) on the test split under
+    ``proto``.  Failed runs are marked and the sweep continues."""
     from .optimizer import train
 
     if len(c_grid) == 0:
         raise ConfigurationError("C grid must be nonempty")
-    if proto is None:
-        proto = EvalProtocol(k_list=tuple(k_list), seed=base_cfg.seed)
     report = TradeoffReport()
     for c in c_grid:
         model = init_model.clone()
@@ -257,12 +255,12 @@ def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Da
             cfg = replace(base_cfg, fair_weight=float(c))
             train(model, train_d, cfg)
             per_k = evaluate(model, test_d, proto)
-            for k in k_list:
+            for k in proto.k_list:
                 row = {"C": float(c), "K": int(k), "failed": False}
                 row.update(per_k[k])
                 report.rows.append(row)
         except FairTopKError as exc:
-            for k in k_list:
+            for k in proto.k_list:
                 report.rows.append({"C": float(c), "K": int(k),
                                     "ndcg_mean": float("nan"), "ndcg_std": float("nan"),
                                     "mae": float("nan"), "mse": float("nan"),

@@ -109,16 +109,16 @@ def _surrogate(scores: np.ndarray, groups: np.ndarray, lam: float, cfg: TrainCon
     return 0.5 * float((g_a - g_b) / (len(scores) * e.mean())) ** 2
 
 
-def dataset_topk_fairness(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
-                          tol: float = 1e-12) -> float:
+def dataset_topk_fairness(model: FactorizationScorer, d: Dataset, cfg: TrainConfig) -> float:
     """U(w): mean over queries of the smoothed top-K disparity at K = ``cfg.k``,
-    with the threshold re-solved per query, from one score_many call over
-    every pair; queries missing a group add 0.  The finite-difference target for G2."""
+    with the threshold re-solved per query to tolerance 1e-12, from one
+    score_many call over every pair; queries missing a group add 0.  The
+    finite-difference target for G2."""
     scores, both = model.score_many(d.query_row, d.feature_idx), d.has_both_groups
     total = 0.0
     for a, b in zip(d.offsets[:-1][both], d.offsets[1:][both]):
         s = scores[a:b]
-        total += _surrogate(s, d.groups[a:b], solve_lambda_exactly_smoothed(s, cfg, tol=tol), cfg)
+        total += _surrogate(s, d.groups[a:b], solve_lambda_exactly_smoothed(s, cfg, tol=1e-12), cfg)
     return total / d.num_queries
 
 
@@ -133,8 +133,9 @@ def disparity_mae_mse(gaps: list[float]) -> tuple[float, float]:
 def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainConfig,
                 state: TrainerState) -> dict:
     """Stochastic gradient of the top-K fairness regularizer over B_Q, as weights
-    on the ``group_a``, ``group_b`` and ``items`` blocks of ``scored``, which
-    must be built with ``fair``; rows of queries missing a group weigh 0.
+    on the ``group_a``, ``group_b`` and ``items`` blocks of ``scored``, whose
+    group blocks are empty unless ``batch`` drew group sub-batches; rows of
+    queries missing a group weigh 0.
 
     ``state`` must be bound to ``d``: it holds the moving averages (blended
     with weights ``cfg.gamma1`` to ``gamma3``), the shifts and, for
@@ -144,8 +145,6 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainC
     includes them with the implicit-function gradient of the threshold,
     grad lambda = -cross / s.
     """
-    if "group_a" not in scored.scores:
-        raise StateError("g2_estimate needs a ScoredBatch built with fair=True")
     if state.lam is None or len(state.lam) != d.num_queries:
         raise StateError("g2_estimate needs a TrainerState bound to this dataset")
     active = ~batch.skipped

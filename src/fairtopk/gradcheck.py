@@ -25,9 +25,9 @@ from .optimizer import TrainConfig, TrainerState
 from .rank_losses import ScoredBatch, dataset_loss, g1_estimate
 
 
-def finite_difference_gradient(f: Callable[[np.ndarray], float],
-                               w: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central differences of a scalar function of a flat vector."""
+def finite_difference_gradient(f: Callable[[np.ndarray], float], w: np.ndarray) -> np.ndarray:
+    """Central differences, step 1e-5, of a scalar function of a flat vector."""
+    step = 1e-5
     grad = np.zeros_like(w)
     for j in range(len(w)):
         orig = w[j]
@@ -40,9 +40,8 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float],
     return grad
 
 
-def relative_error(estimate: np.ndarray, reference: np.ndarray,
-                   floor: float = 1e-12) -> float:
-    scale = max(float(np.abs(reference).max()), floor)
+def relative_error(estimate: np.ndarray, reference: np.ndarray) -> float:
+    scale = max(float(np.abs(reference).max()), 1e-12)
     return float(np.abs(estimate - reference).max()) / scale
 
 
@@ -62,13 +61,11 @@ def _model_for(d: Dataset, dim: int = 8, seed: int = 0) -> FactorizationScorer:
     return FactorizationScorer(d.num_query_rows, d.num_item_rows, dim, seed=seed)
 
 
-def check_rank_losses(seed: int = 0, num_queries: int = 20,
-                      items_per_query: int = 50, dim: int = 8,
-                      step: float = 1e-5) -> dict[str, float]:
+def check_rank_losses(seed: int) -> dict[str, float]:
     """Full-batch G1 with gamma0 = 1 vs finite differences of the mean
-    ranking loss, for both loss variants."""
-    d = generate_synthetic(num_queries, items_per_query, 0.3, 1.0, seed)
-    model = _model_for(d, dim, seed)
+    ranking loss, for both loss variants: 20 queries of 50 items, dim 8."""
+    d = generate_synthetic(20, 50, 0.3, 1.0, seed)
+    model = _model_for(d, 8, seed)
     batch = _full_batch(d)
     out = {}
     for loss in ("ndcg", "listnet"):
@@ -81,20 +78,20 @@ def check_rank_losses(seed: int = 0, num_queries: int = 20,
             return dataset_loss(model, d, cfg)
 
         w0 = model.params.values.copy()
-        fd = finite_difference_gradient(loss_of, model.params.values, step)
+        fd = finite_difference_gradient(loss_of, model.params.values)
         model.params.values[:] = w0
         out[loss] = relative_error(g1, fd)
     return out
 
 
-def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5,
-                   k: int = 2, dim: int = 3, step: float = 1e-5) -> dict[str, float]:
+def check_fairness(seed: int) -> dict[str, float]:
     """Full-batch G2 in full_implicit mode, with the threshold solved to
     tolerance and its analytic implicit gradient, vs finite differences of
-    the smoothed top-K disparity with inner threshold re-solves."""
-    d = generate_synthetic(num_queries, items_per_query, 0.4, 1.0, seed)
-    model = _model_for(d, dim, seed)
-    cfg = TrainConfig(k=k, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
+    the smoothed top-K disparity with inner threshold re-solves: 4 queries
+    of 5 items, K = 2, dim 3."""
+    d = generate_synthetic(4, 5, 0.4, 1.0, seed)
+    model = _model_for(d, 3, seed)
+    cfg = TrainConfig(k=2, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
                       gamma1=1.0, gamma2=1.0, gamma3=1.0, g2_mode="full_implicit")
     batch = _full_batch(d)
 
@@ -104,27 +101,27 @@ def check_fairness(seed: int = 0, num_queries: int = 4, items_per_query: int = 5
         lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-10)
         state.lam[q, :2] = lam, smoothed_hess(lam, scores, cfg)
 
-    scored = ScoredBatch(model, d, batch, fair=True)
+    scored = ScoredBatch(model, d, batch)
     g2 = scored.dense(g2_estimate(scored, d, batch, cfg, state))
 
     def fairness_of(w):
         model.params.values[:] = w
-        return dataset_topk_fairness(model, d, cfg, tol=1e-12)
+        return dataset_topk_fairness(model, d, cfg)
 
     w0 = model.params.values.copy()
-    fd = finite_difference_gradient(fairness_of, model.params.values, step)
+    fd = finite_difference_gradient(fairness_of, model.params.values)
     model.params.values[:] = w0
     return {"g2_full_implicit": relative_error(g2, fd)}
 
 
-def check_lambda(seed: int = 0, trials: int = 50) -> dict[str, float]:
+def check_lambda(seed: int) -> dict[str, float]:
     """Scalar and mixed derivatives of the smoothed threshold objective
-    vs finite differences, plus the assembled implicit gradient vs central
-    differences with inner re-solves."""
+    vs finite differences on 50 random lists, plus the assembled implicit
+    gradient vs central differences with inner re-solves."""
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
     max_grad = max_hess = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         n = int(rng.integers(5, 40))
         scores = rng.normal(0.0, 2.0, n)
         lam = float(rng.normal(0.0, 1.0))
@@ -152,7 +149,7 @@ def check_lambda(seed: int = 0, trials: int = 50) -> dict[str, float]:
         return solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
 
     w0 = model.params.values.copy()
-    fd = finite_difference_gradient(lam_of, model.params.values, step=1e-5)
+    fd = finite_difference_gradient(lam_of, model.params.values)
     model.params.values[:] = w0
     return {"smoothed_grad": max_grad, "smoothed_hess": max_hess,
             "implicit_lambda": relative_error(analytic, fd)}

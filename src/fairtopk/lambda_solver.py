@@ -47,8 +47,7 @@ def _slopes(lam, scores: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, np.n
 
 
 def _grad(lam, sig: np.ndarray, n: np.ndarray, cfg: TrainConfig, n_total):
-    n_q = n if n_total is None else n_total
-    return (k_per_query(cfg.k, n_q) + cfg.eps) / n_q + cfg.tau2 * lam - sig.sum(axis=-1) / n
+    return (k_per_query(cfg.k, n_total) + cfg.eps) / n_total + cfg.tau2 * lam - sig.sum(axis=-1) / n
 
 
 def _hess(sig: np.ndarray, n: np.ndarray, cfg: TrainConfig):
@@ -73,7 +72,8 @@ def smoothed_objective(lam: float, scores: np.ndarray, cfg: TrainConfig) -> floa
 
 def smoothed_grad(lam: float, scores: np.ndarray, cfg: TrainConfig) -> float:
     """d/d lambda of the smoothed objective; strictly increasing in lambda."""
-    return _grad(lam, *_slopes(lam, scores, cfg), cfg, None)
+    sig, n = _slopes(lam, scores, cfg)
+    return _grad(lam, sig, n, cfg, n)
 
 
 def smoothed_hess(lam: float, scores: np.ndarray, cfg: TrainConfig) -> float:
@@ -137,22 +137,21 @@ def solve_lambda_exactly_smoothed(scores: np.ndarray, cfg: TrainConfig,
     return lam
 
 
-def state_step(state: np.ndarray, scores: np.ndarray, cfg: TrainConfig, gamma: float,
-               eta: float, n_total: int | None = None) -> np.ndarray:
+def state_step(state: np.ndarray, scores: np.ndarray, cfg: TrainConfig, n_total) -> np.ndarray:
     """One online update of the (lambda, s, v) rows ``state`` from a mini-batch
     of scores: s and v blend in ``smoothed_hess`` and ``smoothed_grad`` at the
-    current lambda with weight ``gamma``, both from one evaluation of the
-    softplus slopes, and lambda steps by ``eta`` along v.  Returns the new rows.
+    current lambda with weight ``cfg.gamma4``, both from one evaluation of the
+    softplus slopes, and lambda steps by ``cfg.eta0`` along v.  Returns the new rows.
 
-    ``n_total`` is the true list size N_q when ``scores`` is a mini-batch;
-    the batch average then stands in for the full average while the
-    (K + eps) / N_q term keeps the true N_q.
+    ``n_total`` is the true list size N_q of each row: the batch average
+    stands in for the full average while the (K + eps) / N_q term keeps the
+    true N_q.
     """
     lam, s, v = state.T
     sig, n = _slopes(lam, scores, cfg)
-    s = (1.0 - gamma) * s + gamma * _hess(sig, n, cfg)
-    v = (1.0 - gamma) * v + gamma * _grad(lam, sig, n, cfg, n_total)
-    return np.stack([lam - eta * v, s, v], axis=-1)
+    s = (1.0 - cfg.gamma4) * s + cfg.gamma4 * _hess(sig, n, cfg)
+    v = (1.0 - cfg.gamma4) * v + cfg.gamma4 * _grad(lam, sig, n, cfg, n_total)
+    return np.stack([lam - cfg.eta0 * v, s, v], axis=-1)
 
 
 def init_lambda_state(scores: np.ndarray, cfg: TrainConfig, n_total: int) -> np.ndarray:

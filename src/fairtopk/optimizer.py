@@ -213,7 +213,7 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
     fair = cfg.fairness_active()
     groups = (cfg.batch_a, cfg.batch_b) if fair else (0, 0)     # no fairness term reads them
     batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, *groups), rng)
-    scored = ScoredBatch(model, d, batch, fair=fair)
+    scored = ScoredBatch(model, d, batch)
     g1 = g1_estimate(scored, d, batch, cfg, state)
     _check_finite(g1.values(), "G1")
 
@@ -231,8 +231,7 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
         g2 = g2_estimate(scored, d, batch, cfg, state)
         _check_finite(g2.values(), "G2")
         if top_k:
-            state.lam[rows] = state_step(state.lam[rows], s_g, cfg, cfg.gamma4, cfg.eta0,
-                                         n_total=n_total)
+            state.lam[rows] = state_step(state.lam[rows], s_g, cfg, n_total)
         estimates.append({name: cfg.fair_weight * w for name, w in g2.items()})
 
     state.z *= 1.0 - cfg.gamma5

@@ -91,20 +91,19 @@ class ScoredBatch:
     """The blocks of flat positions one training step works on, scored with
     one gather and weighted with one scatter.
 
-    The blocks are the batch's ``pairs`` and ``items`` and, with ``fair``,
-    the ``group_a`` and ``group_b`` rows of the queries that have both
-    groups; each is a vector or a padded matrix whose -1 slots are empty.
+    The blocks are the batch's ``pairs`` and ``items`` and the ``group_a`` and
+    ``group_b`` rows of the queries that have both groups, which have no
+    slots when the batch draws no group sub-batches (fairness off); each is
+    a vector or a padded matrix whose -1 slots are empty.
     ``scores[name]`` holds a block's scores, -inf in its empty slots, from
     one score_many call that keeps the rows it gathers; ``dense`` scatters
     on those rows, so the parameters must not move in between.
     """
 
-    def __init__(self, model: FactorizationScorer, d: Dataset, batch: BatchSample,
-                 fair: bool = False):
-        blocks = {"pairs": batch.pairs, "items": batch.items}
-        if fair:
-            active = ~batch.skipped
-            blocks.update(group_a=batch.group_a[active], group_b=batch.group_b[active])
+    def __init__(self, model: FactorizationScorer, d: Dataset, batch: BatchSample):
+        active = ~batch.skipped
+        blocks = {"pairs": batch.pairs, "items": batch.items,
+                  "group_a": batch.group_a[active], "group_b": batch.group_b[active]}
         self.model = model
         self.filled = {name: b >= 0 for name, b in blocks.items()}
         pos = np.concatenate([b[self.filled[name]] for name, b in blocks.items()])

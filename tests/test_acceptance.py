@@ -8,6 +8,7 @@ most of the suite's runtime.
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,8 +85,7 @@ def c_sweep(bench_data):
                                 seed=BENCH_SEED)
     proto = EvalProtocol(k_list=(50,), seed=0)
     t0 = time.perf_counter()
-    report = tradeoff_sweep(model, tr, te, _bench_config(),
-                            C_GRID, [50], proto=proto)
+    report = tradeoff_sweep(model, tr, te, _bench_config(), C_GRID, proto)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 
@@ -94,7 +94,7 @@ def c_sweep(bench_data):
 
 def test_criterion_1_rank_loss_gradients():
     t0 = time.perf_counter()
-    errs = check_rank_losses(seed=0, num_queries=20, items_per_query=50, dim=8)
+    errs = check_rank_losses(seed=0)     # 20 queries of 50 items, dim 8
     elapsed = time.perf_counter() - t0
     worst = max(errs.values())
     ok = worst <= 1e-4 and elapsed < 60.0
@@ -105,7 +105,7 @@ def test_criterion_1_rank_loss_gradients():
 
 
 def test_criterion_2_fairness_gradient():
-    errs = check_fairness(seed=0, num_queries=4, items_per_query=5, k=2, dim=3)
+    errs = check_fairness(seed=0)        # 4 queries of 5 items, K = 2, dim 3
     worst = max(errs.values())
     ok = worst <= 1e-3
     assert _verdict(2, ok,
@@ -135,8 +135,9 @@ def test_criterion_3_lambda_solver():
     lam_star = solve_lambda_exactly_smoothed(scores, pk, tol=1e-12)
     st = np.array([float(scores.mean()), 1.0, 0.0])       # (lambda, s, v)
     eta = 1.0 / (pk.tau2 + 0.25 / pk.tau1)
+    pk = replace(pk, gamma4=1.0, eta0=eta)
     for _ in range(200_000):
-        st = state_step(st, scores, pk, gamma=1.0, eta=eta)
+        st = state_step(st, scores, pk, len(scores))
         if abs(st[2]) <= 1e-13:
             break
     online_err = abs(st[0] - lam_star)

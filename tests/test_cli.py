@@ -229,14 +229,17 @@ class TestSweepAndStrips:
     def test_sweep_writes_frontier(self, data_csv, tmp_path, strict_json):
         prefix = str(tmp_path / "sweep")
         code = run(["sweep", "--data", data_csv, "--c-grid", "0,10",
-                    "--k-list", "3", "--out", prefix, "--dim", "2",
+                    "--k-list", "3,5", "--out", prefix, "--dim", "2",
                     "--epochs", "1", "--batch-pairs", "16", "--batch-items", "6",
                     "--batch-a", "2", "--batch-b", "2", "--K", "3"])
         assert code == 0
+        # one row per (C, K), K from the protocol the CLI builds from --k-list
+        expected = [(0.0, 3), (0.0, 5), (10.0, 3), (10.0, 5)]
         lines = open(prefix + ".csv").read().strip().splitlines()
-        assert len(lines) == 3    # header + 2 C values
+        assert [(float(c), int(k)) for c, k, *_ in (ln.split(",") for ln in lines[1:])] == expected
         rows = strict_json(open(prefix + ".json").read())
-        assert [r["C"] for r in rows] == [0.0, 10.0]
+        assert [(r["C"], r["K"]) for r in rows] == expected
+        assert not any(r["failed"] for r in rows)
 
     def test_export_strips(self, data_csv, tmp_path):
         prefix = str(tmp_path / "run")

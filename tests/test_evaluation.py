@@ -555,7 +555,7 @@ class TestTradeoffSweep:
                           batch_a=2, batch_b=2, seed=4)
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
                              k_list=(2,), seed=cfg.seed)
-        report = tradeoff_sweep(m, tr, te, cfg, [0.0], [2], proto=proto)
+        report = tradeoff_sweep(m, tr, te, cfg, [0.0], proto)
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row["C"] == 0.0 and not row["failed"]
@@ -572,7 +572,7 @@ class TestTradeoffSweep:
         tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
         with pytest.raises(ConfigurationError):
-            tradeoff_sweep(m, tr, te, TrainConfig(), [], [2])
+            tradeoff_sweep(m, tr, te, TrainConfig(), [], EvalProtocol(k_list=(2,)))
 
     def test_report_serialization(self, tmp_path):
         report = TradeoffReport(rows=[{
@@ -594,7 +594,7 @@ class TestTradeoffSweep:
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
                              k_list=(2,), seed=4)
         # C > 0 conflicts with fairness_mode=none, so the second run fails
-        report = tradeoff_sweep(m, tr, te, cfg, [0.0, 10.0], [2], proto=proto)
+        report = tradeoff_sweep(m, tr, te, cfg, [0.0, 10.0], proto)
         assert [row["failed"] for row in report.rows] == [False, True]
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"

@@ -35,7 +35,7 @@ from fairtopk.rank_losses import ScoredBatch, blend
 
 def _g2(m, d, batch, cfg, state):
     """G2 as a parameter vector, from a ScoredBatch of its own blocks."""
-    scored = ScoredBatch(m, d, batch, fair=True)
+    scored = ScoredBatch(m, d, batch)
     return scored.dense(g2_estimate(scored, d, batch, cfg, state))
 
 
@@ -213,7 +213,7 @@ class TestSurrogate:
         score_many = m.score_many
         monkeypatch.setattr(m, "score_many",
                             lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
-        u = dataset_topk_fairness(m, d, cfg, tol=1e-12)
+        u = dataset_topk_fairness(m, d, cfg)
         assert len(calls) == 1 and len(calls[0][1]) == d.total_pairs
         assert u == sum(v for v in per_query if v is not None) / d.num_queries
 
@@ -258,12 +258,6 @@ class TestG2:
         with pytest.raises(StateError, match="bound"):
             _g2(m, d, batch, cfg, bound_state(cfg, m, fewer))
 
-    def test_scored_batch_without_fair_blocks_is_an_error(self):
-        d, m, batch, cfg, state = self._setup()
-        scored = ScoredBatch(m, d, batch)
-        with pytest.raises(StateError, match="fair=True"):
-            g2_estimate(scored, d, batch, cfg, state)
-
     def test_gamma_zero_freezes_direction(self):
         d, m, batch, cfg, state = self._setup(gamma1=0.0, gamma2=0.0, gamma3=0.0)
         g_first = _g2(m, d, batch, cfg, state)
@@ -280,9 +274,9 @@ class TestG2:
         step = 1e-5
         for j in range(len(w)):
             w[j] = w0[j] + step
-            fp = dataset_topk_fairness(m, d, cfg, tol=1e-12)
+            fp = dataset_topk_fairness(m, d, cfg)
             w[j] = w0[j] - step
-            fm = dataset_topk_fairness(m, d, cfg, tol=1e-12)
+            fm = dataset_topk_fairness(m, d, cfg)
             w[j] = w0[j]
             fd[j] = (fp - fm) / (2 * step)
         assert np.abs(g2 - fd).max() <= 1e-3 * max(np.abs(fd).max(), 1e-12)

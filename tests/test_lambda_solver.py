@@ -1,6 +1,8 @@
 """Threshold order statistic, smoothed objective derivatives, offline
 solver, the online state updates and the implicit gradient."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,19 +123,18 @@ class TestSolver:
 
 class TestStateStep:
     def test_zero_eta_keeps_lambda(self):
-        cfg = TrainConfig(k=1)
+        cfg = TrainConfig(k=1, gamma4=0.5, eta0=0.0)
         s = np.array([0.0, 1.0, 2.0])
-        lam, s_, v = state_step(np.array([0.3, 1.0, 0.0]), s, cfg, gamma=0.5, eta=0.0)
+        lam, s_, v = state_step(np.array([0.3, 1.0, 0.0]), s, cfg, 3)
         assert lam == 0.3
         assert v != 0.0
         assert s_ != 1.0
 
     def test_fixed_point_at_solution(self):
-        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=2)
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=2, gamma4=1.0, eta0=1e-2)
         s = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         lam_star = solve_lambda_exactly_smoothed(s, cfg, tol=1e-14)
-        st_ = state_step(np.array([lam_star, smoothed_hess(lam_star, s, cfg), 0.0]), s, cfg,
-                         gamma=1.0, eta=1e-2)
+        st_ = state_step(np.array([lam_star, smoothed_hess(lam_star, s, cfg), 0.0]), s, cfg, 5)
         assert st_[0] == pytest.approx(lam_star, abs=1e-12)
 
     def test_full_batch_iteration_converges(self, rng):
@@ -141,10 +142,10 @@ class TestStateStep:
         s = rng.normal(0, 1, 15)
         lam_star = solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
         # fixed step below 2 / max-curvature keeps the scalar descent stable
-        eta = 1.0 / (cfg.tau2 + 0.25 / cfg.tau1)
+        cfg = replace(cfg, gamma4=1.0, eta0=1.0 / (cfg.tau2 + 0.25 / cfg.tau1))
         st_ = np.array([float(s.mean()), 1.0, 0.0])
         for _ in range(100_000):
-            st_ = state_step(st_, s, cfg, gamma=1.0, eta=eta)
+            st_ = state_step(st_, s, cfg, 15)
             if abs(st_[2]) <= 1e-12:
                 break
         assert abs(st_[0] - lam_star) <= 1e-6
@@ -160,7 +161,7 @@ class TestStateStep:
         assert v == 0.0
 
     def test_padded_rows_match_one_row_calls(self, rng):
-        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3, gamma4=0.3, eta0=1e-2)
         sizes, n_total = [7, 1, 4, 9], np.array([30, 12, 8, 40])
         scores = np.full((len(sizes), max(sizes)), -np.inf)
         for r, n in enumerate(sizes):       # the size-1 row has k_batch = 0
@@ -168,14 +169,13 @@ class TestStateStep:
         state = np.stack([rng.normal(0, 1, 4), rng.uniform(1, 2, 4), rng.normal(0, 1, 4)],
                          axis=1)
         warm = init_lambda_state(scores, cfg, n_total)
-        stepped = state_step(state, scores, cfg, 0.3, 1e-2, n_total=n_total)
+        stepped = state_step(state, scores, cfg, n_total)
         assert warm.shape == stepped.shape == (4, 3)
         for r, n in enumerate(sizes):
             np.testing.assert_allclose(warm[r], init_lambda_state(scores[r, :n], cfg, n_total[r]),
                                        rtol=1e-12)
             np.testing.assert_allclose(
-                stepped[r], state_step(state[r], scores[r, :n], cfg, 0.3, 1e-2,
-                                       n_total=n_total[r]), rtol=1e-12)
+                stepped[r], state_step(state[r], scores[r, :n], cfg, n_total[r]), rtol=1e-12)
         assert warm[1, 0] == scores[1, 0]
 
 

@@ -395,7 +395,7 @@ class TestPinnedTrajectory:
                 train_step(m, d, cfg, state, rng)
                 batch = sample_batch(d, sizes, ref_rng)
                 skipped_seen |= bool(batch.skipped.any())
-                scored = ScoredBatch(ref_m, d, batch, fair=cfg.fairness_active())
+                scored = ScoredBatch(ref_m, d, batch)
                 grad = scored.dense(g1_estimate(scored, d, batch, cfg, ref_state))
                 if cfg.fairness_active():
                     g2 = g2_estimate(scored, d, batch, cfg, ref_state)

@@ -200,7 +200,8 @@ class TestLosses:
         parts = [d.take(np.arange(a, b)) for a, b in zip(d.offsets[:-1], d.offsets[1:])]
         for cfg in (NDCG, LISTNET, TrainConfig(loss="ndcg", margin=0.5)):
             total = sum(_query_loss(m, one, cfg) for one in parts)
-            assert dataset_loss(m, d, cfg) * d.total_pairs == pytest.approx(total, rel=1e-12)
+            assert dataset_loss(m, d, cfg) * d.total_pairs == pytest.approx(total, rel=1e-12,
+                                                                            abs=0.0)
 
     def test_matches_the_pairwise_reference(self):
         crit1 = generate_synthetic(20, 50, 0.3, 1.0, seed=0)     # criterion 1's data
@@ -213,7 +214,8 @@ class TestLosses:
                  (ragged, FactorizationScorer(g.num_query_rows, g.num_item_rows, 4, seed=2)),
                  (_one_query(np.arange(6), [3.0, 0.0, 1.0, 0.0, 2.0, 1.0]), flat)]
         for (d, m), cfg in itertools.product(cases, (NDCG, LISTNET, replace(NDCG, margin=0.3))):
-            assert dataset_loss(m, d, cfg) == pytest.approx(_pairwise_loss(m, d, cfg), rel=1e-12)
+            assert dataset_loss(m, d, cfg) == pytest.approx(_pairwise_loss(m, d, cfg), rel=1e-12,
+                                                            abs=0.0)
 
     def test_hinge_rank_error_follows_the_query_not_the_dataset(self):
         # 120,000 pairs with scores pushed toward the bound: prefix sums over
@@ -274,6 +276,19 @@ class TestG1:
                 m.params.values[j] = w0[j]
                 fd[j] = (fp - fm) / (2 * step)
             assert np.abs(g1 - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-9)
+
+    def test_the_group_rows_of_a_batch_do_not_change_g1(self):
+        # ScoredBatch always scores the group blocks, which are empty with fairness off
+        d = generate_synthetic(8, 40, 0.4, 1.0, seed=3)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 3, seed=3)
+        full, bare = (sample_batch(d, (64, 10, *groups), np.random.default_rng(9))
+                      for groups in ((16, 16), (0, 0)))
+        assert full.group_a.shape[1] == 16 and bare.group_a.shape[1] == 0
+        assert np.array_equal(full.pairs, bare.pairs) and np.array_equal(full.items, bare.items)
+        for cfg in (NDCG, LISTNET):
+            g1_full, g1_bare = (_g1(m, d, batch, cfg, bound_state(cfg, m, d))
+                                for batch in (full, bare))
+            assert np.array_equal(g1_full, g1_bare)
 
     def test_moving_average_update_rule(self):
         values, seen = np.zeros(4), np.zeros(4, dtype=bool)

@@ -21,6 +21,16 @@ UNREAD_ALLOWED = {
     ("optimizer.py", "config_to_file"): "the run manifest of ROADMAP item 3 writes with it",
 }
 
+# (file, qualified function name, parameter) -> why its default stays though
+# no call in src/ passes it
+UNSET_DEFAULTS_ALLOWED = {
+    ("cli.py", "run", "argv"):
+        "main(), the console entry point, calls run() so that argparse reads sys.argv; "
+        "tests pass argv",
+    ("evaluation.py", "ndcg_at_k", "item_ids"):
+        "only tests and bench/run.py reach ndcg_at_k; ROADMAP item 9 deletes it",
+}
+
 
 def _functions(tree):
     """(qualified name, node) of every ``def``, nested ones included.  Lambdas
@@ -200,3 +210,73 @@ def test_the_scan_sees_an_open_without_encoding(tmp_path):
                     "fh.open('a')\n")
     # binary modes and a named encoding pass; a mode not written out counts as text
     assert text_opens_without_encoding(path) == [("m.py", 1), ("m.py", 2), ("m.py", 7)]
+
+
+def unset_defaults(paths: list[Path]) -> list[tuple[str, str, str]]:
+    """(file, function, parameter) for every parameter with a default that no
+    call in ``paths`` passes, by position or by keyword: a value no caller sets
+    is a constant.  A call is matched to every ``def`` of its bare name, and a
+    class name calls its ``__init__``; a ``*`` argument counts as passing every
+    positional parameter, a ``**`` one every parameter."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    calls = {}      # bare name -> [(positional count, keyword names or None for **)]
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                positional = (float("inf") if any(isinstance(a, ast.Starred) for a in n.args)
+                              else len(n.args))
+                keywords = (None if any(k.arg is None for k in n.keywords)
+                            else {k.arg for k in n.keywords})
+                calls.setdefault(name, []).append((positional, keywords))
+    out = []
+    for file, tree in trees.items():
+        methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+        for qualified, fn in _functions(tree):
+            a = fn.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            bound = 1 if id(fn) in methods and not static else 0     # self or cls
+            name = qualified.split(".")[-2] if fn.name == "__init__" else fn.name
+            ordered = a.posonlyargs + a.args
+            defaulted = [(i - bound, p.arg, i < len(a.posonlyargs)) for i, p in
+                         enumerate(ordered) if i >= len(ordered) - len(a.defaults)]
+            defaulted += [(float("inf"), p.arg, False)
+                          for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out += [(file, qualified, p) for i, p, only_pos in defaulted
+                    if not any(n > i or (not only_pos and (kws is None or p in kws))
+                               for n, kws in calls.get(name, []))]
+    return out
+
+
+def test_every_default_is_set_by_a_caller():
+    found = unset_defaults(sorted(SRC.glob("*.py")))
+    assert sorted(set(found) - set(UNSET_DEFAULTS_ALLOWED)) == []
+    assert sorted(set(UNSET_DEFAULTS_ALLOWED) - set(found)) == []      # no stale entry
+
+
+def test_the_scan_sees_a_default_no_caller_sets(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("class A:\n"
+                    "    def __init__(self, a, b=1, c=2):\n"
+                    "        self.a = a\n"
+                    "    def m(self, x=0, y=0):\n"
+                    "        return x\n"
+                    "    @staticmethod\n"
+                    "    def s(x=0, y=0):\n"
+                    "        return x\n"
+                    "def f(a, /, b=1, *, c=2, d=3):\n"
+                    "    return a\n"
+                    "def g(a=1, b=2):\n"
+                    "    return a\n"
+                    "def h(a=1, *, b=2):\n"
+                    "    return a\n"
+                    "A(0, c=3).m(1)\n"
+                    "A.s(1)\n"
+                    "f(0, 1, d=4)\n"
+                    "g(*[1, 2])\n"
+                    "h(**{})\n")
+    # a bound method's first argument fills the parameter after self; *args
+    # reaches every positional parameter, **kwargs every parameter
+    assert unset_defaults([path]) == [("m.py", "A.__init__", "b"), ("m.py", "A.m", "y"),
+                                      ("m.py", "A.s", "y"), ("m.py", "f", "c")]
