@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -137,6 +138,13 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _require_out_dir(prefix: str) -> None:
+    """Fail before loading or training when the directory of ``--out`` is missing."""
+    folder = os.path.dirname(prefix) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"output directory {folder!r} of --out does not exist")
+
+
 def _load_and_split(path: str, fractions: list[float], seed: int):
     d = load_csv(path)
     train_d, valid_d, test_d, tiny = split(d, tuple(fractions), seed)
@@ -146,6 +154,7 @@ def _load_and_split(path: str, fractions: list[float], seed: int):
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     _require_seed(args)
+    _require_out_dir(args.out)
     d, train_d, valid_d, _, tiny = _load_and_split(args.data, args.fractions,
                                                    args.split_seed)
     if tiny:
@@ -185,6 +194,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     _require_seed(args)
+    _require_out_dir(args.out)
     d, train_d, _, test_d, _ = _load_and_split(args.data, args.fractions, args.split_seed)
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)

@@ -71,6 +71,14 @@ def label_softmax(labels: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+def _run_reduce(ufunc, values: np.ndarray, offsets: np.ndarray, pad: float) -> np.ndarray:
+    """``ufunc.reduce`` of each run ``values[offsets[k]:offsets[k + 1]]`` by one
+    ``reduceat`` with ``pad`` inserted ahead of each run, so that a sum adds each
+    run in the same blocks, and to the same bits, as ``np.sum`` of it alone."""
+    starts = offsets[:-1]
+    return ufunc.reduceat(np.insert(values, starts, pad), starts + np.arange(len(starts)))
+
+
 class Dataset:
     """Queries as read-only CSR arrays over a shared item vocabulary.
 
@@ -110,10 +118,15 @@ class Dataset:
             observed = np.sort(self.query_row * len(vocab.ids)
                                + np.searchsorted(vocab.ids, self.item_ids))
         self.observed = observed
-        labels = [self.relevance[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-        self.label_softmax = np.concatenate([label_softmax(y) for y in labels]
-                                            + [self.relevance[:0]])
-        self.ideal_dcg = np.array([ideal_dcg(y) for y in labels], dtype=np.float64)
+        # label_softmax and ideal_dcg of every query, as whole-array reductions
+        p = np.exp(self.relevance
+                   - _run_reduce(np.maximum, self.relevance, self.offsets, -np.inf)[self.query_of])
+        p /= _run_reduce(np.add, p, self.offsets, 0.0)[self.query_of]
+        gain = 2.0 ** self.relevance - 1.0
+        order = np.argsort(-gain)           # then stably by query: descending in each
+        gain = gain[order[np.argsort(self.query_of[order], kind="stable")]]
+        gain /= np.log2(np.arange(2.0, self.total_pairs + 2.0) - self.offsets[self.query_of])
+        self.label_softmax, self.ideal_dcg = p, _run_reduce(np.add, gain, self.offsets, 0.0)
         self.sizes_a = np.bincount(self.query_of[self.groups == GROUP_A],
                                    minlength=self.num_queries)
         self.has_both_groups = (self.sizes_a > 0) & (self.sizes_a < self.sizes)
@@ -257,12 +270,14 @@ def _build_dataset(names, query_of, item_ids, relevance, groups) -> Dataset:
     follow first appearance."""
     query_of = np.asarray(query_of, dtype=np.int64)
     item_ids, groups = np.asarray(item_ids, dtype=np.int64), np.asarray(groups, dtype=np.int8)
-    ids, where, vocab_pos = np.unique(item_ids, return_index=True, return_inverse=True)
+    ids, vocab_pos = np.unique(item_ids, return_inverse=True)
+    where = np.full(len(ids), len(item_ids))        # each item's first row
+    np.minimum.at(where, vocab_pos, np.arange(len(item_ids)))
     pair = query_of * len(ids) + vocab_pos
-    order = np.argsort(pair, kind="stable")
-    repeated = order[1:][pair[order[1:]] == pair[order[:-1]]]
-    if len(repeated):
-        r = repeated.min()
+    observed = np.sort(pair)
+    if np.any(observed[1:] == observed[:-1]):
+        order = np.argsort(pair, kind="stable")
+        r = order[1:][pair[order[1:]] == pair[order[:-1]]].min()
         raise DuplicateItemError(f"duplicate (query, item) pair ({names[query_of[r]]}, "
                                  f"{item_ids[r]})")
     clash = np.flatnonzero(groups != groups[where][vocab_pos])
@@ -275,7 +290,7 @@ def _build_dataset(names, query_of, item_ids, relevance, groups) -> Dataset:
     flat = np.argsort(query_of, kind="stable")
     return Dataset(names, np.arange(len(names)), np.bincount(query_of, minlength=len(names)),
                    item_ids[flat], rows[vocab_pos[flat]], np.asarray(relevance)[flat],
-                   groups[flat], Vocabulary(ids, rows, groups[where]), len(names))
+                   groups[flat], Vocabulary(ids, rows, groups[where]), len(names), observed)
 
 
 def _csv_rows(fh, path: str):
@@ -390,11 +405,11 @@ def generate_synthetic(num_queries: int, items_per_query: int,
         picked_b = rng.choice(b_pool, size=items_per_query - per_query_a, replace=False)
         picked.append(np.concatenate([picked_a, picked_b]))
         noise = rng.normal(0.0, 0.5, size=items_per_query)
-        rel.append(np.clip(np.round(quality[picked[-1]] + noise), 0.0, 4.0))
+        rel.append(quality[picked[-1]] + noise)
     picked = np.concatenate(picked)
     return _build_dataset([f"q{k}" for k in range(num_queries)],
-                          np.repeat(np.arange(num_queries), items_per_query),
-                          picked, np.concatenate(rel), pool_groups[picked])
+                          np.repeat(np.arange(num_queries), items_per_query), picked,
+                          np.clip(np.round(np.concatenate(rel)), 0.0, 4.0), pool_groups[picked])
 
 
 def split(d: Dataset, fractions: tuple[float, float, float],
@@ -430,7 +445,8 @@ def split(d: Dataset, fractions: tuple[float, float, float],
     start = d.offsets[d.query_of]
     ends = np.cumsum(counts, axis=1)[d.query_of, :2]
     part = np.empty(d.total_pairs, dtype=np.int64)
-    part[start + local] = np.sum(np.arange(d.total_pairs)[:, None] - start[:, None] >= ends, axis=1)
+    slot = np.arange(d.total_pairs) - start
+    part[start + local] = np.add(slot >= ends[:, 0], slot >= ends[:, 1], dtype=np.int64)
     train, valid, test = (d.take(np.flatnonzero(part == j)) for j in range(3))
     return train, valid, test, int(tiny.sum())
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fairtopk import cli
 from fairtopk.cli import build_parser, run
 from fairtopk.model import FactorizationScorer
 
@@ -89,6 +90,21 @@ class TestTrainEval:
     def test_missing_data_file_exits_two(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "absent.csv"),
                     "--out", str(tmp_path / "x"), "--epochs", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_missing_output_directory_exits_two_before_training(
+            self, data_csv, tmp_path, capsys, monkeypatch, command):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("trained although --out cannot be written")
+
+        monkeypatch.setattr(cli, "train", must_not_run)
+        monkeypatch.setattr(cli, "tradeoff_sweep", must_not_run)
+        folder = tmp_path / "absent"
+        assert run([command, "--data", data_csv, "--out", str(folder / "x"),
+                    "--epochs", "1", "--dim", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and str(folder) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_checkpoint_exits_two(self, data_csv, tmp_path):
         bad = tmp_path / "bad.ckpt"

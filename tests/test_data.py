@@ -11,6 +11,7 @@ from conftest import make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtopk import data
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
@@ -107,6 +108,9 @@ class TestLoadCsv:
     def test_duplicate_pair_rejected(self, tmp_path):
         with pytest.raises(DuplicateItemError):
             load_csv(_write(tmp_path, "q1,1,2,0\nq1,1,3,0\n"))
+        # the message names the pair of the first row that repeats an earlier one
+        with pytest.raises(DuplicateItemError, match=r"pair \(q2, 5\)$"):
+            load_csv(_write(tmp_path, "q1,1,2,0\nq2,5,1,1\nq2,5,3,1\nq1,1,3,0\n"))
 
     def test_wrong_field_count_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -240,7 +244,48 @@ class TestSplit:
         assert pairs == {(q.query_index, int(i)) for q in d.queries for i in q.item_ids}
 
 
+def _ragged_csv(tmp_path):
+    """A shuffled CSV of 40 queries of 1 to 400 items (past numpy's 8- and
+    128-element summation blocks) with fractional labels; query u0's labels
+    are all 0."""
+    rng = np.random.default_rng(20)
+    sizes = [1, 2, 7, 8, 9, 127, 128, 129, 256, 257, 400] + rng.integers(1, 401, 29).tolist()
+    rows = []
+    for q, n in enumerate(sizes):
+        labels = np.round(rng.gamma(1.0, 1.5, n), 2) if q else np.zeros(n)
+        items = rng.choice(2000, n, replace=False)
+        rows += [f"u{q},{i},{y},{i % 2}" for i, y in zip(items.tolist(), labels.tolist())]
+    rng.shuffle(rows)
+    return _write(tmp_path, "\n".join(rows) + "\n", name="ragged.csv")
+
+
 class TestDataset:
+    def test_normalizers_equal_the_per_query_references(self, tmp_path):
+        d = load_csv(_ragged_csv(tmp_path))
+        assert d.ideal_dcg[list(d.query_ids).index("u0")] == 0.0
+        for ds in (d, *split(d, (0.5, 0.25, 0.25), seed=0)[:3]):
+            runs = [ds.relevance[a:b] for a, b in zip(ds.offsets[:-1], ds.offsets[1:])]
+            assert np.array_equal(ds.label_softmax,
+                                  np.concatenate([data.label_softmax(y) for y in runs]))
+            assert np.array_equal(ds.ideal_dcg, [data.ideal_dcg(y) for y in runs])
+
+    def test_observed_codes_every_pair(self, tmp_path):
+        for d in (load_csv(_ragged_csv(tmp_path)), generate_synthetic(20, 30, 0.3, 1.0, seed=1)):
+            codes = d.query_row * len(d.vocab.ids) + np.searchsorted(d.vocab.ids, d.item_ids)
+            assert d.observed.dtype == np.int64
+            assert np.array_equal(d.observed, np.sort(codes))
+
+    def test_built_without_per_query_normalizer_calls(self, tmp_path, monkeypatch):
+        path = _ragged_csv(tmp_path)
+
+        def per_query_call(labels):
+            raise AssertionError("per-query normalizer called")
+
+        monkeypatch.setattr(data, "label_softmax", per_query_call)
+        monkeypatch.setattr(data, "ideal_dcg", per_query_call)
+        split(generate_synthetic(20, 30, 0.3, 1.0, seed=1), (0.8, 0.1, 0.1), seed=0)
+        split(load_csv(path), (0.8, 0.1, 0.1), seed=0)
+
     def test_arrays_are_read_only(self):
         d = generate_synthetic(4, 8, 0.4, 1.0, seed=2)
         tr, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
