@@ -34,6 +34,9 @@ from .errors import (
 GROUP_A = 0
 GROUP_B = 1
 
+# slots per padded block of lists: evaluate() peaks at 3.5 MB on the bench test split
+_BLOCK_ENTRIES = 32768
+
 
 @dataclass
 class QueryGroup:

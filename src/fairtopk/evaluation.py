@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import GROUP_A, Dataset, along, padded, smallest_keys, spans
+from .data import _BLOCK_ENTRIES, GROUP_A, Dataset, along, padded, smallest_keys, spans
 from .errors import ConfigurationError, FairTopKError
 from .fairness import disparity_mae_mse, rank_order, topk_gaps
 from .lambda_solver import k_per_query
@@ -42,10 +42,6 @@ class EvalProtocol:
         if (min(self.relevant_per_query, self.irrelevant_per_query) < 0
                 or min(self.k_list, default=0) < 1):
             raise ConfigurationError("list counts must be >= 0 and k_list nonempty, every k >= 1")
-
-
-# list entries per block of evaluate(): 3.5 MB traced peak on the bench test split
-_BLOCK_ENTRIES = 32768
 
 
 def _streams(seed: int, query_ids: list[str], tag: str = "") -> np.ndarray:

@@ -96,10 +96,9 @@ def check_fairness(seed: int) -> dict[str, float]:
     batch = _full_batch(d)
 
     state = _bound_state(cfg, model, d)
-    for q, qg in enumerate(d.queries):
-        scores = model.score_many(qg.query_index, qg.feature_idx)
-        lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-10)
-        state.lam[q, :2] = lam, smoothed_hess(lam, scores, cfg)
+    scores = model.score_many(d.query_row, d.feature_idx).reshape(d.num_queries, -1)
+    lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-10)
+    state.lam[:, :2] = np.stack([lam, smoothed_hess(lam, scores, cfg)], axis=1)
 
     scored = ScoredBatch(model, d, batch)
     g2 = scored.dense(g2_estimate(scored, d, batch, cfg, state))

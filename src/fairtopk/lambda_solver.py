@@ -7,10 +7,10 @@ The smoothed objective replaces each hinge (h - lambda)_+ by the softplus
 tau1 * log(1 + exp((h - lambda) / tau1)) and adds a tau2/2 * lambda^2
 curvature term, so its second derivative is bounded below by tau2 > 0.
 
-The online functions (``smoothed_grad``, ``smoothed_hess``, ``state_step``,
-``init_lambda_state``) take one query's scores as a vector, or many
-queries' as a (queries, slots) matrix with -inf in empty slots and one
-threshold per row; a -inf score adds nothing to any batch sum.  A query's
+The solver and the online functions (``smoothed_grad``, ``smoothed_hess``,
+``state_step``, ``init_lambda_state``) take one query's scores as a vector,
+or many queries' as a (queries, slots) matrix with -inf in empty slots and
+one threshold per row; a -inf score adds nothing to any sum.  A query's
 online state is a row (lambda, s, v): the threshold, its curvature estimate
 and its gradient estimate; many queries' rows form a (queries, 3) array.
 """
@@ -57,8 +57,8 @@ def _hess(sig: np.ndarray, n: np.ndarray, cfg: TrainConfig):
 def exact_lambda(scores: np.ndarray, k: int) -> float:
     """The (k+1)-th largest score, duplicates counted with multiplicity."""
     scores = np.asarray(scores, dtype=np.float64)
-    if k + 1 > len(scores):
-        raise ConfigurationError(f"k+1 = {k + 1} exceeds {len(scores)} scores")
+    if not 0 <= k < len(scores):
+        raise ConfigurationError(f"k = {k} is outside [0, {len(scores) - 1}] for these scores")
     idx = len(scores) - (k + 1)
     return float(np.partition(scores, idx)[idx])
 
@@ -102,39 +102,41 @@ def implicit_lambda_grad(lam: float, model: FactorizationScorer, q: int,
 
 
 def solve_lambda_exactly_smoothed(scores: np.ndarray, cfg: TrainConfig,
-                                  tol: float = 1e-10) -> float:
-    """Safeguarded Newton (bisection fallback) on the smoothed gradient."""
+                                  tol: float = 1e-10) -> float | np.ndarray:
+    """Safeguarded Newton (bisection fallback) on the smoothed gradient of every row
+    of ``scores`` at once, a float for a vector; a row stops once its |G'| <= tol."""
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    scores = np.asarray(scores, dtype=np.float64)
-    lo = float(scores.min()) - 1.0
-    hi = (float(scores.max()) + (k_per_query(cfg.k, len(scores)) + cfg.eps)
-          / (cfg.tau2 * len(scores)) + 1.0)
-    glo = smoothed_grad(lo, scores, cfg)
-    ghi = smoothed_grad(hi, scores, cfg)
+    rows = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    n = np.count_nonzero(rows > -np.inf, axis=-1)
+    bad = np.flatnonzero((n == 0) | np.any(np.isnan(rows) | (rows == np.inf), axis=-1))
+    if len(bad):
+        raise ConfigurationError(f"threshold scores: row {bad[0]} has a NaN or +inf score "
+                                 "or no finite one")
+    lo = np.where(rows > -np.inf, rows, np.inf).min(axis=-1, initial=np.inf) - 1.0
+    hi = (rows.max(axis=-1, initial=-np.inf) + (k_per_query(cfg.k, n) + cfg.eps)
+          / (cfg.tau2 * n) + 1.0)
+    glo, ghi = smoothed_grad(lo, rows, cfg), smoothed_grad(hi, rows, cfg)
     for _ in range(200):
-        if glo < 0.0:
+        if np.all(glo < 0.0):
             break
-        lo -= max(1.0, hi - lo)
-        glo = smoothed_grad(lo, scores, cfg)
-    if glo >= 0.0 or ghi <= 0.0:
-        raise FairTopKError("threshold bracket failure")  # cannot happen for valid inputs
+        lo = np.where(glo < 0.0, lo, lo - np.maximum(1.0, hi - lo))
+        glo = smoothed_grad(lo, rows, cfg)
+    failed = np.flatnonzero((glo >= 0.0) | (ghi <= 0.0))
+    if len(failed):     # cannot happen for valid inputs
+        raise FairTopKError(f"threshold bracket failure in row {failed[0]}")
 
     lam = 0.5 * (lo + hi)
     for _ in range(200):
-        g = smoothed_grad(lam, scores, cfg)
-        if abs(g) <= tol:
-            return lam
-        if g > 0.0:
-            hi = lam
-        else:
-            lo = lam
-        step = g / smoothed_hess(lam, scores, cfg)
-        cand = lam - step
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        lam = cand
-    return lam
+        sig = _slopes(lam, rows, cfg)[0]
+        g = _grad(lam, sig, n, cfg, n)
+        moving = np.abs(g) > tol
+        if not moving.any():
+            break
+        hi, lo = np.where(moving & (g > 0.0), lam, hi), np.where(moving & (g < 0.0), lam, lo)
+        cand = lam - g / _hess(sig, n, cfg)
+        lam = np.where(moving, np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi)), lam)
+    return float(lam[0]) if np.ndim(scores) == 1 else lam
 
 
 def state_step(state: np.ndarray, scores: np.ndarray, cfg: TrainConfig, n_total) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Exposure, disparity losses and metrics, and the G2 estimator."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,13 @@ from conftest import bound_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtopk import fairness
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
     QueryGroup,
     generate_synthetic,
+    load_csv,
     sample_batch,
 )
 from fairtopk.errors import ConfigurationError, StateError
@@ -216,6 +219,41 @@ class TestSurrogate:
         u = dataset_topk_fairness(m, d, cfg)
         assert len(calls) == 1 and len(calls[0][1]) == d.total_pairs
         assert u == sum(v for v in per_query if v is not None) / d.num_queries
+
+    @pytest.mark.parametrize("entries", [1, 150, 32768])
+    def test_dataset_fairness_block_size_keeps_the_value(self, monkeypatch, entries):
+        # ragged queries of 26 to 60 items: one per block, two per block, one block
+        g = generate_synthetic(30, 60, 0.3, 1.0, seed=4)
+        keep = np.random.default_rng(4).random(g.total_pairs) < 0.2 + 0.8 * (g.query_of % 5) / 4
+        d = g.take(np.flatnonzero(keep | (g.item_ids % 10 < 4)))
+        assert len(set(d.sizes.tolist())) > 10 and d.has_both_groups.all()
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=4)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=7, tau_psi=0.2)
+        per_query = [topk_disparity_surrogate(m, qg, solve_lambda_exactly_smoothed(
+            m.score_many(qg.query_index, qg.feature_idx), cfg, tol=1e-12), cfg)
+            for qg in d.queries]
+        monkeypatch.setattr(fairness, "_BLOCK_ENTRIES", entries)
+        assert dataset_topk_fairness(m, d, cfg) == pytest.approx(
+            sum(per_query) / d.num_queries, rel=1e-12, abs=0.0)
+
+    def test_dataset_fairness_memory_follows_the_blocks(self, tmp_path):
+        # one 3,000-item query and 300 of 4 items: a (queries x widest) matrix
+        # of scores would take 7.2 MB
+        rows = [f"w,{i},{i % 3},{i % 2}" for i in range(3000)]
+        rows += [f"q{k},{i},{i % 2},{i % 2}" for k in range(300) for i in range(4)]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        d = load_csv(str(path))
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=1)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=7, tau_psi=0.2)
+        tracemalloc.start()
+        try:
+            u = dataset_topk_fairness(m, d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+        assert np.isfinite(u) and u > 0.0
 
     def test_single_group_returns_none(self):
         m, qg = _query_with(None, [0.0, 1.0], [GROUP_B, GROUP_B])

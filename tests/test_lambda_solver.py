@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtopk.errors import ConfigurationError
+from fairtopk import lambda_solver
+from fairtopk.errors import ConfigurationError, FairTopKError
 from fairtopk.lambda_solver import (
     exact_lambda,
     implicit_lambda_grad,
@@ -40,6 +41,10 @@ class TestExactLambda:
     def test_k_too_large(self):
         with pytest.raises(ConfigurationError):
             exact_lambda(np.array([1.0, 2.0]), 2)
+
+    def test_negative_k(self):
+        with pytest.raises(ConfigurationError, match="k = -1"):
+            exact_lambda(np.array([1.0, 2.0, 3.0]), -1)
 
 
 class TestSmoothedDerivatives:
@@ -119,6 +124,57 @@ class TestSolver:
     def test_bad_tol(self):
         with pytest.raises(ConfigurationError):
             solve_lambda_exactly_smoothed(np.zeros(3), TrainConfig(), tol=0.0)
+
+    @pytest.mark.parametrize("scores, row", [
+        (np.zeros(0), 0),                                        # empty
+        (np.array([0.5, np.nan, 1.0]), 0),                       # NaN
+        (np.array([0.5, np.inf, 1.0]), 0),                       # +inf
+        (np.array([[0.5, 1.0], [-np.inf, -np.inf], [2.0, -np.inf]]), 1),    # no finite score
+        (np.array([[0.5, 1.0], [2.0, -np.inf], [np.nan, 1.0]]), 2),
+    ])
+    def test_bad_scores_name_their_row(self, scores, row):
+        with pytest.raises(ConfigurationError, match=f"row {row} "):
+            solve_lambda_exactly_smoothed(scores, TrainConfig(k=1))
+
+    def test_minus_inf_is_an_empty_slot(self, rng):
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3)
+        s = rng.normal(0, 2, 12)
+        holed = np.insert(s, [0, 5, 12], -np.inf)
+        lam = solve_lambda_exactly_smoothed(holed, cfg, tol=1e-12)
+        assert lam == pytest.approx(solve_lambda_exactly_smoothed(s, cfg, tol=1e-12),
+                                    rel=0.0, abs=1e-12)
+        assert solve_lambda_exactly_smoothed(np.stack([holed, holed]), cfg, tol=1e-12).tolist() \
+            == [lam, lam]
+
+    def test_padded_rows_meet_the_stopping_rule(self, rng):
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=7)
+        lists = [rng.normal(0, 2, int(rng.integers(2, 61))) for _ in range(300)]
+        scores = np.full((len(lists), 60), -np.inf)
+        for r, s in enumerate(lists):
+            scores[r, :len(s)] = s
+        lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-12)
+        assert lam.shape == (300,)
+        assert max(abs(smoothed_grad(l_, s, cfg)) for l_, s in zip(lam, lists)) <= 1e-12
+        # a list alone sums its slopes in other pairwise blocks than its padded row
+        np.testing.assert_allclose(
+            lam, [solve_lambda_exactly_smoothed(s, cfg, tol=1e-12) for s in lists],
+            rtol=0.0, atol=1e-12)
+
+    def test_vector_is_a_one_row_matrix(self, rng):
+        cfg = TrainConfig(tau1=1e-2, tau2=1e-4, eps=0.5, k=3)
+        for _ in range(20):
+            s = rng.normal(0, 2, int(rng.integers(2, 200)))
+            lam = solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
+            assert type(lam) is float
+            assert solve_lambda_exactly_smoothed(s[None], cfg, tol=1e-12).tolist() == [lam]
+
+    def test_bracket_failure_names_its_row(self, monkeypatch, rng):
+        grad = lambda_solver._grad
+        # the gradient of row 2 never turns negative, so no bracket holds its root
+        monkeypatch.setattr(lambda_solver, "_grad",
+                            lambda *a: np.where(np.arange(4) == 2, 1.0, grad(*a)))
+        with pytest.raises(FairTopKError, match="threshold bracket failure in row 2"):
+            solve_lambda_exactly_smoothed(rng.normal(0, 1, (4, 6)), TrainConfig(k=2))
 
 
 class TestStateStep:
