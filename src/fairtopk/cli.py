@@ -209,9 +209,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_export_strips(args) -> int:
     d = load_csv(args.data)
     model = FactorizationScorer.load(args.checkpoint)
-    export_ranking_strips(model, d, args.num_queries, args.K,
-                          args.out_csv, args.out_ppm)
-    print(f"wrote strips for {args.num_queries} queries")
+    rows = export_ranking_strips(model, d, args.num_queries, args.K, args.out_csv, args.out_ppm)
+    print(f"wrote strips for {rows} queries")
     return 0
 
 

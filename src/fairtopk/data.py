@@ -145,7 +145,8 @@ class Dataset:
 
     @property
     def queries(self) -> list[QueryGroup]:
-        """Every query as a view (``query``), built anew on each access."""
+        """Every query as a view (``query``), built anew on each access; only
+        tests use it; the package works on the CSR arrays."""
         return [self.query(k) for k in range(self.num_queries)]
 
     def take(self, positions: np.ndarray) -> "Dataset":
@@ -171,6 +172,17 @@ def padded(values: np.ndarray, sizes: np.ndarray, width: int | None = None) -> n
     out = np.full(filled.shape, -1, dtype=np.int64)
     out[filled] = values
     return out
+
+
+def padded_blocks(d: Dataset, queries: np.ndarray):
+    """The queries at positions ``queries``, widest first, in blocks of at most
+    ``_BLOCK_ENTRIES`` slots and at least one list: yields each block's query
+    positions and its (lists, slots) flat positions, padded with -1 (``padded``).
+    The sort is not stable: a stable one moves U(w) by 1 ulp on ragged sets."""
+    queries = queries[np.argsort(-d.sizes[queries])]
+    while len(queries):
+        block, queries = np.split(queries, [max(1, _BLOCK_ENTRIES // d.sizes[queries[0]])])
+        yield block, padded(spans(d.offsets[block], d.sizes[block]), d.sizes[block])
 
 
 def along(values: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import _BLOCK_ENTRIES, GROUP_A, Dataset, along, padded, smallest_keys, spans
+from .data import (_BLOCK_ENTRIES, GROUP_A, Dataset, along, padded, padded_blocks,
+                   smallest_keys, spans)
 from .errors import ConfigurationError, FairTopKError
 from .fairness import disparity_mae_mse, rank_order, topk_gaps
 from .lambda_solver import k_per_query
@@ -283,43 +284,37 @@ def spearman(x, y) -> float:
 
 
 def export_ranking_strips(model: FactorizationScorer, d: Dataset, num_queries: int,
-                          k: int, csv_path: str, ppm_path: str) -> None:
-    """Group-membership strips of the most unfair rankings.
+                          k: int, csv_path: str, ppm_path: str) -> int:
+    """Group-membership strips of the most unfair rankings; returns the rows written.
 
-    One row per selected query (descending exact top-K disparity), one
-    column per rank position; cells are 'A' / 'B' in the CSV and red /
-    green pixels in the binary PPM.  Rows are right-padded with black
-    pixels when queries have fewer items than the widest one.
+    One row per selected query of 2 or more items (descending exact top-K
+    disparity, queries missing a group last, ties by query position), one
+    column per rank position; cells are 'A' / 'B' in the CSV and red / green
+    pixels in the binary PPM, whose rows are right-padded with black pixels.
     """
     if not 1 <= num_queries <= d.num_queries:
         raise ConfigurationError(f"num_queries must be in [1, {d.num_queries}]")
     if k < 1:
         raise ConfigurationError("k must be >= 1")
-    ranked = []
     every = model.score_many(d.query_row, d.feature_idx)
-    for qg, start in zip(d.queries, d.offsets):
-        if qg.num_items < 2:
-            continue
-        scores = every[start:start + qg.num_items]
-        order = rank_order(scores, qg.item_ids)
-        gap = abs(topk_gaps(scores, qg.groups, order)[k_per_query(k, qg.num_items) - 1])
-        if np.isnan(gap):
-            gap = -1.0
-        ranked.append((gap, qg.groups[order]))
-    ranked.sort(key=lambda t: -t[0])
-    rows = [["A" if g == GROUP_A else "B" for g in groups]
-            for _, groups in ranked[:num_queries]]
-
+    queries, gaps, cells = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0, np.int8)]
+    for block, at in padded_blocks(d, np.flatnonzero(d.sizes >= 2)):
+        scores, groups = np.where(at >= 0, every[at], -np.inf), np.where(at >= 0, d.groups[at], -1)
+        order = rank_order(scores, d.item_ids[at])
+        gap = along(topk_gaps(scores, groups, order), k_per_query(k, d.sizes[block, None]) - 1)
+        ranked = along(groups, order)       # padding ranks last
+        queries.append(block)
+        gaps.append(np.nan_to_num(np.abs(gap[:, 0]), nan=-1.0))
+        cells.append(ranked[ranked >= 0])
+    queries, gaps, cells = (np.concatenate(x) for x in (queries, gaps, cells))
+    sizes = d.sizes[queries]
+    top = np.lexsort((queries, -gaps))[:num_queries]
+    strips = padded(cells[spans((np.cumsum(sizes) - sizes)[top], sizes[top])], sizes[top])
     with open(csv_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-    width = max((len(r) for r in rows), default=0)
-    height = len(rows)
+        fh.writelines(",".join(np.where(row[row >= 0] == GROUP_A, "A", "B")) + "\n"
+                      for row in strips)
     with open(ppm_path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode())
-        red, green, black = bytes([220, 40, 40]), bytes([40, 180, 60]), bytes(3)
-        for row in rows:
-            line = b"".join(red if c == "A" else green for c in row)
-            line += black * (width - len(row))
-            fh.write(line)
+        fh.write(f"P6\n{strips.shape[1]} {len(strips)}\n255\n".encode())
+        # group codes as pixels: GROUP_A (0) red, GROUP_B (1) green, padding (-1) black
+        fh.write(np.array([[220, 40, 40], [40, 180, 60], [0, 0, 0]], np.uint8)[strips].tobytes())
+    return len(strips)

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import (_BLOCK_ENTRIES, GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup, along,
-                   padded, spans)
+from .data import GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup, along, padded_blocks
 from .errors import ConfigurationError, StateError
 from .lambda_solver import _sigmoid, cross_coeff, solve_lambda_exactly_smoothed
 from .model import FactorizationScorer
@@ -116,10 +115,7 @@ def dataset_topk_fairness(model: FactorizationScorer, d: Dataset, cfg: TrainConf
     thresholds re-solved to tolerance 1e-12 per padded block, widest queries first;
     one score_many call; queries missing a group add 0.  G2's finite-difference target."""
     scores, total = model.score_many(d.query_row, d.feature_idx), 0.0
-    both = np.flatnonzero(d.has_both_groups)[np.argsort(-d.sizes[d.has_both_groups])]
-    while len(both):
-        block, both = np.split(both, [max(1, _BLOCK_ENTRIES // d.sizes[both[0]])])
-        at = padded(spans(d.offsets[block], d.sizes[block]), d.sizes[block])
+    for _, at in padded_blocks(d, np.flatnonzero(d.has_both_groups)):
         s = np.where(at >= 0, scores[at], -np.inf)
         lam = solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)[:, None]
         total += _surrogate(s, np.where(at >= 0, d.groups[at], -1), lam, cfg).sum()

@@ -108,12 +108,6 @@ class TrainConfig:
         return self.fairness_mode != "none" and self.fair_weight > 0.0
 
 
-def config_to_file(cfg: TrainConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(cfg):
-            fh.write(f"{f.name}={getattr(cfg, f.name)}\n")
-
-
 def config_from_file(path: str) -> TrainConfig:
     """Parse the flat key=value config format; unknown keys are errors."""
     casts = {f.name: type(f.default) for f in fields(TrainConfig)}
@@ -243,7 +237,6 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
 
 @dataclass
 class TrainResult:
-    model: FactorizationScorer
     best_params: np.ndarray
     best_valid_ndcg: float
     trace: TrainTrace
@@ -251,8 +244,8 @@ class TrainResult:
 
 def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
           valid_d: Dataset | None = None) -> TrainResult:
-    """Run the full loop; returns the final model, the best-validation
-    parameter snapshot and the logged trace."""
+    """Run the full loop, training ``model`` in place; returns the
+    best-validation parameter snapshot and the logged trace."""
     from .evaluation import EvalProtocol, evaluate  # local import avoids a cycle
 
     rng = np.random.default_rng(cfg.seed)
@@ -292,6 +285,6 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
 
     if best_ndcg == -np.inf:
         best_params = model.params.values.copy()
-    return TrainResult(model=model, best_params=best_params,
+    return TrainResult(best_params=best_params,
                        best_valid_ndcg=float(best_ndcg), trace=trace)
 

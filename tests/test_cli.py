@@ -273,6 +273,18 @@ class TestSweepAndStrips:
         assert set("".join(rows).replace(",", "")) <= {"A", "B"}
         assert open(ppm_out, "rb").read().startswith(b"P6\n")
 
+    def test_export_strips_counts_the_rows_written(self, tmp_path, capsys):
+        # query "solo" has one item, so only 2 of the 3 queries get a row
+        data = tmp_path / "d.csv"
+        data.write_text("q0,1,1,0\nq0,2,0,1\nsolo,3,1,0\nq1,1,0,0\nq1,4,2,1\nq1,2,1,1\n")
+        ckpt, out_csv = tmp_path / "m.ckpt", tmp_path / "s.csv"
+        FactorizationScorer(3, 4, 2).save(str(ckpt))
+        assert run(["export-strips", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--num-queries", "3", "--K", "1", "--out-csv", str(out_csv),
+                    "--out-ppm", str(tmp_path / "s.ppm")]) == 0
+        assert len(out_csv.read_text().splitlines()) == 2
+        assert "wrote strips for 2 queries" in capsys.readouterr().out
+
 
 class TestParser:
     def test_unknown_command_exits_one(self):

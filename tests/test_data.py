@@ -18,6 +18,7 @@ from fairtopk.data import (
     along,
     generate_synthetic,
     load_csv,
+    padded_blocks,
     sample_batch,
     save_csv,
     smallest_keys,
@@ -373,6 +374,29 @@ class TestAlong:
         got = along(values, order)
         assert got.shape == order.shape
         assert np.array_equal(got, np.take_along_axis(values, order, axis=-1))
+
+
+class TestPaddedBlocks:
+    @pytest.mark.parametrize("entries", [1, 150, 32768])
+    def test_every_query_once_widest_first_within_the_block_size(self, monkeypatch, entries):
+        g = generate_synthetic(30, 60, 0.3, 1.0, seed=4)
+        keep = np.random.default_rng(4).random(g.total_pairs) < 0.05 + 0.95 * (g.query_of % 6) / 5
+        d = g.take(np.flatnonzero(keep))
+        queries = np.flatnonzero(d.query_index % 3 > 0)
+        assert len(set(d.sizes[queries].tolist())) > 10 and d.sizes.min() == 1
+        monkeypatch.setattr(data, "_BLOCK_ENTRIES", entries)
+        blocks = list(padded_blocks(d, queries))
+        order = np.concatenate([block for block, _ in blocks])
+        assert sorted(order.tolist()) == queries.tolist()
+        assert np.all(np.diff(d.sizes[order]) <= 0)
+        for block, at in blocks:
+            assert at.shape == (len(block), d.sizes[block[0]])
+            assert len(block) == 1 or at.size <= entries
+            for q, row in zip(block, at):
+                n = d.sizes[q]
+                assert np.array_equal(row[:n], np.arange(d.offsets[q], d.offsets[q + 1]))
+                assert np.all(row[n:] == -1)
+        assert list(padded_blocks(d, queries[:0])) == []
 
 
 class TestSampleBatch:

@@ -20,6 +20,7 @@ from fairtopk.data import (
     split,
 )
 from fairtopk.errors import ConfigurationError, FairTopKError
+from fairtopk import data as data_module
 from fairtopk import evaluation
 from fairtopk.evaluation import (
     EvalProtocol,
@@ -33,6 +34,7 @@ from fairtopk.evaluation import (
     tradeoff_sweep,
 )
 from fairtopk.fairness import disparity_mae_mse, rank_order, topk_gaps
+from fairtopk.lambda_solver import k_per_query
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainConfig
 
@@ -607,7 +609,70 @@ class TestTradeoffSweep:
         assert rows[1]["failed"] is True and rows[1]["ndcg_mean"] is None
 
 
+def _reference_strips(model, d, k):
+    """(|gap at K_q|, CSV line) of every list of 2 or more items, one query at a
+    time, in the strips' row order: |gap| descending, -1 for a list missing a
+    group, ties by query position."""
+    every = model.score_many(d.query_row, d.feature_idx)
+    ranked = []
+    for qg, start in zip(d.queries, d.offsets):
+        if qg.num_items < 2:
+            continue
+        scores = every[start:start + qg.num_items]
+        order = rank_order(scores, qg.item_ids)
+        gap = abs(topk_gaps(scores, qg.groups, order)[k_per_query(k, qg.num_items) - 1])
+        ranked.append((-1.0 if np.isnan(gap) else gap,
+                       ",".join("A" if g == GROUP_A else "B" for g in qg.groups[order])))
+    ranked.sort(key=lambda t: -t[0])
+    return ranked
+
+
+def _ragged_strips_case():
+    """Ragged lists of 1 to 40 items with odd ones spliced in: a one-item list,
+    one-group lists, lists of tied scores (one of them gaps exactly 0 at K = 2,
+    ahead of the one-group lists), and pairs of mirrored two-item lists
+    (same scores, groups swapped) whose gaps tie; a model comes with it."""
+    g = generate_synthetic(24, 40, 0.3, 1.0, seed=8)
+    keep = np.random.default_rng(8).random(g.total_pairs) < 0.05 + 0.95 * (g.query_of % 6) / 5
+    queries = g.take(np.flatnonzero(keep)).queries
+    fresh = iter(range(10 ** 6, 10 ** 7))
+
+    def odd(qid, row, feats, groups):
+        ids = np.array([next(fresh) for _ in feats], dtype=np.int64)
+        return QueryGroup(qid, row, ids, np.asarray(feats, dtype=np.int64),
+                          np.ones(len(feats)), np.asarray(groups, dtype=np.int8))
+
+    a, b = GROUP_A, GROUP_B
+    spliced = {0: odd("one_item", 0, [3], [a]), 5: odd("all_b", 1, [0, 1, 2, 3, 4], [b] * 5),
+               9: odd("all_a", 2, [5, 6, 7], [a] * 3),
+               12: odd("tied_scores", 3, [3, 3, 5, 5, 7, 7], [a, b, b, a, a, b]),
+               7: odd("zero_gap_at_2", 7, [9, 9, 9, 9], [a, b, a, b])}
+    for j, row in enumerate((4, 5, 6)):
+        spliced[2 + 6 * j] = odd(f"ab{row}", row, [8 + j, 20 + j], [a, b])
+        spliced[20 - 5 * j] = odd(f"ba{row}", row, [8 + j, 20 + j], [b, a])
+    for pos in sorted(spliced):
+        queries.insert(pos, spliced[pos])
+    d = make_dataset(queries, num_query_rows=g.num_query_rows)
+    return FactorizationScorer(d.num_query_rows, g.num_item_rows, 4, seed=8), d
+
+
 class TestRankingStrips:
+    @pytest.mark.parametrize("entries", [1, 150, 32768])
+    @pytest.mark.parametrize("k", [1, 2, 7, 400])
+    def test_blocks_match_the_per_query_reference(self, tmp_path, monkeypatch, entries, k):
+        model, d = _ragged_strips_case()
+        assert len(set(d.sizes.tolist())) > 10 and d.sizes.min() == 1
+        assert np.count_nonzero(~d.has_both_groups & (d.sizes >= 2)) >= 2
+        expected = _reference_strips(model, d, k)
+        gaps = [gap for gap, _ in expected if gap >= 0]
+        assert len(set(gaps)) <= len(gaps) - 3          # the mirrored pairs tie
+        monkeypatch.setattr(data_module, "_BLOCK_ENTRIES", entries)
+        csv_path = tmp_path / "s.csv"
+        rows = export_ranking_strips(model, d, d.num_queries, k, str(csv_path),
+                                     str(tmp_path / "s.ppm"))
+        assert rows == len(expected) == np.count_nonzero(d.sizes >= 2) < d.num_queries
+        assert csv_path.read_text().splitlines() == [line for _, line in expected]
+
     def test_row_order_and_cells(self, tmp_path):
         m = _scored_model([3.0, 2.0, 1.0])
         qg = QueryGroup(query_id="q0", query_index=0,

@@ -9,7 +9,7 @@ from conftest import bound_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtopk import fairness
+from fairtopk import data as data_module
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
@@ -232,7 +232,7 @@ class TestSurrogate:
         per_query = [topk_disparity_surrogate(m, qg, solve_lambda_exactly_smoothed(
             m.score_many(qg.query_index, qg.feature_idx), cfg, tol=1e-12), cfg)
             for qg in d.queries]
-        monkeypatch.setattr(fairness, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(data_module, "_BLOCK_ENTRIES", entries)
         assert dataset_topk_fairness(m, d, cfg) == pytest.approx(
             sum(per_query) / d.num_queries, rel=1e-12, abs=0.0)
 

@@ -18,7 +18,6 @@ UNREAD_ALLOWED = {
     ("data.py", "BatchSample.per_query"): "bench/run.py counts the sampled queries with it",
     ("evaluation.py", "ndcg_at_k"): "bench/run.py wraps it as a layer",
     ("evaluation.py", "spearman"): "acceptance criterion 5 ranks MAE against C with it",
-    ("optimizer.py", "config_to_file"): "the run manifest of ROADMAP item 3 writes with it",
 }
 
 # (file, qualified function name, parameter) -> why its default stays though
