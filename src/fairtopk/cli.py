@@ -47,17 +47,19 @@ def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags ``train`` and ``sweep`` share: data, split, model and TrainConfig."""
+    sub.add_argument("--data", required=True, help="CSV dataset")
+    sub.add_argument("--config", default=None, help="key=value config file")
+    sub.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1",
+                     help="train,valid,test split fractions")
+    sub.add_argument("--split-seed", type=int, default=0)
+    sub.add_argument("--dim", type=int, default=8)
+    sub.add_argument("--bound", type=float, default=10.0)
     for f in fields(TrainConfig):
         flags = ["--" + f.name.replace("_", "-")] + _FLAG_ALIASES.get(f.name, [])
         sub.add_argument(*flags, type=type(f.default), default=None,
                          help=f"TrainConfig.{f.name} (default {f.default})")
-
-
-def _resolve_config(args) -> TrainConfig:
-    cfg = config_from_file(args.config) if getattr(args, "config", None) else TrainConfig()
-    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
-    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def build_parser() -> _Parser:
@@ -76,15 +78,8 @@ def build_parser() -> _Parser:
     g.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="train a scoring model")
-    t.add_argument("--data", required=True, help="CSV dataset")
-    t.add_argument("--config", default=None, help="key=value config file")
-    t.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1",
-                   help="train,valid,test split fractions")
-    t.add_argument("--split-seed", type=int, default=0)
-    t.add_argument("--dim", type=int, default=8)
-    t.add_argument("--bound", type=float, default=10.0)
+    _add_run_flags(t)
     t.add_argument("--out", required=True, help="output prefix")
-    _add_config_flags(t)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--data", required=True)
@@ -96,16 +91,10 @@ def build_parser() -> _Parser:
     e.add_argument("--out", default=None, help="JSON report path (default stdout)")
 
     s = sub.add_parser("sweep", help="C-grid accuracy/fairness tradeoff sweep")
-    s.add_argument("--data", required=True)
-    s.add_argument("--config", default=None)
+    _add_run_flags(s)
     s.add_argument("--c-grid", type=float_list, default="0,10,100,1000,10000")
     s.add_argument("--k-list", type=int_list, default="50")
-    s.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1")
-    s.add_argument("--split-seed", type=int, default=0)
-    s.add_argument("--dim", type=int, default=8)
-    s.add_argument("--bound", type=float, default=10.0)
     s.add_argument("--out", required=True, help="output prefix (.csv and .json)")
-    _add_config_flags(s)
 
     x = sub.add_parser("export-strips", help="export group-membership ranking strips")
     x.add_argument("--data", required=True)
@@ -138,29 +127,27 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _require_out_dir(prefix: str) -> None:
-    """Fail before loading or training when the directory of ``--out`` is missing."""
-    folder = os.path.dirname(prefix) or "."
+def _start_run(args):
+    """Config, split and initial model of a ``train`` or ``sweep`` run; every
+    check that can fail does so before anything is trained or written."""
+    cfg = config_from_file(args.config) if args.config else TrainConfig()
+    cfg = replace(cfg, **{f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                          if getattr(args, f.name) is not None})
+    _require_seed(args)
+    folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"output directory {folder!r} of --out does not exist")
-
-
-def _load_and_split(path: str, fractions: list[float], seed: int):
-    d = load_csv(path)
-    train_d, valid_d, test_d, tiny = split(d, tuple(fractions), seed)
-    return d, train_d, valid_d, test_d, tiny
-
-
-def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    _require_seed(args)
-    _require_out_dir(args.out)
-    d, train_d, valid_d, _, tiny = _load_and_split(args.data, args.fractions,
-                                                   args.split_seed)
+    d = load_csv(args.data)
+    train_d, valid_d, test_d, tiny = split(d, tuple(args.fractions), args.split_seed)
     if tiny:
         print(f"warning: {tiny} queries too small to split; kept in train")
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)
+    return cfg, model, train_d, valid_d, test_d
+
+
+def _cmd_train(args) -> int:
+    cfg, model, train_d, valid_d, _ = _start_run(args)
     result = train(model, train_d, cfg, valid_d=valid_d if valid_d.num_queries else None)
     model.save(args.out + ".ckpt")
     best = model.clone()
@@ -192,12 +179,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    _require_seed(args)
-    _require_out_dir(args.out)
-    d, train_d, _, test_d, _ = _load_and_split(args.data, args.fractions, args.split_seed)
-    model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
-                                bound=args.bound, seed=cfg.seed)
+    cfg, model, train_d, _, test_d = _start_run(args)
     proto = EvalProtocol(k_list=tuple(args.k_list), seed=cfg.seed)
     report = tradeoff_sweep(model, train_d, test_d, cfg, args.c_grid, proto)
     report.to_csv(args.out + ".csv")

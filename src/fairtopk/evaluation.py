@@ -111,9 +111,17 @@ def build_eval_list(d: Dataset, queries: np.ndarray, proto: EvalProtocol):
         taken[np.nonzero(first)[0], runs[first] % k] = True
         taken &= np.cumsum(taken, axis=1) <= need[drawn, None]
         # pool index a of a drawn list is vocabulary position a + #{j : p_j - j <= a},
-        # p_j its observed positions in ascending order
-        below = [d.observed[lo[r]:hi[r]] - base[r] - np.arange(hi[r] - lo[r]) for r in drawn]
-        voc += [a[t] + np.searchsorted(c, a[t], side="right") for c, a, t in zip(below, at, taken)]
+        # p_j its observed positions in ascending order.  One sorted array serves all
+        # drawn lists: the i-th list's p_j - j and a are shifted by i * (width + 1),
+        # and the entries of the lists before it are taken off the count
+        n_seen = hi[drawn] - lo[drawn]
+        seen = spans(lo[drawn], n_seen)
+        below = d.observed[seen] - seen - np.repeat(
+            base[drawn] - lo[drawn] - np.arange(len(drawn)) * (width + 1), n_seen)
+        row = np.nonzero(taken)[0]
+        a = at[taken] + row * (width + 1)
+        voc.append(at[taken] + np.searchsorted(below, a, side="right")
+                   - (np.cumsum(n_seen) - n_seen)[row])
     voc = np.concatenate(voc)
     cand_list = np.concatenate([own_list, np.repeat(whole, pool[whole]),
                                 np.repeat(drawn, need[drawn])])

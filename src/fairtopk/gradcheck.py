@@ -77,9 +77,7 @@ def check_rank_losses(seed: int) -> dict[str, float]:
             model.params.values[:] = w
             return dataset_loss(model, d, cfg)
 
-        w0 = model.params.values.copy()
         fd = finite_difference_gradient(loss_of, model.params.values)
-        model.params.values[:] = w0
         out[loss] = relative_error(g1, fd)
     return out
 
@@ -107,9 +105,7 @@ def check_fairness(seed: int) -> dict[str, float]:
         model.params.values[:] = w
         return dataset_topk_fairness(model, d, cfg)
 
-    w0 = model.params.values.copy()
     fd = finite_difference_gradient(fairness_of, model.params.values)
-    model.params.values[:] = w0
     return {"g2_full_implicit": relative_error(g2, fd)}
 
 
@@ -147,9 +143,7 @@ def check_lambda(seed: int) -> dict[str, float]:
         s = model.score_many(qg.query_index, qg.feature_idx)
         return solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
 
-    w0 = model.params.values.copy()
     fd = finite_difference_gradient(lam_of, model.params.values)
-    model.params.values[:] = w0
     return {"smoothed_grad": max_grad, "smoothed_hess": max_hess,
             "implicit_lambda": relative_error(analytic, fd)}
 

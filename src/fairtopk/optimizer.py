@@ -27,7 +27,6 @@ from .model import FactorizationScorer
 from .rank_losses import ScoredBatch, dataset_loss, g1_estimate
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
-LR_SCHEDULES = ("constant", "step_decay")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class TrainConfig:
     batch_b: int = 16
     epochs: int = 10
     seed: int = 0
-    lr_schedule: str = "constant"      # "constant" | "step_decay"
     g2_mode: str = "simplified"        # "simplified" | "full_implicit"
     log_every: int = 100
 
@@ -72,8 +70,6 @@ class TrainConfig:
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.fairness_mode not in FAIRNESS_MODES:
             raise ConfigurationError(f"unknown fairness_mode {self.fairness_mode!r}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ConfigurationError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.loss not in ("ndcg", "listnet"):
             raise ConfigurationError(f"unknown loss {self.loss!r}")
         if self.loss == "ndcg" and self.margin <= 0:
@@ -198,8 +194,7 @@ def _check_finite(arrays, name: str) -> None:
 
 
 def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
-               state: TrainerState, rng: np.random.Generator,
-               lr_mult: float = 1.0) -> dict:
+               state: TrainerState, rng: np.random.Generator) -> dict:
     """One full iteration: sample, estimate G1 (+ C * G2), momentum, step.
     One ``ScoredBatch`` scores the blocks both estimators weigh and scatters
     G1 + C * G2 on them."""
@@ -231,7 +226,7 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
     state.z *= 1.0 - cfg.gamma5
     state.z += cfg.gamma5 * scored.dense(*estimates)
     _check_finite([state.z], "momentum z")
-    model.params.values -= cfg.eta1 * lr_mult * state.z
+    model.params.values -= cfg.eta1 * state.z
     return {"z_norm": float(np.linalg.norm(state.z)), "num_pairs": batch.num_pairs}
 
 
@@ -261,10 +256,7 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
 
     for step in range(total_steps):
         epoch = step // steps_per_epoch
-        lr_mult = 1.0
-        if cfg.lr_schedule == "step_decay" and epoch >= cfg.epochs / 2:
-            lr_mult = 0.25
-        metrics = train_step(model, train_d, cfg, state, rng, lr_mult=lr_mult)
+        metrics = train_step(model, train_d, cfg, state, rng)
 
         if step % cfg.log_every == 0 or step == total_steps - 1:
             record = {"step": step, "epoch": epoch, "z_norm": metrics["z_norm"],

@@ -87,6 +87,23 @@ class TestTrainEval:
         assert run(["train", "--data", data_csv, "--config", str(cfg),
                     "--out", str(tmp_path / "x")]) == 1
 
+    def test_removed_lr_schedule_key_exits_one(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("lr_schedule=step_decay\n")
+        assert run(["train", "--data", data_csv, "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == 1
+        assert "unknown key 'lr_schedule'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_query_too_small_to_split_is_reported(self, tmp_path, capsys, command):
+        data = tmp_path / "small.csv"
+        data.write_text("".join(f"q{q},{q * 10 + i},{int(i == 0)},{i % 2}\n"
+                                for q, n in enumerate([6, 2, 5]) for i in range(n)))
+        grid = ["--c-grid", "0"] if command == "sweep" else []
+        assert run([command, "--data", str(data), "--out", str(tmp_path / "x"),
+                    "--epochs", "0", "--dim", "2", *grid]) == 0
+        assert "warning: 1 queries too small to split; kept in train" in capsys.readouterr().out
+
     def test_missing_data_file_exits_two(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "absent.csv"),
                     "--out", str(tmp_path / "x"), "--epochs", "1"]) == 2
@@ -151,19 +168,20 @@ class TestTrainEval:
         assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"), flag, "0"]) == 1
         assert "invalid configuration:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--C", "nan"], ["--fractions", "nan,0.5,0.5"],
-                                      ["--bound", "nan"]])
+    @pytest.mark.parametrize("argv", [
+        [command, *flags] for command in ("train", "sweep")
+        for flags in (["--C", "nan"], ["--fractions", "nan,0.5,0.5"], ["--bound", "nan"])])
     def test_nan_parameter_exits_one_before_writing(self, data_csv, tmp_path, capsys, argv):
-        assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"),
-                    "--epochs", "1", *argv]) == 1
+        assert run([argv[0], "--data", data_csv, "--out", str(tmp_path / "x"),
+                    "--epochs", "1", *argv[1:]]) == 1
         assert "invalid configuration:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--queries", "4", "--items", "8", "--seed", "-1", "--out", "{out}/d.csv"],
-        ["train", "--data", "{data}", "--out", "{out}/x", "--epochs", "1", "--seed", "-3"],
-        ["train", "--data", "{data}", "--out", "{out}/x", "--epochs", "1",
-         "--split-seed", "-2"],
+        *([command, "--data", "{data}", "--out", "{out}/x", "--epochs", "1", *flags]
+          for command in ("train", "sweep")
+          for flags in (["--seed", "-3"], ["--split-seed", "-2"])),
     ])
     def test_negative_seed_exits_one_before_writing(self, data_csv, tmp_path, capsys, argv):
         argv = [a.format(data=data_csv, out=tmp_path) for a in argv]
@@ -292,6 +310,11 @@ class TestParser:
 
     def test_unknown_flag_exits_one(self):
         assert run(["gen-data", "--bogus", "1"]) == 1
+
+    def test_removed_lr_schedule_flag_is_a_usage_error(self, data_csv, tmp_path, capsys):
+        assert run(["train", "--data", data_csv, "--out", str(tmp_path / "x"),
+                    "--lr-schedule", "step_decay"]) == 1
+        assert "usage error: unrecognized arguments: --lr-schedule" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--data", "d.csv", "--out", "x", "--c-grid", "0,abc"],

@@ -226,6 +226,35 @@ class TestBuildEvalList:
         assert alone == block
         assert lists(moved, range(te.num_queries)) == block
 
+    def test_mixed_block_equals_each_list_alone_row_for_row(self, monkeypatch):
+        """Whole-pool and drawn lists with different observed counts, in one
+        block and in another order, give each list the rows it gets alone."""
+        vocab = np.arange(1000, 1200)
+        groups = (vocab % 3 == 0).astype(np.int8)
+        # (own items, own labels, extra observed items): pools 190, 45, 132, 67, 158 and 175
+        shapes = [(vocab[0:10], np.arange(10) % 3, vocab[10:10]),
+                  (vocab[10:15], [2, 1, 0, 0, 1], vocab[20:170]),
+                  (vocab[40:48], [1, 0] * 4, vocab[100:160]),
+                  (vocab[60:63], [0, 1, 0], vocab[63:193]),
+                  (vocab[80:92], [0] * 12, vocab[150:180]),
+                  (vocab[199:174:-1], np.arange(25) % 2, vocab[:0])]
+        queries = [QueryGroup(f"q{k}", k, own, own - 1000, np.asarray(rel, dtype=np.float64),
+                              groups[own - 1000]) for k, (own, rel, _) in enumerate(shapes)]
+        d = make_dataset(queries, Vocabulary(vocab, vocab - 1000, groups),
+                         observed={f"q{k}": extra for k, (_, _, extra) in enumerate(shapes)})
+        proto = EvalProtocol(2, 20, seed=3)
+        drawn = []
+        streams = evaluation._streams
+        monkeypatch.setattr(evaluation, "_streams", lambda seed, qids, tag="": drawn.extend(
+            qids if tag else []) or streams(seed, qids, tag))
+        alone = [build_eval_list(d, np.array([k]), proto) for k in range(d.num_queries)]
+        assert sorted(drawn) == ["q0", "q2", "q4", "q5"]
+        for order in (np.arange(d.num_queries), np.array([5, 3, 0, 4, 1, 2])):
+            block = build_eval_list(d, order, proto)
+            for r, k in enumerate(order):
+                for got, want in zip(block, alone[k]):
+                    assert np.array_equal(got[r], want[0])
+
 
 def _pinned_cases():
     """(name, model, dataset, protocol) cases for the pinned reports: test-split

@@ -301,12 +301,6 @@ class TestTrain:
         assert np.isfinite(result.best_valid_ndcg)
         assert len(result.best_params) == len(m.params.values)
 
-    def test_step_decay_schedule_validates(self):
-        d, m, cfg = _tiny_setup(lr_schedule="step_decay", epochs=2)
-        train(m, d, cfg, valid_d=None)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(lr_schedule="bogus")
-
 
 class TestTrainTrace:
     def test_rejects_backwards_steps(self):
