@@ -91,7 +91,8 @@ class Dataset:
     position: ``item_ids``, ``feature_idx`` (rows of the model's item table),
     ``relevance``, ``groups``, the owning query's position ``query_of`` and
     model row ``query_row``, and the ListNet target ``label_softmax``
-    (softmax of the query's labels).
+    (softmax of the query's labels).  The two normalizers are computed on
+    the dataset's first rank-loss read, then kept.
 
     ``observed`` holds the sorted, distinct codes ``model row *
     len(vocab.ids) + vocabulary position`` of the (query, item) pairs known
@@ -116,26 +117,37 @@ class Dataset:
         self.num_queries, self.total_pairs = len(self.sizes), len(self.item_ids)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
         self.query_of = np.repeat(np.arange(self.num_queries), self.sizes)
-        self.query_row = self.query_index[self.query_of]
+        self.query_row = np.repeat(self.query_index, self.sizes)
         if observed is None:
             observed = np.sort(self.query_row * len(vocab.ids)
                                + np.searchsorted(vocab.ids, self.item_ids))
         self.observed = observed
-        # label_softmax and ideal_dcg of every query, as whole-array reductions
-        p = np.exp(self.relevance
-                   - _run_reduce(np.maximum, self.relevance, self.offsets, -np.inf)[self.query_of])
-        p /= _run_reduce(np.add, p, self.offsets, 0.0)[self.query_of]
-        gain = 2.0 ** self.relevance - 1.0
-        order = np.argsort(-gain)           # then stably by query: descending in each
-        gain = gain[order[np.argsort(self.query_of[order], kind="stable")]]
-        gain /= np.log2(np.arange(2.0, self.total_pairs + 2.0) - self.offsets[self.query_of])
-        self.label_softmax, self.ideal_dcg = p, _run_reduce(np.add, gain, self.offsets, 0.0)
         self.sizes_a = np.bincount(self.query_of[self.groups == GROUP_A],
                                    minlength=self.num_queries)
         self.has_both_groups = (self.sizes_a > 0) & (self.sizes_a < self.sizes)
         for a in (*vars(self).values(), *vocab):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+
+    # The rank-loss normalizers, as whole-array reductions over every query,
+    # computed on first read: only rank_losses reads them.
+    @cached_property
+    def label_softmax(self) -> np.ndarray:
+        p = np.exp(self.relevance
+                   - _run_reduce(np.maximum, self.relevance, self.offsets, -np.inf)[self.query_of])
+        p /= _run_reduce(np.add, p, self.offsets, 0.0)[self.query_of]
+        p.flags.writeable = False
+        return p
+
+    @cached_property
+    def ideal_dcg(self) -> np.ndarray:
+        gain = 2.0 ** self.relevance - 1.0
+        order = np.argsort(-gain)           # then stably by query: descending in each
+        gain = gain[order[np.argsort(self.query_of[order], kind="stable")]]
+        gain /= np.log2(np.arange(2.0, self.total_pairs + 2.0) - self.offsets[self.query_of])
+        out = _run_reduce(np.add, gain, self.offsets, 0.0)
+        out.flags.writeable = False
+        return out
 
     def query(self, k: int) -> QueryGroup:
         """Query k as a QueryGroup of read-only views."""
@@ -350,8 +362,8 @@ def load_csv(path: str) -> Dataset:
                 rel = float(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric relevance {parts[2]!r}")
-            if not 0 <= rel < float("inf"):
-                raise ParseError(f"line {lineno}: relevance must be finite and >= 0, "
+            if not 0 <= rel < 1024:         # 2**rel - 1, the NDCG gain, stays finite
+                raise ParseError(f"line {lineno}: relevance must be >= 0 and below 1024, "
                                  f"got {parts[2]!r}")
             grp = parts[3].strip()
             if grp not in ("0", "1"):
@@ -414,17 +426,17 @@ def generate_synthetic(num_queries: int, items_per_query: int,
     if per_query_a > len(a_pool) or items_per_query - per_query_a > len(b_pool):
         raise ConfigurationError("minority_fraction incompatible with items_per_query")
 
-    picked, rel = [], []
+    picked, noise = [], []
     for k in range(num_queries):
-        picked_a = rng.choice(a_pool, size=per_query_a, replace=False)
-        picked_b = rng.choice(b_pool, size=items_per_query - per_query_a, replace=False)
-        picked.append(np.concatenate([picked_a, picked_b]))
-        noise = rng.normal(0.0, 0.5, size=items_per_query)
-        rel.append(quality[picked[-1]] + noise)
+        picked += [rng.choice(a_pool, size=per_query_a, replace=False),
+                   rng.choice(b_pool, size=items_per_query - per_query_a, replace=False)]
+        noise.append(rng.normal(0.0, 0.5, size=items_per_query))
     picked = np.concatenate(picked)
+    rel = quality[picked] + np.concatenate(noise)
+    np.clip(np.round(rel, out=rel), 0.0, 4.0, out=rel)
     return _build_dataset([f"q{k}" for k in range(num_queries)],
-                          np.repeat(np.arange(num_queries), items_per_query), picked,
-                          np.clip(np.round(np.concatenate(rel)), 0.0, 4.0), pool_groups[picked])
+                          np.repeat(np.arange(num_queries), items_per_query), picked, rel,
+                          pool_groups[picked])
 
 
 def split(d: Dataset, fractions: tuple[float, float, float],
@@ -454,14 +466,13 @@ def split(d: Dataset, fractions: tuple[float, float, float],
     counts[tiny] = 0
     counts[tiny, 0] = n[tiny]
     # one permutation per query of 3+ items, in query order; the item at slot
-    # s of a query's permutation goes to the part whose range of slots holds s
+    # s of a query's permutation goes to the part whose range of slots holds s:
+    # slots are counts[k, 0] of part 0, then counts[k, 1] of part 1, then part 2
     local = np.concatenate([rng.permutation(k) if k >= 3 else np.arange(k)
                             for k in n.tolist()] + [n[:0]])
-    start = d.offsets[d.query_of]
-    ends = np.cumsum(counts, axis=1)[d.query_of, :2]
     part = np.empty(d.total_pairs, dtype=np.int64)
-    slot = np.arange(d.total_pairs) - start
-    part[start + local] = np.add(slot >= ends[:, 0], slot >= ends[:, 1], dtype=np.int64)
+    part[np.repeat(d.offsets[:-1], n) + local] = np.repeat(np.tile(np.arange(3), len(n)),
+                                                           counts.ravel())
     train, valid, test = (d.take(np.flatnonzero(part == j)) for j in range(3))
     return train, valid, test, int(tiny.sum())
 

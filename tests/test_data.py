@@ -30,7 +30,9 @@ from fairtopk.errors import (
     EmptyDatasetError,
     ParseError,
 )
-from fairtopk.evaluation import EvalProtocol, build_eval_list
+from fairtopk.evaluation import EvalProtocol, build_eval_list, evaluate
+from fairtopk.model import FactorizationScorer
+from fairtopk.optimizer import TrainConfig, TrainerState, train_step
 
 
 def _write(tmp_path, text, name="d.csv"):
@@ -88,7 +90,7 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(_write(tmp_path, "q1,1,-2,0\n"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1024", "2000"])
     def test_non_finite_relevance_rejected(self, tmp_path, value):
         with pytest.raises(ParseError, match="line 2"):
             load_csv(_write(tmp_path, f"q1,1,2,0\nq1,2,{value},1\n"))
@@ -291,6 +293,7 @@ class TestDataset:
         d = generate_synthetic(4, 8, 0.4, 1.0, seed=2)
         tr, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
         for ds in (d, tr):
+            ds.label_softmax, ds.ideal_dcg       # computed on first read
             arrays = {name: a for name, a in vars(ds).items() if isinstance(a, np.ndarray)}
             arrays.update((f"vocab.{name}", a) for name, a in ds.vocab._asdict().items())
             assert {"query_ids", "query_index", "sizes", "offsets", "item_ids", "feature_idx",
@@ -301,6 +304,70 @@ class TestDataset:
                     a[...] = a
             with pytest.raises(ValueError):
                 ds.query(1).relevance[0] = 9.0
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def _dataset_digests(d, names):
+    """sha256 of each named array of ``d`` (``vocab.x`` for a vocabulary field)."""
+    return {name: _digest(getattr(d.vocab, name[6:]) if name.startswith("vocab.")
+                          else getattr(d, name)) for name in names}
+
+
+class TestDatasetPins:
+    PINS = Path(__file__).with_name("dataset_pins.json")
+
+    def _check(self, d, pinned):
+        got = _dataset_digests(d, pinned)
+        # the pins name every array the dataset holds, normalizers included
+        arrays = {n for n, a in vars(d).items() if isinstance(a, np.ndarray)}
+        assert arrays | {f"vocab.{n}" for n in d.vocab._fields} == set(pinned)
+        assert got == pinned
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_benchmark_dataset_and_split_bit_for_bit(self, seed):
+        pins = json.loads(self.PINS.read_text())[f"synthetic_seed{seed}"]
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=seed)
+        parts = split(d, (0.8, 0.1, 0.1), seed=0)[:3]
+        for name, ds in zip(("source", "train", "valid", "test"), (d, *parts)):
+            self._check(ds, pins[name])
+
+    def test_loaded_csv_bit_for_bit(self, tmp_path):
+        self._check(load_csv(_ragged_csv(tmp_path)),
+                    json.loads(self.PINS.read_text())["ragged_csv"])
+
+
+class TestLazyNormalizers:
+    NAMES = ("label_softmax", "ideal_dcg")
+
+    def test_computed_on_the_first_rank_loss_read_only(self, tmp_path, monkeypatch):
+        d = generate_synthetic(20, 30, 0.3, 1.0, seed=1)
+        train_d, valid_d, test_d, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+        for ds in (load_csv(_ragged_csv(tmp_path)), d, train_d, valid_d, test_d,
+                   d.take(np.arange(0, d.total_pairs, 2))):
+            assert not set(self.NAMES) & set(vars(ds))
+        model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=1)
+        evaluate(model, test_d, EvalProtocol(2, 20, k_list=(5,), seed=0))
+        assert not set(self.NAMES) & set(vars(test_d))
+
+        calls, reduce = [], data._run_reduce
+        monkeypatch.setattr(data, "_run_reduce", lambda *a: calls.append(a[0]) or reduce(*a))
+        cfg = TrainConfig(k=5, fair_weight=10.0, batch_pairs=64, batch_items=8,
+                          batch_a=4, batch_b=4)
+        state, rng = TrainerState.fresh(cfg, len(model.params.values)), np.random.default_rng(0)
+        train_step(model, train_d, cfg, state, rng)
+        assert sorted(u.__name__ for u in calls) == ["add", "add", "maximum"]   # each once
+        first = [getattr(train_d, name) for name in self.NAMES]
+        train_step(model, train_d, cfg, state, rng)
+        assert len(calls) == 3
+        assert all(getattr(train_d, name) is a for name, a in zip(self.NAMES, first))
+        assert not set(self.NAMES) & (set(vars(valid_d)) | set(vars(test_d)))
+        for a in first:
+            with pytest.raises(ValueError):
+                a[...] = a
 
 
 class TestUnobserved:
@@ -470,12 +537,7 @@ class TestSampleBatch:
         pins = json.loads(Path(__file__).with_name("sampler_pins.json").read_text())
         for pinned in pins:
             batch = sample_batch(train_d, (256, 32, 16, 16), rng)
-            got = {}
-            for name in pinned:
-                a = np.ascontiguousarray(getattr(batch, name))
-                got[name] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode()
-                                           + a.tobytes()).hexdigest()
-            assert got == pinned
+            assert {name: _digest(getattr(batch, name)) for name in pinned} == pinned
 
     def test_deterministic_given_generator_state(self, small_data):
         a = sample_batch(small_data, (6, 3, 2, 2), np.random.default_rng(5))
