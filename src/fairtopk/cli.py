@@ -52,7 +52,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", required=True, help="CSV dataset")
     sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1",
-                     help="train,valid,test split fractions")
+                     help="train,valid,test split fractions (sweep never reads the valid part)")
     sub.add_argument("--split-seed", type=int, default=0)
     sub.add_argument("--dim", type=int, default=8)
     sub.add_argument("--bound", type=float, default=10.0)
@@ -180,6 +180,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, model, train_d, _, test_d = _start_run(args)
+    for c in args.c_grid:           # every grid point is a valid config before any trains
+        replace(cfg, fair_weight=float(c))
     proto = EvalProtocol(k_list=tuple(args.k_list), seed=cfg.seed)
     report = tradeoff_sweep(model, train_d, test_d, cfg, args.c_grid, proto)
     report.to_csv(args.out + ".csv")

@@ -362,8 +362,8 @@ def load_csv(path: str) -> Dataset:
                 rel = float(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric relevance {parts[2]!r}")
-            if not 0 <= rel < 1024:         # 2**rel - 1, the NDCG gain, stays finite
-                raise ParseError(f"line {lineno}: relevance must be >= 0 and below 1024, "
+            if not 0 <= rel < 1000:         # DCG of 2**rel - 1 gains finite below 2**23 items
+                raise ParseError(f"line {lineno}: relevance must be >= 0 and below 1000, "
                                  f"got {parts[2]!r}")
             grp = parts[3].strip()
             if grp not in ("0", "1"):

@@ -18,6 +18,11 @@ import numpy as np
 from .errors import CheckpointError, ConfigurationError, LookupError_
 
 _MAGIC = b"RANKCKP1"
+# add_weighted_grads sums a batch's weights into a dense (query rows x items)
+# matrix when it has at most this many cells per pair: on one core two matrix
+# products beat 2 * dim + 1 per-column bincounts up to 20 to 30 cells per pair,
+# and 16 doubles per pair is what the score gather keeps at dim 8
+DENSE_CELLS_PER_PAIR = 16
 
 
 @dataclass
@@ -82,21 +87,22 @@ class FactorizationScorer:
         """Scores of ``items`` for query rows ``q`` broadcast against them: one
         row, one per item, or one per row of an item matrix (shape (lists, 1)).
         The one place indices are type- and range-checked.  ``keep``, when
-        given, receives the embedding rows and tanh values gathered, for an
-        ``add_weighted_grads`` call on the same pairs; it needs one query row
-        per item."""
+        given, receives the embedding tables read and the rows and tanh values
+        gathered, for an ``add_weighted_grads`` call on the same pairs; it
+        needs one query row per item."""
         q, items = np.asarray(q), np.asarray(items)
         for idx, size, what in ((items, self.num_items, "item"), (q, self.num_queries, "query")):
             if idx.dtype.kind not in "iu":
                 raise LookupError_(f"{what} index must be an integer, got dtype {idx.dtype}")
             if idx.size and (idx.min() < 0 or idx.max() >= size):
                 raise LookupError_(f"{what} index out of range")
-        emb_i = np.take(self.item_emb, items, axis=0)
-        emb_q = np.take(self.query_emb, q, axis=0)
+        item_emb, query_emb = self.item_emb, self.query_emb
+        emb_i, emb_q = np.take(item_emb, items, axis=0), np.take(query_emb, q, axis=0)
         logits = np.einsum("...j,...j->...", emb_i, emb_q) + np.take(self.item_bias, items)
         tanh = np.tanh(logits / self.scale)
         if keep is not None:
-            keep.update(emb_i=emb_i, emb_q=emb_q, tanh=tanh)
+            keep.update(emb_i=emb_i, emb_q=emb_q, tanh=tanh, item_emb=item_emb,
+                        query_emb=query_emb)
         return self.score_bound * tanh
 
     def add_weighted_grads(self, q_idx, item_idx, coeff, out, *, kept: dict) -> None:
@@ -107,18 +113,28 @@ class FactorizationScorer:
         """
         t = kept["tanh"]
         c = np.asarray(coeff, dtype=np.float64) * self.score_bound * (1.0 - t * t) / self.scale
+        seg = {name: out[off:off + n] for name, (off, n) in self.params.layout.items()}
+        seen = np.bincount(q_idx, minlength=self.num_queries) > 0
+        rows, n_items = np.flatnonzero(seen), self.num_items
+        if len(rows) * n_items <= DENSE_CELLS_PER_PAIR * len(c):
+            # w[r, i] sums the weights of the pairs in cell (rows[r], i); two
+            # matrix products and a column sum then scatter every pair at once
+            cell = (np.cumsum(seen) - 1)[q_idx] * n_items + item_idx
+            w = np.bincount(cell, weights=c, minlength=len(rows) * n_items)
+            w = w.reshape(len(rows), n_items)
+            seg["query_emb"].reshape(-1, self.dim)[rows] += w @ kept["item_emb"]
+            seg["item_emb"] += (w.T @ kept["query_emb"][rows]).ravel()
+            seg["item_bias"] += w.sum(axis=0)
+            return
         # weighted bincounts, one per embedding column: each entry adds
         # c * item_emb to its query row, c * query_emb to its item row and c
         # to its item bias; the weights are laid out column by column
-        layout = self.params.layout
         for name, idx, emb in (("query_emb", q_idx, kept["emb_i"]),
                                ("item_emb", item_idx, kept["emb_q"])):
-            off, length = layout[name]
-            seg = out[off:off + length].reshape(-1, self.dim)
+            table = seg[name].reshape(-1, self.dim)
             for k, w in enumerate(np.multiply(emb.T, c, order="C")):
-                seg[:, k] += np.bincount(idx, weights=w, minlength=len(seg))
-        off, length = layout["item_bias"]
-        out[off:off + length] += np.bincount(item_idx, weights=c, minlength=length)
+                table[:, k] += np.bincount(idx, weights=w, minlength=len(table))
+        seg["item_bias"] += np.bincount(item_idx, weights=c, minlength=n_items)
 
     def clone(self) -> "FactorizationScorer":
         m = FactorizationScorer(self.num_queries, self.num_items, self.dim,
@@ -172,4 +188,6 @@ class FactorizationScorer:
         except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
             raise CheckpointError(f"{path}: unreadable header ({exc})") from None
         m.params.values[:] = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(m.params.values).all():
+            raise CheckpointError(f"{path}: non-finite parameter values")
         return m

@@ -37,6 +37,19 @@ def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
                    codes)
 
 
+def write_wide_vocabulary_csv(path):
+    """A CSV of 2,000 queries of 20 items over a 20,000-item vocabulary: ten
+    items of each query are its own, ten drawn from the rest.  Returns the path."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for k in range(2000):
+        others = rng.choice(19_990, 10, replace=False)
+        ids = np.append(np.arange(10 * k, 10 * k + 10), others + 10 * (others >= 10 * k))
+        rows += [f"q{k},{i},{r},{i % 2}" for i, r in zip(ids, rng.integers(0, 5, 20))]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 def bound_state(cfg, model, d):
     """A fresh TrainerState for ``model``, bound to ``d``."""
     state = TrainerState.fresh(cfg, len(model.params.values))

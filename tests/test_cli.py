@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairtopk import cli
@@ -146,6 +147,18 @@ class TestTrainEval:
         assert run(["eval", "--data", data_csv, "--checkpoint", str(bad)]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "export-strips"])
+    def test_non_finite_checkpoint_exits_two(self, data_csv, tmp_path, capsys, command):
+        path = tmp_path / "m.ckpt"
+        m = FactorizationScorer(12, 32, 2)
+        m.query_emb[3] = np.nan
+        m.save(str(path))
+        flags = ["--num-queries", "3", "--out-csv", str(tmp_path / "s.csv"),
+                 "--out-ppm", str(tmp_path / "s.ppm")] if command == "export-strips" else []
+        assert run([command, "--data", data_csv, "--checkpoint", str(path), *flags]) == 2
+        assert "non-finite parameter values" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_boolean_bound_in_checkpoint_exits_two(self, data_csv, tmp_path, capsys):
         path = tmp_path / "m.ckpt"
         FactorizationScorer(12, 32, 2).save(str(path))
@@ -274,6 +287,20 @@ class TestSweepAndStrips:
         rows = strict_json(open(prefix + ".json").read())
         assert [(r["C"], r["K"]) for r in rows] == expected
         assert not any(r["failed"] for r in rows)
+
+    @pytest.mark.parametrize("flags", [["--c-grid", "0,-5,nan"],
+                                       ["--mode", "none", "--c-grid", "0,10"]])
+    def test_invalid_grid_point_exits_one_before_training(
+            self, data_csv, tmp_path, capsys, monkeypatch, flags):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("trained although a grid point is invalid")
+
+        monkeypatch.setattr(cli, "train", must_not_run)
+        monkeypatch.setattr(cli, "tradeoff_sweep", must_not_run)
+        assert run(["sweep", "--data", data_csv, "--out", str(tmp_path / "x"), "--epochs", "1",
+                    "--dim", "2", *flags]) == 1
+        assert "invalid configuration:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_export_strips(self, data_csv, tmp_path):
         prefix = str(tmp_path / "run")

@@ -90,10 +90,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(_write(tmp_path, "q1,1,-2,0\n"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1024", "2000"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1000", "1024", "2000"])
     def test_non_finite_relevance_rejected(self, tmp_path, value):
         with pytest.raises(ParseError, match="line 2"):
             load_csv(_write(tmp_path, f"q1,1,2,0\nq1,2,{value},1\n"))
+
+    def test_top_relevances_keep_the_ideal_dcg_finite(self, tmp_path):
+        # three gains of 2**1023 - 1 sum past the largest double
+        with pytest.raises(ParseError, match="line 1: relevance must be >= 0 and below 1000"):
+            load_csv(_write(tmp_path, "q1,1,1023,0\nq1,2,1023,1\nq1,3,1023,0\n"))
+        d = load_csv(_write(tmp_path, "q1,1,999,0\nq1,2,999,1\nq1,3,999,0\n"))
+        with np.errstate(all="raise"):
+            assert np.isfinite(d.ideal_dcg).all()
 
     def test_item_in_two_groups_rejected(self, tmp_path):
         path = _write(tmp_path, "q1,1,2,0\nq2,1,0,0\nq3,1,1,0\nq4,1,3,1\n")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_dataset
+from conftest import make_dataset, write_wide_vocabulary_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -529,15 +529,7 @@ class TestMemory:
     def test_split_and_evaluate_follow_the_observed_pairs(self, tmp_path):
         # 2,000 queries of 20 items over a 20,000-item vocabulary: a (queries x
         # vocabulary) bool table alone would take 40 MB
-        rng = np.random.default_rng(0)
-        rows = []
-        for k in range(2000):
-            others = rng.choice(19_990, 10, replace=False)
-            ids = np.append(np.arange(10 * k, 10 * k + 10), others + 10 * (others >= 10 * k))
-            rows += [f"q{k},{i},{r},{i % 2}" for i, r in zip(ids, rng.integers(0, 5, 20))]
-        path = tmp_path / "wide.csv"
-        path.write_text("\n".join(rows) + "\n")
-        d = load_csv(str(path))
+        d = load_csv(write_wide_vocabulary_csv(tmp_path / "wide.csv"))
         assert (d.num_queries, d.num_item_rows) == (2000, 20_000)
         model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=0)
         tracemalloc.start()

@@ -174,6 +174,21 @@ class TestGradient:
             expected += cj * _score_gradient(m, qj, xj)
         np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-15)
 
+    def test_wide_vocabulary_scatter_equals_gathering(self):
+        """The check above on a vocabulary too wide for the dense scatter, so
+        that the per-column bincounts scatter the pairs."""
+        m = FactorizationScorer(3, 200, 4, scale=2.0, seed=5)
+        q, items = np.array([0, 1, 0, 0, 2, 1]), np.array([1, 104, 1, 1, 0, 199])
+        coeff = np.array([2.0, 0.0, -1.5, 0.0, 3.0, 0.25])
+        assert 3 * m.num_items > model_module.DENSE_CELLS_PER_PAIR * len(q)
+        out, kept = np.ones(len(m.params)), {}
+        m.score_many(q, items, keep=kept)
+        m.add_weighted_grads(q, items, coeff, out, kept=kept)
+        expected = np.ones(len(m.params))
+        for qj, xj, cj in zip(q, items, coeff):
+            expected += cj * _score_gradient(m, qj, xj)
+        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-15)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -284,6 +299,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="expected 144 parameter bytes, got 16"):
             FactorizationScorer.load(str(path))
         assert built == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        m = FactorizationScorer(3, 5, 4, seed=9)
+        m.params.values[7] = value
+        path = str(tmp_path / "m.ckpt")
+        m.save(path)
+        with pytest.raises(CheckpointError, match="m.ckpt: non-finite parameter values"):
+            FactorizationScorer.load(path)
 
     def test_clone_is_independent(self):
         m = FactorizationScorer(2, 3, 2, seed=1)

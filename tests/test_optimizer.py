@@ -2,14 +2,16 @@
 
 import copy
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bound_state, make_dataset
+from conftest import bound_state, make_dataset, write_wide_vocabulary_csv
 
 from fairtopk import data as data_module
+from fairtopk import model as model_module
 from fairtopk.data import BatchSample, generate_synthetic, load_csv, sample_batch, split
 from fairtopk.errors import ConfigurationError, NonFiniteGradientError, StateError
 from fairtopk.fairness import g2_estimate
@@ -323,6 +325,54 @@ class TestTrainTrace:
         path = tmp_path / "trace.csv"
         TrainTrace().to_csv(str(path))
         assert path.read_text().splitlines() == [",".join(TrainTrace.FIELDS)]
+
+
+class TestScatterPaths:
+    """``add_weighted_grads`` sums a batch into a dense (query rows x items)
+    matrix when the vocabulary is small next to the batch, else scatters
+    with per-column bincounts; both give the same step to rounding."""
+
+    def test_dense_and_per_column_steps_agree_on_the_bench_split(self, monkeypatch):
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
+        train_d, _, _, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+        cfg = TrainConfig(k=50, loss="listnet", batch_pairs=256, batch_items=32, batch_a=16,
+                          batch_b=16, eta1=1.0, seed=1, fair_weight=1000.0)
+        dense_calls = []
+        original = FactorizationScorer.add_weighted_grads
+
+        def counted(self, q, items, *rest, **kwargs):
+            if len(np.unique(q)) * self.num_items <= model_module.DENSE_CELLS_PER_PAIR * len(q):
+                dense_calls.append(len(q))
+            return original(self, q, items, *rest, **kwargs)
+
+        monkeypatch.setattr(FactorizationScorer, "add_weighted_grads", counted)
+        params = []
+        for cells_per_pair in (model_module.DENSE_CELLS_PER_PAIR, 0):
+            monkeypatch.setattr(model_module, "DENSE_CELLS_PER_PAIR", cells_per_pair)
+            m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=1)
+            state, rng = TrainerState.fresh(cfg, len(m.params.values)), np.random.default_rng(1)
+            for _ in range(5):
+                train_step(m, train_d, cfg, state, rng)
+            params.append(m.params.values)
+        assert len(dense_calls) == 5
+        assert not np.array_equal(params[0], params[1])
+        np.testing.assert_allclose(params[0], params[1], rtol=0.0, atol=1e-12)
+
+    def test_wide_vocabulary_step_holds_no_dense_matrix(self, tmp_path):
+        # 2,000 queries of 20 items over a 20,000-item vocabulary: a batch's
+        # (query rows x vocabulary) matrix of doubles would take about 40 MB
+        d = load_csv(write_wide_vocabulary_csv(tmp_path / "wide.csv"))
+        model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=0)
+        cfg = TrainConfig(k=5, loss="listnet", fair_weight=10.0, seed=0)
+        state, rng = TrainerState.fresh(cfg, len(model.params.values)), np.random.default_rng(0)
+        train_step(model, d, cfg, state, rng)     # the first step also builds the normalizers
+        tracemalloc.start()
+        try:
+            train_step(model, d, cfg, state, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class TestPinnedTrajectory:

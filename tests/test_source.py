@@ -81,10 +81,11 @@ def unused_imports(path: Path) -> list[tuple[str, str]]:
 
 
 def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
-    """(file, qualified name) of every top-level ``def`` or ``class``, and every
-    method, whose name no module in ``paths`` reads: as a name, as an attribute
-    or in a ``from`` import, so that a re-export from ``__init__`` counts.
-    Methods named with a leading ``__`` are left out: Python calls the dunders."""
+    """(file, qualified name) of every top-level ``def`` or ``class``, every
+    method and every name a top-level assignment binds, whose name no module in
+    ``paths`` reads: as a name, as an attribute or in a ``from`` import, so that
+    a re-export from ``__init__`` counts.  Methods and assigned names with a
+    leading ``__`` are left out: Python reads the dunders."""
     trees = {path.name: ast.parse(path.read_text()) for path in paths}
     read = set()
     for tree in trees.values():
@@ -104,6 +105,11 @@ def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
                 defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
                          if isinstance(m, kinds[:2]) and not m.name.startswith("__")]
             out += [(name, qualified) for qualified, bare in defs if bare not in read]
+        targets = [t for n in tree.body if isinstance(n, ast.Assign) for t in n.targets]
+        targets += [n.target for n in tree.body if isinstance(n, ast.AnnAssign)]
+        out += [(name, t.id) for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                and not t.id.startswith("__") and t.id not in read]
     return out
 
 
@@ -133,6 +139,23 @@ def test_the_scan_sees_an_unread_definition(tmp_path):
     # the import reads A and f, f reads used; nested defs and dunders are not scanned
     assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [
         ("a.py", "A.unused"), ("a.py", "g"), ("a.py", "B")]
+
+
+def test_the_scan_sees_an_unread_assignment(tmp_path):
+    (tmp_path / "a.py").write_text("__all__ = ['f']\n"
+                                   "LIMIT = 4\n"
+                                   "UNUSED = 5\n"
+                                   "A, (B, C) = 1, (2, 3)\n"
+                                   "T: int = 0\n"
+                                   "table = {}\n"
+                                   "table['k'] = LIMIT\n"
+                                   "def f():\n"
+                                   "    local = 1\n"
+                                   "    return A + C + table['k']\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    # dunders, names read anywhere and names bound inside a def are not reported
+    assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", "UNUSED"), ("a.py", "B"), ("a.py", "T")]
 
 
 def test_every_parameter_is_read():
