@@ -61,19 +61,6 @@ class QueryGroup:
 Vocabulary = namedtuple("Vocabulary", "ids rows groups")
 
 
-def ideal_dcg(labels: np.ndarray) -> float:
-    """Max achievable DCG for a label multiset (the NDCG normalizer)."""
-    gains = np.sort(2.0 ** np.asarray(labels, dtype=np.float64) - 1.0)[::-1]
-    ranks = np.arange(1, len(gains) + 1)
-    return float(np.sum(gains / np.log2(1.0 + ranks)))
-
-
-def label_softmax(labels: np.ndarray) -> np.ndarray:
-    """softmax(y) over one query's labels, the ListNet target distribution."""
-    p = np.exp(labels - labels.max())
-    return p / p.sum()
-
-
 def _run_reduce(ufunc, values: np.ndarray, offsets: np.ndarray, pad: float) -> np.ndarray:
     """``ufunc.reduce`` of each run ``values[offsets[k]:offsets[k + 1]]`` by one
     ``reduceat`` with ``pad`` inserted ahead of each run, so that a sum adds each
@@ -483,11 +470,12 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
 
     All draws are uniform without replacement; requested sizes are capped
     at the source sizes.  A generator state fixes the batch: one call draws
-    the pair batch, then one call gives every item of the sampled queries
-    two uniform keys for ``smallest_keys``: one per query, one per query and
+    the pair batch, then two calls give every item of the sampled queries a
+    uniform key each for ``smallest_keys``: one per query, one per query and
     group.  A query missing a group draws nothing for it and is marked
-    ``skipped``.  Group sizes (0, 0) select no group rows, yet every key is
-    drawn: the rest of the batch and the generator state do not depend on them.
+    ``skipped``.  Group sizes (0, 0) select no group rows: a ``PCG64`` is
+    advanced past their keys, any other generator draws and drops them, so
+    the rest of the batch and the generator state do not depend on them.
     """
     n_pairs, n_q, n_a, n_b = sizes
     if min(n_pairs, n_q) < 1 or min(n_a, n_b) < 0:
@@ -500,16 +488,22 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     counts, counts_a = d.sizes[queries], d.sizes_a[queries]
     pos = spans(d.offsets[queries], counts)
     row = np.repeat(np.arange(len(queries)), counts)
-    keys = rng.random(2 * len(pos))
-    items = pos[smallest_keys(keys[:len(pos)], row, np.full(len(queries), n_q), counts)]
+    items = pos[smallest_keys(rng.random(len(pos)), row, np.full(len(queries), n_q), counts)]
     group_a = group_b = np.full((len(queries), 0), -1)
     if n_a or n_b:
         seg = 2 * row + d.groups[pos]        # GROUP_A even, GROUP_B odd
-        picked = smallest_keys(keys[len(pos):], seg, np.tile([n_a, n_b], len(queries)),
+        picked = smallest_keys(rng.random(len(pos)), seg, np.tile([n_a, n_b], len(queries)),
                                np.stack([counts_a, counts - counts_a], axis=1).ravel())
         in_a = seg[picked] % 2 == GROUP_A
         group_a = padded(pos[picked[in_a]], np.minimum(counts_a, n_a))
         group_b = padded(pos[picked[~in_a]], np.minimum(counts - counts_a, n_b))
+    elif isinstance(bits := rng.bit_generator, np.random.PCG64):
+        # advance clears the uint32 that the pair draw may leave buffered: keep it
+        kept = bits.state
+        bits.state = {**bits.advance(len(pos)).state, "has_uint32": kept["has_uint32"],
+                      "uinteger": kept["uinteger"]}
+    else:
+        rng.random(len(pos))
     return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
                        items=padded(items, np.minimum(counts, n_q)), group_a=group_a,
                        group_b=group_b, skipped=~d.has_both_groups[queries],

@@ -20,9 +20,9 @@ from .errors import CheckpointError, ConfigurationError, LookupError_
 _MAGIC = b"RANKCKP1"
 # add_weighted_grads sums a batch's weights into a dense (query rows x items)
 # matrix when it has at most this many cells per pair: on one core two matrix
-# products beat 2 * dim + 1 per-column bincounts up to 20 to 30 cells per pair,
-# and 16 doubles per pair is what the score gather keeps at dim 8
-DENSE_CELLS_PER_PAIR = 16
+# products beat 2 * dim + 1 per-column bincounts up to 20 to 30 cells per pair;
+# 24 doubles per pair caps the matrix's memory
+DENSE_CELLS_PER_PAIR = 24
 
 
 @dataclass

@@ -135,15 +135,18 @@ class TrainerState:
     """The one record a run carries between steps, all plain arrays.
 
     ``z`` is the momentum buffer.  The first ``bind`` allocates the
-    estimators' arrays for its dataset, and binding a dataset of another
-    layout raises StateError: ``pair_u`` / ``pair_seen``, G1's moving average
-    per flat pair; ``fair_u`` (u_a, u_b, u_g), ``fair_seen`` and ``shift``, G2's
-    per query; ``lam`` (lambda, s, v) per query, lambda NaN until the query's
-    first touch sets it, so that a stray read cannot pass as finite.
+    estimators' arrays for its dataset, and binding a dataset of other
+    offsets, query rows or items raises StateError: ``pair_u`` /
+    ``pair_seen``, G1's moving average per flat pair; ``fair_u`` (u_a, u_b,
+    u_g), ``fair_seen`` and ``shift``, G2's per query; ``lam`` (lambda, s,
+    v) per query, lambda NaN until the query's first touch sets it, so that
+    a stray read cannot pass as finite.
     """
 
     z: np.ndarray
-    offsets: np.ndarray | None = None       # Dataset.offsets of the bound dataset
+    offsets: np.ndarray | None = None       # the bound dataset's offsets,
+    query_row: np.ndarray | None = None     # query rows
+    feature_idx: np.ndarray | None = None   # and item rows
     pair_u: np.ndarray | None = None
     pair_seen: np.ndarray | None = None
     fair_u: np.ndarray | None = None
@@ -156,16 +159,18 @@ class TrainerState:
         return cls(z=np.zeros(num_params))
 
     def bind(self, d: Dataset) -> None:
-        if self.offsets is not None:
-            if not np.array_equal(self.offsets, d.offsets):
-                raise StateError("trainer state is sized for a dataset with other "
-                                 "query sizes; start a fresh TrainerState")
-            return
-        nq, pairs = d.num_queries, d.total_pairs
-        self.offsets = d.offsets
-        self.pair_u, self.pair_seen = np.zeros(pairs), np.zeros(pairs, dtype=bool)
-        self.fair_u, self.fair_seen = np.zeros((nq, 3)), np.zeros(nq, dtype=bool)
-        self.shift, self.lam = np.zeros(nq), np.tile([np.nan, 0.0, 0.0], (nq, 1))
+        arrays = (d.offsets, d.query_row, d.feature_idx)
+        if self.offsets is None:
+            nq, pairs = d.num_queries, d.total_pairs
+            self.pair_u, self.pair_seen = np.zeros(pairs), np.zeros(pairs, dtype=bool)
+            self.fair_u, self.fair_seen = np.zeros((nq, 3)), np.zeros(nq, dtype=bool)
+            self.shift, self.lam = np.zeros(nq), np.tile([np.nan, 0.0, 0.0], (nq, 1))
+        elif not all(a is b or np.array_equal(a, b) for a, b in
+                     zip((self.offsets, self.query_row, self.feature_idx), arrays)):
+            raise StateError("trainer state is bound to a dataset with other queries "
+                             "or items; start a fresh TrainerState")
+        # the dataset's own arrays: binding it again checks identity only
+        self.offsets, self.query_row, self.feature_idx = arrays
 
 
 @dataclass

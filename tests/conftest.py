@@ -37,6 +37,19 @@ def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
                    codes)
 
 
+def ideal_dcg(labels):
+    """Max achievable DCG for one query's labels, the reference NDCG normalizer."""
+    gains = np.sort(2.0 ** np.asarray(labels, dtype=np.float64) - 1.0)[::-1]
+    ranks = np.arange(1, len(gains) + 1)
+    return float(np.sum(gains / np.log2(1.0 + ranks)))
+
+
+def label_softmax(labels):
+    """softmax(y) over one query's labels, the reference ListNet target."""
+    p = np.exp(labels - labels.max())
+    return p / p.sum()
+
+
 def write_wide_vocabulary_csv(path):
     """A CSV of 2,000 queries of 20 items over a 20,000-item vocabulary: ten
     items of each query are its own, ten drawn from the rest.  Returns the path."""

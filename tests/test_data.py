@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_dataset
+from conftest import ideal_dcg, label_softmax, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -277,25 +277,14 @@ class TestDataset:
         for ds in (d, *split(d, (0.5, 0.25, 0.25), seed=0)[:3]):
             runs = [ds.relevance[a:b] for a, b in zip(ds.offsets[:-1], ds.offsets[1:])]
             assert np.array_equal(ds.label_softmax,
-                                  np.concatenate([data.label_softmax(y) for y in runs]))
-            assert np.array_equal(ds.ideal_dcg, [data.ideal_dcg(y) for y in runs])
+                                  np.concatenate([label_softmax(y) for y in runs]))
+            assert np.array_equal(ds.ideal_dcg, [ideal_dcg(y) for y in runs])
 
     def test_observed_codes_every_pair(self, tmp_path):
         for d in (load_csv(_ragged_csv(tmp_path)), generate_synthetic(20, 30, 0.3, 1.0, seed=1)):
             codes = d.query_row * len(d.vocab.ids) + np.searchsorted(d.vocab.ids, d.item_ids)
             assert d.observed.dtype == np.int64
             assert np.array_equal(d.observed, np.sort(codes))
-
-    def test_built_without_per_query_normalizer_calls(self, tmp_path, monkeypatch):
-        path = _ragged_csv(tmp_path)
-
-        def per_query_call(labels):
-            raise AssertionError("per-query normalizer called")
-
-        monkeypatch.setattr(data, "label_softmax", per_query_call)
-        monkeypatch.setattr(data, "ideal_dcg", per_query_call)
-        split(generate_synthetic(20, 30, 0.3, 1.0, seed=1), (0.8, 0.1, 0.1), seed=0)
-        split(load_csv(path), (0.8, 0.1, 0.1), seed=0)
 
     def test_arrays_are_read_only(self):
         d = generate_synthetic(4, 8, 0.4, 1.0, seed=2)
@@ -474,6 +463,11 @@ class TestPaddedBlocks:
         assert list(padded_blocks(d, queries[:0])) == []
 
 
+def _bench_train():
+    """The benchmark's training split: seed-1 synthetic data split with seed 0."""
+    return split(generate_synthetic(200, 305, 0.3, 2.0, seed=1), (0.8, 0.1, 0.1), seed=0)[0]
+
+
 class TestSampleBatch:
     def test_caps_at_source_sizes(self, small_data, rng):
         batch = sample_batch(small_data, (10_000, 100, 100, 100), rng)
@@ -539,8 +533,7 @@ class TestSampleBatch:
     def test_matches_recorded_draws_at_bench_scale(self):
         # 20 draws on the benchmark's training split: the cut and fallback of
         # smallest_keys at full size, pinned to sha256 digests of every array
-        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
-        train_d = split(d, (0.8, 0.1, 0.1), seed=0)[0]
+        train_d = _bench_train()
         rng = np.random.default_rng(1)
         pins = json.loads(Path(__file__).with_name("sampler_pins.json").read_text())
         for pinned in pins:
@@ -554,12 +547,12 @@ class TestSampleBatch:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_group_sizes_zero_draw_the_same_batch_and_stream(self, tmp_path):
-        # fairness off asks for (p, q, 0, 0): every key is still drawn, so every
-        # C point of a sweep trains on the same batch sequence
+        # fairness off asks for (p, q, 0, 0): the group keys are skipped, not
+        # drawn, and every C point of a sweep trains on the same batch sequence
         rows = [f"q0,{i},{i % 3},{i % 2}" for i in range(7)]
         rows += [f"q1,{2 * i + 1},1,1" for i in range(3)]    # group B only
         rows += [f"q2,{i},{i % 2},{i % 2}" for i in range(12)]
-        bench = split(generate_synthetic(200, 305, 0.3, 2.0, seed=1), (0.8, 0.1, 0.1), seed=0)[0]
+        bench = _bench_train()
         for d, sizes in ((bench, (256, 32, 16, 16)),
                          (load_csv(_write(tmp_path, "\n".join(rows) + "\n")), (9, 5, 2, 3))):
             rng_full, rng_none = np.random.default_rng(7), np.random.default_rng(7)
@@ -571,6 +564,37 @@ class TestSampleBatch:
                 assert none.group_a.shape == none.group_b.shape == (len(none.queries), 0)
                 assert rng_full.bit_generator.state == rng_none.bit_generator.state
             assert full.skipped.any() == (d is not bench)
+
+    def test_skipped_group_keys_keep_the_buffered_uint32(self):
+        # PCG64.advance clears the uint32 a bounded draw leaves buffered; the
+        # skip puts it back, so the state dicts match in full
+        bench = _bench_train()
+        rng_full, rng_none = np.random.default_rng(7), np.random.default_rng(7)
+        for rng in (rng_full, rng_none):
+            rng.integers(10, dtype=np.int32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        buffered = 0
+        for _ in range(4):
+            sample_batch(bench, (256, 32, 16, 16), rng_full)
+            sample_batch(bench, (256, 32, 0, 0), rng_none)
+            state = rng_none.bit_generator.state
+            assert rng_full.bit_generator.state == state
+            buffered += state["has_uint32"]
+        assert buffered     # some pair draws left a uint32 buffered
+        assert np.array_equal(rng_full.choice(1000, 10, replace=False),
+                              rng_none.choice(1000, 10, replace=False))
+        assert np.array_equal(rng_full.random(5), rng_none.random(5))
+
+    def test_other_generators_draw_the_skipped_group_keys(self):
+        bench = _bench_train()
+        rng_full, rng_none = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        for _ in range(3):
+            full = sample_batch(bench, (256, 32, 16, 16), rng_full)
+            none = sample_batch(bench, (256, 32, 0, 0), rng_none)
+            for name in ("pairs", "pair_row", "queries", "items", "skipped"):
+                assert np.array_equal(getattr(full, name), getattr(none, name)), name
+            a, b = rng_full.bit_generator.state["state"], rng_none.bit_generator.state["state"]
+            assert np.array_equal(a["key"], b["key"]) and a["pos"] == b["pos"]
 
     def test_per_query_view_matches_flat_arrays(self, tmp_path, rng):
         rows = [f"q0,{i},{i % 3},{i % 2}" for i in range(7)]

@@ -189,6 +189,34 @@ class TestGradient:
             expected += cj * _score_gradient(m, qj, xj)
         np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("num_items, num_pairs", [(5, 40), (200, 6)])
+    def test_scatter_equals_explicit_gradient_rows(self, num_items, num_pairs):
+        """The scatter against each pair's gradient rows written out from the
+        score's formula and added with np.add.at: no bincount, no matrix
+        product, no add_weighted_grads call.  The 5-item vocabulary takes the
+        dense scatter, the 200-item one the per-column bincounts."""
+        rng = np.random.default_rng(4)
+        m = FactorizationScorer(3, num_items, 4, bound=7.0, scale=2.0, seed=5)
+        m.item_bias[:] = rng.normal(0.0, 0.5, num_items)
+        q, items = rng.integers(3, size=num_pairs), rng.integers(num_items, size=num_pairs)
+        q[1], items[1] = q[0], items[0]                     # a repeated pair
+        coeff = rng.normal(0.0, 1.0, num_pairs)
+        coeff[2] = 0.0
+        cells = len(np.unique(q)) * num_items
+        assert (cells <= model_module.DENSE_CELLS_PER_PAIR * num_pairs) == (num_items == 5)
+        out, kept = np.ones(len(m.params)), {}
+        m.score_many(q, items, keep=kept)
+        m.add_weighted_grads(q, items, coeff, out, kept=kept)
+        u, v, b = m.query_emb, m.item_emb, m.item_bias
+        t = np.tanh((np.sum(u[q] * v[items], axis=1) + b[items]) / m.scale)
+        c = coeff * m.score_bound * (1.0 - t * t) / m.scale     # d score / d logit
+        expected = np.ones(len(m.params))
+        seg = {name: expected[off:off + n] for name, (off, n) in m.params.layout.items()}
+        np.add.at(seg["query_emb"].reshape(-1, m.dim), q, c[:, None] * v[items])
+        np.add.at(seg["item_emb"].reshape(-1, m.dim), items, c[:, None] * u[q])
+        np.add.at(seg["item_bias"], items, c)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

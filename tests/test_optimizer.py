@@ -525,6 +525,33 @@ class TestStateReuse:
         with pytest.raises(StateError):
             train_step(m, other, cfg, state, np.random.default_rng(0))
 
+    def test_same_offsets_other_items_is_a_state_error(self):
+        # the benchmark's training splits under split seeds 0 and 1 share
+        # their offsets but not their items
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=1)
+        first, second = (split(d, (0.8, 0.1, 0.1), seed=s)[0] for s in (0, 1))
+        assert np.array_equal(first.offsets, second.offsets)
+        assert not np.array_equal(first.feature_idx, second.feature_idx)
+        cfg = TrainConfig(k=5, fair_weight=10.0, batch_pairs=64, batch_items=8,
+                          batch_a=4, batch_b=4)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=1)
+        state, rng = TrainerState.fresh(cfg, len(m.params.values)), np.random.default_rng(0)
+        train_step(m, first, cfg, state, rng)
+        train_step(m, first.take(np.arange(first.total_pairs)), cfg, state, rng)   # equal copy
+        with pytest.raises(StateError):
+            train_step(m, second, cfg, state, rng)
+
+    def test_same_items_other_query_rows_is_a_state_error(self):
+        d, m, cfg = _tiny_setup()
+        state = TrainerState.fresh(cfg, len(m.params.values))
+        train_step(m, d, cfg, state, np.random.default_rng(0))
+        rows = [replace(q, query_index=d.num_query_rows - 1 - q.query_index) for q in d.queries]
+        other = make_dataset(rows, d.vocab, d.num_query_rows)
+        assert np.array_equal(other.offsets, d.offsets)
+        assert np.array_equal(other.feature_idx, d.feature_idx)
+        with pytest.raises(StateError):
+            train_step(m, other, cfg, state, np.random.default_rng(0))
+
     def test_g1_needs_a_state_bound_to_its_dataset(self):
         d, m, cfg = _tiny_setup()
         batch = sample_batch(d, (8, 4, 2, 2), np.random.default_rng(0))

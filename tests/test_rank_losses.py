@@ -6,11 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from conftest import bound_state, make_dataset
+from conftest import bound_state, ideal_dcg, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtopk.data import QueryGroup, generate_synthetic, ideal_dcg, sample_batch
+from fairtopk.data import QueryGroup, generate_synthetic, sample_batch
 from fairtopk.errors import ConfigurationError
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainConfig
@@ -121,8 +121,9 @@ class TestSurrogateRanks:
 
 class TestLosses:
     def test_ideal_dcg_orders_gains(self):
-        assert ideal_dcg(np.array([0.0, 2.0])) == pytest.approx(3.0)
-        assert ideal_dcg(np.array([2.0, 0.0])) == pytest.approx(3.0)
+        for labels in ([0.0, 2.0], [2.0, 0.0]):
+            assert ideal_dcg(np.array(labels)) == pytest.approx(3.0)
+            assert _one_query([0, 1], labels).ideal_dcg[0] == pytest.approx(3.0)
 
     def test_ndcg_single_item_is_minus_one(self):
         m = FactorizationScorer(1, 1, 2, seed=0)

@@ -82,34 +82,55 @@ def unused_imports(path: Path) -> list[tuple[str, str]]:
 
 def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
     """(file, qualified name) of every top-level ``def`` or ``class``, every
-    method and every name a top-level assignment binds, whose name no module in
-    ``paths`` reads: as a name, as an attribute or in a ``from`` import, so that
-    a re-export from ``__init__`` counts.  Methods and assigned names with a
-    leading ``__`` are left out: Python reads the dunders."""
-    trees = {path.name: ast.parse(path.read_text()) for path in paths}
-    read = set()
-    for tree in trees.values():
+    method and every name a top-level assignment binds, that no module in
+    ``paths`` reads.  A top-level name counts as read when its own module
+    reads it as a bare name, or a module imports it by name from its module
+    (so that a re-export from ``__init__`` counts) or reads it as an
+    attribute of its module (``data.f`` after ``from . import data``); an
+    attribute of another object that shares its name does not count.  A
+    method counts as read when any module reads its name, as a name, an
+    attribute or an import.  Methods and assigned names with a leading
+    ``__`` are left out: Python reads the dunders."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    package = paths[0].parent.name if paths else ""
+    read, names = set(), set()      # (module, top-level name) read; any name read
+    for stem, tree in trees.items():
+        modules = {}                # local name -> the module in ``paths`` it binds
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                source = (n.module or "").rsplit(".", 1)[-1]
+                for alias in n.names:
+                    read.add((source, alias.name))
+                    names.add(alias.name)
+                    if n.module in (None, package) and alias.name in trees:
+                        modules[alias.asname or alias.name] = alias.name
+            elif isinstance(n, ast.Import):
+                modules.update((alias.asname, alias.name.rsplit(".", 1)[-1])
+                               for alias in n.names if alias.asname)
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
+                read.add((stem, n.id))
+                names.add(n.id)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                read.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
-                read.update(alias.name for alias in n.names)
+                names.add(n.attr)
+                if isinstance(n.value, ast.Name) and n.value.id in modules:
+                    read.add((modules[n.value.id], n.attr))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
-    for name, tree in trees.items():
+    for stem, tree in trees.items():
+        name = f"{stem}.py"
         for node in (n for n in tree.body if isinstance(n, kinds)):
-            defs = [(node.name, node.name)]
+            if (stem, node.name) not in read:
+                out.append((name, node.name))
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
-                         if isinstance(m, kinds[:2]) and not m.name.startswith("__")]
-            out += [(name, qualified) for qualified, bare in defs if bare not in read]
+                out += [(name, f"{node.name}.{m.name}") for m in node.body
+                        if isinstance(m, kinds[:2]) and not m.name.startswith("__")
+                        and m.name not in names]
         targets = [t for n in tree.body if isinstance(n, ast.Assign) for t in n.targets]
         targets += [n.target for n in tree.body if isinstance(n, ast.AnnAssign)]
         out += [(name, t.id) for target in targets for t in ast.walk(target)
                 if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
-                and not t.id.startswith("__") and t.id not in read]
+                and not t.id.startswith("__") and (stem, t.id) not in read]
     return out
 
 
@@ -139,6 +160,29 @@ def test_the_scan_sees_an_unread_definition(tmp_path):
     # the import reads A and f, f reads used; nested defs and dunders are not scanned
     assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [
         ("a.py", "A.unused"), ("a.py", "g"), ("a.py", "B")]
+
+
+def test_the_scan_sees_a_function_behind_a_shared_attribute_name(tmp_path):
+    (tmp_path / "a.py").write_text("def shared():\n"
+                                   "    return 1\n"
+                                   "def by_module():\n"
+                                   "    return 2\n"
+                                   "def by_import():\n"
+                                   "    return 3\n"
+                                   "class P:\n"
+                                   "    @property\n"
+                                   "    def shared(self):\n"
+                                   "        return 0\n"
+                                   "def f():\n"
+                                   "    return P().shared\n")
+    (tmp_path / "b.py").write_text("from . import a as m\n"
+                                   "from .a import by_import\n"
+                                   "def g():\n"
+                                   "    return m.by_module() + by_import()\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n"
+                                          "from .b import g\n")
+    # P().shared reads the property, not the function; m.by_module reads a's
+    assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [("a.py", "shared")]
 
 
 def test_the_scan_sees_an_unread_assignment(tmp_path):
