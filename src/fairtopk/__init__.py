@@ -4,7 +4,6 @@ optimization."""
 from .data import (
     BatchSample,
     Dataset,
-    QueryGroup,
     generate_synthetic,
     load_csv,
     sample_batch,
@@ -12,12 +11,7 @@ from .data import (
     split,
 )
 from .evaluation import EvalProtocol, TradeoffReport, evaluate, tradeoff_sweep
-from .fairness import (
-    exposures,
-    full_list_disparity,
-    topk_disparity_exact,
-    topk_disparity_surrogate,
-)
+from .fairness import exposures
 from .lambda_solver import (
     exact_lambda,
     solve_lambda_exactly_smoothed,

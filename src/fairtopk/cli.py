@@ -141,6 +141,8 @@ def _start_run(args):
     train_d, valid_d, test_d, tiny = split(d, tuple(args.fractions), args.split_seed)
     if tiny:
         print(f"warning: {tiny} queries too small to split; kept in train")
+    if not train_d.total_pairs:
+        raise ConfigurationError(f"--fractions {args.fractions} leave the train part empty")
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)
     return cfg, model, train_d, valid_d, test_d
@@ -180,6 +182,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, model, train_d, _, test_d = _start_run(args)
+    if not test_d.total_pairs:
+        raise ConfigurationError(f"--fractions {args.fractions} leave the test part empty")
     for c in args.c_grid:           # every grid point is a valid config before any trains
         replace(cfg, fair_weight=float(c))
     proto = EvalProtocol(k_list=tuple(args.k_list), seed=cfg.seed)

@@ -7,11 +7,10 @@ same scoring model can be shared by train / validation / test splits.
 
 A ``Dataset`` is one set of read-only CSR arrays: every query's items
 concatenated in query order, so that a (query, item) pair is one flat
-position and query k owns positions ``offsets[k]:offsets[k+1]``.
-``Dataset.query(k)`` shows query k as a ``QueryGroup`` of views, for the
-per-query reference oracles.  A ``BatchSample`` holds flat positions: the
-pair batch as one vector and each sampled query's sub-batches as one row
-of a padded matrix (-1 marks an empty slot).
+position and query k owns positions ``offsets[k]:offsets[k+1]``.  A
+``BatchSample`` holds flat positions: the pair batch as one vector and each
+sampled query's sub-batches as one row of a padded matrix (-1 marks an
+empty slot).
 """
 
 from __future__ import annotations
@@ -36,25 +35,6 @@ GROUP_B = 1
 
 # slots per padded block of lists: evaluate() peaks at 3.5 MB on the bench test split
 _BLOCK_ENTRIES = 32768
-
-
-@dataclass
-class QueryGroup:
-    """Per-query item list with relevance labels and group tags."""
-
-    query_id: str
-    query_index: int
-    item_ids: np.ndarray      # int64, dataset-level item identifiers
-    feature_idx: np.ndarray   # int64, rows of the model's item table
-    relevance: np.ndarray     # float64, y >= 0
-    groups: np.ndarray        # int8, GROUP_A or GROUP_B
-
-    @property
-    def num_items(self) -> int:
-        return len(self.item_ids)
-
-    def has_both_groups(self) -> bool:
-        return bool(np.any(self.groups == GROUP_A) and np.any(self.groups == GROUP_B))
 
 
 # item ids, their feature rows and their group tags, sorted by item id
@@ -135,18 +115,6 @@ class Dataset:
         out = _run_reduce(np.add, gain, self.offsets, 0.0)
         out.flags.writeable = False
         return out
-
-    def query(self, k: int) -> QueryGroup:
-        """Query k as a QueryGroup of read-only views."""
-        s = slice(self.offsets[k], self.offsets[k + 1])
-        return QueryGroup(str(self.query_ids[k]), int(self.query_index[k]), self.item_ids[s],
-                          self.feature_idx[s], self.relevance[s], self.groups[s])
-
-    @property
-    def queries(self) -> list[QueryGroup]:
-        """Every query as a view (``query``), built anew on each access; only
-        tests use it; the package works on the CSR arrays."""
-        return [self.query(k) for k in range(self.num_queries)]
 
     def take(self, positions: np.ndarray) -> "Dataset":
         """The pairs at ascending flat ``positions``, as a dataset of the queries
@@ -239,7 +207,7 @@ def _smallest_sorted(seg: np.ndarray, key32: np.ndarray, n: np.ndarray,
     return code[spans(np.cumsum(count) - count, n)] & ((1 << pos_bits) - 1)
 
 
-# one query's sub-batches as positions into its QueryGroup arrays
+# one query's sub-batches as positions within its slice of the flat arrays
 QuerySubBatch = namedtuple("QuerySubBatch", "items group_a group_b fairness_skipped")
 
 

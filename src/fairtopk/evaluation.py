@@ -43,6 +43,8 @@ class EvalProtocol:
         if (min(self.relevant_per_query, self.irrelevant_per_query) < 0
                 or min(self.k_list, default=0) < 1):
             raise ConfigurationError("list counts must be >= 0 and k_list nonempty, every k >= 1")
+        if len(set(self.k_list)) < len(self.k_list):
+            raise ConfigurationError(f"k_list repeats a k: {self.k_list}")
 
 
 def _streams(seed: int, query_ids: list[str], tag: str = "") -> np.ndarray:

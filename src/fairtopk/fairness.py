@@ -1,5 +1,5 @@
-"""Exposure, full-list and top-K disparity losses, exact top-K disparity
-metrics and the G2 gradient estimator.
+"""Exposure, the smoothed top-K disparity loss, exact top-K gaps and the G2
+gradient estimator, all on scored lists along the last axis of an array.
 
 Exposure is the softmax of the scores over a query's item list.  The
 top-K surrogate weights each item's exp-score by a smooth indicator of
@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import GROUP_A, GROUP_B, BatchSample, Dataset, QueryGroup, along, padded_blocks
-from .errors import ConfigurationError, StateError
+from .data import GROUP_A, GROUP_B, BatchSample, Dataset, along, padded_blocks
+from .errors import StateError
 from .lambda_solver import _sigmoid, cross_coeff, solve_lambda_exactly_smoothed
 from .model import FactorizationScorer
 from .rank_losses import ScoredBatch, blend
@@ -37,16 +37,6 @@ def exposures(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def full_list_disparity(model: FactorizationScorer, qg: QueryGroup) -> float | None:
-    """Half the squared gap between group-averaged exposures; None when a
-    group is empty (fairness undefined for the query)."""
-    if not qg.has_both_groups():
-        return None
-    e = exposures(model.score_many(qg.query_index, qg.feature_idx))
-    gap = e[qg.groups == GROUP_A].mean() - e[qg.groups == GROUP_B].mean()
-    return 0.5 * float(gap) ** 2
 
 
 def rank_order(scores: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
@@ -76,33 +66,16 @@ def topk_gaps(scores: np.ndarray, groups: np.ndarray, order: np.ndarray) -> np.n
     return np.where((n_a > 0) & (n_b > 0), gaps, np.nan)
 
 
-def topk_disparity_exact(model: FactorizationScorer, qg: QueryGroup, k: int) -> float | None:
-    """Signed top-k exposure gap of a query's whole item list (``topk_gaps``);
-    None when a group is empty."""
-    if not 1 <= k < qg.num_items:
-        raise ConfigurationError(f"k must be in [1, {qg.num_items - 1}]")
-    scores = model.score_many(qg.query_index, qg.feature_idx)
-    gap = topk_gaps(scores, qg.groups, rank_order(scores, qg.item_ids))[k - 1]
-    return None if np.isnan(gap) else float(gap)
-
-
-def topk_disparity_surrogate(model: FactorizationScorer, qg: QueryGroup, lam: float,
-                             cfg: TrainConfig) -> float | None:
-    """Smoothed half-squared top-K gap at threshold lam.
+def _surrogate(scores: np.ndarray, groups: np.ndarray, lam, cfg: TrainConfig) -> np.ndarray:
+    """Smoothed half-squared top-K gap of lists of both groups along the last
+    axis, at thresholds ``lam`` broadcast against them; empty slots score -inf
+    in group -1.
 
     Equals half the square of (mean_A psi*e - mean_B psi*e) with e the
     softmax exposures; the shift cancels in the ratio.  psi is the indicator
-    sigmoid(x / ``cfg.tau_psi``) for ``fairness_mode = top_k`` and 1 otherwise,
-    which gives the full-list disparity.
+    sigmoid((s - lam) / ``cfg.tau_psi``) for ``fairness_mode = top_k`` and 1
+    otherwise, which gives the full-list disparity.
     """
-    if not qg.has_both_groups():
-        return None
-    return float(_surrogate(model.score_many(qg.query_index, qg.feature_idx), qg.groups, lam, cfg))
-
-
-def _surrogate(scores: np.ndarray, groups: np.ndarray, lam, cfg: TrainConfig) -> np.ndarray:
-    """``topk_disparity_surrogate`` of lists of both groups along the last axis,
-    at thresholds ``lam`` broadcast against them; empty slots score -inf in group -1."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = _sigmoid((scores - lam) / cfg.tau_psi) * e if cfg.fairness_mode == "top_k" else e
     a, b = groups == GROUP_A, groups == GROUP_B

@@ -133,14 +133,14 @@ def check_lambda(seed: int) -> dict[str, float]:
     # implicit gradient of the solved threshold, small model
     d = generate_synthetic(3, 6, 0.4, 1.0, seed)
     model = _model_for(d, 2, seed)
-    qg = d.query(0)
-    scores = model.score_many(qg.query_index, qg.feature_idx)
+    q, items = d.query_index[0], d.feature_idx[d.offsets[0]:d.offsets[1]]
+    scores = model.score_many(q, items)
     lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-12)
-    analytic = implicit_lambda_grad(lam, model, qg.query_index, qg.feature_idx, cfg)
+    analytic = implicit_lambda_grad(lam, model, q, items, cfg)
 
     def lam_of(w):
         model.params.values[:] = w
-        s = model.score_many(qg.query_index, qg.feature_idx)
+        s = model.score_many(q, items)
         return solve_lambda_exactly_smoothed(s, cfg, tol=1e-12)
 
     fd = finite_difference_gradient(lam_of, model.params.values)

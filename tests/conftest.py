@@ -1,17 +1,39 @@
 """Shared fixtures: small datasets and models used across the suite."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from fairtopk.data import Dataset, Vocabulary, generate_synthetic
+from fairtopk.data import GROUP_A, GROUP_B, Dataset, Vocabulary, generate_synthetic
+from fairtopk.fairness import exposures, rank_order, topk_gaps
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainerState
 
 
+@dataclass(frozen=True)
+class Query:
+    """One hand-built query: its id, model row and per-item arrays."""
+
+    query_id: str
+    query_index: int
+    item_ids: np.ndarray
+    feature_idx: np.ndarray
+    relevance: np.ndarray
+    groups: np.ndarray
+
+
+def queries_of(d):
+    """Every query of ``d`` as a Query of views of its flat arrays."""
+    return [Query(str(d.query_ids[k]), int(d.query_index[k]),
+                  *(a[d.offsets[k]:d.offsets[k + 1]]
+                    for a in (d.item_ids, d.feature_idx, d.relevance, d.groups)))
+            for k in range(d.num_queries)]
+
+
 def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
-    """A Dataset of hand-built QueryGroups, in their order, over ``vocab``
+    """A Dataset of Query records, in their order, over ``vocab``
     (default: their own items).  ``observed`` maps a query id to item ids
     known for it besides its own; ids outside the vocabulary are ignored."""
     def cat(name, dtype):
@@ -31,7 +53,7 @@ def make_dataset(queries, vocab=None, num_query_rows=None, observed=None):
         known = vocab.ids[np.minimum(pos, len(vocab.ids) - 1)] == ids
         row = np.repeat(rows, [len(s) for s in seen])
         codes = np.unique(row[known] * len(vocab.ids) + pos[known])
-    return Dataset([q.query_id for q in queries], rows, [q.num_items for q in queries],
+    return Dataset([q.query_id for q in queries], rows, [len(q.item_ids) for q in queries],
                    item_ids, feature_idx, cat("relevance", np.float64), groups, vocab,
                    int(rows.max(initial=-1)) + 1 if num_query_rows is None else num_query_rows,
                    codes)
@@ -42,6 +64,25 @@ def ideal_dcg(labels):
     gains = np.sort(2.0 ** np.asarray(labels, dtype=np.float64) - 1.0)[::-1]
     ranks = np.arange(1, len(gains) + 1)
     return float(np.sum(gains / np.log2(1.0 + ranks)))
+
+
+def scored_list(item_bias, groups):
+    """The scores of a one-query model whose item biases are the given values,
+    the list's group tags, and its exact signed top-k gaps for k = 1..n, items
+    ranked by score, ties by position."""
+    n = len(item_bias)
+    m = FactorizationScorer(1, n, 2, bound=50.0)
+    m.params.values[:] = 0.0
+    m.item_bias[:] = np.arctanh(np.asarray(item_bias) / 50.0)
+    scores, groups = m.score_many(0, np.arange(n)), np.asarray(groups, dtype=np.int8)
+    return scores, groups, topk_gaps(scores, groups, rank_order(scores, np.arange(n)))
+
+
+def full_list_disparity(scores, groups):
+    """Half the squared gap between the group-averaged exposures of one list
+    of both groups, the reference full-list disparity."""
+    e = exposures(scores)
+    return 0.5 * float(e[groups == GROUP_A].mean() - e[groups == GROUP_B].mean()) ** 2
 
 
 def label_softmax(labels):

@@ -13,22 +13,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import full_list_disparity, scored_list
 
 from fairtopk import optimizer
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
-    QueryGroup,
     generate_synthetic,
     sample_batch,
     split,
 )
 from fairtopk.evaluation import EvalProtocol, evaluate, spearman, tradeoff_sweep
-from fairtopk.fairness import (
-    full_list_disparity,
-    topk_disparity_exact,
-    topk_disparity_surrogate,
-)
+from fairtopk.fairness import _surrogate
 from fairtopk.gradcheck import check_fairness, check_rank_losses
 from fairtopk.lambda_solver import (
     exact_lambda,
@@ -44,19 +40,6 @@ def _verdict(num, ok, detail):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line, flush=True)
     return line
-
-
-def _scored_query(score_values, groups):
-    n = len(score_values)
-    m = FactorizationScorer(1, n, 2, bound=50.0)
-    m.params.values[:] = 0.0
-    m.item_bias[:] = np.arctanh(np.asarray(score_values) / 50.0)
-    qg = QueryGroup(query_id="q0", query_index=0,
-                    item_ids=np.arange(n, dtype=np.int64),
-                    feature_idx=np.arange(n, dtype=np.int64),
-                    relevance=np.ones(n),
-                    groups=np.asarray(groups, dtype=np.int8))
-    return m, qg
 
 
 # ---------------------------------------------------------------- shared runs
@@ -178,13 +161,11 @@ def test_criterion_4_surrogate_exact_consistency():
         scores = scores[perm]
         groups = np.array([GROUP_A] * (n // 2) + [GROUP_B] * (n - n // 2))[perm]
         k = int(rng.integers(2, n - 1))
-        m, qg = _scored_query(scores.tolist(), groups.tolist())
+        scores, groups, gaps = scored_list(scores.tolist(), groups.tolist())
         cfg = TrainConfig(tau1=1e-2, tau2=1e-8, eps=0.25, k=k, tau_psi=1e-3)
-        lam = solve_lambda_exactly_smoothed(m.score_many(0, qg.feature_idx),
-                                            cfg, tol=1e-12)
-        u = topk_disparity_surrogate(m, qg, lam, cfg)
-        exact = topk_disparity_exact(m, qg, k)
-        worst = max(worst, abs(np.sqrt(2.0 * u) - abs(exact)))
+        lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-12)
+        u = _surrogate(scores, groups, lam, cfg)
+        worst = max(worst, abs(np.sqrt(2.0 * u) - abs(gaps[k - 1])))
     ok = worst <= 1e-3
     assert _verdict(4, ok,
                     f"max |sqrt(2U) - |exact gap|| = {worst:.2e} "
@@ -231,9 +212,9 @@ def test_criterion_6_mode_reductions():
         groups = rng.integers(0, 2, n)
         if groups.min() == groups.max():
             continue
-        m, qg = _scored_query(np.clip(scores, -40, 40).tolist(), groups.tolist())
-        u = topk_disparity_surrogate(m, qg, lam=0.0, cfg=TrainConfig(fairness_mode="full_list"))
-        worst = max(worst, abs(u - full_list_disparity(m, qg)))
+        scores, groups, _ = scored_list(np.clip(scores, -40, 40).tolist(), groups.tolist())
+        u = _surrogate(scores, groups, 0.0, TrainConfig(fairness_mode="full_list"))
+        worst = max(worst, abs(u - full_list_disparity(scores, groups)))
     reduces = worst <= 1e-12
 
     ok = identical and reduces
@@ -310,13 +291,13 @@ def test_criterion_9_metric_sanity():
         scores = rng.normal(0, 1, n)
         groups = np.array([GROUP_A] * 4 + [GROUP_B] * 4)
         c = float(rng.normal(0, 3))
-        m1, q1 = _scored_query(scores.tolist(), groups.tolist())
-        m2, q2 = _scored_query((scores + c).tolist(), groups.tolist())
+        s1, g1, gaps1 = scored_list(scores.tolist(), groups.tolist())
+        s2, g2, gaps2 = scored_list((scores + c).tolist(), groups.tolist())
         worst_shift = max(
             worst_shift,
             np.abs(exposures(scores) - exposures(scores + c)).max(),
-            abs(full_list_disparity(m1, q1) - full_list_disparity(m2, q2)),
-            abs(topk_disparity_exact(m1, q1, 3) - topk_disparity_exact(m2, q2, 3)))
+            abs(full_list_disparity(s1, g1) - full_list_disparity(s2, g2)),
+            abs(gaps1[2] - gaps2[2]))
     checks.append(("shift invariance", worst_shift <= 1e-9))
 
     # NDCG range and optimal-prefix equality

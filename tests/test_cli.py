@@ -99,7 +99,7 @@ class TestTrainEval:
     def test_query_too_small_to_split_is_reported(self, tmp_path, capsys, command):
         data = tmp_path / "small.csv"
         data.write_text("".join(f"q{q},{q * 10 + i},{int(i == 0)},{i % 2}\n"
-                                for q, n in enumerate([6, 2, 5]) for i in range(n)))
+                                for q, n in enumerate([6, 2, 10]) for i in range(n)))
         grid = ["--c-grid", "0"] if command == "sweep" else []
         assert run([command, "--data", str(data), "--out", str(tmp_path / "x"),
                     "--epochs", "0", "--dim", "2", *grid]) == 0
@@ -300,6 +300,23 @@ class TestSweepAndStrips:
         assert run(["sweep", "--data", data_csv, "--out", str(tmp_path / "x"), "--epochs", "1",
                     "--dim", "2", *flags]) == 1
         assert "invalid configuration:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--fractions", "0.01,0.5,0.49"], "leave the train part empty"),
+        (["sweep", "--fractions", "0.01,0.5,0.49"], "leave the train part empty"),
+        (["sweep", "--fractions", "0.98,0.01,0.01"], "leave the test part empty"),
+        (["sweep", "--k-list", "5,5"], "k_list repeats a k")])
+    def test_empty_split_part_or_repeated_k_exits_one_before_training(
+            self, data_csv, tmp_path, capsys, monkeypatch, argv, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("trained although the run cannot be evaluated")
+
+        monkeypatch.setattr(cli, "train", must_not_run)
+        monkeypatch.setattr(cli, "tradeoff_sweep", must_not_run)
+        assert run([argv[0], "--data", data_csv, "--out", str(tmp_path / "x"), "--epochs", "1",
+                    "--dim", "2", *argv[1:]]) == 1
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_export_strips(self, data_csv, tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ideal_dcg, label_softmax, make_dataset
+from conftest import ideal_dcg, label_softmax, make_dataset, queries_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,18 +45,15 @@ class TestLoadCsv:
     def test_groups_rows_by_query(self, tmp_path):
         path = _write(tmp_path, "q7,1,2,0\nq7,2,0,0\nq7,3,1,1\nq7,4,3,1\n")
         d = load_csv(path)
-        assert d.num_queries == 1
-        q = d.queries[0]
-        assert q.query_id == "q7"
-        assert q.num_items == 4
-        assert (q.groups == GROUP_A).sum() == 2
-        assert (q.groups == GROUP_B).sum() == 2
+        assert d.query_ids.tolist() == ["q7"] and d.sizes.tolist() == [4]
+        assert (d.groups == GROUP_A).sum() == 2
+        assert (d.groups == GROUP_B).sum() == 2
 
     def test_header_detected(self, tmp_path):
         path = _write(tmp_path, "query_id,item_id,relevance,group\nq1,1,2,0\n")
         d = load_csv(path)
         assert d.num_queries == 1
-        assert d.queries[0].relevance[0] == 2.0
+        assert d.relevance.tolist() == [2.0]
 
     def test_bad_first_row_is_not_taken_for_a_header(self, tmp_path):
         path = _write(tmp_path, "q0,1,abc,0\nq0,2,1,1\nq0,3,0,0\nq0,4,2,1\nq0,5,1,0\n")
@@ -134,11 +131,8 @@ class TestLoadCsv:
         d2 = load_csv(path)
 
         def rows(ds):
-            return sorted(
-                (q.query_id, int(i), float(r), int(g))
-                for q in ds.queries
-                for i, r, g in zip(q.item_ids, q.relevance, q.groups)
-            )
+            return sorted(zip(ds.query_ids[ds.query_of].tolist(), ds.item_ids.tolist(),
+                              ds.relevance.tolist(), ds.groups.tolist()))
 
         assert rows(d) == rows(d2)
 
@@ -146,15 +140,16 @@ class TestLoadCsv:
 def _oracle_gap(d, k):
     """Mean signed top-k exposure gap of the rank-by-relevance ordering."""
     gaps = []
-    for q in d.queries:
-        scores = q.relevance * 2.0 + 1e-9 * q.item_ids  # tie-break, tiny
+    for start, end in zip(d.offsets[:-1], d.offsets[1:]):
+        s = slice(start, end)
+        scores = d.relevance[s] * 2.0 + 1e-9 * d.item_ids[s]  # tie-break, tiny
         e = np.exp(scores - scores.max())
         e /= e.sum()
         order = np.argsort(-scores)
-        top = np.zeros(q.num_items, dtype=bool)
+        top = np.zeros(end - start, dtype=bool)
         top[order[:k]] = True
-        a = q.groups == GROUP_A
-        b = q.groups == GROUP_B
+        a = d.groups[s] == GROUP_A
+        b = d.groups[s] == GROUP_B
         if not a.any() or not b.any():
             continue
         gaps.append(e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum())
@@ -165,10 +160,8 @@ class TestGenerateSynthetic:
     def test_deterministic(self):
         a = generate_synthetic(6, 10, 0.3, 1.5, seed=9)
         b = generate_synthetic(6, 10, 0.3, 1.5, seed=9)
-        for qa, qb in zip(a.queries, b.queries):
-            assert np.array_equal(qa.item_ids, qb.item_ids)
-            assert np.array_equal(qa.relevance, qb.relevance)
-            assert np.array_equal(qa.groups, qb.groups)
+        for name in ("sizes", "item_ids", "relevance", "groups"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_unbiased_oracle_gap_near_zero(self):
         d = generate_synthetic(300, 20, 0.4, 0.0, seed=2)
@@ -180,7 +173,8 @@ class TestGenerateSynthetic:
 
     def test_both_groups_in_every_query(self):
         d = generate_synthetic(10, 8, 0.25, 1.0, seed=0)
-        assert all(q.has_both_groups() for q in d.queries)
+        assert all(set(d.groups[d.query_of == k].tolist()) == {GROUP_A, GROUP_B}
+                   for k in range(d.num_queries))
 
     def test_items_shared_across_queries(self):
         d = generate_synthetic(20, 10, 0.3, 0.0, seed=0)
@@ -204,20 +198,15 @@ class TestSplit:
         d = load_csv(_write(tmp_path, rows + "\n"))
         tr, va, te, tiny = split(d, (0.8, 0.1, 0.1), seed=0)
         assert tiny == 0
-        assert tr.queries[0].num_items == 80
-        assert va.queries[0].num_items == 10
-        assert te.queries[0].num_items == 10
+        assert (tr.sizes.tolist(), va.sizes.tolist(), te.sizes.tolist()) == ([80], [10], [10])
 
     def test_disjoint_and_exhaustive(self):
         d = generate_synthetic(5, 20, 0.3, 1.0, seed=4)
         tr, va, te, _ = split(d, (0.6, 0.2, 0.2), seed=1)
-        for q in d.queries:
-            pieces = []
-            for part in (tr, va, te):
-                for pq in part.queries:
-                    if pq.query_id == q.query_id:
-                        pieces.extend(pq.item_ids.tolist())
-            assert sorted(pieces) == sorted(q.item_ids.tolist())
+        for qid in d.query_ids:
+            pieces = [i for part in (tr, va, te)
+                      for i in part.item_ids[part.query_ids[part.query_of] == qid].tolist()]
+            assert sorted(pieces) == sorted(d.item_ids[d.query_ids[d.query_of] == qid].tolist())
             assert len(set(pieces)) == len(pieces)
 
     def test_deterministic(self):
@@ -225,16 +214,15 @@ class TestSplit:
         a = split(d, (0.8, 0.1, 0.1), seed=7)
         b = split(d, (0.8, 0.1, 0.1), seed=7)
         for pa, pb in zip(a[:3], b[:3]):
-            for qa, qb in zip(pa.queries, pb.queries):
-                assert np.array_equal(qa.item_ids, qb.item_ids)
+            assert np.array_equal(pa.sizes, pb.sizes)
+            assert np.array_equal(pa.item_ids, pb.item_ids)
 
     def test_tiny_query_goes_to_train(self, tmp_path):
         path = _write(tmp_path, "q0,1,2,0\nq0,2,1,1\nq1,3,1,0\nq1,4,0,1\nq1,5,2,0\n")
         d = load_csv(path)
         tr, va, te, tiny = split(d, (0.34, 0.33, 0.33), seed=0)
         assert tiny == 1
-        train_q0 = [q for q in tr.queries if q.query_id == "q0"]
-        assert train_q0 and train_q0[0].num_items == 2
+        assert tr.sizes[tr.query_ids == "q0"].tolist() == [2]
 
     def test_bad_fractions(self):
         d = generate_synthetic(3, 6, 0.3, 0.0, seed=0)
@@ -252,7 +240,7 @@ class TestSplit:
         assert tr.observed is d.observed
         width = d.num_item_rows
         pairs = {(int(c) // width, int(d.vocab.ids[c % width])) for c in tr.observed}
-        assert pairs == {(q.query_index, int(i)) for q in d.queries for i in q.item_ids}
+        assert pairs == set(zip(d.query_row.tolist(), d.item_ids.tolist()))
 
 
 def _ragged_csv(tmp_path):
@@ -299,8 +287,6 @@ class TestDataset:
             for name, a in arrays.items():
                 with pytest.raises(ValueError):
                     a[...] = a
-            with pytest.raises(ValueError):
-                ds.query(1).relevance[0] = 9.0
 
 
 def _digest(a):
@@ -371,16 +357,16 @@ class TestUnobserved:
     def test_matches_set_difference(self):
         d = generate_synthetic(6, 8, 0.4, 1.0, seed=2)
         tr, _, _, _ = split(d, (0.5, 0.25, 0.25), seed=0)
-        source = {q.query_id: set(q.item_ids.tolist()) for q in d.queries}
+        source = {q.query_id: set(q.item_ids.tolist()) for q in queries_of(d)}
         # observed for half the queries only, with an id outside the vocabulary
-        extra = {q.query_id: source[q.query_id] | {10 ** 6} for q in tr.queries[:3]}
-        partial = make_dataset(tr.queries, tr.vocab, tr.num_query_rows, observed=extra)
+        extra = {q: source[q] | {10 ** 6} for q in tr.query_ids[:3].tolist()}
+        partial = make_dataset(queries_of(tr), tr.vocab, tr.num_query_rows, observed=extra)
         # a list that wants more unobserved items than any pool holds keys it whole
         proto = EvalProtocol(relevant_per_query=0, irrelevant_per_query=10 ** 6)
         for ds, observed in ((tr, source), (d, {}), (partial, extra)):
             vocab = ds.vocab.ids.tolist()
             ids, _, _, _, sizes = build_eval_list(ds, np.arange(ds.num_queries), proto)
-            for qg, row, n in zip(ds.queries, ids, sizes):
+            for qg, row, n in zip(queries_of(ds), ids, sizes):
                 seen = observed.get(qg.query_id, set(qg.item_ids.tolist()))
                 expected = [pos for pos, i in enumerate(vocab) if i not in seen]
                 unobserved = sorted(set(row[:n].tolist()) - set(qg.item_ids.tolist()))
@@ -473,10 +459,8 @@ class TestSampleBatch:
         batch = sample_batch(small_data, (10_000, 100, 100, 100), rng)
         assert batch.num_pairs == small_data.total_pairs
         for qp, sub in batch.per_query.items():
-            q = small_data.queries[qp]
-            assert len(sub.items) == q.num_items
-            assert len(sub.group_a) == (q.groups == GROUP_A).sum()
-            assert len(sub.group_b) == (q.groups == GROUP_B).sum()
+            n, n_a = small_data.sizes[qp], small_data.sizes_a[qp]
+            assert (len(sub.items), len(sub.group_a), len(sub.group_b)) == (n, n_a, n - n_a)
 
     def test_single_pair_batch(self, small_data, rng):
         batch = sample_batch(small_data, (1, 2, 1, 1), rng)
@@ -606,15 +590,15 @@ class TestSampleBatch:
             assert list(batch.per_query) == batch.queries.tolist()
             assert np.array_equal(d.query_of[batch.pairs], batch.queries[batch.pair_row])
             for r, (qp, sub) in enumerate(batch.per_query.items()):
-                q = d.queries[qp]
+                groups = d.groups[d.offsets[qp]:d.offsets[qp + 1]]
                 for local, padded in ((sub.items, batch.items[r]),
                                       (sub.group_a, batch.group_a[r]),
                                       (sub.group_b, batch.group_b[r])):
                     assert np.array_equal(d.offsets[qp] + local, padded[padded >= 0])
                     assert np.all(padded[len(local):] == -1)
-                assert np.all(q.groups[sub.group_a] == GROUP_A)
-                assert np.all(q.groups[sub.group_b] == GROUP_B)
-                assert sub.fairness_skipped == (q.query_id == "q1") == batch.skipped[r]
+                assert np.all(groups[sub.group_a] == GROUP_A)
+                assert np.all(groups[sub.group_b] == GROUP_B)
+                assert sub.fairness_skipped == (d.query_ids[qp] == "q1") == batch.skipped[r]
 
     def test_empty_dataset_rejected(self, small_data, rng):
         empty = make_dataset([])
@@ -631,7 +615,6 @@ class TestSampleBatch:
 @given(st.integers(min_value=0, max_value=10_000))
 def test_generate_synthetic_relevance_in_rating_scale(seed):
     d = generate_synthetic(3, 6, 0.3, 1.0, seed=seed)
-    for q in d.queries:
-        assert np.all(q.relevance >= 0.0)
-        assert np.all(q.relevance <= 4.0)
-        assert np.all(q.relevance == np.round(q.relevance))
+    assert np.all(d.relevance >= 0.0)
+    assert np.all(d.relevance <= 4.0)
+    assert np.all(d.relevance == np.round(d.relevance))

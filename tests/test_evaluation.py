@@ -6,14 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_dataset, write_wide_vocabulary_csv
+from conftest import Query, make_dataset, queries_of, write_wide_vocabulary_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
-    QueryGroup,
     Vocabulary,
     generate_synthetic,
     load_csv,
@@ -121,10 +120,10 @@ class TestBuildEvalList:
         d = generate_synthetic(10, 8, 0.3, 1.0, seed=1)
         tr, va, te, _ = split(d, (0.5, 0.25, 0.25), seed=0)
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=10, seed=0)
-        qg = te.queries[0]
         ids, _, labels, _, sizes = build_eval_list(te, np.array([0]), proto)
         ids, labels = ids[0, :sizes[0]], labels[0, :sizes[0]]
-        observed = set(d.query(qg.query_index).item_ids.tolist())
+        k = te.query_index[0]       # d's rows are its query positions
+        observed = set(d.item_ids[d.offsets[k]:d.offsets[k + 1]].tolist())
         outside = [i for i in ids.tolist() if i not in observed]
         assert outside, "expected padding from the unobserved pool"
         for i, lab in zip(ids.tolist(), labels):
@@ -140,8 +139,8 @@ class TestBuildEvalList:
         d = generate_synthetic(1, 30, 0.3, 1.0, seed=0)
         vocab = d.vocab.ids
         own = vocab[:10]
-        q = QueryGroup("q", 0, own, d.vocab.rows[:10], np.array([1.0, 2.0, 3.0, 1.0] + [0.0] * 6),
-                       d.vocab.groups[:10])
+        q = Query("q", 0, own, d.vocab.rows[:10], np.array([1.0, 2.0, 3.0, 1.0] + [0.0] * 6),
+                  d.vocab.groups[:10])
         one = make_dataset([q], d.vocab)
         seeds = 3000
         counts = np.zeros(len(vocab))
@@ -165,8 +164,8 @@ class TestBuildEvalList:
         # hash about 160,000 keys; drawing from the pool hashes a few per entry
         vocab = np.arange(40_000)
         own = [vocab[k * 30:(k + 1) * 30] for k in range(4)]
-        queries = [QueryGroup(f"q{k}", k, own[k], own[k], np.arange(30) % 3 * 1.0,
-                              (own[k] % 2).astype(np.int8)) for k in range(4)]
+        queries = [Query(f"q{k}", k, own[k], own[k], np.arange(30) % 3 * 1.0,
+                         (own[k] % 2).astype(np.int8)) for k in range(4)]
         d = make_dataset(queries, Vocabulary(vocab, vocab, (vocab % 2).astype(np.int8)))
         hashed = []
         keys = evaluation._uniform
@@ -188,10 +187,11 @@ class TestBuildEvalList:
         monkeypatch.setattr(evaluation, "_uniform", lambda z, x: keys(z, x) if z.ndim == 1
                             else np.where(x < 100, 0.5, keys(z, x)))
         ids, _, labels, _, sizes = build_eval_list(te, np.arange(te.num_queries), proto)
-        observed = {q.query_id: set(q.item_ids.tolist()) for q in d.queries}
-        for qg, row, n in zip(te.queries, ids, sizes):
-            zeros = min(12, int((qg.relevance == 0).sum()))
-            unobserved = set(row[:n].tolist()) - observed[qg.query_id]
+        for k, row, n in zip(range(te.num_queries), ids, sizes):
+            q = te.query_index[k]   # d's rows are its query positions
+            seen = d.item_ids[d.offsets[q]:d.offsets[q + 1]].tolist()
+            zeros = min(12, int((te.relevance[te.offsets[k]:te.offsets[k + 1]] == 0).sum()))
+            unobserved = set(row[:n].tolist()) - set(seen)
             assert 0 < len(unobserved) == 12 - zeros and n == len(set(row[:n].tolist()))
 
     @settings(max_examples=30, deadline=None)
@@ -207,7 +207,7 @@ class TestBuildEvalList:
 
         def lists(ds, positions):
             ids, _, labels, groups, sizes = build_eval_list(ds, np.asarray(positions), proto)
-            return {ds.queries[k].query_id: set(zip(ids[r, :n].tolist(), labels[r, :n].tolist(),
+            return {ds.query_ids[k]: set(zip(ids[r, :n].tolist(), labels[r, :n].tolist(),
                                                     groups[r, :n].tolist()))
                     for r, (k, n) in enumerate(zip(positions, sizes))}
 
@@ -216,13 +216,13 @@ class TestBuildEvalList:
         for k in range(te.num_queries):
             alone.update(lists(te, [k]))
         shuffled = []
-        for qg in te.queries:
-            p = rng.permutation(qg.num_items)
-            shuffled.append(QueryGroup(qg.query_id, qg.query_index, qg.item_ids[p],
-                                       qg.feature_idx[p], qg.relevance[p], qg.groups[p]))
+        for q in queries_of(te):
+            p = rng.permutation(len(q.item_ids))
+            shuffled.append(Query(q.query_id, q.query_index, q.item_ids[p], q.feature_idx[p],
+                                  q.relevance[p], q.groups[p]))
         order = rng.permutation(te.num_queries)
         moved = make_dataset([shuffled[k] for k in order], te.vocab, te.num_query_rows,
-                             observed={q.query_id: q.item_ids for q in d.queries})
+                             observed={q.query_id: q.item_ids for q in queries_of(d)})
         assert alone == block
         assert lists(moved, range(te.num_queries)) == block
 
@@ -238,8 +238,8 @@ class TestBuildEvalList:
                   (vocab[60:63], [0, 1, 0], vocab[63:193]),
                   (vocab[80:92], [0] * 12, vocab[150:180]),
                   (vocab[199:174:-1], np.arange(25) % 2, vocab[:0])]
-        queries = [QueryGroup(f"q{k}", k, own, own - 1000, np.asarray(rel, dtype=np.float64),
-                              groups[own - 1000]) for k, (own, rel, _) in enumerate(shapes)]
+        queries = [Query(f"q{k}", k, own, own - 1000, np.asarray(rel, dtype=np.float64),
+                         groups[own - 1000]) for k, (own, rel, _) in enumerate(shapes)]
         d = make_dataset(queries, Vocabulary(vocab, vocab - 1000, groups),
                          observed={f"q{k}": extra for k, (_, _, extra) in enumerate(shapes)})
         proto = EvalProtocol(2, 20, seed=3)
@@ -270,16 +270,16 @@ def _pinned_cases():
 
     def query(qid, row, ids, rel):
         at = np.searchsorted(vocab, ids)
-        return QueryGroup(qid, row, vocab[at], d.vocab.rows[at],
-                          np.asarray(rel, dtype=np.float64), d.vocab.groups[at])
+        return Query(qid, row, vocab[at], d.vocab.rows[at], np.asarray(rel, dtype=np.float64),
+                     d.vocab.groups[at])
 
     extra = [query("one_group", nq, b_items[:11], [2, 1] + [0] * 9),
              query("no_positive", nq + 1, vocab[3:8], [0] * 5),
              query("tight", nq + 2, vocab[:3], [1, 0, 0]),
              query("short", nq + 3, vocab[5:6], [1])]
-    observed = {q.query_id: q.item_ids for q in d.queries}
+    observed = {q.query_id: q.item_ids for q in queries_of(d)}
     observed.update(tight=vocab[:-2], short=vocab)
-    mixed = make_dataset(te.queries + extra, d.vocab, nq + 4, observed=observed)
+    mixed = make_dataset(queries_of(te) + extra, d.vocab, nq + 4, observed=observed)
     models = {seed: FactorizationScorer(nq + 4, d.num_item_rows, 4, seed=seed)
               for seed in (1, 2)}
     tied = FactorizationScorer(nq + 4, d.num_item_rows, 4, seed=0)
@@ -336,8 +336,7 @@ class TestEvaluate:
         monkeypatch.setattr(FactorizationScorer, "score_many", recorded)
         evaluate(model, d, proto)
         _, feats, _, _, sizes = build_eval_list(d, np.arange(d.num_queries), proto)
-        lists = [(qg.query_index, feats[k, :n]) for k, (qg, n) in enumerate(zip(d.queries, sizes))
-                 if n >= 2]
+        lists = [(q, feats[k, :n]) for k, (q, n) in enumerate(zip(d.query_index, sizes)) if n >= 2]
         # every list of 2+ items in query order, each once, as one row of a
         # block scored against one query row per list; "short" is never scored
         assert len(lists) == d.num_queries - 1
@@ -394,7 +393,8 @@ class TestEvaluate:
 class TestEvalProtocol:
     @pytest.mark.parametrize("kwargs", [{"relevant_per_query": -1},
                                         {"irrelevant_per_query": -1},
-                                        {"k_list": (5, 0)}, {"k_list": ()}])
+                                        {"k_list": (5, 0)}, {"k_list": ()},
+                                        {"k_list": (5, 10, 5)}])
     def test_bad_protocol_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             EvalProtocol(**kwargs)
@@ -410,16 +410,16 @@ def _reference_report(model, d, proto):
     """evaluate() one list at a time: build_eval_list on the query alone,
     ndcg_at_k, topk_gaps."""
     ndcgs, gaps, skipped = [], [], 0
-    for k, qg in enumerate(d.queries):
-        ids, feats, labels, groups, sizes = build_eval_list(d, np.array([k]), proto)
+    for q, row in enumerate(d.query_index):
+        ids, feats, labels, groups, sizes = build_eval_list(d, np.array([q]), proto)
         ids, feats, labels, groups = (a[0, :sizes[0]] for a in (ids, feats, labels, groups))
         if len(ids) < 2:
             skipped += 1
             continue
         if np.any(labels > 0):
-            ndcgs.append([ndcg_at_k(model, qg.query_index, feats, labels, k, item_ids=ids)
+            ndcgs.append([ndcg_at_k(model, row, feats, labels, k, item_ids=ids)
                           for k in proto.k_list])
-        scores = model.score_many(qg.query_index, feats)
+        scores = model.score_many(row, feats)
         curve = topk_gaps(scores, groups, rank_order(scores, ids))
         if np.isnan(curve[0]):
             skipped += 1
@@ -455,14 +455,14 @@ def _block_case(num_queries):
     where = {per_block - 1: "short", per_block: "one_group", 2 * per_block - 1: "no_positive",
              per_block // 2: "short", per_block + per_block // 2: "one_group",
              2 * per_block + 3: "no_positive"}
-    queries, observed = te.queries, {q.query_id: q.item_ids for q in d.queries}
+    queries, observed = queries_of(te), {q.query_id: q.item_ids for q in queries_of(d)}
     for pos in sorted(where):
         kind = where[pos]
         ids, rel = odd[kind]
         qid = f"{kind}@{pos}"
         at = np.searchsorted(vocab, ids)
-        queries.insert(pos, QueryGroup(qid, d.num_query_rows + pos, ids, d.vocab.rows[at],
-                                       np.asarray(rel, dtype=np.float64), d.vocab.groups[at]))
+        queries.insert(pos, Query(qid, d.num_query_rows + pos, ids, d.vocab.rows[at],
+                                  np.asarray(rel, dtype=np.float64), d.vocab.groups[at]))
         # the short and one-group lists get no unobserved items
         observed[qid] = ids if kind == "no_positive" else vocab
     rows = d.num_query_rows + max(where) + 1
@@ -636,14 +636,14 @@ def _reference_strips(model, d, k):
     group, ties by query position."""
     every = model.score_many(d.query_row, d.feature_idx)
     ranked = []
-    for qg, start in zip(d.queries, d.offsets):
-        if qg.num_items < 2:
+    for start, n in zip(d.offsets, d.sizes.tolist()):
+        if n < 2:
             continue
-        scores = every[start:start + qg.num_items]
-        order = rank_order(scores, qg.item_ids)
-        gap = abs(topk_gaps(scores, qg.groups, order)[k_per_query(k, qg.num_items) - 1])
+        s = slice(start, start + n)
+        order = rank_order(every[s], d.item_ids[s])
+        gap = abs(topk_gaps(every[s], d.groups[s], order)[k_per_query(k, n) - 1])
         ranked.append((-1.0 if np.isnan(gap) else gap,
-                       ",".join("A" if g == GROUP_A else "B" for g in qg.groups[order])))
+                       ",".join("A" if g == GROUP_A else "B" for g in d.groups[s][order])))
     ranked.sort(key=lambda t: -t[0])
     return ranked
 
@@ -655,13 +655,13 @@ def _ragged_strips_case():
     (same scores, groups swapped) whose gaps tie; a model comes with it."""
     g = generate_synthetic(24, 40, 0.3, 1.0, seed=8)
     keep = np.random.default_rng(8).random(g.total_pairs) < 0.05 + 0.95 * (g.query_of % 6) / 5
-    queries = g.take(np.flatnonzero(keep)).queries
+    queries = queries_of(g.take(np.flatnonzero(keep)))
     fresh = iter(range(10 ** 6, 10 ** 7))
 
     def odd(qid, row, feats, groups):
         ids = np.array([next(fresh) for _ in feats], dtype=np.int64)
-        return QueryGroup(qid, row, ids, np.asarray(feats, dtype=np.int64),
-                          np.ones(len(feats)), np.asarray(groups, dtype=np.int8))
+        return Query(qid, row, ids, np.asarray(feats, dtype=np.int64), np.ones(len(feats)),
+                     np.asarray(groups, dtype=np.int8))
 
     a, b = GROUP_A, GROUP_B
     spliced = {0: odd("one_item", 0, [3], [a]), 5: odd("all_b", 1, [0, 1, 2, 3, 4], [b] * 5),
@@ -696,12 +696,8 @@ class TestRankingStrips:
 
     def test_row_order_and_cells(self, tmp_path):
         m = _scored_model([3.0, 2.0, 1.0])
-        qg = QueryGroup(query_id="q0", query_index=0,
-                        item_ids=np.arange(3, dtype=np.int64),
-                        feature_idx=np.arange(3, dtype=np.int64),
-                        relevance=np.ones(3),
-                        groups=np.array([GROUP_A, GROUP_B, GROUP_A], dtype=np.int8))
-        d = make_dataset([qg])
+        d = make_dataset([Query("q0", 0, np.arange(3), np.arange(3), np.ones(3),
+                                np.array([GROUP_A, GROUP_B, GROUP_A], dtype=np.int8))])
         csv_path = tmp_path / "s.csv"
         ppm_path = tmp_path / "s.ppm"
         export_ranking_strips(m, d, 1, 2, str(csv_path), str(ppm_path))
@@ -739,12 +735,8 @@ class TestRankingStrips:
 
     def test_uniform_row_for_single_group_query(self, tmp_path):
         m = _scored_model([1.0, 0.5])
-        qg = QueryGroup(query_id="q0", query_index=0,
-                        item_ids=np.arange(2, dtype=np.int64),
-                        feature_idx=np.arange(2, dtype=np.int64),
-                        relevance=np.ones(2),
-                        groups=np.array([GROUP_B, GROUP_B], dtype=np.int8))
-        d = make_dataset([qg])
+        d = make_dataset([Query("q0", 0, np.arange(2), np.arange(2), np.ones(2),
+                                np.array([GROUP_B, GROUP_B], dtype=np.int8))])
         csv_path = tmp_path / "s.csv"
         export_ranking_strips(m, d, 1, 1, str(csv_path), str(tmp_path / "s.ppm"))
         assert csv_path.read_text().strip() == "B,B"

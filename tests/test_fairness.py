@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import bound_state
+from conftest import bound_state, full_list_disparity, scored_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,21 +13,18 @@ from fairtopk import data as data_module
 from fairtopk.data import (
     GROUP_A,
     GROUP_B,
-    QueryGroup,
     generate_synthetic,
     load_csv,
     sample_batch,
 )
 from fairtopk.errors import ConfigurationError, StateError
 from fairtopk.fairness import (
+    _surrogate,
     dataset_topk_fairness,
     disparity_mae_mse,
     exposures,
-    full_list_disparity,
     g2_estimate,
-    topk_disparity_exact,
     rank_order,
-    topk_disparity_surrogate,
     topk_gaps,
 )
 from fairtopk.lambda_solver import smoothed_hess, solve_lambda_exactly_smoothed
@@ -42,18 +39,24 @@ def _g2(m, d, batch, cfg, state):
     return scored.dense(g2_estimate(scored, d, batch, cfg, state))
 
 
-def _query_with(scores_model, item_bias, groups, qid="q0"):
-    """A one-query setup whose scores equal the given bias values."""
-    n = len(item_bias)
-    m = FactorizationScorer(1, n, 2, bound=50.0)
-    m.params.values[:] = 0.0
-    m.item_bias[:] = np.arctanh(np.asarray(item_bias) / 50.0)
-    qg = QueryGroup(query_id=qid, query_index=0,
-                    item_ids=np.arange(n, dtype=np.int64),
-                    feature_idx=np.arange(n, dtype=np.int64),
-                    relevance=np.ones(n),
-                    groups=np.asarray(groups, dtype=np.int8))
-    return m, qg
+def _per_query_surrogates(m, d, cfg):
+    """Each query's smoothed top-K disparity at its threshold solved to 1e-12,
+    one query at a time; a query missing a group gives nothing."""
+    out = []
+    for k in np.flatnonzero(d.has_both_groups):
+        s = slice(d.offsets[k], d.offsets[k + 1])
+        scores = m.score_many(d.query_index[k], d.feature_idx[s])
+        lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-12)
+        out.append(float(_surrogate(scores, d.groups[s], lam, cfg)))
+    return out
+
+
+def _one_group_dataset():
+    """Twenty synthetic queries stripped of their group-A items."""
+    g = generate_synthetic(20, 50, 0.3, 1.0, seed=6)
+    d = g.take(np.flatnonzero(g.groups == GROUP_B))
+    assert not d.has_both_groups.any()
+    return d
 
 
 class TestExposures:
@@ -66,9 +69,8 @@ class TestExposures:
         assert e[1] == pytest.approx(1.0 / 3.0)
 
     def test_model_facing_wrapper(self):
-        m, qg = _query_with(None, [np.log(2.0), 0.0], [GROUP_A, GROUP_B])
-        assert exposures(m.score_many(0, qg.feature_idx))[0] == pytest.approx(2.0 / 3.0,
-                                                                             abs=1e-9)
+        scores, _, _ = scored_list([np.log(2.0), 0.0], [GROUP_A, GROUP_B])
+        assert exposures(scores)[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=20))
@@ -81,17 +83,20 @@ class TestExposures:
 
 class TestFullListDisparity:
     def test_equal_scores_is_zero(self):
-        m, qg = _query_with(None, [0.0, 0.0, 0.0, 0.0],
-                            [GROUP_A, GROUP_A, GROUP_B, GROUP_B])
-        assert full_list_disparity(m, qg) == pytest.approx(0.0)
+        scores, groups, _ = scored_list([0.0, 0.0, 0.0, 0.0], [GROUP_A, GROUP_A, GROUP_B, GROUP_B])
+        assert full_list_disparity(scores, groups) == pytest.approx(0.0)
 
     def test_hand_value(self):
-        m, qg = _query_with(None, [np.log(2.0), 0.0], [GROUP_A, GROUP_B])
-        assert full_list_disparity(m, qg) == pytest.approx(1.0 / 18.0, abs=1e-10)
+        scores, groups, _ = scored_list([np.log(2.0), 0.0], [GROUP_A, GROUP_B])
+        assert full_list_disparity(scores, groups) == pytest.approx(1.0 / 18.0, abs=1e-10)
 
     def test_single_group_returns_none(self):
-        m, qg = _query_with(None, [0.0, 1.0], [GROUP_A, GROUP_A])
-        assert full_list_disparity(m, qg) is None
+        # a one-group list has no full-list gap, and such queries add nothing
+        _, _, gaps = scored_list([0.0, 1.0], [GROUP_A, GROUP_A])
+        assert np.isnan(gaps[-1])
+        d = _one_group_dataset()
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=6)
+        assert dataset_topk_fairness(m, d, TrainConfig(fairness_mode="full_list")) == 0.0
 
 
 class TestTopkExact:
@@ -134,53 +139,48 @@ class TestTopkExact:
                 expected = e[a & top].sum() / a.sum() - e[b & top].sum() / b.sum()
                 assert gaps[k - 1] == pytest.approx(expected, abs=1e-15)
 
+    # gaps[1] is the gap at k = 2
     def test_one_sided_membership_is_negative(self):
-        m, qg = _query_with(None, [0.0, 3.0, 2.0], [GROUP_A, GROUP_B, GROUP_B])
-        assert topk_disparity_exact(m, qg, k=2) < 0.0
+        _, _, gaps = scored_list([0.0, 3.0, 2.0], [GROUP_A, GROUP_B, GROUP_B])
+        assert gaps[1] < 0.0
 
     def test_symmetric_query_is_zero(self):
-        m, qg = _query_with(None, [2.0, 2.0, 1.0, 1.0],
-                            [GROUP_A, GROUP_B, GROUP_A, GROUP_B])
-        assert topk_disparity_exact(m, qg, k=2) == pytest.approx(0.0, abs=1e-12)
+        _, _, gaps = scored_list([2.0, 2.0, 1.0, 1.0], [GROUP_A, GROUP_B, GROUP_A, GROUP_B])
+        assert gaps[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_six_item_brute_force(self):
         scores = [3.0, 2.5, 2.0, 1.5, 1.0, 0.5]
         groups = [GROUP_A, GROUP_B, GROUP_A, GROUP_B, GROUP_A, GROUP_B]
-        m, qg = _query_with(None, scores, groups)
         z = np.sum(np.exp(scores))
         expected = (np.exp(3.0) / z) / 3.0 - (np.exp(2.5) / z) / 3.0
-        assert topk_disparity_exact(m, qg, k=2) == pytest.approx(expected, abs=1e-9)
-
-    def test_k_range_validation(self):
-        m, qg = _query_with(None, [0.0, 1.0], [GROUP_A, GROUP_B])
-        with pytest.raises(ConfigurationError):
-            topk_disparity_exact(m, qg, k=2)
+        _, _, gaps = scored_list(scores, groups)
+        assert gaps[1] == pytest.approx(expected, abs=1e-9)
 
     def test_shift_invariance(self):
         scores = [1.0, 0.3, -0.2, 2.0]
         groups = [GROUP_A, GROUP_B, GROUP_A, GROUP_B]
-        m1, q1 = _query_with(None, scores, groups)
-        m2, q2 = _query_with(None, [s + 1.5 for s in scores], groups)
-        assert topk_disparity_exact(m1, q1, 2) == pytest.approx(
-            topk_disparity_exact(m2, q2, 2), abs=1e-9)
+        _, _, gaps = scored_list(scores, groups)
+        _, _, shifted = scored_list([s + 1.5 for s in scores], groups)
+        assert gaps[1] == pytest.approx(shifted[1], abs=1e-9)
+
+    def test_single_group_gives_a_nan_row(self):
+        lists = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -np.inf]])
+        groups = np.array([[GROUP_A, GROUP_A], [GROUP_B, GROUP_B], [GROUP_A, -1]])
+        gaps = topk_gaps(lists, groups, rank_order(lists, np.array([[0, 1]] * 3)))
+        assert np.isnan(gaps).all()
 
 
 class TestSurrogate:
     def test_constant_indicator_reduces_to_full_list(self, rng):
         for _ in range(20):
             scores = rng.normal(0, 1, 8).tolist()
-            groups = [GROUP_A] * 3 + [GROUP_B] * 5
-            m, qg = _query_with(None, scores, groups)
-            u = topk_disparity_surrogate(m, qg, lam=0.0,
-                                         cfg=TrainConfig(fairness_mode="full_list"))
-            full = full_list_disparity(m, qg)
-            assert abs(u - full) <= 1e-12
+            scores, groups, _ = scored_list(scores, [GROUP_A] * 3 + [GROUP_B] * 5)
+            u = _surrogate(scores, groups, 0.0, TrainConfig(fairness_mode="full_list"))
+            assert abs(u - full_list_disparity(scores, groups)) <= 1e-12
 
     def test_identical_compositions_zero(self):
-        m, qg = _query_with(None, [1.0, 1.0, 0.0, 0.0],
-                            [GROUP_A, GROUP_B, GROUP_A, GROUP_B])
-        cfg = TrainConfig(tau_psi=0.1)
-        assert topk_disparity_surrogate(m, qg, lam=0.5, cfg=cfg) == pytest.approx(
+        scores, groups, _ = scored_list([1.0, 1.0, 0.0, 0.0], [GROUP_A, GROUP_B, GROUP_A, GROUP_B])
+        assert _surrogate(scores, groups, 0.5, TrainConfig(tau_psi=0.1)) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_matches_exact_at_small_temperatures(self, rng):
@@ -195,12 +195,10 @@ class TestSurrogate:
             perm = rng.permutation(6)
             scores = scores[perm]
             groups = np.array([GROUP_A] * 3 + [GROUP_B] * 3)[perm]
-            m, qg = _query_with(None, scores.tolist(), groups.tolist())
-            lam = solve_lambda_exactly_smoothed(
-                m.score_many(0, qg.feature_idx), cfg, tol=1e-12)
-            u = topk_disparity_surrogate(m, qg, lam, cfg)
-            exact = topk_disparity_exact(m, qg, 2)
-            assert abs(np.sqrt(2.0 * u) - abs(exact)) <= 1e-3
+            scores, groups, gaps = scored_list(scores.tolist(), groups.tolist())
+            u = _surrogate(scores, groups, solve_lambda_exactly_smoothed(scores, cfg, tol=1e-12),
+                           cfg)
+            assert abs(np.sqrt(2.0 * u) - abs(gaps[1])) <= 1e-3
 
     def test_dataset_fairness_scores_every_pair_in_one_call(self, monkeypatch):
         # queries 0 and 1 lose their group-A items, so they add nothing
@@ -209,16 +207,14 @@ class TestSurrogate:
         assert d.num_queries == 20 and d.has_both_groups.tolist().count(False) == 2
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=6)
         cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3, tau_psi=0.2)
-        per_query = [topk_disparity_surrogate(m, qg, solve_lambda_exactly_smoothed(
-            m.score_many(qg.query_index, qg.feature_idx), cfg, tol=1e-12), cfg)
-            for qg in d.queries]
+        per_query = _per_query_surrogates(m, d, cfg)
         calls = []
         score_many = m.score_many
         monkeypatch.setattr(m, "score_many",
                             lambda *a, **kw: calls.append(a) or score_many(*a, **kw))
         u = dataset_topk_fairness(m, d, cfg)
         assert len(calls) == 1 and len(calls[0][1]) == d.total_pairs
-        assert u == sum(v for v in per_query if v is not None) / d.num_queries
+        assert u == sum(per_query) / d.num_queries
 
     @pytest.mark.parametrize("entries", [1, 150, 32768])
     def test_dataset_fairness_block_size_keeps_the_value(self, monkeypatch, entries):
@@ -229,9 +225,7 @@ class TestSurrogate:
         assert len(set(d.sizes.tolist())) > 10 and d.has_both_groups.all()
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=4)
         cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=7, tau_psi=0.2)
-        per_query = [topk_disparity_surrogate(m, qg, solve_lambda_exactly_smoothed(
-            m.score_many(qg.query_index, qg.feature_idx), cfg, tol=1e-12), cfg)
-            for qg in d.queries]
+        per_query = _per_query_surrogates(m, d, cfg)
         monkeypatch.setattr(data_module, "_BLOCK_ENTRIES", entries)
         assert dataset_topk_fairness(m, d, cfg) == pytest.approx(
             sum(per_query) / d.num_queries, rel=1e-12, abs=0.0)
@@ -256,8 +250,10 @@ class TestSurrogate:
         assert np.isfinite(u) and u > 0.0
 
     def test_single_group_returns_none(self):
-        m, qg = _query_with(None, [0.0, 1.0], [GROUP_B, GROUP_B])
-        assert topk_disparity_surrogate(m, qg, 0.0, TrainConfig(tau_psi=0.1)) is None
+        d = _one_group_dataset()
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=6)
+        cfg = TrainConfig(tau1=5e-2, tau2=1e-3, eps=0.5, k=3, tau_psi=0.1)
+        assert dataset_topk_fairness(m, d, cfg) == 0.0
 
 
 class TestMaeMse:
@@ -282,8 +278,8 @@ class TestG2:
         cfg = TrainConfig(k=2, fair_weight=1.0, tau1=5e-2, tau2=1e-3, eps=0.5, tau_psi=0.2,
                           **overrides)
         state = bound_state(cfg, m, d)
-        for q, qg in enumerate(d.queries):
-            scores = m.score_many(qg.query_index, qg.feature_idx)
+        for q in range(d.num_queries):
+            scores = m.score_many(d.query_index[q], d.feature_idx[d.offsets[q]:d.offsets[q + 1]])
             lam = solve_lambda_exactly_smoothed(scores, cfg, tol=1e-10)
             state.lam[q, :2] = lam, smoothed_hess(lam, scores, cfg)
         return d, m, batch, cfg, state

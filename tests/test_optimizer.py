@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bound_state, make_dataset, write_wide_vocabulary_csv
+from conftest import bound_state, make_dataset, queries_of, write_wide_vocabulary_csv
 
 from fairtopk import data as data_module
 from fairtopk import model as model_module
@@ -513,14 +513,14 @@ class TestStateReuse:
         d, m, cfg = _tiny_setup()
         state = TrainerState.fresh(cfg, len(m.params.values))
         train_step(m, d, cfg, state, np.random.default_rng(0))
-        q0, q1 = d.queries[0], d.queries[1]
+        q0, q1, *rest = queries_of(d)
         moved = replace(q0, item_ids=q0.item_ids[:-1], feature_idx=q0.feature_idx[:-1],
                         relevance=q0.relevance[:-1], groups=q0.groups[:-1])
         grown = replace(q1, item_ids=np.append(q1.item_ids, q0.item_ids[-1]),
                         feature_idx=np.append(q1.feature_idx, q0.feature_idx[-1]),
                         relevance=np.append(q1.relevance, q0.relevance[-1]),
                         groups=np.append(q1.groups, q0.groups[-1]))
-        other = make_dataset([moved, grown] + d.queries[2:], d.vocab, d.num_query_rows)
+        other = make_dataset([moved, grown, *rest], d.vocab, d.num_query_rows)
         assert other.total_pairs == d.total_pairs
         with pytest.raises(StateError):
             train_step(m, other, cfg, state, np.random.default_rng(0))
@@ -545,7 +545,8 @@ class TestStateReuse:
         d, m, cfg = _tiny_setup()
         state = TrainerState.fresh(cfg, len(m.params.values))
         train_step(m, d, cfg, state, np.random.default_rng(0))
-        rows = [replace(q, query_index=d.num_query_rows - 1 - q.query_index) for q in d.queries]
+        rows = [replace(q, query_index=d.num_query_rows - 1 - q.query_index)
+                for q in queries_of(d)]
         other = make_dataset(rows, d.vocab, d.num_query_rows)
         assert np.array_equal(other.offsets, d.offsets)
         assert np.array_equal(other.feature_idx, d.feature_idx)

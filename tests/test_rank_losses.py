@@ -6,11 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from conftest import bound_state, ideal_dcg, make_dataset
+from conftest import Query, bound_state, ideal_dcg, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtopk.data import QueryGroup, generate_synthetic, sample_batch
+from fairtopk.data import generate_synthetic, sample_batch
 from fairtopk.errors import ConfigurationError
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import TrainConfig
@@ -29,8 +29,8 @@ def _g1(m, d, batch, cfg, state):
 def _one_query(items, labels, row=0):
     """A dataset of one query, model row ``row``, over item rows ``items``."""
     items = np.asarray(items, dtype=np.int64)
-    return make_dataset([QueryGroup("q", row, items, items, np.asarray(labels, dtype=float),
-                                    np.zeros(len(items), dtype=np.int8))])
+    return make_dataset([Query("q", row, items, items, np.asarray(labels, dtype=float),
+                               np.zeros(len(items), dtype=np.int8))])
 
 
 def _query_loss(m, d, cfg):
