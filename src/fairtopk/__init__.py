@@ -10,13 +10,13 @@ from .data import (
     save_csv,
     split,
 )
-from .evaluation import EvalProtocol, TradeoffReport, evaluate, tradeoff_sweep
+from .evaluation import EvalProtocol, evaluate
 from .fairness import exposures
 from .lambda_solver import (
     exact_lambda,
     solve_lambda_exactly_smoothed,
 )
 from .model import FactorizationScorer, ParamVector
-from .optimizer import TrainConfig, TrainResult, train, train_step
+from .optimizer import TrainConfig, TrainResult, tradeoff_sweep, train, train_step
 
 __version__ = "0.1.0"

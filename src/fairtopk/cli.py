@@ -10,6 +10,7 @@ flag > config file > default.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -19,10 +20,9 @@ from dataclasses import fields, replace
 from . import gradcheck
 from .data import generate_synthetic, load_csv, save_csv, split
 from .errors import FairTopKError, ConfigurationError
-from .evaluation import (EvalProtocol, evaluate, export_ranking_strips, finite_or_null,
-                         tradeoff_sweep)
+from .evaluation import EvalProtocol, evaluate, export_ranking_strips
 from .model import FactorizationScorer
-from .optimizer import TrainConfig, config_from_file, train
+from .optimizer import TRACE_FIELDS, TrainConfig, config_from_file, tradeoff_sweep, train
 
 
 class _UsageError(Exception):
@@ -109,6 +109,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def finite_or_null(value):
+    """``value`` with NaN and +-Infinity, which are not JSON, made None (null)."""
+    return json.loads(json.dumps(value), parse_constant=lambda _: None)
+
+
+def _write_csv(path: str, rows: list[dict], keys: tuple[str, ...]) -> None:
+    """``rows`` under the header ``keys``; a key a row lacks is an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _require_seed(args, default: int = 0) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -155,7 +168,7 @@ def _cmd_train(args) -> int:
     best = model.clone()
     best.params.values[:] = result.best_params
     best.save(args.out + ".best.ckpt")
-    result.trace.to_csv(args.out + ".trace.csv")
+    _write_csv(args.out + ".trace.csv", result.trace, TRACE_FIELDS)
     with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(finite_or_null({"finished_at": time.time(),
                                   "best_valid_ndcg": result.best_valid_ndcg}), fh)
@@ -184,13 +197,18 @@ def _cmd_sweep(args) -> int:
     cfg, model, train_d, _, test_d = _start_run(args)
     if not test_d.total_pairs:
         raise ConfigurationError(f"--fractions {args.fractions} leave the test part empty")
-    for c in args.c_grid:           # every grid point is a valid config before any trains
-        replace(cfg, fair_weight=float(c))
+    # every grid point is a valid config of its own C before any trains; 0 and -0 are one C
+    configs = [replace(cfg, fair_weight=float(c)) for c in args.c_grid]
+    repeated = [c for i, c in enumerate(args.c_grid) if c in args.c_grid[:i]]
+    if repeated:
+        raise ConfigurationError(f"--c-grid repeats C {repeated[0]:g}")
     proto = EvalProtocol(k_list=tuple(args.k_list), seed=cfg.seed)
-    report = tradeoff_sweep(model, train_d, test_d, cfg, args.c_grid, proto)
-    report.to_csv(args.out + ".csv")
-    report.to_json(args.out + ".json")
-    print(f"wrote {len(report.rows)} frontier rows to {args.out}.csv")
+    rows = tradeoff_sweep(model, train_d, test_d, configs, proto)
+    _write_csv(args.out + ".csv", rows,
+               ("C", "K", "ndcg_mean", "ndcg_std", "mae", "mse", "skipped", "failed", "error"))
+    with open(args.out + ".json", "w", encoding="utf-8") as fh:
+        json.dump(finite_or_null(rows), fh, indent=2)
+    print(f"wrote {len(rows)} frontier rows to {args.out}.csv")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Exact evaluation metrics, the sampled evaluation protocol, the C-sweep
-tradeoff harness and the ranking-strip export.
+"""Exact evaluation metrics, the sampled evaluation protocol and the
+ranking-strip export.
 
 Evaluation lists mix a handful of relevant items with a large pool of
 irrelevant ones per query: zero-relevance items from the query's own list
@@ -19,8 +19,7 @@ gaps over queries, skipping queries where a group is absent.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,58 +220,6 @@ def evaluate(model: FactorizationScorer, d: Dataset, proto: EvalProtocol) -> dic
             "ndcg_std": float(n.std()) if len(n) else float("nan"),
             "mae": mae, "mse": mse, "skipped": int(skipped),
         }
-    return report
-
-
-@dataclass
-class TradeoffReport:
-    rows: list[dict] = field(default_factory=list)
-
-    def to_csv(self, path: str) -> None:
-        import csv as _csv
-        keys = ["C", "K", "ndcg_mean", "ndcg_std", "mae", "mse", "skipped", "failed", "error"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=keys)
-            writer.writeheader()
-            writer.writerows(self.rows)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(finite_or_null(self.rows), fh, indent=2)
-
-
-def finite_or_null(value):
-    """``value`` with NaN and +-Infinity, which are not JSON, made None (null)."""
-    return json.loads(json.dumps(value), parse_constant=lambda _: None)
-
-
-def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Dataset,
-                   base_cfg, c_grid, proto: EvalProtocol) -> TradeoffReport:
-    """Train one model per C (identical seed and budget) and report one
-    frontier row per (C, K in ``proto.k_list``) on the test split under
-    ``proto``.  Failed runs are marked and the sweep continues."""
-    from .optimizer import train
-
-    if len(c_grid) == 0:
-        raise ConfigurationError("C grid must be nonempty")
-    report = TradeoffReport()
-    for c in c_grid:
-        model = init_model.clone()
-        try:
-            cfg = replace(base_cfg, fair_weight=float(c))
-            train(model, train_d, cfg)
-            per_k = evaluate(model, test_d, proto)
-            for k in proto.k_list:
-                row = {"C": float(c), "K": int(k), "failed": False}
-                row.update(per_k[k])
-                report.rows.append(row)
-        except FairTopKError as exc:
-            for k in proto.k_list:
-                report.rows.append({"C": float(c), "K": int(k),
-                                    "ndcg_mean": float("nan"), "ndcg_std": float("nan"),
-                                    "mae": float("nan"), "mse": float("nan"),
-                                    "skipped": 0, "failed": True,
-                                    "error": str(exc)})
     return report
 
 

@@ -6,27 +6,32 @@ two stochastic gradients as weights on the sampled score gradients,
 scatters their sum into the momentum buffer z and takes a step.  Mode
 switches select the ablations: ``fairness_mode = none`` (or C = 0) is
 color-blind training, ``full_list`` pairs the ranking loss with the
-whole-list disparity, and ``top_k`` is the full method.
+whole-list disparity, and ``top_k`` is the full method.  ``train`` runs
+the loop and logs plain trace records; ``tradeoff_sweep`` trains one model
+per given config and evaluates each on the test part.
 """
 
 from __future__ import annotations
 
-import csv as _csv
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .errors import ConfigurationError, NonFiniteGradientError, StateError
+from .errors import ConfigurationError, FairTopKError, NonFiniteGradientError, StateError
+from .evaluation import EvalProtocol, evaluate
 from .fairness import g2_estimate
 from .lambda_solver import init_lambda_state, state_step
 from .model import FactorizationScorer
 from .rank_losses import ScoredBatch, dataset_loss, g1_estimate
 
 FAIRNESS_MODES = ("none", "full_list", "top_k")
+# the keys of every record train() logs, in order: the header of a trace with none
+TRACE_FIELDS = ("step", "epoch", "z_norm", "train_loss", "valid_ndcg", "valid_mae", "valid_mse",
+                "wall_time")
 
 
 @dataclass(frozen=True)
@@ -173,26 +178,6 @@ class TrainerState:
         self.offsets, self.query_row, self.feature_idx = arrays
 
 
-@dataclass
-class TrainTrace:
-    # the header of an empty trace: the keys of every record train() logs
-    FIELDS = ("step", "epoch", "z_norm", "train_loss", "valid_ndcg", "valid_mae", "valid_mse",
-              "wall_time")
-    records: list[dict] = field(default_factory=list)
-
-    def append(self, **kwargs) -> None:
-        if self.records and kwargs["step"] < self.records[-1]["step"]:
-            raise ValueError("step indices must be monotone")
-        self.records.append(kwargs)
-
-    def to_csv(self, path: str) -> None:
-        keys = list(self.records[0]) if self.records else self.FIELDS
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=keys)
-            writer.writeheader()
-            writer.writerows(self.records)
-
-
 def _check_finite(arrays, name: str) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NonFiniteGradientError(f"non-finite values in {name}")
@@ -239,20 +224,18 @@ def train_step(model: FactorizationScorer, d: Dataset, cfg: TrainConfig,
 class TrainResult:
     best_params: np.ndarray
     best_valid_ndcg: float
-    trace: TrainTrace
+    trace: list[dict]
 
 
 def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
           valid_d: Dataset | None = None) -> TrainResult:
     """Run the full loop, training ``model`` in place; returns the
     best-validation parameter snapshot and the logged trace."""
-    from .evaluation import EvalProtocol, evaluate  # local import avoids a cycle
-
     rng = np.random.default_rng(cfg.seed)
     state = TrainerState.fresh(cfg, len(model.params.values))
     steps_per_epoch = max(1, math.ceil(train_d.total_pairs / cfg.batch_pairs))
     total_steps = cfg.epochs * steps_per_epoch
-    trace = TrainTrace()
+    trace = []
     best_params = model.params.values.copy()
     best_ndcg = -np.inf
     protocol = EvalProtocol(k_list=(cfg.k,), seed=cfg.seed)
@@ -278,10 +261,32 @@ def train(model: FactorizationScorer, train_d: Dataset, cfg: TrainConfig,
                 if row["ndcg_mean"] >= best_ndcg:
                     best_ndcg = row["ndcg_mean"]
                     best_params = model.params.values.copy()
-            trace.append(**record)
+            trace.append(record)
 
     if best_ndcg == -np.inf:
         best_params = model.params.values.copy()
     return TrainResult(best_params=best_params,
                        best_valid_ndcg=float(best_ndcg), trace=trace)
 
+
+def tradeoff_sweep(init_model: FactorizationScorer, train_d: Dataset, test_d: Dataset,
+                   configs: list[TrainConfig], proto: EvalProtocol) -> list[dict]:
+    """Train one model from ``init_model`` per config and return one frontier
+    row per (config, K in ``proto.k_list``) on ``test_d`` under ``proto``.
+    A failed run's rows are marked failed and the sweep goes on."""
+    if not configs:
+        raise ConfigurationError("a sweep needs at least one config")
+    rows = []
+    for cfg in configs:
+        model = init_model.clone()
+        try:
+            train(model, train_d, cfg)
+            per_k = evaluate(model, test_d, proto)
+            rows += [{"C": cfg.fair_weight, "K": int(k), "failed": False, **per_k[k]}
+                     for k in proto.k_list]
+        except FairTopKError as exc:
+            nan = float("nan")
+            rows += [{"C": cfg.fair_weight, "K": int(k), "ndcg_mean": nan, "ndcg_std": nan,
+                      "mae": nan, "mse": nan, "skipped": 0, "failed": True, "error": str(exc)}
+                     for k in proto.k_list]
+    return rows

@@ -23,17 +23,16 @@ from fairtopk.data import (
     sample_batch,
     split,
 )
-from fairtopk.evaluation import EvalProtocol, evaluate, spearman, tradeoff_sweep
+from fairtopk.evaluation import EvalProtocol, evaluate, spearman
 from fairtopk.fairness import _surrogate
 from fairtopk.gradcheck import check_fairness, check_rank_losses
 from fairtopk.lambda_solver import (
     exact_lambda,
-    smoothed_grad,
     solve_lambda_exactly_smoothed,
     state_step,
 )
 from fairtopk.model import FactorizationScorer
-from fairtopk.optimizer import TrainConfig, train
+from fairtopk.optimizer import TrainConfig, tradeoff_sweep, train
 
 
 def _verdict(num, ok, detail):
@@ -65,7 +64,7 @@ def bench_data():
 
 @pytest.fixture(scope="module")
 def c_sweep(bench_data):
-    """The C-grid sweep's report, its wall time and ||z|| after every
+    """The C-grid sweep's rows, its wall time and ||z|| after every
     training step, keyed by C."""
     d, tr, va, te = bench_data
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8,
@@ -82,9 +81,10 @@ def c_sweep(bench_data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "train_step", recording_step)
         t0 = time.perf_counter()
-        report = tradeoff_sweep(model, tr, te, _bench_config(), C_GRID, proto)
+        rows = tradeoff_sweep(model, tr, te, [_bench_config(fair_weight=c) for c in C_GRID],
+                              proto)
         elapsed = time.perf_counter() - t0
-    return report, elapsed, z_norms
+    return rows, elapsed, z_norms
 
 
 # ------------------------------------------------------------------ criteria
@@ -173,9 +173,9 @@ def test_criterion_4_surrogate_exact_consistency():
 
 
 def test_criterion_5_tradeoff_reproduction(c_sweep):
-    report, elapsed, _ = c_sweep
-    rows = {row["C"]: row for row in report.rows}
-    assert not any(row.get("failed") for row in report.rows)
+    sweep_rows, elapsed, _ = c_sweep
+    rows = {row["C"]: row for row in sweep_rows}
+    assert not any(row.get("failed") for row in sweep_rows)
     mae0 = rows[0.0]["mae"]
     mae_max = rows[C_GRID[-1]]["mae"]
     ndcg0 = rows[0.0]["ndcg_mean"]
@@ -225,11 +225,11 @@ def test_criterion_6_mode_reductions():
 
 def test_criterion_7_gamma_ablation(bench_data, c_sweep):
     d, tr, va, te = bench_data
-    report, _, _ = c_sweep
+    sweep_rows, _, _ = c_sweep
     proto = EvalProtocol(k_list=(50,), seed=0)
     points = {}
     # gamma = 0.2 is the sweep's own C = 1000 run (identical config)
-    base_row = next(r for r in report.rows if r["C"] == 1000.0)
+    base_row = next(r for r in sweep_rows if r["C"] == 1000.0)
     points[0.2] = (base_row["ndcg_mean"], base_row["mae"])
     for gamma in (0.6, 1.0):
         model = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8,

@@ -238,6 +238,18 @@ class TestTrainEval:
         assert "Traceback" not in err
 
 
+class TestWriteCsv:
+    def test_rows_under_the_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        cli._write_csv(str(path), [{"step": 0, "loss": 1.0}, {"step": 5}], ("step", "loss"))
+        assert path.read_text().splitlines() == ["step,loss", "0,1.0", "5,"]
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        cli._write_csv(str(path), [], ("step", "loss"))
+        assert path.read_text().splitlines() == ["step,loss"]
+
+
 class TestStrictJson:
     """Every JSON file or report the CLI writes parses as strict JSON; a value
     that is not finite is written as null."""
@@ -283,6 +295,7 @@ class TestSweepAndStrips:
         # one row per (C, K), K from the protocol the CLI builds from --k-list
         expected = [(0.0, 3), (0.0, 5), (10.0, 3), (10.0, 5)]
         lines = open(prefix + ".csv").read().strip().splitlines()
+        assert lines[0] == "C,K,ndcg_mean,ndcg_std,mae,mse,skipped,failed,error"
         assert [(float(c), int(k)) for c, k, *_ in (ln.split(",") for ln in lines[1:])] == expected
         rows = strict_json(open(prefix + ".json").read())
         assert [(r["C"], r["K"]) for r in rows] == expected
@@ -306,7 +319,8 @@ class TestSweepAndStrips:
         (["train", "--fractions", "0.01,0.5,0.49"], "leave the train part empty"),
         (["sweep", "--fractions", "0.01,0.5,0.49"], "leave the train part empty"),
         (["sweep", "--fractions", "0.98,0.01,0.01"], "leave the test part empty"),
-        (["sweep", "--k-list", "5,5"], "k_list repeats a k")])
+        (["sweep", "--k-list", "5,5"], "k_list repeats a k"),
+        (["sweep", "--c-grid", "0,0,-0"], "--c-grid repeats C 0")])
     def test_empty_split_part_or_repeated_k_exits_one_before_training(
             self, data_csv, tmp_path, capsys, monkeypatch, argv, message):
         def must_not_run(*args, **kwargs):

@@ -16,26 +16,26 @@ from fairtopk.data import (
     Vocabulary,
     generate_synthetic,
     load_csv,
+    save_csv,
     split,
 )
-from fairtopk.errors import ConfigurationError, FairTopKError
+from fairtopk.errors import ConfigurationError, FairTopKError, NonFiniteGradientError
+from fairtopk import cli, optimizer
 from fairtopk import data as data_module
 from fairtopk import evaluation
 from fairtopk.evaluation import (
     EvalProtocol,
-    TradeoffReport,
     build_eval_list,
     evaluate,
     export_ranking_strips,
     ndcg_at_k,
     ndcg_curve,
     spearman,
-    tradeoff_sweep,
 )
 from fairtopk.fairness import disparity_mae_mse, rank_order, topk_gaps
 from fairtopk.lambda_solver import k_per_query
 from fairtopk.model import FactorizationScorer
-from fairtopk.optimizer import TrainConfig
+from fairtopk.optimizer import TrainConfig, tradeoff_sweep, train
 
 
 def _scored_model(score_values):
@@ -578,12 +578,11 @@ class TestTradeoffSweep:
                           batch_a=2, batch_b=2, seed=4)
         proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
                              k_list=(2,), seed=cfg.seed)
-        report = tradeoff_sweep(m, tr, te, cfg, [0.0], proto)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        rows = tradeoff_sweep(m, tr, te, [cfg], proto)
+        assert len(rows) == 1
+        row = rows[0]
         assert row["C"] == 0.0 and not row["failed"]
 
-        from fairtopk.optimizer import train
         m2 = m.clone()
         train(m2, tr, cfg, valid_d=None)
         direct = evaluate(m2, te, proto)[2]
@@ -595,39 +594,47 @@ class TestTradeoffSweep:
         tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
         m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
         with pytest.raises(ConfigurationError):
-            tradeoff_sweep(m, tr, te, TrainConfig(), [], EvalProtocol(k_list=(2,)))
+            tradeoff_sweep(m, tr, te, [], EvalProtocol(k_list=(2,)))
 
-    def test_report_serialization(self, tmp_path):
-        report = TradeoffReport(rows=[{
-            "C": 0.0, "K": 2, "ndcg_mean": 0.5, "ndcg_std": 0.1,
-            "mae": 0.01, "mse": 0.001, "skipped": 0, "failed": False}])
-        csv_path = tmp_path / "r.csv"
-        json_path = tmp_path / "r.json"
-        report.to_csv(str(csv_path))
-        report.to_json(str(json_path))
-        assert csv_path.read_text().startswith("C,K,ndcg_mean")
-        assert json.loads(json_path.read_text())[0]["K"] == 2
+    def test_report_serialization(self, tmp_path, monkeypatch):
+        data = str(tmp_path / "d.csv")
+        save_csv(generate_synthetic(4, 8, 0.4, 1.0, seed=4), data)
+        rows = [{"C": 0.0, "K": 2, "ndcg_mean": 0.5, "ndcg_std": 0.1,
+                 "mae": 0.01, "mse": 0.001, "skipped": 0, "failed": False}]
+        # the sweep's rows as given; the CLI writes both files from them
+        monkeypatch.setattr(cli, "tradeoff_sweep", lambda *args: rows)
+        prefix = str(tmp_path / "r")
+        assert cli.run(["sweep", "--data", data, "--fractions", "0.6,0.2,0.2", "--dim", "2",
+                        "--K", "2", "--seed", "4", "--c-grid", "0", "--k-list", "2",
+                        "--out", prefix]) == 0
+        assert Path(prefix + ".csv").read_text().splitlines() == [
+            "C,K,ndcg_mean,ndcg_std,mae,mse,skipped,failed,error",
+            "0.0,2,0.5,0.1,0.01,0.001,0,False,"]
+        assert json.loads(Path(prefix + ".json").read_text()) == rows
 
-    def test_failed_run_keeps_both_files(self, tmp_path, strict_json):
-        d = generate_synthetic(4, 8, 0.4, 1.0, seed=4)
-        tr, _, te, _ = split(d, (0.6, 0.2, 0.2), seed=0)
-        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 2, seed=4)
-        cfg = TrainConfig(k=2, epochs=1, batch_pairs=8, batch_items=4, batch_a=2,
-                          batch_b=2, seed=4, fairness_mode="none")
-        proto = EvalProtocol(relevant_per_query=2, irrelevant_per_query=4,
-                             k_list=(2,), seed=4)
-        # C > 0 conflicts with fairness_mode=none, so the second run fails
-        report = tradeoff_sweep(m, tr, te, cfg, [0.0, 10.0], proto)
-        assert [row["failed"] for row in report.rows] == [False, True]
-        csv_path = tmp_path / "r.csv"
-        json_path = tmp_path / "r.json"
-        report.to_csv(str(csv_path))
-        report.to_json(str(json_path))
-        lines = csv_path.read_text().splitlines()
+    def test_failed_run_keeps_both_files(self, tmp_path, monkeypatch, strict_json):
+        data = str(tmp_path / "d.csv")
+        save_csv(generate_synthetic(4, 8, 0.4, 1.0, seed=4), data)
+        train_step = optimizer.train_step
+
+        def failing_step(model, d, cfg, *args, **kwargs):
+            if cfg.fair_weight > 0:
+                raise NonFiniteGradientError("non-finite values in G2")
+            return train_step(model, d, cfg, *args, **kwargs)
+
+        # the C > 0 run fails in training; the sweep marks it and goes on
+        monkeypatch.setattr(optimizer, "train_step", failing_step)
+        prefix = str(tmp_path / "r")
+        assert cli.run(["sweep", "--data", data, "--fractions", "0.6,0.2,0.2", "--dim", "2",
+                        "--K", "2", "--epochs", "1", "--batch-pairs", "8", "--batch-items", "4",
+                        "--batch-a", "2", "--batch-b", "2", "--seed", "4", "--c-grid", "0,10",
+                        "--k-list", "2", "--out", prefix]) == 0
+        lines = Path(prefix + ".csv").read_text().splitlines()
         assert lines[0].endswith(",failed,error")
-        assert len(lines) == 3 and "fairness_mode=none" in lines[2]
-        rows = strict_json(json_path.read_text())
-        assert rows[1]["failed"] is True and rows[1]["ndcg_mean"] is None
+        assert len(lines) == 3 and "non-finite values in G2" in lines[2]
+        rows = strict_json(Path(prefix + ".json").read_text())
+        assert [row["failed"] for row in rows] == [False, True]
+        assert rows[1]["ndcg_mean"] is None
 
 
 def _reference_strips(model, d, k):

@@ -17,9 +17,9 @@ from fairtopk.errors import ConfigurationError, NonFiniteGradientError, StateErr
 from fairtopk.fairness import g2_estimate
 from fairtopk.model import FactorizationScorer
 from fairtopk.optimizer import (
+    TRACE_FIELDS,
     TrainConfig,
     TrainerState,
-    TrainTrace,
     config_from_file,
     train,
     train_step,
@@ -282,15 +282,15 @@ class TestTrain:
         w0 = m.params.values.copy()
         result = train(m, d, cfg, valid_d=None)
         assert np.array_equal(m.params.values, w0)
-        assert result.trace.records == []
+        assert result.trace == []
 
     def test_trace_has_monotone_steps(self):
         d, m, cfg = _tiny_setup(epochs=2)
         result = train(m, d, cfg, valid_d=None)
-        steps = [r["step"] for r in result.trace.records]
+        steps = [r["step"] for r in result.trace]
         assert steps == sorted(steps)
         # an empty trace's CSV header names the same columns, in the same order
-        assert all(tuple(r) == TrainTrace.FIELDS for r in result.trace.records)
+        assert all(tuple(r) == TRACE_FIELDS for r in result.trace)
 
     def test_validation_tracking(self):
         d = generate_synthetic(6, 10, 0.4, 1.0, seed=2)
@@ -302,29 +302,6 @@ class TestTrain:
         result = train(m, tr, cfg, valid_d=va)
         assert np.isfinite(result.best_valid_ndcg)
         assert len(result.best_params) == len(m.params.values)
-
-
-class TestTrainTrace:
-    def test_rejects_backwards_steps(self):
-        trace = TrainTrace()
-        trace.append(step=3, loss=1.0)
-        with pytest.raises(ValueError):
-            trace.append(step=1, loss=0.5)
-
-    def test_csv_output(self, tmp_path):
-        trace = TrainTrace()
-        trace.append(step=0, loss=1.0)
-        trace.append(step=5, loss=0.5)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,loss"
-        assert len(lines) == 3
-
-    def test_empty_trace_writes_the_header(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        TrainTrace().to_csv(str(path))
-        assert path.read_text().splitlines() == [",".join(TrainTrace.FIELDS)]
 
 
 class TestScatterPaths:

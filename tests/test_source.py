@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fairtopk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fairtopk"
 
 # (file, qualified function name, parameter) -> why it stays unread
 UNUSED_ALLOWED = {
@@ -228,7 +229,8 @@ def test_the_scan_sees_an_unread_parameter(tmp_path):
 
 def test_every_import_is_read():
     # __init__.py imports to re-export
-    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [hit for path in paths if path.name != "__init__.py"
             for hit in unused_imports(path)] == []
 
 
