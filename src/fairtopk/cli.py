@@ -47,13 +47,18 @@ def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _add_split_flags(sub: argparse.ArgumentParser) -> None:
+    """The split ``train``, ``sweep`` and ``eval`` share."""
+    sub.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1",
+                     help="train,valid,test split fractions (sweep never reads the valid part)")
+    sub.add_argument("--split-seed", type=int, default=0)
+
+
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     """The flags ``train`` and ``sweep`` share: data, split, model and TrainConfig."""
     sub.add_argument("--data", required=True, help="CSV dataset")
     sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--fractions", type=float_list, default="0.8,0.1,0.1",
-                     help="train,valid,test split fractions (sweep never reads the valid part)")
-    sub.add_argument("--split-seed", type=int, default=0)
+    _add_split_flags(sub)
     sub.add_argument("--dim", type=int, default=8)
     sub.add_argument("--bound", type=float, default=10.0)
     for f in fields(TrainConfig):
@@ -81,8 +86,9 @@ def build_parser() -> _Parser:
     _add_run_flags(t)
     t.add_argument("--out", required=True, help="output prefix")
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint")
+    e = sub.add_parser("eval", help="evaluate a checkpoint on the test part of --data")
     e.add_argument("--data", required=True)
+    _add_split_flags(e)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--k-list", type=int_list, default="50,100,200")
     e.add_argument("--relevant", type=int, default=5)
@@ -140,7 +146,16 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _start_run(args):
+def _split(args, d, needed: tuple[str, ...]):
+    """``split(d)`` under --fractions and --split-seed, refusing an empty ``needed`` part."""
+    parts = split(d, tuple(args.fractions), args.split_seed)
+    for name, part in zip(("train", "valid", "test"), parts):
+        if name in needed and not part.total_pairs:
+            raise ConfigurationError(f"--fractions {args.fractions} leave the {name} part empty")
+    return parts
+
+
+def _start_run(args, needed: tuple[str, ...]):
     """Config, split and initial model of a ``train`` or ``sweep`` run; every
     check that can fail does so before anything is trained or written."""
     cfg = config_from_file(args.config) if args.config else TrainConfig()
@@ -151,18 +166,16 @@ def _start_run(args):
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"output directory {folder!r} of --out does not exist")
     d = load_csv(args.data)
-    train_d, valid_d, test_d, tiny = split(d, tuple(args.fractions), args.split_seed)
+    train_d, valid_d, test_d, tiny = _split(args, d, needed)
     if tiny:
         print(f"warning: {tiny} queries too small to split; kept in train")
-    if not train_d.total_pairs:
-        raise ConfigurationError(f"--fractions {args.fractions} leave the train part empty")
     model = FactorizationScorer(d.num_query_rows, d.num_item_rows, args.dim,
                                 bound=args.bound, seed=cfg.seed)
     return cfg, model, train_d, valid_d, test_d
 
 
 def _cmd_train(args) -> int:
-    cfg, model, train_d, valid_d, _ = _start_run(args)
+    cfg, model, train_d, valid_d, _ = _start_run(args, ("train",))
     result = train(model, train_d, cfg, valid_d=valid_d if valid_d.num_queries else None)
     model.save(args.out + ".ckpt")
     best = model.clone()
@@ -178,12 +191,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     seed = _require_seed(args)
-    d = load_csv(args.data)
+    test_d = _split(args, load_csv(args.data), ("test",))[2]
     model = FactorizationScorer.load(args.checkpoint)
     proto = EvalProtocol(relevant_per_query=args.relevant,
                          irrelevant_per_query=args.irrelevant,
                          k_list=tuple(args.k_list), seed=seed)
-    report = evaluate(model, d, proto)
+    report = evaluate(model, test_d, proto)
     text = json.dumps(finite_or_null({str(k): v for k, v in report.items()}), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -194,9 +207,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, model, train_d, _, test_d = _start_run(args)
-    if not test_d.total_pairs:
-        raise ConfigurationError(f"--fractions {args.fractions} leave the test part empty")
+    cfg, model, train_d, _, test_d = _start_run(args, ("train", "test"))
     # every grid point is a valid config of its own C before any trains; 0 and -0 are one C
     configs = [replace(cfg, fair_weight=float(c)) for c in args.c_grid]
     repeated = [c for i, c in enumerate(args.c_grid) if c in args.c_grid[:i]]

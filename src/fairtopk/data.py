@@ -454,11 +454,13 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     pairs = rng.choice(total, size=min(n_pairs, total), replace=False)
     queries, pair_row = np.unique(d.query_of[pairs], return_inverse=True)
     counts, counts_a = d.sizes[queries], d.sizes_a[queries]
-    pos = spans(d.offsets[queries], counts)
-    row = np.repeat(np.arange(len(queries)), counts)
-    items = pos[smallest_keys(rng.random(len(pos)), row, np.full(len(queries), n_q), counts)]
+    row, taken = np.repeat(np.arange(len(queries)), counts), np.minimum(counts, n_q)
+    # key j, of row r, is flat position j + offsets[queries[r]] - (keys before row r)
+    picked = smallest_keys(rng.random(len(row)), row, np.full(len(queries), n_q), counts)
+    items = picked + np.repeat(d.offsets[queries] - np.cumsum(counts) + counts, taken)
     group_a = group_b = np.full((len(queries), 0), -1)
     if n_a or n_b:
+        pos = spans(d.offsets[queries], counts)
         seg = 2 * row + d.groups[pos]        # GROUP_A even, GROUP_B odd
         picked = smallest_keys(rng.random(len(pos)), seg, np.tile([n_a, n_b], len(queries)),
                                np.stack([counts_a, counts - counts_a], axis=1).ravel())
@@ -468,11 +470,11 @@ def sample_batch(d: Dataset, sizes: tuple[int, int, int, int],
     elif isinstance(bits := rng.bit_generator, np.random.PCG64):
         # advance clears the uint32 that the pair draw may leave buffered: keep it
         kept = bits.state
-        bits.state = {**bits.advance(len(pos)).state, "has_uint32": kept["has_uint32"],
+        bits.state = {**bits.advance(len(row)).state, "has_uint32": kept["has_uint32"],
                       "uinteger": kept["uinteger"]}
     else:
-        rng.random(len(pos))
+        rng.random(len(row))
     return BatchSample(pairs=pairs, pair_row=pair_row.reshape(-1), queries=queries,
-                       items=padded(items, np.minimum(counts, n_q)), group_a=group_a,
+                       items=padded(items, taken), group_a=group_a,
                        group_b=group_b, skipped=~d.has_both_groups[queries],
                        offsets=d.offsets)

@@ -130,9 +130,11 @@ def g2_estimate(scored: ScoredBatch, d: Dataset, batch: BatchSample, cfg: TrainC
     n_a, n_b, n_g = (np.count_nonzero(f, axis=1)[:, None] for f in (
         scored.filled["group_a"], scored.filled["group_b"], scored.filled["items"][active]))
 
-    shift = np.where(state.fair_seen[rows], state.shift[rows],
-                     np.maximum(np.maximum(s_a.max(axis=1), s_b.max(axis=1)), s_g.max(axis=1)))
-    state.shift[rows] = shift
+    # a query's first touch sets its shift to its top sampled score
+    fresh = ~state.fair_seen[rows]
+    top_a, top_b, top_g = (s[fresh].max(axis=1) for s in (s_a, s_b, s_g))
+    state.shift[rows[fresh]] = np.maximum(np.maximum(top_a, top_b), top_g)
+    shift = state.shift[rows]
     e_a, e_b, e_g = (np.exp(s - shift[:, None]) for s in (s_a, s_b, s_g))
     top_k = cfg.fairness_mode == "top_k"     # full_list: psi = 1
     if top_k:

@@ -88,8 +88,7 @@ class FactorizationScorer:
         row, one per item, or one per row of an item matrix (shape (lists, 1)).
         The one place indices are type- and range-checked.  ``keep``, when
         given, receives the embedding tables read and the rows and tanh values
-        gathered, for an ``add_weighted_grads`` call on the same pairs; it
-        needs one query row per item."""
+        gathered, for an ``add_weighted_grads`` call on the same indices."""
         q, items = np.asarray(q), np.asarray(items)
         for idx, size, what in ((items, self.num_items, "item"), (q, self.num_queries, "query")):
             if idx.dtype.kind not in "iu":
@@ -106,7 +105,8 @@ class FactorizationScorer:
         return self.score_bound * tanh
 
     def add_weighted_grads(self, q_idx, item_idx, coeff, out, *, kept: dict) -> None:
-        """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j]).
+        """out += sum_j coeff[j] * grad_w score(q_idx[j], item_idx[j]), ``q_idx``
+        broadcast against ``item_idx`` as in ``score_many``.
 
         ``kept`` is what ``score_many(q_idx, item_idx, keep=...)`` kept while
         the parameters were as they are now; it and the indices are used unchecked.
@@ -114,27 +114,30 @@ class FactorizationScorer:
         t = kept["tanh"]
         c = np.asarray(coeff, dtype=np.float64) * self.score_bound * (1.0 - t * t) / self.scale
         seg = {name: out[off:off + n] for name, (off, n) in self.params.layout.items()}
-        seen = np.bincount(q_idx, minlength=self.num_queries) > 0
+        seen = np.bincount(np.ravel(q_idx), minlength=self.num_queries) > 0
         rows, n_items = np.flatnonzero(seen), self.num_items
-        if len(rows) * n_items <= DENSE_CELLS_PER_PAIR * len(c):
+        pairs = len(c) if c.ndim == 1 else np.count_nonzero(coeff)    # empty slots weigh 0
+        if len(rows) * n_items <= DENSE_CELLS_PER_PAIR * pairs:
             # w[r, i] sums the weights of the pairs in cell (rows[r], i); two
             # matrix products and a column sum then scatter every pair at once
             cell = (np.cumsum(seen) - 1)[q_idx] * n_items + item_idx
-            w = np.bincount(cell, weights=c, minlength=len(rows) * n_items)
+            w = np.bincount(cell.ravel(), weights=c.ravel(), minlength=len(rows) * n_items)
             w = w.reshape(len(rows), n_items)
             seg["query_emb"].reshape(-1, self.dim)[rows] += w @ kept["item_emb"]
             seg["item_emb"] += (w.T @ kept["query_emb"][rows]).ravel()
             seg["item_bias"] += w.sum(axis=0)
             return
-        # weighted bincounts, one per embedding column: each entry adds
-        # c * item_emb to its query row, c * query_emb to its item row and c
-        # to its item bias; the weights are laid out column by column
-        for name, idx, emb in (("query_emb", q_idx, kept["emb_i"]),
-                               ("item_emb", item_idx, kept["emb_q"])):
+        # a weighted bincount per table column: a query entry adds its items'
+        # c * item_emb to its row, an item c * query_emb to its row, c to its bias
+        by_q = c.reshape(np.size(q_idx), -1)
+        per_q = np.einsum("rs,rsk->kr", by_q, kept["emb_i"].reshape(*by_q.shape, self.dim))
+        per_item = np.multiply(kept["emb_q"].T, c.T, order="C").reshape(self.dim, -1)
+        for name, idx, weights in (("query_emb", np.ravel(q_idx), per_q),
+                                   ("item_emb", np.ravel(item_idx, order="F"), per_item)):
             table = seg[name].reshape(-1, self.dim)
-            for k, w in enumerate(np.multiply(emb.T, c, order="C")):
+            for k, w in enumerate(weights):
                 table[:, k] += np.bincount(idx, weights=w, minlength=len(table))
-        seg["item_bias"] += np.bincount(item_idx, weights=c, minlength=n_items)
+        seg["item_bias"] += np.bincount(np.ravel(item_idx), weights=c.ravel(), minlength=n_items)
 
     def clone(self) -> "FactorizationScorer":
         m = FactorizationScorer(self.num_queries, self.num_items, self.dim,

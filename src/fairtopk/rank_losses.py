@@ -88,43 +88,50 @@ def blend(values: np.ndarray, seen: np.ndarray, idx: np.ndarray, estimate: np.nd
 
 
 class ScoredBatch:
-    """The blocks of flat positions one training step works on, scored with
-    one gather and weighted with one scatter.
+    """The blocks of flat positions one training step works on, as one
+    (sampled queries, slots) matrix scored with one gather against one query
+    row per query and weighted with one scatter.
 
-    The blocks are the batch's ``pairs`` and ``items`` and the ``group_a`` and
-    ``group_b`` rows of the queries that have both groups, which have no
-    slots when the batch draws no group sub-batches (fairness off); each is
-    a vector or a padded matrix whose -1 slots are empty.
-    ``scores[name]`` holds a block's scores, -inf in its empty slots, from
-    one score_many call that keeps the rows it gathers; ``dense`` scatters
-    on those rows, so the parameters must not move in between.
+    Row r holds the pairs of ``queries[r]`` in ascending pair index, then its
+    ``items``, ``group_a`` and ``group_b`` rows; group slots are empty for a
+    query missing a group and absent when the batch draws none (fairness
+    off).  ``scores[name]``, -inf in empty slots, and ``filled[name]`` are a
+    block's: the ``pairs`` vector, the ``items`` rows and the group rows of
+    the queries with both groups.  ``dense`` scatters on the rows the gather
+    kept, so the parameters must not move in between.
     """
 
     def __init__(self, model: FactorizationScorer, d: Dataset, batch: BatchSample):
         active = ~batch.skipped
-        blocks = {"pairs": batch.pairs, "items": batch.items,
-                  "group_a": batch.group_a[active], "group_b": batch.group_b[active]}
-        self.model = model
-        self.filled = {name: b >= 0 for name, b in blocks.items()}
-        pos = np.concatenate([b[self.filled[name]] for name, b in blocks.items()])
-        self.q, self.item_rows = d.query_row[pos], d.feature_idx[pos]
-        self.kept = {}
-        flat = model.score_many(self.q, self.item_rows, keep=self.kept)
-        parts = np.split(flat, np.cumsum([f.sum() for f in self.filled.values()])[:-1])
-        self.scores = {name: np.full(f.shape, -np.inf) for name, f in self.filled.items()}
-        for (name, f), part in zip(self.filled.items(), parts):
-            self.scores[name][f] = part
+        count = np.bincount(batch.pair_row, minlength=len(batch.queries))
+        order = np.argsort(batch.pair_row, kind="stable")
+        col = np.empty_like(order)      # each pair's rank among its row's pairs
+        col[order] = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
+        groups = [np.where(active[:, None], g, -1) for g in (batch.group_a, batch.group_b)]
+        a = count.max()
+        at = np.hstack([np.full((len(count), a), -1), batch.items, *groups])
+        at[batch.pair_row, col] = batch.pairs
+        b, c = a + batch.items.shape[1], at.shape[1] - batch.group_b.shape[1]
+        self.index = {"pairs": (batch.pair_row, col), "items": np.s_[:, a:b],
+                      "group_a": (active, np.s_[b:c]), "group_b": (active, np.s_[c:])}
+        self.model, self.kept, self.empty, filled = model, {}, at < 0, at >= 0
+        self.q, self.item_rows = d.query_index[batch.queries][:, None], d.feature_idx[at]
+        scores = model.score_many(self.q, self.item_rows, keep=self.kept)
+        scores[self.empty] = -np.inf
+        self.scores = {name: scores[ix] for name, ix in self.index.items()}
+        self.filled = {name: filled[ix] for name, ix in self.index.items()}
 
     def dense(self, *estimates: dict) -> np.ndarray:
         """sum over the estimates, their blocks and the blocks' filled slots of
         weight * grad_w score, as a parameter vector.  An estimate maps block
         names to weights shaped like the block; one block's weights add up in
         the order the estimates are given, and a block none names weighs 0."""
-        coeff = [sum((e[name] for e in estimates if name in e), np.zeros(f.shape))[f]
-                 for name, f in self.filled.items()]
+        w = np.zeros(self.item_rows.shape)
+        for name, ix in self.index.items():
+            w[ix] = sum((e[name] for e in estimates if name in e), 0.0)
+        w[self.empty] = 0.0
         out = np.zeros(len(self.model.params.values))
-        self.model.add_weighted_grads(self.q, self.item_rows, np.concatenate(coeff), out,
-                                      kept=self.kept)
+        self.model.add_weighted_grads(self.q, self.item_rows, w, out, kept=self.kept)
         return out
 
 

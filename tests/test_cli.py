@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from fairtopk import cli
-from fairtopk.cli import build_parser, run
+from fairtopk.cli import build_parser, finite_or_null, run
+from fairtopk.data import load_csv, split
+from fairtopk.evaluation import EvalProtocol, evaluate
 from fairtopk.model import FactorizationScorer
 
 
@@ -236,6 +238,34 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"{data}: line 2: field larger than field limit" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("flags, fractions, split_seed", [
+        ([], (0.8, 0.1, 0.1), 0),
+        (["--split-seed", "1"], (0.8, 0.1, 0.1), 1),
+        (["--fractions", "0.5,0.2,0.3", "--split-seed", "2"], (0.5, 0.2, 0.3), 2)])
+    def test_eval_scores_the_test_part(self, data_csv, tmp_path, capsys, strict_json, flags,
+                                       fractions, split_seed):
+        ckpt = tmp_path / "m.ckpt"
+        m = FactorizationScorer(12, 32, 2, seed=1)
+        m.save(str(ckpt))
+        assert run(["eval", "--data", data_csv, "--checkpoint", str(ckpt), "--k-list", "3",
+                    "--relevant", "2", "--irrelevant", "4", "--seed", "0", *flags]) == 0
+        test_d = split(load_csv(data_csv), fractions, split_seed)[2]
+        expected = evaluate(m, test_d, EvalProtocol(2, 4, k_list=(3,), seed=0))[3]
+        assert strict_json(capsys.readouterr().out) == {"3": finite_or_null(expected)}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--fractions", "0.98,0.01,0.01"], "leave the test part empty"),
+        (["--split-seed", "-2"], "split seed must be >= 0")])
+    def test_eval_without_a_test_part_exits_one(self, data_csv, tmp_path, capsys, flags,
+                                                message):
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "report.json"
+        FactorizationScorer(12, 32, 2).save(str(ckpt))
+        assert run(["eval", "--data", data_csv, "--checkpoint", str(ckpt), "--out", str(out),
+                    *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWriteCsv:

@@ -194,28 +194,38 @@ class TestGradient:
         """The scatter against each pair's gradient rows written out from the
         score's formula and added with np.add.at: no bincount, no matrix
         product, no add_weighted_grads call.  The 5-item vocabulary takes the
-        dense scatter, the 200-item one the per-column bincounts."""
+        dense scatter, the 200-item one the per-column bincounts.  The pairs
+        come as vectors, then as a ScoredBatch lays them out: one query row
+        per row of an item matrix, with weight 0 in its empty slots."""
         rng = np.random.default_rng(4)
         m = FactorizationScorer(3, num_items, 4, bound=7.0, scale=2.0, seed=5)
         m.item_bias[:] = rng.normal(0.0, 0.5, num_items)
         q, items = rng.integers(3, size=num_pairs), rng.integers(num_items, size=num_pairs)
         q[1], items[1] = q[0], items[0]                     # a repeated pair
         coeff = rng.normal(0.0, 1.0, num_pairs)
-        coeff[2] = 0.0
-        cells = len(np.unique(q)) * num_items
-        assert (cells <= model_module.DENSE_CELLS_PER_PAIR * num_pairs) == (num_items == 5)
-        out, kept = np.ones(len(m.params)), {}
-        m.score_many(q, items, keep=kept)
-        m.add_weighted_grads(q, items, coeff, out, kept=kept)
-        u, v, b = m.query_emb, m.item_emb, m.item_bias
-        t = np.tanh((np.sum(u[q] * v[items], axis=1) + b[items]) / m.scale)
-        c = coeff * m.score_bound * (1.0 - t * t) / m.scale     # d score / d logit
-        expected = np.ones(len(m.params))
-        seg = {name: expected[off:off + n] for name, (off, n) in m.params.layout.items()}
-        np.add.at(seg["query_emb"].reshape(-1, m.dim), q, c[:, None] * v[items])
-        np.add.at(seg["item_emb"].reshape(-1, m.dim), items, c[:, None] * u[q])
-        np.add.at(seg["item_bias"], items, c)
-        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+        shape = (4, num_pairs // 2)
+        block_items = rng.integers(num_items, size=shape)
+        block_items[0, 1] = block_items[0, 0]               # a repeated pair
+        block = (rng.integers(3, size=(4, 1)), block_items,
+                 np.where(rng.random(shape) < 0.4, 0.0, rng.normal(0.0, 1.0, shape)))
+        for q, items, coeff in ((q, items, coeff), block):
+            coeff.flat[2] = 0.0
+            cells = len(np.unique(q)) * num_items
+            pairs = len(coeff) if coeff.ndim == 1 else np.count_nonzero(coeff)
+            assert (cells <= model_module.DENSE_CELLS_PER_PAIR * pairs) == (num_items == 5)
+            out, kept = np.ones(len(m.params)), {}
+            m.score_many(q, items, keep=kept)
+            m.add_weighted_grads(q, items, coeff, out, kept=kept)
+            q, items, coeff = (np.broadcast_to(a, items.shape).ravel() for a in (q, items, coeff))
+            u, v, b = m.query_emb, m.item_emb, m.item_bias
+            t = np.tanh((np.sum(u[q] * v[items], axis=1) + b[items]) / m.scale)
+            c = coeff * m.score_bound * (1.0 - t * t) / m.scale     # d score / d logit
+            expected = np.ones(len(m.params))
+            seg = {name: expected[off:off + n] for name, (off, n) in m.params.layout.items()}
+            np.add.at(seg["query_emb"].reshape(-1, m.dim), q, c[:, None] * v[items])
+            np.add.at(seg["item_emb"].reshape(-1, m.dim), items, c[:, None] * u[q])
+            np.add.at(seg["item_bias"], items, c)
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
 
 
 class TestCheckpoint:
@@ -352,3 +362,17 @@ def test_score_always_within_bound(vals):
     m.params.values[:] = np.array(vals)[: len(m.params)]
     s = m.score_many(0, np.arange(2))
     assert np.all(np.abs(s) <= 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 20), st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+def test_query_rows_against_an_item_matrix_score_as_single_pairs(rows, width, dim, seed):
+    """score_many(q[:, None], items) has the bits of the call on the flattened
+    pairs, one query row per item: a ScoredBatch scores its block the first way."""
+    rng = np.random.default_rng(seed)
+    m = FactorizationScorer(5, 7, dim, scale=1.5)
+    m.params.values[:] = rng.normal(0.0, 1.0, len(m.params))
+    q, items = rng.integers(5, size=rows), rng.integers(7, size=(rows, width))
+    block = m.score_many(q[:, None], items)
+    assert block.shape == (rows, width)
+    assert block.tobytes() == m.score_many(np.repeat(q, width), items.ravel()).tobytes()

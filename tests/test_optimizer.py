@@ -1,7 +1,9 @@
 """Training configuration, the step update and the outer loop."""
 
 import copy
+import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -226,11 +228,11 @@ class TestTrainStep:
             calls.clear()
             train_step(m, d, cfg, TrainerState.fresh(cfg, len(m.params.values)), rng)
             # G1, the threshold update and G2 share one gather; G1 and C * G2 one
-            # scatter, which reuses the embedding rows the gather read
-            filled = sum(np.count_nonzero(b >= 0) for b in (
-                batch.pairs, batch.items, batch.group_a[active], batch.group_b[active]))
-            assert calls == [("score_many", filled), ("item_emb", "read"),
-                             ("query_emb", "read"), ("add_weighted_grads", filled)]
+            # scatter, which reuses the embedding rows the gather read; both
+            # take one row of slots per sampled query
+            rows = len(batch.queries)
+            assert calls == [("score_many", rows), ("item_emb", "read"),
+                             ("query_emb", "read"), ("add_weighted_grads", rows)]
 
     def test_group_rows_are_selected_only_with_fairness_on(self, monkeypatch):
         # the item sub-batch takes one smallest_keys call, the group rows a second
@@ -317,10 +319,12 @@ class TestScatterPaths:
         dense_calls = []
         original = FactorizationScorer.add_weighted_grads
 
-        def counted(self, q, items, *rest, **kwargs):
-            if len(np.unique(q)) * self.num_items <= model_module.DENSE_CELLS_PER_PAIR * len(q):
-                dense_calls.append(len(q))
-            return original(self, q, items, *rest, **kwargs)
+        def counted(self, q, items, coeff, *rest, **kwargs):
+            # a vector's entries, or the weighted slots of a (queries, slots) block
+            pairs = len(coeff) if np.ndim(coeff) == 1 else np.count_nonzero(coeff)
+            if len(np.unique(q)) * self.num_items <= model_module.DENSE_CELLS_PER_PAIR * pairs:
+                dense_calls.append(pairs)
+            return original(self, q, items, coeff, *rest, **kwargs)
 
         monkeypatch.setattr(FactorizationScorer, "add_weighted_grads", counted)
         params = []
@@ -350,6 +354,105 @@ class TestScatterPaths:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
+
+    @staticmethod
+    def _one_big_query(tmp_path, big, small):
+        """A query of ``big`` items among 40 of ``small``, and a batch of its
+        data in which that query holds most pairs."""
+        rng = np.random.default_rng(0)
+        lines = [f"big,{i},{(7 * i) % 5},{i % 2}" for i in range(big)]
+        for k in range(40):
+            lines += [f"q{k},{i},{(3 * i + k) % 5},{i % 2}"
+                      for i in rng.choice(5000, small, replace=False)]
+        path = tmp_path / "one_big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        d = load_csv(str(path))
+        cfg = TrainConfig(k=5, loss="listnet", fair_weight=10.0, seed=0)
+        batch = sample_batch(d, (cfg.batch_pairs, cfg.batch_items, cfg.batch_a, cfg.batch_b),
+                             np.random.default_rng(0))
+        return d, cfg, batch
+
+    def test_one_query_holding_most_positions_steps_alike_on_both_paths(self, tmp_path,
+                                                                        monkeypatch):
+        """Nearly every sampled pair is in the big query's row of the
+        ScoredBatch block, which is as wide as its pairs.  The step agrees on
+        both scatter paths and stays as small as on the wide vocabulary."""
+        d, cfg, batch = self._one_big_query(tmp_path, 4000, 10)
+        assert np.bincount(batch.pair_row).max() >= 200
+        params, peaks = [], []
+        for cells_per_pair in (10 ** 6, 0):                     # dense, then per-column
+            monkeypatch.setattr(model_module, "DENSE_CELLS_PER_PAIR", cells_per_pair)
+            m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=0)
+            state = TrainerState.fresh(cfg, len(m.params.values))
+            step_rng = np.random.default_rng(0)
+            train_step(m, d, cfg, state, step_rng)      # also builds the normalizers
+            tracemalloc.start()
+            try:
+                train_step(m, d, cfg, state, step_rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            params.append(m.params.values)
+        np.testing.assert_allclose(params[0], params[1], rtol=0.0, atol=1e-12)
+        assert max(peaks) <= 4 * 2 ** 20, peaks
+
+
+    def test_block_scatters_in_the_flat_order(self, tmp_path, monkeypatch):
+        """The dense scatter of a ScoredBatch block has the bits of the same
+        weights scattered as vectors in the order pairs, items, group A,
+        group B: row-major order meets each (query row, item) cell's weights
+        so.  The batch takes every position, so a cell of the big query often
+        sums a pair, an item and a group slot, whose order shows in its bits."""
+        monkeypatch.setattr(model_module, "DENSE_CELLS_PER_PAIR", 10 ** 6)
+        d, _, batch = self._one_big_query(tmp_path, 100, 3)
+        assert len(batch.pairs) == d.total_pairs and len(batch.queries) == 41
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 4, seed=0)
+        scored, rng = ScoredBatch(m, d, batch), np.random.default_rng(1)
+        weights = {name: np.where(f, rng.normal(0.0, 1.0, f.shape), 0.0)
+                   for name, f in scored.filled.items()}
+        active = ~batch.skipped
+        blocks = (batch.pairs, batch.items, batch.group_a[active], batch.group_b[active])
+        pos = np.concatenate([b[b >= 0] for b in blocks])
+        flat = np.concatenate([weights[name][scored.filled[name]] for name in weights])
+        q, items, kept = d.query_row[pos], d.feature_idx[pos], {}
+        m.score_many(q, items, keep=kept)
+        expected = np.zeros(len(m.params.values))
+        m.add_weighted_grads(q, items, flat, expected, kept=kept)
+        assert scored.dense(weights).tobytes() == expected.tobytes()
+
+
+class TestBenchEpochDigests:
+    """sha256 of the parameters after one epoch (191 steps) of the benchmark's
+    fit workloads, listnet at C = 0 and top_k at C = 1000, on the bench split
+    of seeds 1 and 3.  Any change to the step's arithmetic beyond the last
+    bit, or to the sampler's stream, moves them.  They hold for the build
+    they were recorded on (CPython 3.11, numpy 2.4.6 with OpenBLAS 0.3.31,
+    2-core x86-64): the dense scatter's matrix products may round
+    differently under another BLAS kernel or thread count, so a mismatch on
+    another build is not by itself a code regression."""
+
+    DIGESTS = {
+        ("fit_rank", 1): "a3a43c85879459c6e3fa018bcbe66daf9ec5a0197abe6b96d2149d769f8b725a",
+        ("fit_rank", 3): "78024ca113b4d63cf9b938240cc32f97895770d1277e8ccc3634ba1dd8a22457",
+        ("fit_topk", 1): "27e3faf063c5fe18260cf1c803cef15d78b27bb8d2cc5e041b065b7a1795780c",
+        ("fit_topk", 3): "0a1b982ff63c4be126765512ac03608f51d08841191b4850684e39f9182aff21",
+    }
+
+    @pytest.mark.parametrize("workload, seed", sorted(DIGESTS))
+    def test_one_epoch_gives_the_recorded_bits(self, workload, seed):
+        d = generate_synthetic(200, 305, 0.3, 2.0, seed=seed)
+        train_d, _, _, _ = split(d, (0.8, 0.1, 0.1), seed=0)
+        m = FactorizationScorer(d.num_query_rows, d.num_item_rows, 8, seed=seed)
+        cfg = TrainConfig(k=50, loss="listnet", batch_pairs=256, batch_items=32, batch_a=16,
+                          batch_b=16, eta1=1.0, seed=seed, log_every=10_000,
+                          fair_weight={"fit_rank": 0.0, "fit_topk": 1000.0}[workload])
+        state, rng = TrainerState.fresh(cfg, len(m.params.values)), np.random.default_rng(seed)
+        steps = math.ceil(train_d.total_pairs / cfg.batch_pairs)
+        assert steps == 191
+        for _ in range(steps):
+            train_step(m, train_d, cfg, state, rng)
+        digest = hashlib.sha256(m.params.values.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[workload, seed]
 
 
 class TestPinnedTrajectory:
